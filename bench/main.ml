@@ -18,9 +18,9 @@
    Beyond the paper, the campaign section measures the parallel
    detection-campaign engine: wall-clock of the full detection phase at
    1/2/4/8 worker domains on every bundled application.  The snapshot
-   section compares eager vs copy-on-write detection snapshots
-   (--snapshot-mode) per application and writes the machine-readable
-   BENCH_detect.json; set BENCH_SHORT=1 for the quick CI subset.  The
+   section compares the eager oracle against copy-on-write detection
+   snapshots, the production path, per application and writes the
+   machine-readable BENCH_detect.json; set BENCH_SHORT=1 for the quick CI subset.  The
    interp section races the two execution engines — the original
    closure-tree evaluator against the flat-bytecode interpreter with
    superinstructions — in interleaved best-of-N rounds with stddev,

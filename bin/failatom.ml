@@ -158,23 +158,6 @@ let wrap_all_arg =
   in
   Arg.(value & flag & info [ "wrap-all" ] ~doc)
 
-let snapshot_mode_arg =
-  let doc =
-    "How detection wrappers capture the entry state: $(b,eager) \
-     canonicalizes the receiver's full object graph at every wrapped call \
-     (paper Listing 1), $(b,cow) opens a copy-on-write shadow and \
-     reconstructs the entry form only on exceptional returns whose dirty \
-     set reaches the snapshot — same marks, cost proportional to \
-     mutations instead of graph size."
-  in
-  let mode_conv =
-    Arg.enum [ ("eager", Config.Snapshot_eager); ("cow", Config.Snapshot_cow) ]
-  in
-  Arg.(
-    value
-    & opt mode_conv Config.default.Config.snapshot_mode
-    & info [ "snapshot-mode" ] ~docv:"MODE" ~doc)
-
 let run_timeout_arg =
   let doc =
     "Abort any single detection run after $(docv) seconds of wall-clock time \
@@ -270,11 +253,10 @@ let with_metrics metrics_out f =
         Fmt.epr "metrics written to %s@." path)
       f
 
-let config_of ~exception_free ~do_not_wrap ~wrap_all ~snapshot_mode =
+let config_of ~exception_free ~do_not_wrap ~wrap_all =
   { Config.default with
     Config.exception_free;
     do_not_wrap;
-    snapshot_mode;
     wrap_policy = (if wrap_all then Config.Wrap_all_non_atomic else Config.Wrap_pure) }
 
 let classification_code classification =
@@ -493,8 +475,8 @@ let emit_plan_arg =
   Arg.(value & opt (some string) None & info [ "emit-plan" ] ~docv:"FILE" ~doc)
 
 let detect_cmd =
-  let action spec engine flavor snapshot_mode prune schedules details
-      exception_free infer log coverage csv metrics_out emit_plan =
+  let action spec engine flavor prune schedules details exception_free infer log
+      coverage csv metrics_out emit_plan =
     set_engine engine;
     match expand_schedules schedules with
     | Error msg ->
@@ -503,11 +485,7 @@ let detect_cmd =
     | Ok schedules ->
     with_program spec (fun program ->
         let config =
-          { Config.default with
-            Config.infer_exception_free = infer;
-            snapshot_mode;
-            prune;
-            schedules }
+          { Config.default with Config.infer_exception_free = infer; prune; schedules }
         in
         match
           with_metrics metrics_out (fun () -> Detect.run ~config ~flavor program)
@@ -550,9 +528,9 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ snapshot_mode_arg
-      $ prune_arg $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg
-      $ log_arg $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
+      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg $ log_arg
+      $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
 
 let campaign_cmd =
   let jobs_arg =
@@ -573,8 +551,8 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let action spec engine flavor snapshot_mode prune schedules jobs journal resume
-      run_timeout_s details exception_free log csv metrics_out =
+  let action spec engine flavor prune schedules jobs journal resume run_timeout_s
+      details exception_free log csv metrics_out =
     set_engine engine;
     match expand_schedules schedules with
     | Error msg ->
@@ -591,9 +569,7 @@ let campaign_cmd =
             if jobs <= 0 then Failatom_campaign.Campaign.default_jobs () else jobs
           in
           let report = Failatom_campaign.Progress.reporter Fmt.stderr in
-          let config =
-            { Config.default with Config.snapshot_mode; prune; schedules }
-          in
+          let config = { Config.default with Config.prune; schedules } in
           match
             with_metrics metrics_out (fun () ->
                 Failatom_campaign.Campaign.run ~config ~flavor ?run_timeout_s ~jobs
@@ -629,10 +605,9 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ snapshot_mode_arg
-      $ prune_arg $ schedules_arg $ jobs_arg $ journal_arg $ resume_arg
-      $ run_timeout_arg $ details_arg $ exception_free_arg $ log_arg $ csv_arg
-      $ metrics_out_arg)
+      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      $ schedules_arg $ jobs_arg $ journal_arg $ resume_arg $ run_timeout_arg
+      $ details_arg $ exception_free_arg $ log_arg $ csv_arg $ metrics_out_arg)
 
 let weave_cmd =
   let action spec =
@@ -645,11 +620,11 @@ let weave_cmd =
   Cmd.v (Cmd.info "weave" ~doc ~exits) Term.(const action $ program_arg)
 
 let mask_cmd =
-  let action spec engine flavor snapshot_mode exception_free do_not_wrap wrap_all
-      show_source verify =
+  let action spec engine flavor exception_free do_not_wrap wrap_all show_source
+      verify =
     set_engine engine;
     with_program spec (fun program ->
-        let config = config_of ~exception_free ~do_not_wrap ~wrap_all ~snapshot_mode in
+        let config = config_of ~exception_free ~do_not_wrap ~wrap_all in
         match Mask.correct ~config ~flavor program with
         | exception Detect.Detection_error msg ->
           Fmt.epr "failatom: %s@." msg;
@@ -704,9 +679,8 @@ let mask_cmd =
   in
   Cmd.v (Cmd.info "mask" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ snapshot_mode_arg
-      $ exception_free_arg $ do_not_wrap_arg $ wrap_all_arg $ show_source_arg
-      $ verify_arg)
+      const action $ program_arg $ engine_arg $ flavor_arg $ exception_free_arg
+      $ do_not_wrap_arg $ wrap_all_arg $ show_source_arg $ verify_arg)
 
 let classify_cmd =
   let log_file_arg =
@@ -1223,11 +1197,10 @@ let submit_cmd =
     let doc = "Write the corrected program of a mask-mode job to $(docv)." in
     Arg.(value & opt (some string) None & info [ "corrected" ] ~docv:"FILE" ~doc)
   in
-  let snapshot_wire snapshot_mode = snapshot_mode in
-  let action spec socket retries mode flavor snapshot_mode prune schedules infer
-      wrap_all exception_free do_not_wrap jobs run_timeout_s detach log
-      corrected_out plan_file rollback perturb_rate perturb_seed perturb_max
-      perturb_point times resilience_out =
+  let action spec socket retries mode flavor prune schedules infer wrap_all
+      exception_free do_not_wrap jobs run_timeout_s detach log corrected_out
+      plan_file rollback perturb_rate perturb_seed perturb_max perturb_point times
+      resilience_out =
     (* Absent stays absent on the wire (an older server ignores the
        field); a given flag is expanded client-side so the server sees
        concrete specs. *)
@@ -1273,7 +1246,6 @@ let submit_cmd =
       let req =
         { (Protocol.default_request mode program) with
           Protocol.flavor;
-          snapshot = snapshot_wire snapshot_mode;
           prune;
           schedules;
           infer;
@@ -1314,7 +1286,7 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc ~exits)
     Term.(
       const action $ program_arg $ socket_arg $ connect_retries_arg $ mode_arg
-      $ flavor_opt_arg $ snapshot_mode_arg $ prune_arg $ schedules_arg
+      $ flavor_opt_arg $ prune_arg $ schedules_arg
       $ infer_arg $ wrap_all_arg $ exception_free_arg $ do_not_wrap_arg
       $ jobs_arg $ run_timeout_arg $ detach_arg $ log_arg $ corrected_arg
       $ plan_file_arg $ rollback_arg $ perturb_rate_arg $ perturb_seed_arg

@@ -23,17 +23,11 @@ let wrap_policy_of_name = function
 type snapshot_mode =
   | Snapshot_eager
       (* canonicalize the receiver's full object graph at every wrapped
-         call entry (paper Listing 1; the oracle the tests compare
-         against) *)
+         call entry (paper Listing 1); the test oracle only *)
   | Snapshot_cow
-      (* differential snapshots: open a copy-on-write shadow at entry
-         and reconstruct the entry-time canonical form only on the rare
-         exceptional return — detection cost proportional to mutations,
-         not graph size (paper §6.2 applied to detection) *)
-
-let snapshot_mode_name = function
-  | Snapshot_eager -> "eager"
-  | Snapshot_cow -> "cow"
+      (* differential snapshots, the detection path: open a
+         copy-on-write shadow at entry and reconstruct the entry-time
+         canonical form only on the rare exceptional return *)
 
 type prune =
   | Prune_off (* run every injection point, the paper's campaign *)
@@ -93,7 +87,7 @@ type t = {
 let default =
   { runtime_exceptions = [ "NullPointerException"; "OutOfMemoryError" ];
     snapshot_args = true;
-    snapshot_mode = Snapshot_eager;
+    snapshot_mode = Snapshot_cow;
     checkpoint_strategy = Checkpoint.Eager;
     wrap_policy = Wrap_pure;
     exception_free = [];
@@ -114,7 +108,9 @@ let injectable config ~declared =
    configs with equal fingerprints produce identical run records on the
    same program — the contract the server's result cache relies on.
    The leading version tag must change whenever a field is added or its
-   rendering changes, invalidating stale cache entries. *)
+   rendering changes, invalidating stale cache entries.  The snapshot
+   mode never changes a run record, so its slot keeps the legacy token
+   "eager" of the old default: fingerprints recorded then stay valid. *)
 let fingerprint (c : t) =
   let strategy =
     match c.checkpoint_strategy with
@@ -130,7 +126,7 @@ let fingerprint (c : t) =
       [ "cfg3";
         String.concat "," c.runtime_exceptions;
         string_of_bool c.snapshot_args;
-        snapshot_mode_name c.snapshot_mode;
+        "eager";
         strategy;
         policy;
         methods c.exception_free;

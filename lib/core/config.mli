@@ -22,16 +22,15 @@ val wrap_policy_of_name : string -> wrap_policy option
 type snapshot_mode =
   | Snapshot_eager
       (** canonicalize the receiver's full object graph at every wrapped
-          call entry (paper Listing 1; the oracle the equivalence tests
-          compare against) *)
+          call entry (paper Listing 1).  The test oracle only: no CLI
+          option or wire field selects it. *)
   | Snapshot_cow
-      (** differential snapshots: open a copy-on-write {!Shadow} at
-          entry and reconstruct the entry-time canonical form only on
-          the rare exceptional return, after intersecting the dirty set
-          with the snapshot's reachable ids — detection cost
-          proportional to mutations, not graph size *)
-
-val snapshot_mode_name : snapshot_mode -> string
+      (** differential snapshots, the detection path: open a
+          copy-on-write {!Shadow} at entry and reconstruct the
+          entry-time canonical form only on the rare exceptional return,
+          after intersecting the dirty set with the snapshot's reachable
+          ids — detection cost proportional to mutations, not graph
+          size *)
 
 type prune =
   | Prune_off  (** run every injection point — the paper's campaign *)
@@ -59,7 +58,10 @@ type t = {
           paper's C++ flavor does; its Java flavor covers [this] only) *)
   snapshot_mode : snapshot_mode;
       (** how the detection wrapper captures the entry state (default
-          [Snapshot_eager]; both modes produce identical marks) *)
+          [Snapshot_cow]; both modes produce identical run records).
+          [Snapshot_eager] is reachable only through this field: it is
+          the reference the equivalence tests and the snapshot bench
+          compare the production path against. *)
   checkpoint_strategy : Checkpoint.strategy;
   wrap_policy : wrap_policy;
   exception_free : Method_id.t list;
@@ -87,8 +89,8 @@ type t = {
 
 val default : t
 (** Generic exceptions [NullPointerException] and [OutOfMemoryError],
-    snapshots covering reference arguments, eager snapshots and
-    checkpointing, the wrap-pure policy, and no user annotations. *)
+    snapshots covering reference arguments, copy-on-write snapshots,
+    eager checkpointing, the wrap-pure policy, and no user annotations. *)
 
 val injectable : t -> declared:string list -> string list
 (** All exception classes injectable into a method with the given
@@ -98,4 +100,9 @@ val fingerprint : t -> string
 (** Content address of the configuration: md5 hex over a canonical,
     versioned rendering of every field that influences detection
     results.  Equal fingerprints guarantee identical run records on the
-    same program — the keying contract of the server's result cache. *)
+    same program — the keying contract of the server's result cache.
+    [snapshot_mode] is not part of it: its slot always renders the
+    legacy token [eager], because both modes yield identical run
+    records, and pinning the token keeps fingerprints recorded before
+    copy-on-write became the default (plans, cache keys, store entries)
+    valid. *)

@@ -104,9 +104,7 @@ let run_once_ext ?run_timeout_s ?(trace = false) ?(schedule = coop_schedule)
     compiled config analyzer ~prepare ~threshold : Marks.run_record * run_extras =
   let spec, policy = schedule in
   Obs.span "detect.run_once"
-    ~attrs:
-      [ ("flavor", flavor_name compiled.cflavor);
-        ("snapshot_mode", Config.snapshot_mode_name config.Config.snapshot_mode) ]
+    ~attrs:[ ("flavor", flavor_name compiled.cflavor) ]
     (fun () ->
       let vm, state =
         instrumented_vm ~trace compiled config analyzer ~prepare ~threshold

@@ -64,6 +64,7 @@ type images = {
 type entry = {
   e_result : Protocol.job_result;
   e_rendered : string;  (* Json.to_string (Protocol.result_to_json e_result) *)
+  e_warm_frame : string;  (* done_frame ~cached:true e_rendered, shared by warm hits *)
 }
 
 type persist = {
@@ -279,6 +280,23 @@ let images t ~program_digest ~flavor (program : Ast.program) =
 
 let render result = Json.to_string (Protocol.result_to_json result)
 
+(* The done frame splices the pre-rendered result text.  Field order
+   matches the server's rendering of [Ev_done] exactly, and
+   {!Json.to_string} is compositional (no whitespace), so the spliced
+   frame is byte-for-byte what full rendering would produce. *)
+let done_frame ~cached rendered =
+  Printf.sprintf "{\"ok\":true,\"event\":\"done\",\"cached\":%b,\"result\":%s}"
+    cached rendered
+
+(* The warm frame is built once here, outside every lock: warm hits
+   append this one string to their jobs instead of a fresh copy each. *)
+let entry_of_rendered result rendered =
+  { e_result = result;
+    e_rendered = rendered;
+    e_warm_frame = done_frame ~cached:true rendered }
+
+let entry result = entry_of_rendered result (render result)
+
 let find_result t key =
   match
     locked t (fun () -> Hashtbl.find_opt t.results.table key)
@@ -312,7 +330,7 @@ let find_result t key =
             Obs.incr m_result_misses;
             None
           | Ok result ->
-            let e = { e_result = result; e_rendered = payload } in
+            let e = entry_of_rendered result payload in
             let evicted =
               locked t (fun () -> bounded_add t.results key e)
             in
@@ -322,7 +340,7 @@ let find_result t key =
             Some e))))
 
 let store_result t key result =
-  let e = { e_result = result; e_rendered = render result } in
+  let e = entry result in
   let evicted = locked t (fun () -> bounded_add t.results key e) in
   if evicted then Obs.incr m_result_evictions;
   (match t.persist with

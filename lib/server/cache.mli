@@ -23,7 +23,18 @@ type entry = {
   e_rendered : string;
       (** [Json.to_string (Protocol.result_to_json e_result)] — exact
           bytes, safe to splice into reply frames *)
+  e_warm_frame : string;
+      (** [done_frame ~cached:true e_rendered], rendered once per entry:
+          every warm hit appends this same string to its job, so the
+          job table retains no per-hit copy of the result *)
 }
+
+val done_frame : cached:bool -> string -> string
+(** The terminal [done] event frame around a rendered result,
+    byte-identical to rendering the event through {!Json}. *)
+
+val entry : Protocol.job_result -> entry
+(** An uncached entry: renders the result and its warm frame. *)
 
 type persist = {
   find_blob : ns:string -> key:string -> string option;

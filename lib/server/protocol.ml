@@ -54,7 +54,6 @@ type job_request = {
   program : program_spec;
   flavor : Detect.flavor option;
       (* None: the app's suite default, or source weaving for inline *)
-  snapshot : Config.snapshot_mode;
   prune : Config.prune;  (* campaign pruning; absent on the wire = off *)
   schedules : string list;
       (* schedule specs crossed with the injection axis for concurrent
@@ -81,7 +80,6 @@ let default_request mode program =
   { mode;
     program;
     flavor = None;
-    snapshot = Config.Snapshot_eager;
     prune = Config.Prune_off;
     schedules = [];
     infer = false;
@@ -160,7 +158,6 @@ let request_to_json = function
         ("mode", Json.Str (mode_name r.mode));
         ("program", program);
         ("flavor", opt (fun f -> Json.Str (flavor_wire_name f)) r.flavor);
-        ("snapshot", Json.Str (Config.snapshot_mode_name r.snapshot));
         ("prune", Json.Str (Config.prune_name r.prune));
         ("schedules", Json.List (List.map (fun s -> Json.Str s) r.schedules));
         ("infer", Json.Bool r.infer);
@@ -285,10 +282,11 @@ let submit_of_json j =
       | None -> Error ("unknown flavor " ^ name))
     | Some _ -> Error "flavor must be a string"
   in
-  let* snapshot =
+  let* () =
+    (* Older clients send the retired snapshot mode; both spellings run
+       the copy-on-write path, which yields the eager path's results. *)
     match Json.str_member "snapshot" j with
-    | None | Some "eager" -> Ok Config.Snapshot_eager
-    | Some "cow" -> Ok Config.Snapshot_cow
+    | None | Some ("eager" | "cow") -> Ok ()
     | Some s -> Error ("unknown snapshot mode " ^ s)
   in
   let* prune =
@@ -335,7 +333,6 @@ let submit_of_json j =
        { mode;
          program;
          flavor;
-         snapshot;
          prune;
          schedules;
          infer = Option.value ~default:false (Json.bool_member "infer" j);

@@ -34,7 +34,6 @@ type job_request = {
   program : program_spec;
   flavor : Detect.flavor option;
       (** [None]: the app's suite default, or source weaving for inline *)
-  snapshot : Config.snapshot_mode;
   prune : Config.prune;
       (** campaign pruning mode; absent on the wire decodes as
           {!Config.Prune_off}, so older clients keep exact campaigns *)
@@ -124,5 +123,10 @@ val error : string -> Json.t
 (** {1 Decoding} — total; [Error] carries a human-readable reason *)
 
 val request_of_json : Json.t -> (request, string) result
+(** A submit may still carry the retired ["snapshot"] field of older
+    clients: ["eager"] or ["cow"] is accepted and ignored (detection
+    always takes copy-on-write snapshots), any other value is an
+    error. *)
+
 val result_of_json : Json.t -> (job_result, string) result
 val event_of_json : Json.t -> (event, string) result

@@ -28,9 +28,10 @@
      the program digest through the cache's source-key memo (no parse
      for a known source), and finished results carry their rendered
      NDJSON text, so a cache hit splices pre-rendered bytes into the
-     reply and the done event instead of re-serializing a ~100KB result
-     per hit.  Event frames are rendered once when appended, not once
-     per watcher.
+     reply instead of re-serializing a ~100KB result per hit, and its
+     done event is the cache entry's one shared warm frame, so a
+     finished warm job retains no copy of the result.  Event frames are
+     rendered once when appended, not once per watcher.
 
    - {b Admission control}: a full queue rejects new submissions
      instead of accepting unbounded work; a per-job wall-clock deadline
@@ -185,14 +186,6 @@ let append_event_locked t job ev =
   append_frame_locked t job ~terminal:(is_terminal_event ev)
     (Json.to_string (event_frame ev))
 
-(* The done frame splices the pre-rendered result text.  Field order
-   matches [event_frame (Ev_done _)] exactly, and {!Json.to_string} is
-   compositional (no whitespace), so the spliced frame is byte-for-byte
-   what full rendering would produce. *)
-let done_frame ~cached (entry : Cache.entry) =
-  Printf.sprintf "{\"ok\":true,\"event\":\"done\",\"cached\":%b,\"result\":%s}"
-    cached entry.Cache.e_rendered
-
 (* ------------------------------------------------------------------ *)
 (* Request validation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -279,8 +272,7 @@ let prepare_request t (r : Protocol.job_request) : (prepared, string) result =
   let flavor = Option.value ~default:default_flavor r.Protocol.flavor in
   let config =
     { Config.default with
-      Config.snapshot_mode = r.Protocol.snapshot;
-      prune = r.Protocol.prune;
+      Config.prune = r.Protocol.prune;
       schedules;
       infer_exception_free = r.Protocol.infer;
       wrap_policy =
@@ -535,15 +527,15 @@ let execute t (job : job) =
       | Protocol.Produce ->
         (* Produce results carry wall-clock timing histograms — never
            cached, so every resubmission re-runs the workload fresh. *)
-        { Cache.e_result = result;
-          e_rendered = Json.to_string (Protocol.result_to_json result) }
+        Cache.entry result
       | Protocol.Detect | Protocol.Campaign | Protocol.Mask ->
         Cache.store_result t.cache p.p_key result
     in
     locked t (fun () ->
         job.state <- Done (entry, false);
         Obs.incr m_completed;
-        append_frame_locked t job ~terminal:true (done_frame ~cached:false entry))
+        append_frame_locked t job ~terminal:true
+          (Cache.done_frame ~cached:false entry.Cache.e_rendered))
   | Error `Cancelled ->
     locked t (fun () ->
         job.state <- Cancelled;
@@ -653,7 +645,7 @@ let handle_submit t req =
                job's, so the [log] text is bitwise-identical. *)
             let job = new_job t p in
             job.state <- Done (entry, true);
-            append_frame_locked t job ~terminal:true (done_frame ~cached:true entry);
+            append_frame_locked t job ~terminal:true entry.Cache.e_warm_frame;
             Obs.incr m_accepted;
             render
               (Protocol.ok

@@ -240,6 +240,53 @@ let test_scorecard_round_trip () =
     Alcotest.(check string) "deterministic re-rendering" json (Scorecard.to_json sc2);
     Alcotest.(check (list string)) "same core" (core_rows scorecard) (core_rows sc2)
 
+(* ------------------------------------------------------------------ *)
+(* Compatibility pin                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Copy-on-write snapshots replaced eager ones as the detection path
+   without changing any run record, so every fingerprint recorded while
+   eager was the default must stay valid.  The hex values and the
+   golden plan were produced before the switch; [plan_LinkedList.json]
+   is `failatom detect app:LinkedList --emit-plan` output. *)
+let cli_detect_config = { Config.default with Config.prune = Config.Prune_coalesce }
+
+let test_fingerprints_pinned () =
+  Alcotest.(check string) "library default" "c60c0116e6b61bdf97122f311fee383e"
+    (Config.fingerprint Config.default);
+  Alcotest.(check string) "CLI detect default (prune coalesce)"
+    "55c7127d01f313e9bb42b2d0a4714ff6"
+    (Config.fingerprint cli_detect_config);
+  Alcotest.(check string) "eager oracle fingerprints as cow"
+    (Config.fingerprint { Config.default with Config.snapshot_mode = Config.Snapshot_cow })
+    (Config.fingerprint { Config.default with Config.snapshot_mode = Config.Snapshot_eager })
+
+let test_golden_plan_still_arms () =
+  let text =
+    In_channel.with_open_bin (Filename.concat "golden" "plan_LinkedList.json")
+      In_channel.input_all
+  in
+  let program = parse (find_app "LinkedList").Registry.source in
+  match Plan.of_string text with
+  | Error msg -> Alcotest.failf "golden plan rejected: %s" msg
+  | Ok plan ->
+    (match
+       Plan.validate ~config:cli_detect_config plan
+         ~program_digest:(Minilang.program_digest program)
+     with
+     | Ok () -> ()
+     | Error msg -> Alcotest.failf "golden plan invalid: %s" msg);
+    Alcotest.(check string) "detect --emit-plan is byte-unchanged" (String.trim text)
+      (Plan.to_json (plan_of ~config:cli_detect_config ~flavor:Detect.Source_weaving program));
+    let { Produce.scorecard; _ } = production ~plan ~times:1 Armed.Rb_checkpoint program in
+    Alcotest.(check (list string)) "every target armed"
+      (List.map Method_id.to_string plan.Plan.targets)
+      (List.filter_map
+         (fun (r : Scorecard.meth_row) ->
+           if r.Scorecard.r_calls > 0 then Some (Method_id.to_string r.Scorecard.r_id)
+           else None)
+         scorecard.Scorecard.rows)
+
 let suite =
   let rt name flavor label =
     Alcotest.test_case
@@ -270,4 +317,7 @@ let suite =
     Alcotest.test_case "entry-point canary is transparent" `Quick
       test_canary_at_entry;
     Alcotest.test_case "perturb-max caps fires" `Quick test_perturb_max_caps_fires;
-    Alcotest.test_case "scorecard round trip" `Quick test_scorecard_round_trip ]
+    Alcotest.test_case "scorecard round trip" `Quick test_scorecard_round_trip;
+    Alcotest.test_case "default fingerprints pinned" `Quick test_fingerprints_pinned;
+    Alcotest.test_case "golden plan still validates and arms" `Quick
+      test_golden_plan_still_arms ]

@@ -303,6 +303,86 @@ let test_connection_survives_errors () =
           Alcotest.(check bool) "subsequent submit works" true
             (result.Protocol.r_injections > 0)))
 
+(* The retired wire field "snapshot" is still accepted from older
+   clients: "eager", "cow" and no field all run the one copy-on-write
+   path under one cache key, and any other value is still an error. *)
+let test_snapshot_field_compat () =
+  with_server (fun socket_path ->
+      let base = Protocol.default_request Protocol.Detect (Protocol.App "HashedSet") in
+      let fields =
+        match Protocol.request_to_json (Protocol.Submit base) with
+        | Json.Obj fields -> fields
+        | _ -> Alcotest.fail "a submit renders as an object"
+      in
+      Alcotest.(check bool) "the field is no longer written" false
+        (List.mem_assoc "snapshot" fields);
+      let submit extra =
+        let _, reply =
+          raw_request socket_path (Json.to_string (Json.Obj (fields @ extra)))
+        in
+        Json.of_string reply
+      in
+      let with_snapshot v = [ ("snapshot", Json.Str v) ] in
+      let cached reply = Json.bool_member "cached" reply in
+      let first = submit (with_snapshot "eager") in
+      Alcotest.(check (option bool)) "eager: cold" (Some false) (cached first);
+      with_client socket_path (fun conn ->
+          ignore (completed (Client.watch conn (Option.get (Json.str_member "job" first)))));
+      Alcotest.(check (option bool)) "cow: warm" (Some true)
+        (cached (submit (with_snapshot "cow")));
+      Alcotest.(check (option bool)) "no field: warm" (Some true) (cached (submit []));
+      check_error_reply "unknown snapshot mode"
+        (Json.to_string (submit (with_snapshot "bogus"))))
+
+(* A warm hit's done frame is the cache entry's one shared string: 300
+   warm RBTree hits must not grow the daemon's live heap by a copy of
+   the ~200 KB result each, and every watcher still reads the same
+   bytes. *)
+let test_warm_hits_share_done_frame () =
+  with_server (fun socket_path ->
+      let request = Protocol.default_request Protocol.Detect (Protocol.App "RBTree") in
+      with_client socket_path (fun conn ->
+          ignore (completed (Client.submit_wait conn request)));
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket_path);
+      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+      Fun.protect
+        ~finally:(fun () ->
+          close_out_noerr oc;
+          close_in_noerr ic)
+        (fun () ->
+          ignore (input_line ic);
+          let exchange line =
+            output_string oc line;
+            output_char oc '\n';
+            flush oc;
+            input_line ic
+          in
+          let submit_line = Json.to_string (Protocol.request_to_json (Protocol.Submit request)) in
+          let warm_frame () =
+            let reply = Json.of_string (exchange submit_line) in
+            Alcotest.(check (option bool)) "warm" (Some true) (Json.bool_member "cached" reply);
+            let job = Option.get (Json.str_member "job" reply) in
+            exchange (Json.to_string (Protocol.request_to_json (Protocol.Watch job)))
+          in
+          let reference = warm_frame () in
+          Alcotest.(check bool) "a large result" true (String.length reference > 100_000);
+          for _ = 1 to 20 do ignore (warm_frame ()) done;
+          let live () =
+            Gc.full_major ();
+            (Gc.stat ()).Gc.live_words
+          in
+          let hits = 300 in
+          let before = live () in
+          let identical = ref true in
+          for _ = 1 to hits do
+            if not (String.equal (warm_frame ()) reference) then identical := false
+          done;
+          let growth = (live () - before) * (Sys.word_size / 8) / hits in
+          Alcotest.(check bool) "frames byte-identical" true !identical;
+          if growth >= 16 * 1024 then
+            Alcotest.failf "live heap grew %d bytes per warm job (bound 16 KB)" growth))
+
 (* ------------------------------------------------------------------ *)
 (* (e) timeouts and cancellation                                       *)
 (* ------------------------------------------------------------------ *)
@@ -494,6 +574,10 @@ let suite =
     Alcotest.test_case "resubmission is a cache hit" `Quick test_cache_hit;
     Alcotest.test_case "cache is keyed by configuration" `Quick
       test_cache_keyed_by_config;
+    Alcotest.test_case "retired snapshot field shares one cache key" `Quick
+      test_snapshot_field_compat;
+    Alcotest.test_case "warm hits share one done frame" `Quick
+      test_warm_hits_share_done_frame;
     Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
     Alcotest.test_case "malformed requests are rejected" `Quick
       test_malformed_requests;

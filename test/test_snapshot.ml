@@ -1,6 +1,7 @@
 (* Tests of the differential (copy-on-write) snapshot engine: the
    Shadow dirty-set layer, the reachability fast path, and end-to-end
-   equivalence of --snapshot-mode cow with the eager oracle. *)
+   equivalence of cow detection, the production path, with the eager
+   oracle. *)
 
 open Failatom_runtime
 open Failatom_core
@@ -166,11 +167,12 @@ let test_rollback_restores_before_equality () =
 (* As in test_campaign: equivalence is independent of the configuration,
    so the full app x flavor matrix runs with a slimmed-down injection
    set to keep the suite fast. *)
-let matrix_config mode =
+let matrix_config =
   { Config.default with
     Config.runtime_exceptions = [ "NullPointerException" ];
-    infer_exception_free = true;
-    snapshot_mode = mode }
+    infer_exception_free = true }
+
+let with_mode config mode = { config with Config.snapshot_mode = mode }
 
 let check_same_detection name eager cow =
   Alcotest.(check int)
@@ -192,11 +194,10 @@ let check_same_detection name eager cow =
     (Classify.reports ce = Classify.reports cc
     && ce.Classify.class_verdicts = cc.Classify.class_verdicts)
 
-let check_cow_matches_eager (app : Registry.t) flavor () =
+let check_cow_matches_eager config (app : Registry.t) flavor () =
   let program = parse app.Registry.source in
-  let eager = Detect.run ~config:(matrix_config Config.Snapshot_eager) ~flavor program in
-  let cow = Detect.run ~config:(matrix_config Config.Snapshot_cow) ~flavor program in
-  check_same_detection app.Registry.name eager cow
+  let run mode = Detect.run ~config:(with_mode config mode) ~flavor program in
+  check_same_detection app.Registry.name (run Config.Snapshot_eager) (run Config.Snapshot_cow)
 
 let equivalence_cases =
   List.concat_map
@@ -207,9 +208,52 @@ let equivalence_cases =
             (Printf.sprintf "cow == eager %s (%s)" app.Registry.name
                (Detect.flavor_name flavor))
             `Slow
-            (check_cow_matches_eager app flavor))
+            (check_cow_matches_eager matrix_config app flavor))
         [ Detect.Source_weaving; Detect.Load_time_filters ])
     Registry.catalog
+
+(* The paths cow serves by default beyond the slimmed matrix above:
+   the CLI's full configuration with coalesce pruning, concurrent apps
+   under a schedule sweep, and a parallel campaign. *)
+let coalesce_cases =
+  let config = { Config.default with Config.prune = Config.Prune_coalesce } in
+  List.map
+    (fun (app : Registry.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "cow == eager %s (coalesce)" app.Registry.name)
+        `Slow
+        (check_cow_matches_eager config app (Harness.flavor_of_suite app.Registry.suite)))
+    Registry.catalog
+
+let sweep_cases =
+  let config = { Config.default with Config.schedules = [ "slice:1"; "slice:2"; "pct:2:5" ] } in
+  List.concat_map
+    (fun name ->
+      let app = Option.get (Registry.find name) in
+      List.map
+        (fun flavor ->
+          Alcotest.test_case
+            (Printf.sprintf "cow == eager %s swept (%s)" name (Detect.flavor_name flavor))
+            `Quick
+            (check_cow_matches_eager config app flavor))
+        [ Detect.Source_weaving; Detect.Load_time_filters ])
+    [ "StripedMap"; "BoundedBuffer"; "WorkQueue" ]
+
+let test_campaign_cow_matches_sequential_eager () =
+  let app = Option.get (Registry.find "RBTree") in
+  let program = parse app.Registry.source in
+  let flavor = Harness.flavor_of_suite app.Registry.suite in
+  let eager =
+    Detect.run
+      ~config:(with_mode Config.default Config.Snapshot_eager)
+      ~flavor program
+  in
+  let cow, _ =
+    Failatom_campaign.Campaign.run
+      ~config:(with_mode Config.default Config.Snapshot_cow)
+      ~flavor ~jobs:2 program
+  in
+  check_same_detection "RBTree campaign" eager cow
 
 (* Re-validating an already-masked program layers cow detection
    snapshots over the wrappers' lazy checkpoints: shadows and
@@ -218,7 +262,7 @@ let test_cow_on_masked_program () =
   let app = Option.get (Registry.find "LinkedList") in
   let program = parse app.Registry.source in
   let run mode =
-    let config = matrix_config mode in
+    let config = with_mode matrix_config mode in
     let outcome = Mask.correct ~config ~flavor:Detect.Source_weaving program in
     ( Detect.run ~config ~flavor:Detect.Source_weaving
         ~prepare:(Mask.register_hooks config)
@@ -242,5 +286,7 @@ let suite =
     Alcotest.test_case "new object linked in" `Quick test_new_object_linked_in_is_detected;
     Alcotest.test_case "aliased mutation" `Quick test_aliased_mutation_consistent;
     Alcotest.test_case "rollback under shadow" `Quick test_rollback_restores_before_equality;
-    Alcotest.test_case "cow on masked program" `Slow test_cow_on_masked_program ]
-  @ equivalence_cases
+    Alcotest.test_case "cow on masked program" `Slow test_cow_on_masked_program;
+    Alcotest.test_case "2-domain cow campaign == sequential eager (RBTree)" `Quick
+      test_campaign_cow_matches_sequential_eager ]
+  @ equivalence_cases @ coalesce_cases @ sweep_cases
