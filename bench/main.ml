@@ -21,12 +21,11 @@
    section compares the eager oracle against copy-on-write detection
    snapshots, the production path, per application and writes the
    machine-readable BENCH_detect.json; set BENCH_SHORT=1 for the quick CI subset.  The
-   interp section races the two execution engines — the original
-   closure-tree evaluator against the flat-bytecode interpreter with
-   superinstructions — in interleaved best-of-N rounds with stddev,
-   gates the bytecode geomean at >= 2.0x the committed baseline file
-   with no per-app regression vs closures, and writes BENCH_interp.json
-   plus a folded-stack opcode/span profile (BENCH_interp.folded).
+   interp section measures the flat-bytecode interpreter in best-of-N
+   rounds with stddev, gates its geomean at >= 2.0x the committed
+   baseline file (failing when the file, a line of it or an app's row
+   is unusable), and writes BENCH_interp.json plus a folded-stack
+   opcode/span profile (BENCH_interp.folded).
 
    Beyond the paper still, the obs-overhead section proves the
    observability layer (lib/obs/) keeps detection marks bitwise
@@ -334,7 +333,7 @@ let section_snapshot () =
   Fmt.pr "  machine-readable results written to %s@." bench_json_file
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter throughput: staged images vs rebuild-per-run            *)
+(* Interpreter throughput: the flat-bytecode engine                   *)
 (* ------------------------------------------------------------------ *)
 
 let interp_json_file = "BENCH_interp.json"
@@ -347,49 +346,47 @@ let interp_apps () =
 type interp_row = {
   ir_app : Registry.t;
   ir_image_ms : float; (* one-time bytecode image build (best of 3) *)
-  ir_cl_rps : float; (* closures engine, best round *)
-  ir_bc_rps : float; (* bytecode engine, best round *)
-  ir_bc_stddev_pct : float; (* relative stddev of the bytecode rounds *)
-  ir_baseline_rps : float option; (* committed baseline, if present *)
+  ir_rps : float; (* best round *)
+  ir_stddev_pct : float; (* relative stddev of the rounds *)
+  ir_baseline_rps : float option; (* committed baseline row, if any *)
 }
+
+let interp_baseline_file = "bench/baseline_interp_runs_per_sec.txt"
 
 (* Reference throughput of the pre-bytecode interpreter (app name,
    runs/sec per line; see the file header for how it was measured).
-   Optional: absent on a checkout without the reference, and reference
-   numbers from a different machine are only indicative. *)
+   [Error] names why the table is unusable — the file is unreadable or a
+   line does not parse — so the gate fails loudly instead of passing on
+   a partial table. *)
 let interp_baseline =
   lazy
-    (let path = "bench/baseline_interp_runs_per_sec.txt" in
-     match open_in path with
-     | exception Sys_error _ -> None
+    (match open_in interp_baseline_file with
+     | exception Sys_error msg -> Error ("baseline file unreadable: " ^ msg)
      | ic ->
        let table = Hashtbl.create 16 in
+       let bad = ref [] in
        (try
           while true do
             let line = input_line ic in
             if String.length line > 0 && line.[0] <> '#' then
               try Scanf.sscanf line "%s %f" (fun app rps -> Hashtbl.replace table app rps)
-              with Scanf.Scan_failure _ | Failure _ -> ()
+              with Scanf.Scan_failure _ | Failure _ | End_of_file -> bad := line :: !bad
           done
         with End_of_file -> ());
        close_in ic;
-       Some table)
+       (match List.rev !bad with
+        | [] -> Ok table
+        | lines ->
+          Error
+            (Printf.sprintf "unparsable baseline line(s) in %s: %s" interp_baseline_file
+               (String.concat " | " (List.map (Printf.sprintf "%S") lines)))))
 
 let interp_folded_file = "BENCH_interp.folded"
 
-(* Per-app regression tolerance for the bytecode-vs-closures check.  On
-   this container the same binary's runs/sec swings by ±8% between
-   probes even with interleaving, so a strict >= 1.0 per-app gate would
-   flake on noise; 0.90 catches a real regression (the engines differ by
-   far more than 10% when one of them loses a superinstruction) while
-   staying quiet across reruns. *)
-let interp_regression_floor = 0.90
-
 let section_interp () =
-  Fmt.pr "@.== Interpreter: closure-tree vs flat-bytecode engine throughput =======@.";
-  Fmt.pr "  (runs/sec of the plain workload, both engines from shared images;@.";
-  Fmt.pr "   rounds interleave the engines so clock drift and cache state bias@.";
-  Fmt.pr "   neither side; best round is reported, stddev is across rounds)@.";
+  Fmt.pr "@.== Interpreter: flat-bytecode engine throughput ======================@.";
+  Fmt.pr "  (runs/sec of the plain workload from one shared image, fresh VM per@.";
+  Fmt.pr "   run; best round is reported, stddev is across rounds)@.";
   let apps = interp_apps () in
   let rounds = if bench_short then 3 else 5 in
   let budget = if bench_short then 0.05 else 0.15 in
@@ -409,103 +406,85 @@ let section_interp () =
     float_of_int !n /. (now () -. t0)
   in
   let baseline = Lazy.force interp_baseline in
-  Fmt.pr "%-14s %10s %12s %12s %8s %8s %9s@." "Application" "image(ms)"
-    "closures(r/s)" "bytecode(r/s)" "ratio" "stddev" "vs-base";
+  Fmt.pr "%-14s %10s %12s %8s %9s@." "Application" "image(ms)" "runs/s" "stddev"
+    "vs-base";
   let rows =
     List.map
       (fun (app : Registry.t) ->
         let program = Failatom_minilang.Minilang.parse app.Registry.source in
-        let cl_image = C.image ~engine:C.Closures program in
-        let bc_image = ref (C.image ~engine:C.Bytecode program) in
+        let image = ref (C.image program) in
         let image_s = ref infinity in
         for _ = 1 to 3 do
           let t0 = now () in
-          bc_image := C.image ~engine:C.Bytecode program;
+          image := C.image program;
           let dt = now () -. t0 in
           if dt < !image_s then image_s := dt
         done;
-        let bc_image = !bc_image in
-        let cl = Array.make rounds 0.0 and bc = Array.make rounds 0.0 in
-        for r = 0 to rounds - 1 do
-          cl.(r) <- probe cl_image;
-          bc.(r) <- probe bc_image
-        done;
-        let best a = Array.fold_left Float.max 0.0 a in
-        let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int rounds in
-        let stddev_pct a =
-          let m = mean a in
-          let var =
-            Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a
-            /. float_of_int rounds
-          in
-          sqrt var /. m *. 100.0
+        let samples = Array.init rounds (fun _ -> probe !image) in
+        let mean = Array.fold_left ( +. ) 0.0 samples /. float_of_int rounds in
+        let var =
+          Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 samples
+          /. float_of_int rounds
         in
-        let cl_rps = best cl and bc_rps = best bc in
+        let rps = Array.fold_left Float.max 0.0 samples in
         let baseline_rps =
-          Option.bind baseline (fun tbl -> Hashtbl.find_opt tbl app.Registry.name)
+          match baseline with
+          | Ok tbl -> Hashtbl.find_opt tbl app.Registry.name
+          | Error _ -> None
         in
         let row =
           { ir_app = app;
             ir_image_ms = !image_s *. 1e3;
-            ir_cl_rps = cl_rps;
-            ir_bc_rps = bc_rps;
-            ir_bc_stddev_pct = stddev_pct bc;
+            ir_rps = rps;
+            ir_stddev_pct = sqrt var /. mean *. 100.0;
             ir_baseline_rps = baseline_rps }
         in
-        Fmt.pr "%-14s %10.3f %12.1f %12.1f %7.2fx %7.1f%%" app.Registry.name
-          row.ir_image_ms cl_rps bc_rps (bc_rps /. cl_rps) row.ir_bc_stddev_pct;
+        Fmt.pr "%-14s %10.3f %12.1f %7.1f%%" app.Registry.name row.ir_image_ms rps
+          row.ir_stddev_pct;
         (match baseline_rps with
-         | Some p -> Fmt.pr " %8.2fx@." (bc_rps /. p)
+         | Some p -> Fmt.pr " %8.2fx@." (rps /. p)
          | None -> Fmt.pr " %9s@." "-");
         row)
       apps
   in
-  let geomean_of f =
-    match List.filter_map f rows with
-    | [] -> None
-    | sps ->
+  (* The gate needs a usable baseline row for every measured app: a
+     missing file, an unparsable line or an absent row fails it. *)
+  let problems =
+    match baseline with
+    | Error why -> [ why ]
+    | Ok _ ->
+      List.filter_map
+        (fun r ->
+          match r.ir_baseline_rps with
+          | Some _ -> None
+          | None ->
+            Some
+              (Printf.sprintf "no baseline row for %s in %s" r.ir_app.Registry.name
+                 interp_baseline_file))
+        rows
+  in
+  let geomean_baseline =
+    if problems <> [] then None
+    else
+      let sps = List.map (fun r -> r.ir_rps /. Option.get r.ir_baseline_rps) rows in
       Some
         (exp
            (List.fold_left (fun acc sp -> acc +. log sp) 0.0 sps
            /. float_of_int (List.length sps)))
   in
-  let geomean_engines =
-    Option.get (geomean_of (fun r -> Some (r.ir_bc_rps /. r.ir_cl_rps)))
-  in
-  let geomean_baseline =
-    geomean_of (fun r -> Option.map (fun p -> r.ir_bc_rps /. p) r.ir_baseline_rps)
-  in
-  Fmt.pr "%-14s %10s %12s %12s %7.2fx %8s" "geomean" "" "" "" geomean_engines "";
+  Fmt.pr "%-14s %10s %12s %8s" "geomean" "" "" "";
   (match geomean_baseline with
    | Some g -> Fmt.pr " %8.2fx@." g
    | None -> Fmt.pr " %9s@." "-");
-  let regressions =
-    List.filter
-      (fun r -> r.ir_bc_rps < interp_regression_floor *. r.ir_cl_rps)
-      rows
-  in
-  let pass_no_regression = regressions = [] in
-  List.iter
-    (fun r ->
-      Fmt.epr "  WARNING: %s: bytecode %.1f r/s < %.0f%% of closures %.1f r/s@."
-        r.ir_app.Registry.name r.ir_bc_rps
-        (interp_regression_floor *. 100.0)
-        r.ir_cl_rps)
-    regressions;
-  let pass_speedup =
-    match geomean_baseline with None -> true | Some g -> g >= 2.0
-  in
-  let pass = pass_no_regression && pass_speedup in
-  Fmt.pr "  bytecode >= %.0f%% of closures on every app: %b; geomean vs baseline \
-          >= 2.0x: %s@."
-    (interp_regression_floor *. 100.0)
-    pass_no_regression
+  List.iter (fun why -> Fmt.pr "  FAIL: %s@." why) problems;
+  let pass = match geomean_baseline with Some g -> g >= 2.0 | None -> false in
+  Fmt.pr "  geomean vs baseline >= 2.0x: %s@."
     (match geomean_baseline with
-     | Some g -> Printf.sprintf "%b (%.2fx)" (g >= 2.0) g
-     | None -> "skipped (no baseline file)");
-  (* Folded-stack profile of one run per app under the bytecode engine:
-     per-opcode dispatch counts plus the obs span timings, written next
-     to the JSON for flamegraph.pl / speedscope. *)
+     | Some g -> Printf.sprintf "%b (%.2fx)" pass g
+     | None -> "false (no usable baseline)");
+  (* Folded-stack profile of one run per app: per-opcode dispatch counts
+     plus the obs span timings, written next to the JSON for
+     flamegraph.pl / speedscope. *)
   let module Exec = Failatom_runtime.Exec in
   let module Obs = Failatom_obs.Obs in
   Exec.reset_profile ();
@@ -514,9 +493,7 @@ let section_interp () =
       List.iter
         (fun (app : Registry.t) ->
           let program = Failatom_minilang.Minilang.parse app.Registry.source in
-          let image =
-            Obs.span "compile.image" (fun () -> C.image ~engine:C.Bytecode program)
-          in
+          let image = Obs.span "compile.image" (fun () -> C.image program) in
           Obs.span "vm.run" (fun () -> ignore (C.run_main (C.instantiate image))))
         apps);
   Exec.profiling := false;
@@ -526,7 +503,7 @@ let section_interp () =
   let oc = open_out interp_json_file in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"bench\": \"interp_engines\",\n";
+  out "  \"bench\": \"interp\",\n";
   out "  \"short\": %b,\n" bench_short;
   out "  \"rounds\": %d,\n" rounds;
   out "  \"budget_s\": %.3f,\n" budget;
@@ -534,28 +511,23 @@ let section_interp () =
   List.iteri
     (fun i r ->
       out
-        "    {\"name\": \"%s\", \"image_ms\": %.3f, \"closures_runs_per_sec\": \
-         %.1f, \"bytecode_runs_per_sec\": %.1f, \"engine_ratio\": %.3f, \
+        "    {\"name\": \"%s\", \"image_ms\": %.3f, \"bytecode_runs_per_sec\": %.1f, \
          \"bytecode_stddev_pct\": %.2f"
         (json_escape r.ir_app.Registry.name)
-        r.ir_image_ms r.ir_cl_rps r.ir_bc_rps
-        (r.ir_bc_rps /. r.ir_cl_rps)
-        r.ir_bc_stddev_pct;
+        r.ir_image_ms r.ir_rps r.ir_stddev_pct;
       (match r.ir_baseline_rps with
        | Some p ->
          out ", \"baseline_runs_per_sec\": %.1f, \"vs_baseline_speedup\": %.3f" p
-           (r.ir_bc_rps /. p)
+           (r.ir_rps /. p)
        | None -> ());
       out "}%s\n" (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ],\n";
-  out "  \"geomean_engine_ratio\": %.3f,\n" geomean_engines;
   (match geomean_baseline with
    | Some g -> out "  \"geomean_vs_baseline_speedup\": %.3f,\n" g
    | None -> ());
-  out "  \"regression_floor\": %.2f,\n" interp_regression_floor;
-  out "  \"pass_no_regression\": %b,\n" pass_no_regression;
-  out "  \"pass_speedup\": %b,\n" pass_speedup;
+  out "  \"baseline_problems\": [%s],\n"
+    (String.concat ", " (List.map (fun p -> "\"" ^ json_escape p ^ "\"") problems));
   out "  \"pass\": %b,\n" pass;
   out "  \"folded_profile\": \"%s\"\n" (json_escape interp_folded_file);
   out "}\n";

@@ -99,27 +99,6 @@ let details_arg =
   let doc = "Print the per-method verdicts, call counts and diff paths." in
   Arg.(value & flag & info [ "details" ] ~doc)
 
-let engine_arg =
-  let doc =
-    "Execution engine for interpreted programs: $(b,bytecode) (flat bytecode \
-     with superinstructions and monomorphic inline caches — the default) or \
-     $(b,closures) (the original closure-tree evaluator, kept for \
-     differential testing).  The engines are observably identical: same \
-     output, step counts, marks and run logs."
-  in
-  let engine_conv =
-    Arg.enum [ ("closures", ML.Compile.Closures); ("bytecode", ML.Compile.Bytecode) ]
-  in
-  Arg.(
-    value
-    & opt engine_conv !ML.Compile.default_engine
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-(* The engine choice is a process-wide default ([Compile.image] honors
-   it at every compilation, including re-weaves inside detection), set
-   once before the action body runs. *)
-let set_engine e = ML.Compile.default_engine := e
-
 let method_list_conv =
   let parse s =
     match String.index_opt s '.' with
@@ -390,9 +369,8 @@ let run_cmd =
          | None -> ());
         if Prod.Scorecard.failed scorecard > 0 then exit_non_atomic else exit_ok)
   in
-  let action spec engine times mode plan rollback perturb_rate perturb_seed
+  let action spec times mode plan rollback perturb_rate perturb_seed
       perturb_max perturb_point resilience_out metrics_out =
-    set_engine engine;
     with_program spec (fun program ->
         if times < 1 then begin
           Fmt.epr "failatom: --times must be at least 1@.";
@@ -429,7 +407,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ times_arg $ mode_arg $ plan_arg
+      const action $ program_arg $ times_arg $ mode_arg $ plan_arg
       $ rollback_arg $ perturb_rate_arg $ perturb_seed_arg $ perturb_max_arg
       $ perturb_point_arg $ resilience_out_arg $ metrics_out_arg)
 
@@ -475,9 +453,8 @@ let emit_plan_arg =
   Arg.(value & opt (some string) None & info [ "emit-plan" ] ~docv:"FILE" ~doc)
 
 let detect_cmd =
-  let action spec engine flavor prune schedules details exception_free infer log
+  let action spec flavor prune schedules details exception_free infer log
       coverage csv metrics_out emit_plan =
-    set_engine engine;
     match expand_schedules schedules with
     | Error msg ->
       Fmt.epr "failatom: %s@." msg;
@@ -528,7 +505,7 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      const action $ program_arg $ flavor_arg $ prune_arg
       $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg $ log_arg
       $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
 
@@ -551,9 +528,8 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let action spec engine flavor prune schedules jobs journal resume run_timeout_s
+  let action spec flavor prune schedules jobs journal resume run_timeout_s
       details exception_free log csv metrics_out =
-    set_engine engine;
     match expand_schedules schedules with
     | Error msg ->
       Fmt.epr "failatom: %s@." msg;
@@ -605,7 +581,7 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      const action $ program_arg $ flavor_arg $ prune_arg
       $ schedules_arg $ jobs_arg $ journal_arg $ resume_arg $ run_timeout_arg
       $ details_arg $ exception_free_arg $ log_arg $ csv_arg $ metrics_out_arg)
 
@@ -620,9 +596,8 @@ let weave_cmd =
   Cmd.v (Cmd.info "weave" ~doc ~exits) Term.(const action $ program_arg)
 
 let mask_cmd =
-  let action spec engine flavor exception_free do_not_wrap wrap_all show_source
+  let action spec flavor exception_free do_not_wrap wrap_all show_source
       verify =
-    set_engine engine;
     with_program spec (fun program ->
         let config = config_of ~exception_free ~do_not_wrap ~wrap_all in
         match Mask.correct ~config ~flavor program with
@@ -679,7 +654,7 @@ let mask_cmd =
   in
   Cmd.v (Cmd.info "mask" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ exception_free_arg
+      const action $ program_arg $ flavor_arg $ exception_free_arg
       $ do_not_wrap_arg $ wrap_all_arg $ show_source_arg $ verify_arg)
 
 let classify_cmd =
@@ -725,8 +700,6 @@ let profile_cmd =
     Arg.(value & opt (some string) None & info [ "flame" ] ~docv:"FILE" ~doc)
   in
   let action spec times flame =
-    (* per-opcode counts only exist in the bytecode engine *)
-    set_engine ML.Compile.Bytecode;
     with_program spec (fun program ->
         let module Exec = Failatom_runtime.Exec in
         let module Obs = Failatom_obs.Obs in
@@ -1512,8 +1485,7 @@ let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc ~exits) Term.(const action $ const ())
 
 let analyze_cmd =
-  let action spec engine flavor =
-    set_engine engine;
+  let action spec flavor =
     with_program spec (fun program ->
         let img = ML.Compile.image program in
         let flow = Exnflow.analyze img program in
@@ -1578,7 +1550,7 @@ let analyze_cmd =
      $(b,--prune) mode would save on this program's injection campaign."
   in
   Cmd.v (Cmd.info "analyze" ~doc ~exits)
-    Term.(const action $ program_arg $ engine_arg $ flavor_arg)
+    Term.(const action $ program_arg $ flavor_arg)
 
 let main_cmd =
   let doc =

@@ -1,20 +1,20 @@
 (* AST → flat bytecode emission for the [Exec] engine.
 
    One [Exec.code] object is emitted per method or function body at
-   image-build time.  The emitter mirrors the closure compiler
-   ([Compile]) exactly: same slot resolution, same static call-site
-   resolution (user functions shadow builtins, [super]/[new] resolved
-   against the image), same error messages, and — crucially — the same
-   [Vm.tick] accounting.  Every AST node contributes one tick at its
-   semantic start; the emitter accumulates those in a [pending] counter
+   image-build time: slot resolution, static call-site resolution (user
+   functions shadow builtins, [super]/[new] resolved against the image),
+   error messages and — crucially — [Vm.tick] accounting, all of which
+   the golden engine table (test/golden/engine_runs.txt) pins.  Every
+   AST node contributes one tick at its semantic start; the emitter
+   accumulates those in a [pending] counter
    that is folded into the tick field of the next emitted instruction
    (which is exactly the first thing that executes after those nodes
    start), flushed explicitly (TICKN) only where control flow could
    otherwise skip or re-run it (labels, block ends).
 
    Loops and try/catch/finally become nested sub-blocks referenced
-   through site records, so their OCaml-exception scoping in [Exec]
-   matches the closure engine's handler scoping; if/and/or lower to
+   through site records, so their OCaml-exception scoping in [Exec] is
+   exactly the source nesting of loops and handlers; if/and/or lower to
    conditional jumps within one instruction array.
 
    The peephole pass runs during emission: when the instruction just
@@ -477,8 +477,8 @@ let rec emit_expr cx b (e : Ast.expr) =
         bump cx b (1 - n)
       end
       else begin
-        (* dynamic fallback: the closure engine looks the method up
-           *before* evaluating the arguments (and errors without
+        (* dynamic fallback: the method is looked up *before* the
+           arguments are evaluated (a missing method errors without
            evaluating them), so the lookup is its own instruction *)
         let s_sup = add_str cx super in
         let s_m = add_str cx m in
@@ -612,8 +612,8 @@ and emit_stmt cx b (st : Ast.stmt) =
       else instr b Exec.op_storechk [ i; add_str cx x; line; col ];
       bump cx b (-1)
     | None ->
-      (* the value is computed before the variable is resolved, as in
-         the closure engine *)
+      (* the value is computed before the variable is resolved, so its
+         side effects and ticks happen before the error *)
       emit_fail cx b (Printf.sprintf "unknown variable %s" x) line col)
   | Ast.Assign (Ast.Lfield (r, f), e) -> (
     match r.Ast.e with
@@ -692,7 +692,7 @@ and emit_stmt cx b (st : Ast.stmt) =
       [ add_loop cx { Exec.ls_cond; ls_update = [||]; ls_body } ]
   | Ast.For (init, cond, update, body) ->
     (* the loop's own tick, then the init statement, run once before the
-       FOR instruction — exactly the closure engine's order *)
+       FOR instruction: init precedes the first condition test *)
     Option.iter (emit_stmt cx b) init;
     let ls_cond =
       match cond with
@@ -801,7 +801,7 @@ and emit_sub cx f =
   finish sb
 
 (* ------------------------------------------------------------------ *)
-(* Scope resolution (same algorithm as the closure compiler's)         *)
+(* Scope resolution                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* One slot per distinct variable name in a body: parameters first,
@@ -892,6 +892,7 @@ let compile_method lk ~cls_name ~defining_super (m : Ast.meth_decl) : Vm.impl =
 
 let compile_function lk (f : Ast.func_decl) : Vm.t -> Value.t list -> Value.t =
   let code, param_slots = compile_body lk ~defining:None f.Ast.f_params f.Ast.f_body in
-  (* call sites check arity; a direct mismatched application fails like
-     the List.iter2 the closure engine mimics (see Exec.run_root) *)
+  (* call sites check arity; a direct mismatched application (e.g. a
+     parameterised main) raises Invalid_argument "List.iter2" (see
+     Exec.run_root) *)
   fun vm args -> Exec.run_root code vm Value.Null param_slots args

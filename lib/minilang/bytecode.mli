@@ -2,10 +2,10 @@
     dispatch loop.
 
     One [Exec.code] is emitted per method or function body at image
-    build time.  The emitter mirrors the closure compiler exactly —
-    slot resolution, static call/new/super resolution, error messages
-    and {!Vm.tick} accounting — so the two engines are observably
-    identical.  The tick of every AST node is folded into the tick
+    build time.  Slot resolution, static call/new/super resolution,
+    error messages and {!Vm.tick} accounting are observable, and the
+    golden engine table (test/golden/engine_runs.txt) pins them.  The
+    tick of every AST node is folded into the tick
     field of the next emitted instruction; loops and try/catch/finally
     become nested sub-blocks referenced through site records; a
     peephole pass fuses the dominant dynamic instruction pairs
@@ -58,8 +58,8 @@ val compile_method_code :
 
 val compile_method :
   linkage -> cls_name:string -> defining_super:string option -> Ast.meth_decl -> Vm.impl
-(** Arity-checks (same message and position as the closure engine's
-    method entry) and runs the emitted code via [Exec.run_root].
+(** Arity-checks ("method C.m expects N argument(s), got M" at the
+    method's declaration) and runs the emitted code via [Exec.run_root].
     Defects are raised as [Exec.Error]; [Compile] re-raises them as
     [Runtime_error] at the boundary. *)
 

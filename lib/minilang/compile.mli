@@ -1,8 +1,8 @@
 (** Staged compilation of MiniLang programs.
 
-    {!image} performs the one-time work for a program — static scope
-    resolution (locals become array slots), flattened per-class
-    dispatch tables and field templates, closure-compiled bodies — and
+    {!image} performs the one-time work for a program — flattened
+    per-class dispatch tables and field templates, bodies compiled to
+    flat bytecode (locals become register slots) — and
     {!instantiate} turns the immutable image into a fresh {!Vm.t}
     cheaply, with per-run copies of the mutable method entries so that
     load-time interposition (attaching filters to method entries — the
@@ -17,28 +17,14 @@ exception Runtime_error of string * Ast.pos
     exception, which is raised as {!Vm.Mini_raise} and is catchable
     in-language. *)
 
-type engine = Closures | Bytecode
-(** Which execution representation bodies are compiled to: OCaml closure
-    trees, or flat bytecode run by [Failatom_runtime.Exec].  The two are
-    observably identical — run logs, detection marks, canonical forms
-    and counter totals are bitwise-equal — which the differential matrix
-    in [test/test_bytecode.ml] enforces. *)
-
-val default_engine : engine ref
-(** Engine used when {!image} is not given one explicitly. *)
-
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
-
 type image
 (** A compiled program: compiled bodies plus the static class layout.
     Immutable — one image may be instantiated any number of times,
     concurrently from several domains. *)
 
-val image : ?engine:engine -> Ast.program -> image
+val image : Ast.program -> image
 (** Compiles the program once.  Class declarations are resolved in two
-    passes so that bodies can reference classes declared later.
-    [engine] defaults to [!default_engine]. *)
+    passes so that bodies can reference classes declared later. *)
 
 val instantiate : image -> Vm.t
 (** A fresh VM for one run of the image: new heap, output, globals and

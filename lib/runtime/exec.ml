@@ -1,23 +1,24 @@
 (* Flat-bytecode dispatch loop: the execution engine behind
-   [Compile.image ~engine:Bytecode].
+   [Compile.image].
 
    A method body is an [int array] of variable-width instructions.  Every
    instruction is laid out as [op; ticks; operands...]: [ticks] is the
    number of AST nodes that semantically *start* at this instruction, so
    {!Vm.tick}-equivalent accounting is batched ([tick_n]) while keeping
-   [Vm.steps] totals — observed by the metrics harvest and the goldens —
-   exactly equal to the closure engine's, at every instruction boundary.
+   [Vm.steps] — observed by the metrics harvest, the step limit and the
+   goldens — equal to one tick per evaluated expression or executed
+   statement, at every instruction boundary.
 
-   Control flow uses two channels, mirroring the closure engine's cost
-   model:
+   Control flow uses two channels:
 
    - [return] is a status code (0 = fell off the end, 1 = returned with
      the value in [frame.ret]) threaded through nested block executions —
      the common case pays no OCaml exception;
    - [break]/[continue] are OCaml exceptions ({!Break_loop},
-     {!Continue_loop}) because in the closure engine they can unwind
-     *across* MiniLang call frames into a caller's loop, and that
-     (degenerate but observable) behavior must be preserved;
+     {!Continue_loop}) because a [break] or [continue] outside any loop
+     of its body unwinds *across* MiniLang call frames into the
+     innermost loop of a caller, and that (degenerate but observable)
+     behavior is part of the language as the goldens pin it;
    - MiniLang exceptions remain {!Vm.Mini_raise}; program defects raise
      {!Error} with the source position, converted to
      [Compile.Runtime_error] at the method boundary (this module cannot
@@ -32,10 +33,10 @@
    The operand stack shares one [Value.t array] with the local-variable
    slots: registers [0, n_slots) are the slots, [n_slots, stack_size)
    the expression stack.  GC root enumeration marks [this] and the slot
-   prefix only — stack temporaries are deliberately *not* roots, because
-   the closure engine keeps its temporaries in OCaml locals that its
-   root enumeration cannot see either, and collection behavior must stay
-   identical between engines. *)
+   prefix only — stack temporaries are deliberately *not* roots: a
+   frame's roots are exactly its receiver and its variables, so what a
+   collection keeps never depends on the intermediate values of a
+   half-evaluated expression. *)
 
 (* A genuine defect in the interpreted program, with its source position
    (line, column).  [Compile] re-raises it as [Runtime_error]. *)
@@ -50,7 +51,7 @@ let err line col fmt =
   Printf.ksprintf (fun s -> raise (Error (s, line, col))) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Interned primitives (same pools as the closure engine's)            *)
+(* Interned primitives                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let vtrue = Value.Bool true
@@ -174,9 +175,11 @@ let op_width =
 (* ------------------------------------------------------------------ *)
 
 (* Per-site monomorphic inline cache, shared by every VM instantiated
-   from the image (exactly like the closure engine's per-site ref): the
-   cached pair is replaced with a single write, so cross-domain sharing
-   is race-free — a stale read just falls back to [cs_resolve]. *)
+   from the image: the cached pair is replaced with a single write, so
+   cross-domain sharing is race-free — a stale read just falls back to
+   [cs_resolve].  Hits and misses are counted per VM ([Vm.ic_hits],
+   [Vm.ic_misses]); a warm cache inherited from an earlier run therefore
+   shows up as hits in the next one. *)
 type call_site = {
   cs_name : string;
   cs_cache : (string * int) ref;
@@ -211,8 +214,8 @@ type try_site = {
 }
 
 (* Class-hierarchy queries, provided by the compiler so [throw] and
-   [catch] match classes exactly as the closure engine does (image
-   tables first, dynamic VM walk for classes added by hand). *)
+   [catch] match classes against the image tables first, and fall back
+   to the dynamic VM walk for classes added by hand. *)
 type env = {
   env_is_exc : Vm.t -> string -> bool;
   env_exn_matches : Vm.t -> Vm.exn_value -> string -> bool;
@@ -290,11 +293,10 @@ let folded_profile (snap : Failatom_obs.Obs.snap) =
 (* Batched stepping                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [n] ticks at once.  The step limit reproduces the closure engine
-   bit-for-bit: on overrun, [steps] is left at [limit + 1], the value a
-   per-node [Vm.tick] sequence would have stopped at.  The deadline
-   clock is read when the batch crosses a [deadline_check_mask + 1]
-   boundary — the same cadence as the closure engine's
+(* [n] ticks at once.  The step limit behaves as [n] single [Vm.tick]s
+   would: on overrun, [steps] is left at [limit + 1], the value a
+   per-node tick sequence stops at.  The deadline clock is read when the
+   batch crosses a [deadline_check_mask + 1] boundary — [Vm.tick]'s
    [steps land mask = 0] test, applied to a range. *)
 (* Cold continuation of [tick_n]: entered when the batch overran the
    step limit or crossed a deadline-poll boundary. *)
@@ -317,7 +319,7 @@ let[@inline] tick_n vm n =
   then tick_slow vm s0 s1
 
 (* ------------------------------------------------------------------ *)
-(* Value helpers (message-for-message copies of the closure engine's)   *)
+(* Value helpers (their error messages are pinned by the goldens)     *)
 (* ------------------------------------------------------------------ *)
 
 let binop_names =
@@ -433,7 +435,8 @@ let set_index vm line col (recv : Value.t) (idx : Value.t) v =
   | v, _ -> err line col "indexing %s" (Value.type_name v)
 
 (* Dynamic instantiation for classes outside the image (added to a VM by
-   hand), identical to the closure engine's fallback. *)
+   hand): all (inherited) fields null, then [init] if the class defines
+   or inherits one. *)
 let instantiate_dyn vm line col cls args =
   if not (Vm.class_exists vm cls) then err line col "unknown class %s" cls;
   let fields = List.map (fun f -> (f, Value.Null)) (Vm.all_fields vm cls) in
@@ -711,8 +714,9 @@ let rec exec c vm fr regs ops pc sp : int =
               in
               if st <> 0 then st
               else begin
-                (* a [continue] in the update propagates out, a [break]
-                   is caught below — the closure engine's exact scoping *)
+                (* a [continue] in the update propagates out of the
+                   loop, a [break] is caught below: only the body
+                   catches [continue], the whole loop catches [break] *)
                 let stu =
                   if Array.length ls.ls_update = 0 then 0
                   else exec c vm fr regs ls.ls_update 0 sp
@@ -1260,9 +1264,12 @@ let pop_frame_roots vm roots =
   | l -> vm.Vm.frame_roots <- List.filter (fun r -> r != roots) l
 
 (* Runs a body in a fresh frame.  [param_slots.(i)] is the register of
-   the i-th parameter; a length mismatch with [args] fails like the
-   [List.iter2] the closure engine's function entry mimics (method entry
-   wrappers check arity with their own message first). *)
+   the i-th parameter; a length mismatch with [args] raises
+   [Invalid_argument "List.iter2"].  Only a directly applied function
+   (e.g. a parameterised [main]) gets here with the wrong arity — call
+   sites and method entry wrappers check arity first, with their own
+   messages — and the text is kept stable for callers that match on
+   it. *)
 let run_root code vm this param_slots args =
   let fr =
     { regs = Array.make code.c_stack unbound;

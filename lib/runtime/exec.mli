@@ -1,20 +1,19 @@
-(** Flat-bytecode dispatch loop (the [--engine bytecode] execution
-    engine).
+(** Flat-bytecode dispatch loop: MiniLang's execution engine.
 
     A method body is an [int array] of variable-width instructions, each
     laid out as [op; ticks; operands...]; [ticks] batches the
     {!Vm.tick}s of the AST nodes that start at the instruction, keeping
-    [Vm.steps] totals exactly equal to the closure engine's at every
-    instruction boundary.  Loops and try/catch/finally run nested
-    sub-blocks through site records; straight-line control flow uses
-    jumps within one array.  Emission lives in
-    [Failatom_minilang.Bytecode]; this module only executes.
+    [Vm.steps] equal to one tick per evaluated expression or executed
+    statement at every instruction boundary.  Loops and
+    try/catch/finally run nested sub-blocks through site records;
+    straight-line control flow uses jumps within one array.  Emission
+    lives in [Failatom_minilang.Bytecode]; this module only executes.
 
-    Semantics are bit-for-bit those of the closure engine: evaluation
-    order, error messages, heap allocation order, step/call/inline-cache
-    counters and GC root visibility are all preserved — the differential
-    test matrix in [test/test_bytecode.ml] holds the two engines to
-    identical run logs, marks and canonical forms. *)
+    Evaluation order, error messages, heap allocation order,
+    step/call/inline-cache counters and GC root visibility are all
+    observable (in outputs, counters and detection run logs); the
+    golden engine table [test/golden/engine_runs.txt] pins them for
+    every bundled application. *)
 
 exception Error of string * int * int
 (** A genuine defect in the interpreted program with its source (line,
@@ -23,9 +22,10 @@ exception Error of string * int * int
 
 exception Break_loop
 exception Continue_loop
-(** Loop control must be OCaml exceptions (not statuses): in the closure
-    engine a [break] can unwind across MiniLang call frames into a
-    caller's loop, and that observable behavior is preserved. *)
+(** Loop control must be OCaml exceptions (not statuses): a [break] or
+    [continue] outside any loop of its body unwinds across MiniLang call
+    frames into the innermost loop of a caller, and that observable
+    behavior is preserved. *)
 
 (** {1 Opcodes} *)
 
@@ -177,8 +177,7 @@ type frame = {
 
 val unbound : Value.t
 (** Slot sentinel, compared with [(==)]; reading it is the "unknown
-    variable" error.  Distinct from the closure engine's sentinel —
-    frames never cross engines. *)
+    variable" error.  No program value is ever physically this one. *)
 
 (** {1 Execution} *)
 
@@ -194,9 +193,10 @@ val exec : code -> Vm.t -> frame -> Value.t array -> int array -> int -> int -> 
 val run_root : code -> Vm.t -> Value.t -> int array -> Value.t list -> Value.t
 (** [run_root code vm this param_slots args] runs a body in a fresh
     frame: registers the frame for GC root enumeration, fills parameter
-    slots from [args] (a length mismatch fails like the [List.iter2]
-    the closure engine's function entry mimics), executes, and returns
-    the result ([Null] when the body falls off the end). *)
+    slots from [args] (a length mismatch — only possible for a directly
+    applied function such as a parameterised [main] — raises
+    [Invalid_argument "List.iter2"]), executes, and returns the result
+    ([Null] when the body falls off the end). *)
 
 (** {1 Profiling}
 

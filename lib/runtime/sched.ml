@@ -10,9 +10,9 @@
 
    Preemption opportunities are method-call boundaries only
    ({!Vm.call_filtered} performs {!Vm.Preempt} when [preempt_flag] is
-   set).  Both execution engines funnel every method and constructor
-   call through that one function, so opportunity counting — and hence
-   every decision a policy makes — is identical across engines.
+   set).  The interpreter funnels every method and constructor call
+   through that one function, so opportunity counting — and hence every
+   decision a policy makes — is a function of the program's calls alone.
 
    Policies:
    - [Coop]: never preempts; switches only when a thread blocks or

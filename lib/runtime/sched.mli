@@ -5,8 +5,8 @@
     run is a pure function of (program, policy spec) and replays
     bit-for-bit by re-running with the same spec.  Preemption
     opportunities are method-call boundaries only, making opportunity
-    counting — and hence every decision — identical across both
-    execution engines.  See doc/concurrency.md for the memory model,
+    counting — and hence every decision — a function of the program's
+    calls alone.  See doc/concurrency.md for the memory model,
     the decision grammar and the replay guarantees. *)
 
 type policy =

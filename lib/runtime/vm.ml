@@ -124,8 +124,8 @@ exception Deadline_exceeded
    exit) can perform them without depending on the scheduler module.
    [Preempt] is performed by {!call_filtered} when [preempt_flag] is
    set — method-call boundaries are the only preemption opportunities,
-   which keeps both execution engines (closures and bytecode, which
-   batches its ticks) bit-for-bit identical under any schedule. *)
+   so where a thread can be preempted does not depend on how the
+   interpreter batches its ticks, and a schedule replays bit-for-bit. *)
 type _ Effect.t +=
   | Preempt : unit Effect.t
   | Sched_spawn : (unit -> Value.t) -> int Effect.t

@@ -125,8 +125,9 @@ exception Deadline_exceeded
 
     Handled by [Sched.run]; performed by the concurrency builtins and,
     for [Preempt], by {!call_filtered} when [preempt_flag] is set.
-    Method-call boundaries are the only preemption opportunities, which
-    keeps both execution engines identical under any schedule. *)
+    Method-call boundaries are the only preemption opportunities, so
+    preemption points do not depend on how the interpreter batches its
+    ticks. *)
 
 type _ Effect.t +=
   | Preempt : unit Effect.t

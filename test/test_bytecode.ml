@@ -1,16 +1,16 @@
 (* The flat-bytecode engine (lib/minilang/bytecode.ml emission,
-   lib/runtime/exec.ml dispatch) against the closure-tree engine it
-   replaces as the default.
+   lib/runtime/exec.ml dispatch).
 
-   The contract under test is observational identity: for every bundled
-   application, both engines must produce bitwise-identical output,
-   step/call/inline-cache/allocation counters, results — and, through a
-   full detection phase, bitwise-identical run logs.  On top of the
-   differential matrix there are unit tests for the peephole
-   superinstruction fusion, the monomorphic inline caches under
-   polymorphic and layout-shifting workloads, and properties for the
-   incremental canonicalization memo ([Object_graph.Memo]) that the
-   detector's snapshot comparisons lean on. *)
+   The contract under test is observational stability: for every bundled
+   application, output, step/call/inline-cache/allocation counters,
+   results and — through a full detection phase in both flavors — run
+   logs must match the golden engine table ([Engine_golden],
+   test/golden/engine_runs.txt).  On top of the table there are unit
+   tests for the peephole superinstruction fusion, the monomorphic
+   inline caches under polymorphic and layout-shifting workloads, and
+   properties for the incremental canonicalization memo
+   ([Object_graph.Memo]) that the detector's snapshot comparisons lean
+   on. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -19,75 +19,32 @@ open Failatom_apps
 
 let check = Alcotest.check
 
-(* ---------------- differential harness ---------------- *)
-
-type res = {
-  out : string;
-  steps : int;
-  calls : int;
-  ic_hits : int;
-  ic_misses : int;
-  allocs : int;
-  result : string;
-}
-
-let run_engine engine src =
-  let prog = Minilang.parse src in
-  let vm = Compile.instantiate (Compile.image ~engine prog) in
-  let result =
-    match Compile.run_main vm with
-    | v -> "value " ^ Value.to_display_string v
-    | exception Vm.Mini_raise ev -> "raise " ^ ev.Vm.exn_class
-    | exception Compile.Runtime_error (msg, pos) ->
-      Printf.sprintf "error %s @%d:%d" msg pos.Ast.line pos.Ast.col
-  in
-  { out = Buffer.contents vm.Vm.out;
-    steps = vm.Vm.steps;
-    calls = vm.Vm.calls;
-    ic_hits = vm.Vm.ic_hits;
-    ic_misses = vm.Vm.ic_misses;
-    allocs = Heap.allocations vm.Vm.heap;
-    result }
-
-(* Both engines on one source: every observable must match.  Returns
-   the (shared) result for further assertions. *)
-let differential ?(name = "program") src =
-  let a = run_engine Compile.Closures src in
-  let b = run_engine Compile.Bytecode src in
-  check Alcotest.string (name ^ ": output") a.out b.out;
-  check Alcotest.int (name ^ ": steps") a.steps b.steps;
-  check Alcotest.int (name ^ ": calls") a.calls b.calls;
-  check Alcotest.int (name ^ ": ic_hits") a.ic_hits b.ic_hits;
-  check Alcotest.int (name ^ ": ic_misses") a.ic_misses b.ic_misses;
-  check Alcotest.int (name ^ ": allocs") a.allocs b.allocs;
-  check Alcotest.string (name ^ ": result") a.result b.result;
-  b
-
-let with_engine engine f =
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) f
-
 (* ---------------- the app matrix ---------------- *)
 
 let app_plain_case (app : Registry.t) =
   Alcotest.test_case app.Registry.name `Quick (fun () ->
-      ignore (differential ~name:app.Registry.name app.Registry.source))
+      Engine_golden.check ("plain " ^ app.Registry.name))
 
-(* The strongest form of the identity: a complete detection phase —
+(* The strongest form of the contract: a complete detection phase —
    injection campaign, snapshots, shadows, marks, call profile — saved
-   as a run log must be bitwise-equal between engines. *)
+   as a run log must match the table's digest in both flavors. *)
 let app_detect_case (app : Registry.t) =
   Alcotest.test_case ("detect " ^ app.Registry.name) `Quick (fun () ->
-      let prog = Minilang.parse app.Registry.source in
-      let flavor = Harness.flavor_of_suite app.Registry.suite in
-      let la =
-        with_engine Compile.Closures (fun () -> Run_log.save (Detect.run ~flavor prog))
-      in
-      let lb =
-        with_engine Compile.Bytecode (fun () -> Run_log.save (Detect.run ~flavor prog))
-      in
-      check Alcotest.string (app.Registry.name ^ ": run log") la lb)
+      List.iter
+        (fun flavor ->
+          Engine_golden.check
+            (Printf.sprintf "detect %s %s" app.Registry.name (Detect.flavor_name flavor)))
+        [ Detect.Source_weaving; Detect.Load_time_filters ])
+
+(* The table holds exactly the rows the checks recompute, in order: an
+   app added to the catalog without its rows, or a row left behind by
+   a removed app, fails here. *)
+let test_golden_table_complete () =
+  check
+    Alcotest.(list string)
+    "committed keys = computed keys"
+    (List.map fst Engine_golden.rows)
+    (Engine_golden.committed_keys ())
 
 (* ---------------- superinstruction fusion ---------------- *)
 
@@ -204,75 +161,25 @@ let test_ic_polymorphic_site () =
   (* one call site, receivers alternating between two classes: the
      monomorphic cache must re-resolve on every class change and still
      dispatch correctly *)
-  let src =
-    {|
-class A { method tag() { return 1; } }
-class B { method tag() { return 2; } }
-function main() {
-  var xs = [new A(), new B(), new A(), new B()];
-  var s = 0;
-  for (var i = 0; i < 20; i = i + 1) {
-    s = s + xs[i % 4].tag();
-  }
-  return s;
-}
-|}
-  in
-  let r = differential ~name:"polymorphic site" src in
-  check Alcotest.string "sum" "value 30" r.result;
+  let r = Engine_golden.check_probe "ic-polymorphic-site" in
+  check Alcotest.string "sum" "value 30" r.Engine_golden.result;
   (* the alternation defeats the cache by construction *)
-  check Alcotest.bool "site actually misses" true (r.ic_misses > 2)
+  check Alcotest.bool "site actually misses" true (r.Engine_golden.ic_misses > 2)
 
 let test_ic_shadowed_field_layout () =
   (* an inherited getter runs the same code object for receivers of
      both classes; the subclass's extra field shifts the layout, so the
      field-offset cache inside the shared THISF site must notice the
      class change rather than read a stale slot *)
-  let src =
-    {|
-class Base {
-  field v;
-  method init() { this.v = 10; return this; }
-  method get() { return this.v; }
-}
-class Derived extends Base {
-  field w;
-  method init() { super.init(); this.w = 5; this.v = 20; return this; }
-}
-function main() {
-  var b = new Base();
-  var d = new Derived();
-  var s = 0;
-  for (var i = 0; i < 10; i = i + 1) {
-    s = s + b.get() + d.get();
-  }
-  return s;
-}
-|}
-  in
-  let r = differential ~name:"shadowed field" src in
-  check Alcotest.string "layout-correct reads" "value 300" r.result
+  let r = Engine_golden.check_probe "ic-shadowed-field-layout" in
+  check Alcotest.string "layout-correct reads" "value 300" r.Engine_golden.result
 
 let test_ic_inherited_init () =
   (* [new Sub(...)] where [init] lives on the superclass: the static
      new-site resolution must find the inherited initializer, and a
      second class at the same textual site must not reuse it *)
-  let src =
-    {|
-class Base {
-  field v;
-  method init(v) { this.v = v; return this; }
-}
-class Sub extends Base { }
-function main() {
-  var a = new Sub(7);
-  var b = new Base(35);
-  return a.v + b.v;
-}
-|}
-  in
-  let r = differential ~name:"inherited init" src in
-  check Alcotest.string "inherited init ran" "value 42" r.result
+  let r = Engine_golden.check_probe "ic-inherited-init" in
+  check Alcotest.string "inherited init ran" "value 42" r.Engine_golden.result
 
 let test_ic_shared_across_instantiations () =
   (* inline caches live in the image and are shared by every VM
@@ -290,7 +197,7 @@ function main() {
 }
 |}
   in
-  let image = Compile.image ~engine:Compile.Bytecode (Minilang.parse src) in
+  let image = Compile.image (Minilang.parse src) in
   let run () =
     let vm = Compile.instantiate image in
     let v = Compile.run_main vm in
@@ -424,6 +331,7 @@ let suite =
     Alcotest.test_case "memo: unrelated write" `Quick test_memo_unrelated_write_revalidates;
     Alcotest.test_case "memo: rollback" `Quick test_memo_rollback_invalidates;
     Alcotest.test_case "memo: detection counters" `Quick test_memo_used_by_detection;
-    QCheck_alcotest.to_alcotest memo_incremental_prop ]
+    QCheck_alcotest.to_alcotest memo_incremental_prop;
+    Alcotest.test_case "golden table covers the catalog" `Quick test_golden_table_complete ]
   @ List.map app_plain_case Registry.catalog
   @ List.map app_detect_case Registry.catalog

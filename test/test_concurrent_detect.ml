@@ -5,8 +5,8 @@
    mutates nothing, so under the cooperative schedule every injected
    unwind sees an unchanged heap.  Only the cross product of schedule
    exploration and injection detects it.  These tests pin that
-   differential (per app, per flavor), engine equivalence under
-   preemptive schedules, byte-identity of sequential detection with
+   differential (per app, per flavor), the swept run log against the
+   golden engine table, byte-identity of sequential detection with
    schedules configured, campaign/sequential agreement including
    journal resume, replay of individual runs from their journaled
    schedule specs, and the per-thread COW dirty-set partition. *)
@@ -15,7 +15,6 @@ open Failatom_core
 open Failatom_runtime
 open Failatom_apps
 module Minilang = Failatom_minilang.Minilang
-module Compile = Failatom_minilang.Compile
 module Campaign = Failatom_campaign.Campaign
 module Journal = Failatom_campaign.Journal
 module Progress = Failatom_campaign.Progress
@@ -103,26 +102,13 @@ let differential_cases =
     seeded
 
 (* ------------------------------------------------------------------ *)
-(* (b) engine equivalence under preemptive schedules                   *)
+(* (b) the swept run log is pinned                                     *)
 (* ------------------------------------------------------------------ *)
 
-let with_engine engine f =
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) f
-
-(* Preemption opportunities are method-call boundaries, counted
-   identically by both engines — so a full swept detection, serialized
-   as a run log (schedule specs, decision digests, marks, outputs),
-   must be bitwise-equal between closures and bytecode. *)
-let test_engine_equivalence () =
-  let program = parse (find_app "WorkQueue").Registry.source in
-  let log engine =
-    with_engine engine (fun () ->
-        Run_log.save (Detect.run ~config:sweep_config program))
-  in
-  Alcotest.(check string) "closures == bytecode under the sweep"
-    (log Compile.Closures) (log Compile.Bytecode)
+(* Preemption opportunities are method-call boundaries, so a full swept
+   detection, serialized as a run log (schedule specs, decision digests,
+   marks, outputs), is pinned in the golden engine table. *)
+let test_sweep_golden () = Engine_golden.check "sweep WorkQueue"
 
 (* ------------------------------------------------------------------ *)
 (* (c) sequential programs: schedules configured, nothing changes      *)
@@ -323,7 +309,7 @@ let test_heap_uids_distinct_across_domains () =
     (List.length (List.sort_uniq compare uids))
 
 let suite =
-  [ Alcotest.test_case "engines agree under the sweep" `Slow test_engine_equivalence;
+  [ Alcotest.test_case "sweep log matches the golden table" `Slow test_sweep_golden;
     Alcotest.test_case "sequential detection unchanged (Synthetic)" `Quick
       (check_sequential_unchanged "Synthetic");
     Alcotest.test_case "sequential detection unchanged (LinkedList)" `Slow

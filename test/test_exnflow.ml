@@ -5,7 +5,7 @@
    The load-bearing property is soundness of coalescing: under
    [--prune coalesce] the detection result — every run record, mark for
    mark, byte for byte — must equal the unpruned campaign's, on every
-   bundled application, under both flavors and both execution engines.
+   bundled application, under both flavors.
    The differential matrix below checks exactly that.
 
    Drop mode's premise (a point whose exception the method provably
@@ -164,11 +164,6 @@ function main() { var c = new C(); c.caller(); return 0; }
 (* The soundness gate: coalesce ≡ off, everywhere                      *)
 (* ------------------------------------------------------------------ *)
 
-let with_engine engine f =
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) f
-
 let detect ~flavor ~prune program =
   Detect.run ~config:{ Config.default with Config.prune } ~flavor program
 
@@ -177,31 +172,18 @@ let test_differential_matrix () =
     (fun (app : Registry.t) ->
       let program = parse app.Registry.source in
       List.iter
-        (fun engine ->
-          with_engine engine @@ fun () ->
-          List.iter
-            (fun flavor ->
-              let off = detect ~flavor ~prune:Config.Prune_off program in
-              let co = detect ~flavor ~prune:Config.Prune_coalesce program in
-              let label what =
-                Printf.sprintf "%s/%s/%s: %s" app.Registry.name
-                  (Detect.flavor_name flavor)
-                  (match engine with
-                   | Compile.Closures -> "closures"
-                   | Compile.Bytecode -> "bytecode")
-                  what
-              in
-              Alcotest.(check bool)
-                (label "runs bitwise-identical") true
-                (off.Detect.runs = co.Detect.runs);
-              Alcotest.(check int)
-                (label "injections")
-                off.Detect.injections co.Detect.injections;
-              Alcotest.(check bool)
-                (label "transparent")
-                off.Detect.transparent co.Detect.transparent)
-            [ Detect.Source_weaving; Detect.Load_time_filters ])
-        [ Compile.Closures; Compile.Bytecode ])
+        (fun flavor ->
+          let off = detect ~flavor ~prune:Config.Prune_off program in
+          let co = detect ~flavor ~prune:Config.Prune_coalesce program in
+          let label what =
+            Printf.sprintf "%s/%s: %s" app.Registry.name (Detect.flavor_name flavor) what
+          in
+          Alcotest.(check bool)
+            (label "runs bitwise-identical") true
+            (off.Detect.runs = co.Detect.runs);
+          Alcotest.(check int) (label "injections") off.Detect.injections co.Detect.injections;
+          Alcotest.(check bool) (label "transparent") off.Detect.transparent co.Detect.transparent)
+        [ Detect.Source_weaving; Detect.Load_time_filters ])
     Registry.catalog
 
 (* Coalescing must actually coalesce: the plan built from a trace run

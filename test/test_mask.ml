@@ -232,17 +232,13 @@ let check_unwind_releases_checkpoint strategy () =
    independent.  Under each preemptive schedule, a canaried production
    run must be byte-identical between the two rollback engines, roll
    back at least once, and validate every perturbation. *)
-let check_concurrent_production name flavor engine () =
-  let module Compile = Failatom_minilang.Compile in
+let check_concurrent_production name flavor () =
   let module Sched = Failatom_runtime.Sched in
   let module Plan = Failatom_prod.Plan in
   let module Armed = Failatom_prod.Armed in
   let module Perturb = Failatom_prod.Perturb in
   let module Scorecard = Failatom_prod.Scorecard in
   let module Produce = Failatom_prod.Produce in
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) @@ fun () ->
   let program = parse (Option.get (Registry.find name)).Registry.source in
   (* sweep detection so the seeded schedule-only violations are
      classified — and therefore wrapped — like any pure non-atomic
@@ -312,15 +308,9 @@ let suite =
       (check_unwind_releases_checkpoint Failatom_runtime.Checkpoint.Eager);
     Alcotest.test_case "unwind releases checkpoint (lazy)" `Quick
       (check_unwind_releases_checkpoint Failatom_runtime.Checkpoint.Lazy);
-    Alcotest.test_case "concurrent production: StripedMap (closures)" `Quick
-      (check_concurrent_production "StripedMap" Detect.Load_time_filters
-         Failatom_minilang.Compile.Closures);
     Alcotest.test_case "concurrent production: StripedMap (bytecode)" `Quick
-      (check_concurrent_production "StripedMap" Detect.Load_time_filters
-         Failatom_minilang.Compile.Bytecode);
-    Alcotest.test_case "concurrent production: BoundedBuffer (closures)" `Quick
-      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters
-         Failatom_minilang.Compile.Closures);
+      (check_concurrent_production "StripedMap" Detect.Load_time_filters);
     Alcotest.test_case "concurrent production: BoundedBuffer (bytecode)" `Quick
-      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters
-         Failatom_minilang.Compile.Bytecode) ]
+      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters);
+    Alcotest.test_case "concurrent production: WorkQueue (bytecode)" `Quick
+      (check_concurrent_production "WorkQueue" Detect.Load_time_filters) ]

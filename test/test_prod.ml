@@ -11,7 +11,6 @@
 open Failatom_core
 open Failatom_apps
 module Minilang = Failatom_minilang.Minilang
-module Compile = Failatom_minilang.Compile
 module Sched = Failatom_runtime.Sched
 module Plan = Failatom_prod.Plan
 module Armed = Failatom_prod.Armed
@@ -21,11 +20,6 @@ module Produce = Failatom_prod.Produce
 
 let parse = Minilang.parse
 let find_app name = Option.get (Registry.find name)
-
-let with_engine engine f =
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) f
 
 let plan_of ?(config = Config.default) ~flavor program =
   let detection = Detect.run ~config ~flavor program in
@@ -143,25 +137,20 @@ let test_strict_decoding () =
 (* COW rollback must be observationally indistinguishable from the
    eager checkpoint: same outputs byte for byte, same per-method call,
    hit, and canary-verdict counts — only the timings may differ. *)
-let check_rollback_equivalence name flavor engine () =
-  with_engine engine (fun () ->
-      let program = parse (find_app name).Registry.source in
-      let plan = plan_of ~flavor program in
-      let run rollback =
-        production ~perturb:(hot_canary 7) ~plan ~times:3 rollback program
-      in
-      let cp = run Armed.Rb_checkpoint in
-      let cow = run Armed.Rb_cow in
-      Alcotest.(check (list string)) "outputs bitwise identical"
-        (List.map (fun (r : Produce.run_report) -> r.Produce.output) cp.Produce.runs)
-        (List.map (fun (r : Produce.run_report) -> r.Produce.output) cow.Produce.runs);
-      Alcotest.(check (list string)) "same scorecard core"
-        (core_rows cp.Produce.scorecard)
-        (core_rows cow.Produce.scorecard);
-      Alcotest.(check bool) "rollbacks exercised" true
-        (Scorecard.hits cp.Produce.scorecard > 0);
-      Alcotest.(check int) "no validation failures" 0
-        (Scorecard.failed cow.Produce.scorecard))
+let check_rollback_equivalence name flavor () =
+  let program = parse (find_app name).Registry.source in
+  let plan = plan_of ~flavor program in
+  let run rollback = production ~perturb:(hot_canary 7) ~plan ~times:3 rollback program in
+  let cp = run Armed.Rb_checkpoint in
+  let cow = run Armed.Rb_cow in
+  Alcotest.(check (list string)) "outputs bitwise identical"
+    (List.map (fun (r : Produce.run_report) -> r.Produce.output) cp.Produce.runs)
+    (List.map (fun (r : Produce.run_report) -> r.Produce.output) cow.Produce.runs);
+  Alcotest.(check (list string)) "same scorecard core"
+    (core_rows cp.Produce.scorecard)
+    (core_rows cow.Produce.scorecard);
+  Alcotest.(check bool) "rollbacks exercised" true (Scorecard.hits cp.Produce.scorecard > 0);
+  Alcotest.(check int) "no validation failures" 0 (Scorecard.failed cow.Produce.scorecard)
 
 (* ------------------------------------------------------------------ *)
 (* Canary channel                                                      *)
@@ -294,22 +283,22 @@ let suite =
       `Quick
       (check_plan_round_trip name flavor)
   in
-  let eq name flavor engine flabel elabel =
+  let eq name flavor flabel =
     Alcotest.test_case
-      (Printf.sprintf "cow = checkpoint: %s (%s, %s)" name flabel elabel)
+      (Printf.sprintf "cow = checkpoint: %s (%s, bytecode)" name flabel)
       `Quick
-      (check_rollback_equivalence name flavor engine)
+      (check_rollback_equivalence name flavor)
   in
   [ rt "LinkedList" Detect.Load_time_filters "binary";
     rt "LinkedList" Detect.Source_weaving "source";
     rt "Dynarray" Detect.Load_time_filters "binary";
     Alcotest.test_case "stale plan refused" `Quick test_stale_rejection;
     Alcotest.test_case "strict decoding" `Quick test_strict_decoding;
-    eq "LinkedList" Detect.Load_time_filters Compile.Closures "binary" "closures";
-    eq "LinkedList" Detect.Load_time_filters Compile.Bytecode "binary" "bytecode";
-    eq "LinkedList" Detect.Source_weaving Compile.Closures "source" "closures";
-    eq "Dynarray" Detect.Load_time_filters Compile.Bytecode "binary" "bytecode";
-    eq "RBTree" Detect.Load_time_filters Compile.Closures "binary" "closures";
+    eq "LinkedList" Detect.Load_time_filters "binary";
+    eq "LinkedList" Detect.Source_weaving "source";
+    eq "Dynarray" Detect.Load_time_filters "binary";
+    eq "Dynarray" Detect.Source_weaving "source";
+    eq "RBTree" Detect.Load_time_filters "binary";
     Alcotest.test_case "seeded 1k-call canary, zero failures" `Quick
       test_canary_thousand_calls;
     Alcotest.test_case "canary determinism in the seed" `Quick
