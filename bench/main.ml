@@ -8,8 +8,9 @@
    - §6.1 case study   : LinkedList before/after the trivial fixes
    - Figure 5          : masking overhead vs checkpointed-object size and
                          fraction of calls to wrapped methods (Bechamel)
-   - Ablations         : eager vs lazy (copy-on-write) checkpointing, and
-                         wrap-pure vs wrap-all masking policies
+   - Ablations         : the copy-on-write checkpoint every wrapper uses
+                         (against Figure 5's eager one), and wrap-pure vs
+                         wrap-all masking policies
 
    Absolute times differ from the paper's 2003 hardware; the reproduced
    quantity is the shape: who is non-atomic, how the proportions fall,
@@ -36,10 +37,8 @@
    identity check — gating RBTree at >= 30% runs eliminated and the
    geomean speedup at >= 1.3x, writing BENCH_prune.json.  The mask
    section measures the production masking runtime (lib/prod): armed
-   runs with a rate-1000 canary compare the eager checkpoint rollback
-   against the copy-on-write shadow rollback per application, gate the
-   outputs bitwise identical and the median rollback speedup on the
-   large-graph apps at >= 2x, and write BENCH_mask.json.
+   runs with a rate-1000 canary report the wrapper's entry cost per
+   call and its rollback cost per hit, per application.
 
    Usage: main.exe [section...] where section is one of
    table1 fig2 fig3 fig4 fig5 case-study campaign snapshot ablation
@@ -655,12 +654,31 @@ let section_obs_overhead () =
 (* Figure 5: masking overhead (Bechamel)                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's eager atomicity filter (Listing 2), local to the bench:
+   Figure 5 measures the eager copy of the whole receiver graph on
+   every call, which no wrapper of the library takes any more. *)
+let eager_masking_filter () =
+  let stack = ref [] in
+  let pop () = match !stack with cp :: rest -> stack := rest; Some cp | [] -> None in
+  { Vm.filt_name = "eager-masking";
+    pre =
+      (fun vm _meth recv args ->
+        let roots = Mask.checkpoint_roots Config.default recv args in
+        stack := Checkpoint.Eager.take vm.Vm.heap roots :: !stack;
+        Vm.Proceed);
+    post =
+      (fun _vm _meth _recv _args result ->
+        (match pop () with
+         | Some cp when Result.is_error result -> Checkpoint.Eager.rollback cp
+         | _ -> ());
+        Vm.Pass);
+    unwind = (fun _vm _meth -> ignore (pop ())) }
+
 (* A VM whose receiver holds a chain of [size] nodes; the op does a
    small amount of work (the stand-in for the paper's ~0.5 us method)
    and mutates one field of the receiver.  The masked variant is the
-   same method with the atomicity filter attached, checkpointing the
-   whole chain on every call. *)
-let make_fig5_vm ~size ~strategy ~masked =
+   same method with an atomicity filter attached: [filter] builds one. *)
+let make_fig5_vm ~size ~filter =
   let vm = Vm.create () in
   ignore (Vm.add_class vm "Node" ~fields:[ "v"; "next" ]);
   ignore (Vm.add_class vm "Holder" ~fields:[ "acc"; "data" ]);
@@ -689,15 +707,12 @@ let make_fig5_vm ~size ~strategy ~masked =
   in
   let wrapped = Vm.add_method vm "Holder" ~name:"wrappedOp" ~params:[] ~throws:[] work in
   ignore (Vm.add_method vm "Holder" ~name:"plainOp" ~params:[] ~throws:[] work);
-  if masked then begin
-    let config = { Config.default with Config.checkpoint_strategy = strategy } in
-    Vm.attach_filter wrapped (Mask.masking_filter config)
-  end;
+  Option.iter (fun make -> Vm.attach_filter wrapped (make ())) filter;
   (vm, Value.Ref holder)
 
 (* One measured iteration: 1000 calls, [per_mille] of them wrapped. *)
-let fig5_case ~size ~strategy ~masked ~per_mille =
-  let vm, holder = make_fig5_vm ~size ~strategy ~masked in
+let fig5_case ~size ~filter ~per_mille =
+  let vm, holder = make_fig5_vm ~size ~filter in
   fun () ->
     for i = 0 to 999 do
       let name = if i mod 1000 < per_mille then "wrappedOp" else "plainOp" in
@@ -707,16 +722,16 @@ let fig5_case ~size ~strategy ~masked ~per_mille =
 let sizes = [ 1; 4; 16; 64; 256; 1024 ]
 let ratios = [ (1, "0.1%"); (10, "1%"); (100, "10%"); (1000, "100%") ]
 
-let fig5_tests strategy =
+let fig5_tests filter =
   let cell ~name fn = Test.make ~name (Staged.stage fn) in
-  cell ~name:"baseline" (fig5_case ~size:64 ~strategy ~masked:false ~per_mille:0)
+  cell ~name:"baseline" (fig5_case ~size:64 ~filter:None ~per_mille:0)
   :: List.concat_map
        (fun size ->
          List.map
            (fun (per_mille, label) ->
              cell
                ~name:(Printf.sprintf "size=%04d/calls=%s" size label)
-               (fig5_case ~size ~strategy ~masked:true ~per_mille))
+               (fig5_case ~size ~filter:(Some filter) ~per_mille))
            ratios)
        sizes
 
@@ -765,7 +780,7 @@ let section_fig5 () =
   Fmt.pr
     "@.== Figure 5: masking overhead vs checkpoint size and wrapped-call ratio ==@.";
   Fmt.pr "  (eager checkpointing, as in the paper; 1000 calls per sample)@.";
-  let table = run_bechamel ~name:"fig5" (fig5_tests Checkpoint.Eager) in
+  let table = run_bechamel ~name:"fig5" (fig5_tests eager_masking_filter) in
   print_overhead_table ~title:"Figure 5: overhead factor (eager checkpointing)"
     ~group:"fig5" table
 
@@ -775,10 +790,13 @@ let section_fig5 () =
 
 let section_ablation () =
   Fmt.pr
-    "@.== Ablation: lazy (copy-on-write) checkpointing (paper 6.2 suggestion) ==@.";
-  let table = run_bechamel ~name:"lazy" (fig5_tests Checkpoint.Lazy) in
+    "@.== Ablation: copy-on-write checkpointing (paper 6.2 suggestion) ========@.";
+  Fmt.pr "  (Mask.masking_filter, the production wrappers' checkpoint)@.";
+  let table =
+    run_bechamel ~name:"lazy" (fig5_tests (fun () -> Mask.masking_filter Config.default))
+  in
   print_overhead_table
-    ~title:"Lazy checkpointing: overhead factor (one mutated object per call)"
+    ~title:"Copy-on-write checkpointing: overhead factor (one mutated object per call)"
     ~group:"lazy" table;
   Fmt.pr
     "@.== Ablation: static exception-freedom inference (paper 4.3 future work) ==@.";
@@ -1596,50 +1614,20 @@ let section_cluster () =
 (* Production masking: checkpoint vs copy-on-write rollback            *)
 (* ------------------------------------------------------------------ *)
 
-let mask_json_file = "BENCH_mask.json"
-
 let mask_apps () =
   if bench_short then
     List.filter_map Registry.find [ "stdQ"; "LinkedList"; "RBTree" ]
   else Registry.all
 
-(* Apps whose wrapped methods touch big receiver graphs: the eager
-   checkpoint copies the whole reachable graph per call while the cow
-   shadow saves only what the call actually dirties, so these are the
-   rows the >= 2x rollback gate runs over. *)
-let mask_large_graph = [ "CircularList"; "Dynarray"; "LinkedList"; "RBMap"; "RBTree" ]
-
-type mask_row = {
-  mr_app : Registry.t;
-  mr_targets : int; (* wrapped methods in the plan *)
-  mr_calls : int; (* wrapped calls entered (cow run) *)
-  mr_hits : int; (* rollbacks exercised (cow run) *)
-  mr_cp_wrap_ns : float; (* per wrapped call, checkpoint rollback *)
-  mr_cow_wrap_ns : float;
-  mr_cp_rb_ns : float; (* per rollback, checkpoint *)
-  mr_cow_rb_ns : float;
-  mr_speedup : float; (* cp rollback / cow rollback *)
-  mr_identical : bool; (* outputs byte-equal across engines *)
-}
-
-let median = function
-  | [] -> 0.0
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
 let section_mask () =
   let module Plan = Failatom_prod.Plan in
-  let module Armed = Failatom_prod.Armed in
   let module Perturb = Failatom_prod.Perturb in
   let module Scorecard = Failatom_prod.Scorecard in
   let module Produce = Failatom_prod.Produce in
-  Fmt.pr "@.== Production masking: checkpoint vs cow rollback ======================@.";
+  Fmt.pr "@.== Production masking: wrapper entry and rollback cost ==================@.";
   Fmt.pr "  (armed production runs with a rate-1000 at-exit canary: every wrapped@.";
-  Fmt.pr "   call is perturbed, rolled back and retried; per-rollback cost comes@.";
-  Fmt.pr "   from the scorecard timings, best of interleaved rounds)@.";
+  Fmt.pr "   call is perturbed, rolled back and retried; costs come from the@.";
+  Fmt.pr "   scorecard timings, best of %d rounds)@." (if bench_short then 2 else 3);
   let rounds = if bench_short then 2 else 3 in
   let times = if bench_short then 1 else 2 in
   let perturb =
@@ -1658,136 +1646,48 @@ let section_mask () =
     | Some o -> o
     | None -> Harness.detect_app app
   in
-  Fmt.pr "%-14s %8s %7s %6s %11s %11s %11s %11s %8s@." "Application" "targets"
-    "calls" "hits" "cp-wrap" "cow-wrap" "cp-rb" "cow-rb" "speedup";
-  let rows =
-    List.filter_map
-      (fun (app : Registry.t) ->
-        let o = outcome_of app in
-        let program = Failatom_minilang.Minilang.parse app.Registry.source in
-        let flavor = Harness.flavor_of_suite app.Registry.suite in
-        let plan =
-          Plan.build ~config:Config.default ~flavor ~program
-            ~detection:o.Harness.detection ~classification:o.Harness.classification
+  Fmt.pr "%-14s %8s %7s %6s %11s %11s@." "Application" "targets" "calls" "hits" "wrap"
+    "rollback";
+  List.iter
+    (fun (app : Registry.t) ->
+      let o = outcome_of app in
+      let program = Failatom_minilang.Minilang.parse app.Registry.source in
+      let flavor = Harness.flavor_of_suite app.Registry.suite in
+      let plan =
+        Plan.build ~config:Config.default ~flavor ~program
+          ~detection:o.Harness.detection ~classification:o.Harness.classification
+      in
+      let targets = Method_id.Set.cardinal (Plan.target_set plan) in
+      if targets = 0 then
+        Fmt.pr "%-14s %8d   (no wrapped methods; skipped)@." app.Registry.name targets
+      else begin
+        (* per-call wrap and per-rollback cost of one produce set *)
+        let costs (sc : Scorecard.t) =
+          let wrap, rb =
+            List.fold_left
+              (fun (w, b) (tr : Scorecard.timing_row) ->
+                (w + tr.Scorecard.t_wrap_ns, b + tr.Scorecard.t_rollback_ns))
+              (0, 0) sc.Scorecard.timings
+          in
+          let per total count =
+            if count = 0 then 0.0 else float_of_int total /. float_of_int count
+          in
+          (per wrap (Scorecard.calls sc), per rb (Scorecard.hits sc))
         in
-        let targets = Method_id.Set.cardinal (Plan.target_set plan) in
-        if targets = 0 then begin
-          Fmt.pr "%-14s %8d   (no wrapped methods; skipped)@." app.Registry.name
-            targets;
-          None
-        end
-        else begin
-          let produce rollback =
-            match Produce.run ~rollback ~perturb ~times ~plan program with
-            | Ok r -> r
-            | Error msg ->
-              Fmt.failwith "mask bench: %s (%s): %s" app.Registry.name
-                (Armed.rollback_name rollback) msg
-          in
-          (* per-call wrap and per-rollback cost of one produce set *)
-          let costs (r : Produce.result) =
-            let sc = r.Produce.scorecard in
-            let wrap, rb =
-              List.fold_left
-                (fun (w, b) (tr : Scorecard.timing_row) ->
-                  (w + tr.Scorecard.t_wrap_ns, b + tr.Scorecard.t_rollback_ns))
-                (0, 0) sc.Scorecard.timings
-            in
-            let per total count =
-              if count = 0 then 0.0 else float_of_int total /. float_of_int count
-            in
-            (per wrap (Scorecard.calls sc), per rb (Scorecard.hits sc))
-          in
-          let outputs (r : Produce.result) =
-            List.map (fun (rr : Produce.run_report) -> rr.Produce.output) r.Produce.runs
-          in
-          (* interleaved rounds; best (lowest) per-event cost on each side *)
-          let cp_wrap = ref infinity and cp_rb = ref infinity in
-          let cow_wrap = ref infinity and cow_rb = ref infinity in
-          let last_cp = ref None and last_cow = ref None in
-          for _ = 1 to rounds do
-            let cp = produce Armed.Rb_checkpoint in
-            let cow = produce Armed.Rb_cow in
-            let w, b = costs cp in
-            if b < !cp_rb then begin cp_wrap := w; cp_rb := b end;
-            let w, b = costs cow in
-            if b < !cow_rb then begin cow_wrap := w; cow_rb := b end;
-            last_cp := Some cp;
-            last_cow := Some cow
-          done;
-          let cp = Option.get !last_cp and cow = Option.get !last_cow in
-          let identical = outputs cp = outputs cow in
-          let sc = cow.Produce.scorecard in
-          let speedup = if !cow_rb > 0.0 then !cp_rb /. !cow_rb else 0.0 in
-          let row =
-            { mr_app = app;
-              mr_targets = targets;
-              mr_calls = Scorecard.calls sc;
-              mr_hits = Scorecard.hits sc;
-              mr_cp_wrap_ns = !cp_wrap;
-              mr_cow_wrap_ns = !cow_wrap;
-              mr_cp_rb_ns = !cp_rb;
-              mr_cow_rb_ns = !cow_rb;
-              mr_speedup = speedup;
-              mr_identical = identical }
-          in
-          Fmt.pr "%-14s %8d %7d %6d %10.0fn %10.0fn %10.0fn %10.0fn %7.2fx%s@."
-            app.Registry.name targets row.mr_calls row.mr_hits row.mr_cp_wrap_ns
-            row.mr_cow_wrap_ns row.mr_cp_rb_ns row.mr_cow_rb_ns speedup
-            (if identical then "" else "  OUTPUT MISMATCH");
-          Some row
-        end)
-      (mask_apps ())
-  in
-  let pass_identity = List.for_all (fun r -> r.mr_identical) rows in
-  let large =
-    List.filter
-      (fun r -> List.mem r.mr_app.Registry.name mask_large_graph && r.mr_hits > 0)
-      rows
-  in
-  let median_speedup = median (List.map (fun r -> r.mr_speedup) large) in
-  let pass_speedup = large = [] || median_speedup >= 2.0 in
-  let pass = pass_identity && pass_speedup in
-  Fmt.pr "  outputs identical across rollback engines on every app: %b@."
-    pass_identity;
-  Fmt.pr "  median cow rollback speedup on large-graph apps (%s): %.2fx \
-          (target >= 2.0x): %b@."
-    (String.concat ", " (List.map (fun r -> r.mr_app.Registry.name) large))
-    median_speedup pass_speedup;
-  let oc = open_out mask_json_file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"mask_rollback\",\n";
-  out "  \"short\": %b,\n" bench_short;
-  out "  \"rounds\": %d,\n" rounds;
-  out "  \"times\": %d,\n" times;
-  out "  \"perturb_seed\": %d,\n" perturb.Produce.seed;
-  out "  \"apps\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"name\": \"%s\", \"targets\": %d, \"calls\": %d, \"hits\": %d, \
-         \"checkpoint_wrap_ns_per_call\": %.1f, \"cow_wrap_ns_per_call\": %.1f, \
-         \"checkpoint_rollback_ns\": %.1f, \"cow_rollback_ns\": %.1f, \
-         \"rollback_speedup\": %.3f, \"outputs_identical\": %b}%s\n"
-        (json_escape r.mr_app.Registry.name)
-        r.mr_targets r.mr_calls r.mr_hits r.mr_cp_wrap_ns r.mr_cow_wrap_ns
-        r.mr_cp_rb_ns r.mr_cow_rb_ns r.mr_speedup r.mr_identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ],\n";
-  out "  \"large_graph_apps\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun r -> Printf.sprintf "\"%s\"" (json_escape r.mr_app.Registry.name))
-          large));
-  out "  \"median_large_graph_speedup\": %.3f,\n" median_speedup;
-  out "  \"pass_identity\": %b,\n" pass_identity;
-  out "  \"pass_speedup\": %b,\n" pass_speedup;
-  out "  \"pass\": %b\n" pass;
-  out "}\n";
-  close_out oc;
-  Fmt.pr "  machine-readable results written to %s@." mask_json_file
+        let best = ref (infinity, infinity) and last = ref None in
+        for _ = 1 to rounds do
+          match Produce.run ~perturb ~times ~plan program with
+          | Error msg -> Fmt.failwith "mask bench: %s: %s" app.Registry.name msg
+          | Ok r ->
+            let ((_, rb) as c) = costs r.Produce.scorecard in
+            if rb < snd !best then best := c;
+            last := Some r.Produce.scorecard
+        done;
+        let sc = Option.get !last and wrap, rb = !best in
+        Fmt.pr "%-14s %8d %7d %6d %10.0fn %10.0fn@." app.Registry.name targets
+          (Scorecard.calls sc) (Scorecard.hits sc) wrap rb
+      end)
+    (mask_apps ())
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)

@@ -270,22 +270,6 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
-  let rollback_arg =
-    let doc =
-      "Rollback engine of the armed wrappers: $(b,checkpoint) copies the \
-       protected graph at every call entry; $(b,cow) opens a copy-on-write \
-       shadow (O(1) entry) and restores only the dirty objects of the \
-       entry-time graph on the rare exceptional exit.  Both restore \
-       bitwise-identical graphs."
-    in
-    Arg.(
-      value
-      & opt
-          (Arg.enum
-             [ ("checkpoint", Prod.Armed.Rb_checkpoint); ("cow", Prod.Armed.Rb_cow) ])
-          Prod.Armed.Rb_checkpoint
-      & info [ "wrapper-rollback" ] ~docv:"ENGINE" ~doc)
-  in
   let perturb_rate_arg =
     let doc =
       "Canary perturbation: inject a declared exception into $(docv) out of \
@@ -340,13 +324,13 @@ let run_cmd =
     print_string !last_output;
     exit_ok
   in
-  let run_production program times ~plan_path ~rollback ~perturb ~resilience_out =
+  let run_production program times ~plan_path ~perturb ~resilience_out =
     match Prod.Plan.load_file plan_path with
     | Error msg ->
       Fmt.epr "failatom: %s: %s@." plan_path msg;
       exit_usage
     | Ok plan -> (
-      match Prod.Produce.run ~rollback ?perturb ~times ~plan program with
+      match Prod.Produce.run ?perturb ~times ~plan program with
       | Error msg ->
         (* stale plan: the program changed since detection *)
         Fmt.epr "failatom: %s@." msg;
@@ -369,7 +353,7 @@ let run_cmd =
          | None -> ());
         if Prod.Scorecard.failed scorecard > 0 then exit_non_atomic else exit_ok)
   in
-  let action spec times mode plan rollback perturb_rate perturb_seed
+  let action spec times mode plan perturb_rate perturb_seed
       perturb_max perturb_point resilience_out metrics_out =
     with_program spec (fun program ->
         if times < 1 then begin
@@ -397,7 +381,7 @@ let run_cmd =
               else None
             in
             with_metrics metrics_out (fun () ->
-                run_production program times ~plan_path ~rollback ~perturb
+                run_production program times ~plan_path ~perturb
                   ~resilience_out))
   in
   let doc =
@@ -408,7 +392,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       const action $ program_arg $ times_arg $ mode_arg $ plan_arg
-      $ rollback_arg $ perturb_rate_arg $ perturb_seed_arg $ perturb_max_arg
+      $ perturb_rate_arg $ perturb_seed_arg $ perturb_max_arg
       $ perturb_point_arg $ resilience_out_arg $ metrics_out_arg)
 
 let csv_arg =
@@ -1107,13 +1091,6 @@ let submit_cmd =
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
-  let rollback_arg =
-    let doc = "Rollback engine of the armed wrappers ($(b,produce) mode)." in
-    Arg.(
-      value
-      & opt (some (Arg.enum [ ("checkpoint", "checkpoint"); ("cow", "cow") ])) None
-      & info [ "wrapper-rollback" ] ~docv:"ENGINE" ~doc)
-  in
   let perturb_rate_arg =
     let doc =
       "Canary perturbations per 1000 wrapped calls ($(b,produce) mode); \
@@ -1172,7 +1149,7 @@ let submit_cmd =
   in
   let action spec socket retries mode flavor prune schedules infer wrap_all
       exception_free do_not_wrap jobs run_timeout_s detach log corrected_out
-      plan_file rollback perturb_rate perturb_seed perturb_max perturb_point times
+      plan_file perturb_rate perturb_seed perturb_max perturb_point times
       resilience_out =
     (* Absent stays absent on the wire (an older server ignores the
        field); a given flag is expanded client-side so the server sees
@@ -1228,7 +1205,6 @@ let submit_cmd =
           jobs;
           run_timeout_s;
           plan;
-          rollback;
           perturb_rate;
           perturb_seed;
           perturb_max;
@@ -1262,7 +1238,7 @@ let submit_cmd =
       $ flavor_opt_arg $ prune_arg $ schedules_arg
       $ infer_arg $ wrap_all_arg $ exception_free_arg $ do_not_wrap_arg
       $ jobs_arg $ run_timeout_arg $ detach_arg $ log_arg $ corrected_arg
-      $ plan_file_arg $ rollback_arg $ perturb_rate_arg $ perturb_seed_arg
+      $ plan_file_arg $ perturb_rate_arg $ perturb_seed_arg
       $ perturb_max_arg $ perturb_point_arg $ produce_times_arg
       $ resilience_out_arg)
 

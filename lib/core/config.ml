@@ -5,8 +5,6 @@
    declares exception-free, which methods must not be wrapped, and the
    masking policy. *)
 
-open Failatom_runtime
-
 type wrap_policy =
   | Wrap_pure (* wrap only pure failure non-atomic methods (§4.3) *)
   | Wrap_all_non_atomic (* wrap every failure non-atomic method *)
@@ -60,7 +58,6 @@ type t = {
          paper's C++ flavor does; its Java flavor covers [this] only) *)
   snapshot_mode : snapshot_mode;
       (* how the detection wrapper captures the entry state *)
-  checkpoint_strategy : Checkpoint.strategy;
   wrap_policy : wrap_policy;
   exception_free : Method_id.t list;
       (* methods the user asserts never throw: injections whose site is
@@ -88,7 +85,6 @@ let default =
   { runtime_exceptions = [ "NullPointerException"; "OutOfMemoryError" ];
     snapshot_args = true;
     snapshot_mode = Snapshot_cow;
-    checkpoint_strategy = Checkpoint.Eager;
     wrap_policy = Wrap_pure;
     exception_free = [];
     infer_exception_free = false;
@@ -108,15 +104,11 @@ let injectable config ~declared =
    configs with equal fingerprints produce identical run records on the
    same program — the contract the server's result cache relies on.
    The leading version tag must change whenever a field is added or its
-   rendering changes, invalidating stale cache entries.  The snapshot
-   mode never changes a run record, so its slot keeps the legacy token
-   "eager" of the old default: fingerprints recorded then stay valid. *)
+   rendering changes, invalidating stale cache entries.  The slots of
+   the retired snapshot-mode and checkpoint-strategy fields keep the
+   legacy token "eager" of their old defaults (neither ever changed a
+   run record), so fingerprints recorded then stay valid. *)
 let fingerprint (c : t) =
-  let strategy =
-    match c.checkpoint_strategy with
-    | Checkpoint.Eager -> "eager"
-    | Checkpoint.Lazy -> "lazy"
-  in
   let policy = wrap_policy_name c.wrap_policy in
   let methods ms =
     String.concat "," (List.sort compare (List.map Method_id.to_string ms))
@@ -127,7 +119,7 @@ let fingerprint (c : t) =
         String.concat "," c.runtime_exceptions;
         string_of_bool c.snapshot_args;
         "eager";
-        strategy;
+        "eager";
         policy;
         methods c.exception_free;
         string_of_bool c.infer_exception_free;

@@ -5,8 +5,6 @@
     declares exception-free, which methods must not be wrapped, and the
     masking policy. *)
 
-open Failatom_runtime
-
 type wrap_policy =
   | Wrap_pure
       (** wrap only pure failure non-atomic methods: conditional ones
@@ -62,7 +60,6 @@ type t = {
           [Snapshot_eager] is reachable only through this field: it is
           the reference the equivalence tests and the snapshot bench
           compare the production path against. *)
-  checkpoint_strategy : Checkpoint.strategy;
   wrap_policy : wrap_policy;
   exception_free : Method_id.t list;
       (** methods asserted to never throw: injections sited in them are
@@ -80,7 +77,7 @@ type t = {
           (default [Prune_off], the paper's behavior; the CLI defaults
           to [coalesce], which is observationally identical) *)
   schedules : string list;
-      (** schedule policy specs ({!Sched.policy_of_string}) crossed with
+      (** schedule policy specs ({!Failatom_runtime.Sched.policy_of_string}) crossed with
           the injection-point axis for concurrent programs (default
           [["coop"]]).  Sequential programs always run the ["coop"]
           schedule only, whatever this lists.  Never empty; the first
@@ -90,7 +87,7 @@ type t = {
 val default : t
 (** Generic exceptions [NullPointerException] and [OutOfMemoryError],
     snapshots covering reference arguments, copy-on-write snapshots,
-    eager checkpointing, the wrap-pure policy, and no user annotations. *)
+    the wrap-pure policy, and no user annotations. *)
 
 val injectable : t -> declared:string list -> string list
 (** All exception classes injectable into a method with the given
@@ -105,4 +102,5 @@ val fingerprint : t -> string
     legacy token [eager], because both modes yield identical run
     records, and pinning the token keeps fingerprints recorded before
     copy-on-write became the default (plans, cache keys, store entries)
-    valid. *)
+    valid.  The slot of the retired checkpoint-strategy field is pinned
+    to [eager] the same way. *)

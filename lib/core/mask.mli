@@ -2,7 +2,10 @@
 
     Failure non-atomic methods are wrapped in atomicity wrappers that
     checkpoint the receiver's object graph on entry and roll it back
-    before re-raising on exceptional exit.  Per Definition 3 the default
+    before re-raising on exceptional exit.  Every wrapper — the
+    load-time filter, the woven source-flavor hooks and the production
+    wrappers of [Failatom_prod.Armed] — takes the same copy-on-write
+    {!Failatom_runtime.Checkpoint} through {!enter} / {!leave}.  Per Definition 3 the default
     policy wraps only pure failure non-atomic methods.  Both of the
     paper's implementation flavors are provided: a load-time filter for
     compiled programs and a source-to-source rewrite producing the
@@ -17,8 +20,22 @@ val targets : Config.t -> Classify.t -> Method_id.Set.t
 
 val checkpoint_roots : Config.t -> Value.t -> Value.t list -> Value.t list
 (** The roots a wrapped call protects: the receiver, plus the reference
-    arguments when [snapshot_args] is set.  Shared with the production
-    armed wrappers so both rollback engines cover the same graph. *)
+    arguments when [snapshot_args] is set. *)
+
+type entries
+(** Per-thread stacks of the checkpoints of wrapped calls in progress.
+    Nested wrapped calls push and pop in LIFO order; under a preemptive
+    schedule each thread's calls stay on their own stack. *)
+
+val entries : unit -> entries
+
+val enter : Config.t -> entries -> Vm.t -> Value.t -> Value.t list -> unit
+(** [enter config entries vm recv args] checkpoints a wrapped call's
+    {!checkpoint_roots} on the calling thread's stack. *)
+
+val leave : entries -> Vm.t -> rollback:bool -> unit
+(** Pops the calling thread's innermost checkpoint, rolls it back when
+    [rollback], and disposes it.  No-op on an empty stack. *)
 
 val masking_filter : Config.t -> Vm.filter
 (** A fresh atomicity filter (Listing 2 as a pre/post filter).  One

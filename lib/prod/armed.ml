@@ -1,23 +1,14 @@
 (* Armed production wrappers: masking without the detection machinery.
 
    The hot path is a normal call through a wrapped method: entry takes
-   the protection (a checkpoint, or an O(1) shadow open), exit releases
+   the copy-on-write checkpoint (an O(1) shadow open), exit releases
    it.  Rollback only happens on exceptional exits, which production
-   masking exists to absorb — so the COW engine moves all graph-sized
-   work onto that rare path. *)
+   masking exists to absorb — so all graph-sized work sits on that rare
+   path. *)
 
 open Failatom_core
 open Failatom_runtime
 module Obs = Failatom_obs.Obs
-
-type rollback = Rb_checkpoint | Rb_cow
-
-let rollback_name = function Rb_checkpoint -> "checkpoint" | Rb_cow -> "cow"
-
-let rollback_of_name = function
-  | "checkpoint" -> Some Rb_checkpoint
-  | "cow" -> Some Rb_cow
-  | _ -> None
 
 type method_stats = {
   mutable ms_calls : int;
@@ -27,16 +18,13 @@ type method_stats = {
 }
 
 type t = {
-  rollback : rollback;
   config : Config.t;
   targets : Method_id.Set.t;
   stats : (Method_id.t, method_stats) Hashtbl.t;
 }
 
-let create ?(rollback = Rb_checkpoint) ~config ~targets () =
-  { rollback; config; targets; stats = Hashtbl.create 16 }
+let create ~config ~targets () = { config; targets; stats = Hashtbl.create 16 }
 
-let rollback_mode t = t.rollback
 let targets t = t.targets
 
 let stats_of t id =
@@ -60,96 +48,15 @@ let c_hits = Obs.counter "mask.hits"
 let h_wrap = Obs.histogram ~unit_:Obs.Ns "mask.wrap_ns"
 let h_rollback = Obs.histogram ~unit_:Obs.Ns "mask.rollback_ns"
 
-(* The call's protection, taken at entry.  The COW entry keeps its
-   roots plus the heap write generation and the calling thread's own
-   write count at entry: the rollback must restore only the graph those
-   roots reached at entry time, to stay bitwise-identical to a
-   checkpoint of the same roots. *)
-type entry =
-  | Cp of Checkpoint.t
-  | Sh of {
-      sh : Shadow.t;
-      roots : Value.t list;
-      tid : int;
-      gen : int;
-      own : int;
-      mark : Value.obj_id;  (* allocation watermark at entry *)
-    }
-
-let take t vm recv args =
-  match t.rollback with
-  | Rb_checkpoint ->
-    Cp
-      (Checkpoint.take ~strategy:t.config.Config.checkpoint_strategy vm.Vm.heap
-         (Mask.checkpoint_roots t.config recv args))
-  | Rb_cow ->
-    let heap = vm.Vm.heap in
-    let tid = vm.Vm.cur_tid in
-    Sh
-      { sh = Shadow.open_ heap;
-        roots = Mask.checkpoint_roots t.config recv args;
-        tid;
-        gen = Heap.write_gen heap;
-        own = Heap.writes_by_tid heap tid;
-        mark = heap.Heap.next_id }
-
-(* With no foreign write during the call, every dirty object that
-   already existed at entry was reachable from the entry roots (the
-   body has no other source of references), so restoring every saved
-   object below the entry allocation watermark equals the checkpoint
-   restore — in O(dirty), without traversing clean objects.  Objects
-   allocated during the call (including the in-flight exception) stay
-   as they are, exactly as a checkpoint of the entry graph leaves them.
-   When another thread did write during the call, its saves share our
-   shadow, so fall back to filtering by entry-time reachability to
-   leave the foreign thread's unrelated work in place. *)
-let cow_rollback (sh : Shadow.t) roots ~tid ~gen ~own ~mark =
-  if Shadow.dirty_count sh > 0 then begin
-    let heap = Shadow.heap sh in
-    let foreign =
-      Heap.write_gen heap - gen > Heap.writes_by_tid heap tid - own
-    in
-    if not foreign then
-      Shadow.iter_saved sh (fun id payload ->
-          if id < mark then Heap.restore_payload heap id payload)
-    else begin
-      let read = Shadow.read_before sh in
-      let reachable = Object_graph.reachable_via read roots in
-      Shadow.iter_saved sh (fun id payload ->
-          if Hashtbl.mem reachable id then Heap.restore_payload heap id payload)
-    end
-  end
-
-let release entry ~rollback =
-  match entry with
-  | Cp cp ->
-    if rollback then Checkpoint.rollback cp;
-    Checkpoint.dispose cp
-  | Sh { sh; roots; tid; gen; own; mark } ->
-    if rollback then cow_rollback sh roots ~tid ~gen ~own ~mark;
-    Shadow.close sh
-
 (* One filter per armed method: the stats record is resolved once, at
-   arm time, keeping the per-call path free of method-id lookups.  The
-   entry stacks are per-thread (recursion nests; preemptive schedules
-   interleave threads) — mirroring Mask.masking_filter. *)
+   arm time, keeping the per-call path free of method-id lookups. *)
 let filter_for t ms =
-  let stacks : (int, entry list) Hashtbl.t = Hashtbl.create 4 in
-  let stack_of vm =
-    Option.value ~default:[] (Hashtbl.find_opt stacks vm.Vm.cur_tid)
-  in
-  let pop vm ~rollback =
-    match stack_of vm with
-    | [] -> ()
-    | entry :: rest ->
-      Hashtbl.replace stacks vm.Vm.cur_tid rest;
-      release entry ~rollback
-  in
+  let entries = Mask.entries () in
   { Vm.filt_name = "armed";
     pre =
       (fun vm _meth recv args ->
         let t0 = Obs.now_ns () in
-        Hashtbl.replace stacks vm.Vm.cur_tid (take t vm recv args :: stack_of vm);
+        Mask.enter t.config entries vm recv args;
         let dt = Obs.now_ns () - t0 in
         ms.ms_calls <- ms.ms_calls + 1;
         ms.ms_wrap_ns <- ms.ms_wrap_ns + dt;
@@ -160,7 +67,7 @@ let filter_for t ms =
       (fun vm _meth _recv _args result ->
         let t0 = Obs.now_ns () in
         let rollback = Result.is_error result in
-        pop vm ~rollback;
+        Mask.leave entries vm ~rollback;
         let dt = Obs.now_ns () - t0 in
         if rollback then begin
           ms.ms_hits <- ms.ms_hits + 1;
@@ -175,7 +82,7 @@ let filter_for t ms =
         (* Deadline or scheduler unwind: exceptional exit without a
            [post]; roll back so the abort cannot publish a half-mutated
            graph, and release the entry so nothing leaks. *)
-        pop vm ~rollback:true) }
+        Mask.leave entries vm ~rollback:true) }
 
 let arm t vm =
   Vm.iter_methods vm (fun _cls meth ->

@@ -21,15 +21,14 @@ type perturb_spec = {
 type run_report = { output : string; escaped : string option }
 type result = { scorecard : Scorecard.t; runs : run_report list }
 
-let run ?(config = Config.default) ?(rollback = Armed.Rb_checkpoint) ?perturb
-    ?policy ?(times = 1) ~plan program =
+let run ?(config = Config.default) ?perturb ?policy ?(times = 1) ~plan program =
   let digest = Minilang.program_digest program in
   match Plan.validate plan ~program_digest:digest with
   | Error msg -> Error msg
   | Ok () ->
     let targets = Plan.target_set plan in
     let image = Compile.image program in
-    let armed = Armed.create ~rollback ~config ~targets () in
+    let armed = Armed.create ~config ~targets () in
     let perturb =
       Option.map
         (fun spec ->

@@ -32,7 +32,10 @@ type timing_row = { t_id : Method_id.t; t_wrap_ns : int; t_rollback_ns : int }
 
 type t = {
   program_digest : string;
-  rollback : string;  (** "checkpoint" / "cow" *)
+  rollback : string;
+      (** the rollback engine: always ["cow"] when built; files written
+          before copy-on-write became the only engine may say
+          ["checkpoint"] *)
   seed : int;
   rate : int;  (** per-mille *)
   point : string;  (** "entry" / "exit" *)

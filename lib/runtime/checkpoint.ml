@@ -1,75 +1,77 @@
-(* Checkpoint / rollback of object graphs (paper Listing 2).
+(* Checkpoint / rollback of object graphs (paper Listing 2), as the
+   copy-on-write variant suggested in its §6.2.
 
-   A checkpoint captures, for every object reachable from its roots, a
-   copy of that object's payload keyed by the object's identity.
-   Rollback restores the captured payloads *in place*, so every alias of
-   a checkpointed object observes the rolled-back state — exactly the
-   paper's [replace(this, objgraph)].  Objects allocated after the
-   checkpoint become garbage after rollback and are reclaimed by
+   A checkpoint opens a {!Shadow} and records, besides its roots, the
+   heap's write generation, the calling thread's own write count and
+   the allocation watermark at entry.  Rollback restores saved payloads
+   *in place*, so every alias of a checkpointed object observes the
+   rolled-back state — the paper's [replace(this, objgraph)].  Objects
+   allocated after the checkpoint are never restored (the in-flight
+   exception among them); the ones that become garbage are reclaimed by
    {!Gc_heap.collect} (the paper used reference counting plus an
-   off-the-shelf collector for cycles).
+   off-the-shelf collector for cycles). *)
 
-   Two strategies are provided:
-   - [Eager]: traverse the graph at checkpoint time and copy every
-     reachable payload up front (the paper's implementation);
-   - [Lazy]: copy-on-write — the optimization suggested in §6.2 of the
-     paper for large objects, implemented as a {!Shadow}: nothing is
-     copied up front; the heap's write barrier saves an object's payload
-     the first time it is mutated while the checkpoint is active.
-     Shadows nest, so nested wrapped calls each get a correct
-     snapshot. *)
+type t = {
+  sh : Shadow.t;
+  roots : Value.t list;
+  closed : bool;  (* the roots reach everything the protected code can *)
+  tid : int;
+  gen : int;  (* heap write generation at entry *)
+  own : int;  (* the thread's own write count at entry *)
+  mark : Value.obj_id;  (* allocation watermark at entry *)
+}
 
-type strategy = Eager | Lazy
+let take ?(closed = false) heap roots =
+  let tid = heap.Heap.cur_tid in
+  { sh = Shadow.open_ heap;
+    roots;
+    closed;
+    tid;
+    gen = Heap.write_gen heap;
+    own = Heap.writes_by_tid heap tid;
+    mark = heap.Heap.next_id }
 
-type t =
-  | Eager_cp of { heap : Heap.t; saved : (Value.obj_id, Heap.payload) Hashtbl.t }
-  | Lazy_cp of Shadow.t
+let size t = Shadow.dirty_count t.sh
+let dispose t = Shadow.close t.sh
 
-let reachable_ids heap roots =
-  let visited = Hashtbl.create 64 in
-  let rec visit v =
-    match (v : Value.t) with
-    | Value.Int _ | Value.Bool _ | Value.Str _ | Value.Null -> ()
-    | Value.Ref id ->
-      if not (Hashtbl.mem visited id) then begin
-        Hashtbl.replace visited id ();
-        List.iter (fun r -> visit (Value.Ref r)) (Heap.successors heap id)
-      end
-  in
-  List.iter visit roots;
-  visited
+(* When the checkpoint is closed and no other thread wrote during the
+   window, every dirty object that existed at entry was reachable from
+   the roots, so restoring each saved object below the watermark equals
+   restoring the entry graph — in O(dirty), without traversing clean
+   objects.  Otherwise the dirty set may hold objects outside that
+   graph: another thread's unrelated work (its saves share our shadow),
+   or a reference argument the roots leave out.  Restore only what the
+   entry-time graph reaches, read through the shadow's before-state. *)
+let rollback t =
+  if Shadow.dirty_count t.sh > 0 then begin
+    let heap = Shadow.heap t.sh in
+    let foreign = Heap.write_gen heap - t.gen > Heap.writes_by_tid heap t.tid - t.own in
+    if t.closed && not foreign then
+      Shadow.iter_saved t.sh (fun id payload ->
+          if id < t.mark then Heap.restore_payload heap id payload)
+    else begin
+      let reachable = Object_graph.reachable_via (Shadow.read_before t.sh) t.roots in
+      Shadow.iter_saved t.sh (fun id payload ->
+          if Hashtbl.mem reachable id then Heap.restore_payload heap id payload)
+    end
+  end
 
-(* Takes a checkpoint covering everything reachable from [roots]. *)
-let take ?(strategy = Eager) heap roots =
-  match strategy with
-  | Eager ->
+let with_checkpoint heap roots f =
+  let cp = take heap roots in
+  Fun.protect ~finally:(fun () -> dispose cp) (fun () -> f cp)
+
+module Eager = struct
+  type t = { heap : Heap.t; saved : (Value.obj_id, Heap.payload) Hashtbl.t }
+
+  let take heap roots =
     let saved = Hashtbl.create 64 in
-    let ids = reachable_ids heap roots in
     Hashtbl.iter
       (fun id () -> Hashtbl.replace saved id (Heap.copy_payload (Heap.get heap id)))
-      ids;
-    Eager_cp { heap; saved }
-  | Lazy -> Lazy_cp (Shadow.open_ heap)
+      (Object_graph.reachable_via (Heap.get heap) roots);
+    { heap; saved }
 
-(* Number of payloads captured so far (for lazy checkpoints this grows
-   as the wrapped call mutates state). *)
-let size = function
-  | Eager_cp { saved; _ } -> Hashtbl.length saved
-  | Lazy_cp shadow -> Shadow.dirty_count shadow
+  let size t = Hashtbl.length t.saved
 
-(* Detaches a lazy checkpoint from the write barrier.  Must be called
-   exactly once, whether or not the checkpoint was rolled back. *)
-let dispose = function
-  | Eager_cp _ -> ()
-  | Lazy_cp shadow -> Shadow.close shadow
-
-(* Rolls every captured object back to its checkpointed payload. *)
-let rollback = function
-  | Eager_cp { heap; saved } ->
-    Hashtbl.iter (fun id payload -> Heap.restore_payload heap id payload) saved
-  | Lazy_cp shadow ->
-    Shadow.iter_saved shadow (Heap.restore_payload (Shadow.heap shadow))
-
-let with_checkpoint ?strategy heap roots f =
-  let cp = take ?strategy heap roots in
-  Fun.protect ~finally:(fun () -> dispose cp) (fun () -> f cp)
+  let rollback t =
+    Hashtbl.iter (fun id payload -> Heap.restore_payload t.heap id payload) t.saved
+end

@@ -6,8 +6,8 @@
    barrier feeds two consumers:
 
    - the heap's own stack of active {e shadows} — copy-on-write
-     dirty-set/saved-payload records underlying both the lazy
-     checkpoint strategy of {!Checkpoint} and the differential
+     dirty-set/saved-payload records underlying both the
+     checkpoints of {!Checkpoint} and the differential
      detection snapshots of the injector (see {!Shadow});
    - an optional external hook ([on_write]), kept for tests and tools.
 
@@ -214,6 +214,18 @@ let shadow_record h sh id copy =
 let shadow_has sh id =
   match sh.shadow_saved with Some tbl -> Hashtbl.mem tbl id | None -> false
 
+(* Records [id] into the active shadows innermost-first, up to the
+   first one that already holds it: the barrier's general case, and
+   how {!restore_payload} keeps other shadows' before-states. *)
+let rec save_innermost_first h id copy = function
+  | [] -> ()
+  | sh :: older ->
+    if sh.shadow_active && shadow_has sh id then ()
+    else begin
+      shadow_record h sh id copy;
+      save_innermost_first h id copy older
+    end
+
 let barrier h id =
   h.barrier_hits <- h.barrier_hits + 1;
   stamp h id;
@@ -235,18 +247,7 @@ let barrier h id =
          Hashtbl.replace saved id (copy_payload p);
          note_tid h sh id
        | None -> ())
-   | shadows ->
-     let copy = ref None in
-     let rec save = function
-       | [] -> ()
-       | sh :: older ->
-         if sh.shadow_active && shadow_has sh id then ()
-         else begin
-           shadow_record h sh id copy;
-           save older
-         end
-     in
-     save shadows);
+   | shadows -> save_innermost_first h id (ref None) shadows);
   match h.on_write with None -> () | Some f -> f id
 
 (* A free is the terminal mutation: firing the barrier first lets every
@@ -303,9 +304,15 @@ let set_elem h id i v =
   | Obj _ -> invalid_arg "Heap.set_elem: object"
 
 (* Restores a previously copied payload in place, bypassing the write
-   barrier (rollback must not re-trigger checkpointing). *)
+   barrier's hook and hit count (rollback must not re-trigger
+   checkpointing).  Active shadows that hold no copy of [id] yet still
+   save its pre-restore payload: under interleaved threads one thread's
+   rollback can rewrite an object that another thread's shadow never
+   saw written, and that shadow's before-state must not change under
+   it.  The rolling-back shadow itself already holds the object. *)
 let restore_payload h id payload =
   if mem h id then begin
+    save_innermost_first h id (ref None) h.shadows;
     h.store.(id) <- Some (copy_payload payload);
     stamp h id
   end

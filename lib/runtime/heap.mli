@@ -4,7 +4,7 @@
     by an integer identity.  The heap exposes a write barrier that fires
     before any mutation (or {!free}) of an object's payload.  The
     barrier feeds the heap's own stack of active copy-on-write
-    {!type-shadow}s — the dirty-set/saved-payload layer shared by lazy
+    {!type-shadow}s — the dirty-set/saved-payload layer shared by
     checkpoints ({!Checkpoint}) and differential detection snapshots
     ({!Shadow}) — and then an optional external hook
     ({!field-on_write}). *)
@@ -155,8 +155,11 @@ val copy_payload : payload -> payload
 
 val restore_payload : t -> Value.obj_id -> payload -> unit
 (** Restores a previously copied payload in place, bypassing the write
-    barrier (rollback must not re-trigger checkpointing).  No-op if the
-    object no longer exists. *)
+    barrier's {!field-on_write} hook (rollback must not re-trigger
+    checkpointing).  Active shadows that hold no copy of the object yet
+    save its pre-restore payload, so a rollback on one thread never
+    changes the before-state another thread's shadow reads.  No-op if
+    the object no longer exists. *)
 
 val successors : t -> Value.obj_id -> Value.obj_id list
 (** Direct successors: every reference stored in the object. *)

@@ -236,9 +236,9 @@ let reaches_dirty read ~dirty roots =
 (* The ids reachable from [roots] through [read].  With a shadow's
    [read_before] this is the entry-time reachable set of a wrapped
    call — the objects a checkpoint of the same roots would have covered.
-   The COW fast-rollback wrapper intersects it with the shadow's dirty
-   set so it restores exactly what an eager checkpoint would restore,
-   and nothing outside the protected graph. *)
+   Checkpoint rollback intersects it with the shadow's dirty set so it
+   restores exactly what an eager checkpoint would restore, and nothing
+   outside the protected graph. *)
 let reachable_via read roots =
   let visited = Hashtbl.create 64 in
   let rec visit v =

@@ -88,9 +88,9 @@ val reachable_via :
 (** The set of ids reachable from the roots through the given payload
     lookup.  With {!Shadow.read_before} this is the entry-time reachable
     set of a wrapped call: exactly the ids an eager checkpoint of the
-    same roots would have covered.  Used by the production COW rollback
-    to restore dirty payloads inside the protected graph and no
-    others. *)
+    same roots would have covered.  Used by {!Checkpoint.rollback} to
+    restore dirty payloads inside the protected graph and no others,
+    and by {!Checkpoint.Eager} to pick what it copies. *)
 
 val equal : node -> node -> bool
 (** Object-graph identity per Definition 1.  The precomputed structural

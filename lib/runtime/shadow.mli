@@ -4,8 +4,9 @@
     the pre-write payload of every object mutated (or freed) while it is
     active.  Opening is O(1); the shadow's cost is proportional to the
     number of objects actually touched, not to any graph size.  This is
-    the shared dirty-set/saved-payload layer behind both the [Lazy]
-    strategy of {!Checkpoint} and the differential detection snapshots
+    the shared dirty-set/saved-payload layer behind both the
+    copy-on-write checkpoints of {!Checkpoint} — the rollback engine of
+    every atomicity wrapper — and the differential detection snapshots
     of {!Failatom_core.Injection} (paper §6.2).
 
     Shadows nest freely (one per wrapped call); the heap keeps the

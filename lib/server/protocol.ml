@@ -68,7 +68,6 @@ type job_request = {
   (* production (produce-mode) parameters; all absent on the wire for
      the other modes, so older peers interoperate unchanged *)
   plan : string option;  (* failatom.plan/1 JSON text *)
-  rollback : string option;  (* "checkpoint" | "cow"; None = checkpoint *)
   perturb_rate : int option;  (* canary rate per mille; None/0 = off *)
   perturb_seed : int option;
   perturb_max : int option;
@@ -89,7 +88,6 @@ let default_request mode program =
     jobs = None;
     run_timeout_s = None;
     plan = None;
-    rollback = None;
     perturb_rate = None;
     perturb_seed = None;
     perturb_max = None;
@@ -167,7 +165,6 @@ let request_to_json = function
         ("jobs", opt (fun n -> Json.Int n) r.jobs);
         ("run_timeout_s", opt (fun s -> Json.Float s) r.run_timeout_s);
         ("plan", opt (fun s -> Json.Str s) r.plan);
-        ("rollback", opt (fun s -> Json.Str s) r.rollback);
         ("perturb_rate", opt (fun n -> Json.Int n) r.perturb_rate);
         ("perturb_seed", opt (fun n -> Json.Int n) r.perturb_seed);
         ("perturb_max", opt (fun n -> Json.Int n) r.perturb_max);
@@ -289,6 +286,14 @@ let submit_of_json j =
     | None | Some ("eager" | "cow") -> Ok ()
     | Some s -> Error ("unknown snapshot mode " ^ s)
   in
+  let* () =
+    (* Older clients may name the retired rollback engine; both run
+       the copy-on-write checkpoint, which restores what the eager
+       one did. *)
+    match Json.str_member "rollback" j with
+    | None | Some ("checkpoint" | "cow") -> Ok ()
+    | Some s -> Error (Printf.sprintf "unknown rollback engine %S" s)
+  in
   let* prune =
     (* Absent on the wire means off: an older client never prunes. *)
     match Json.str_member "prune" j with
@@ -342,7 +347,6 @@ let submit_of_json j =
          jobs;
          run_timeout_s;
          plan = Json.str_member "plan" j;
-         rollback = Json.str_member "rollback" j;
          perturb_rate;
          perturb_seed;
          perturb_max;

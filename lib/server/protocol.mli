@@ -51,7 +51,6 @@ type job_request = {
   plan : string option;
       (** produce mode: [failatom.plan/1] JSON text; required there,
           absent on the wire for every other mode *)
-  rollback : string option;  (** ["checkpoint"] / ["cow"]; [None] = checkpoint *)
   perturb_rate : int option;  (** canary rate per mille; [None]/[0] = off *)
   perturb_seed : int option;
   perturb_max : int option;  (** cap on total canary fires *)
@@ -126,7 +125,10 @@ val request_of_json : Json.t -> (request, string) result
 (** A submit may still carry the retired ["snapshot"] field of older
     clients: ["eager"] or ["cow"] is accepted and ignored (detection
     always takes copy-on-write snapshots), any other value is an
-    error. *)
+    error.  The retired ["rollback"] field is handled the same way:
+    ["checkpoint"] or ["cow"] is accepted and ignored (every wrapper
+    rolls back through the copy-on-write checkpoint), any other value
+    is an ["unknown rollback engine"] error. *)
 
 val result_of_json : Json.t -> (job_result, string) result
 val event_of_json : Json.t -> (event, string) result

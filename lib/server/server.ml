@@ -93,7 +93,6 @@ let default_config ~socket_path =
    clean protocol error rather than a job failure. *)
 type produce = {
   pr_plan : Prod.Plan.t;
-  pr_rollback : Prod.Armed.rollback;
   pr_perturb : Prod.Produce.perturb_spec option;
   pr_times : int;
 }
@@ -305,14 +304,6 @@ let prepare_request t (r : Protocol.job_request) : (prepared, string) result =
       (* Stale plans are refused at submit time: a plan computed for a
          different program must not arm wrappers. *)
       let* () = Prod.Plan.validate pr_plan ~program_digest:digest in
-      let* pr_rollback =
-        match r.Protocol.rollback with
-        | None -> Ok Prod.Armed.Rb_checkpoint
-        | Some name -> (
-          match Prod.Armed.rollback_of_name name with
-          | Some rb -> Ok rb
-          | None -> Error (Printf.sprintf "unknown rollback engine %S" name))
-      in
       let* pr_perturb =
         match Option.value ~default:0 r.Protocol.perturb_rate with
         | 0 -> Ok None
@@ -338,7 +329,6 @@ let prepare_request t (r : Protocol.job_request) : (prepared, string) result =
       Ok
         (Some
            { pr_plan;
-             pr_rollback;
              pr_perturb;
              pr_times = max 1 (Option.value ~default:1 r.Protocol.times) })
   in
@@ -460,7 +450,7 @@ let execute t (job : job) =
         (* No detection: arm straight from the (already-validated)
            plan and run the workload under the armed wrappers. *)
         match
-          Prod.Produce.run ~rollback:pr.pr_rollback ?perturb:pr.pr_perturb
+          Prod.Produce.run ?perturb:pr.pr_perturb
             ~times:pr.pr_times ~plan:pr.pr_plan program
         with
         | Error msg -> Error (`Failed msg)

@@ -255,7 +255,7 @@ let test_memo_rollback_invalidates () =
   let memo = Object_graph.Memo.create () in
   let roots = [ Value.Ref root ] in
   let before = Object_graph.Memo.canonical_many memo heap roots in
-  Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap roots (fun cp ->
+  Checkpoint.with_checkpoint heap roots (fun cp ->
       Heap.set_field heap root "n" (Value.Int 1);
       ignore (Object_graph.Memo.canonical_many memo heap roots);
       Checkpoint.rollback cp);
@@ -283,11 +283,11 @@ let memo_incremental_prop =
       let ok = ref true in
       for _round = 1 to 6 do
         (if Random.State.bool rs then
-           Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap roots
+           Checkpoint.with_checkpoint heap roots
              (fun cp ->
-               Test_checkpoint.mutate_randomly heap rs ids steps;
+               Test_checkpoint.mutate_randomly heap rs ~targets:ids ids steps;
                if Random.State.bool rs then Checkpoint.rollback cp)
-         else Test_checkpoint.mutate_randomly heap rs ids steps);
+         else Test_checkpoint.mutate_randomly heap rs ~targets:ids ids steps);
         let memoized = Object_graph.Memo.canonical_many memo heap roots in
         let scratch = Object_graph.canonical_many heap roots in
         if not (Object_graph.equal memoized scratch) then ok := false;

@@ -1,7 +1,8 @@
 (* Masking-phase tests: the headline theorem of the paper — after
    masking, re-detection finds no failure non-atomic method — plus
-   policies, do-not-wrap exclusions, checkpoint strategies, and
-   semantic transparency of the corrected program. *)
+   policies, do-not-wrap exclusions, the copy-on-write checkpoint every
+   wrapper rolls back with, and semantic transparency of the corrected
+   program. *)
 
 open Failatom_core
 open Failatom_apps
@@ -121,11 +122,170 @@ let test_rollback_semantics_end_to_end () =
   Alcotest.(check bool) "masked repairs (count 9)" true
     (contains ~needle:"count after leak: 9" (Failatom_minilang.Minilang.output vm))
 
-let masking_strategy_works strategy () =
-  let config = { Config.default with Config.checkpoint_strategy = strategy } in
-  let _, residual = residual_non_atomic ~config Synthetic.source in
-  Alcotest.(check (list string)) "no residual (strategy)" []
-    (List.map Method_id.to_string residual)
+(* The theorem under the copy-on-write checkpoint — the lazy strategy:
+   payloads are copied on their first write, not at entry — and under
+   both root policies: receiver plus reference arguments (closed
+   checkpoints), and the receiver-only policy of the paper's Java
+   flavor, whose checkpoints leave reference arguments out and roll
+   back through the entry-reachability filter. *)
+let test_lazy_masking_closes () =
+  List.iter
+    (fun snapshot_args ->
+      let config = { Config.default with Config.snapshot_args } in
+      let _, residual = residual_non_atomic ~config Synthetic.source in
+      Alcotest.(check (list string))
+        (Printf.sprintf "no residual (snapshot_args=%b)" snapshot_args)
+        [] (List.map Method_id.to_string residual))
+    [ true; false ]
+
+(* The copy-on-write rollback against the eager strategy of paper
+   Listing 2: an outer filter takes a {!Checkpoint.Eager} copy at every
+   masked call's entry and, once the masking filter inside it has
+   rolled an exceptional exit back, applies the eager rollback too —
+   which must then change no payload on the heap. *)
+let payload_repr heap id =
+  let module Heap = Failatom_runtime.Heap in
+  match Heap.get heap id with
+  | Heap.Obj { cls; fields } ->
+    `Obj (cls, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fields []))
+  | Heap.Arr a -> `Arr (Array.to_list a)
+
+let heap_repr heap =
+  let module Heap = Failatom_runtime.Heap in
+  List.init (heap.Heap.next_id - 1) (fun i ->
+      let id = i + 1 in
+      if Heap.mem heap id then Some (payload_repr heap id) else None)
+
+let test_eager_reference_agrees () =
+  let module Vm = Failatom_runtime.Vm in
+  let module Eager = Failatom_runtime.Checkpoint.Eager in
+  let config = Config.default in
+  let outcome = Mask.correct ~config (parse Synthetic.source) in
+  let vm = Failatom_minilang.Compile.program (parse Synthetic.source) in
+  Mask.attach_masking config ~targets:outcome.Mask.wrapped vm;
+  let stack = Stack.create () and compared = ref 0 in
+  let reference =
+    { Vm.filt_name = "eager-reference";
+      pre =
+        (fun vm _meth recv args ->
+          Stack.push
+            (Eager.take vm.Vm.heap (Mask.checkpoint_roots config recv args))
+            stack;
+          Vm.Proceed);
+      post =
+        (fun vm meth _recv _args result ->
+          let eager = Stack.pop stack in
+          if Result.is_error result then begin
+            incr compared;
+            let after_cow = heap_repr vm.Vm.heap in
+            Eager.rollback eager;
+            if heap_repr vm.Vm.heap <> after_cow then
+              Alcotest.failf "%s.%s: the eager rollback restored a payload the \
+                              copy-on-write rollback left" meth.Vm.meth_class
+                meth.Vm.meth_name
+          end;
+          Vm.Pass);
+      unwind = (fun _vm _meth -> ignore (Stack.pop stack)) }
+  in
+  Vm.iter_methods vm (fun _cls meth ->
+      let id = Method_id.make meth.Vm.meth_class meth.Vm.meth_name in
+      if Method_id.Set.mem id outcome.Mask.wrapped then Vm.attach_filter meth reference);
+  ignore (Failatom_minilang.Compile.run_main vm);
+  Alcotest.(check bool) "some masked call exited exceptionally" true (!compared > 0)
+
+(* Every wrapper — load-time filter, woven hooks, production wrapper —
+   runs [src] with [targets] masked under [config]; returns the three
+   outputs, labelled. *)
+let masked_outputs config ~targets src =
+  let module Compile = Failatom_minilang.Compile in
+  let program = parse src in
+  let run vm =
+    ignore (Compile.run_main vm);
+    Failatom_minilang.Minilang.output vm
+  in
+  let binary = Compile.program program in
+  Mask.attach_masking config ~targets binary;
+  let armed = Compile.program program in
+  Failatom_prod.Armed.arm (Failatom_prod.Armed.create ~config ~targets ()) armed;
+  [ ("binary", run binary);
+    ("source", run (Mask.load_corrected config ~targets program));
+    ("armed", run armed) ]
+
+(* With [snapshot_args = false] the checkpoint covers the receiver
+   only: a reference argument the call mutates keeps its write, as
+   under an eager checkpoint of the same roots, while the receiver is
+   rolled back. *)
+let arg_outside_roots_src =
+  {|
+class Box {
+  field v;
+  method init() { this.v = 0; return this; }
+}
+class C {
+  field n;
+  method init() { this.n = 0; return this; }
+  method m(b) throws IllegalStateException {
+    this.n = this.n + 1;
+    b.v = b.v + 1;
+    throw new IllegalStateException("boom");
+  }
+}
+function main() {
+  var c = new C();
+  var b = new Box();
+  try { c.m(b); } catch (IllegalStateException e) { }
+  println("n=" + c.n + " v=" + b.v);
+  return 0;
+}
+|}
+
+let test_receiver_roots_only () =
+  let config = { Config.default with Config.snapshot_args = false } in
+  let targets = Method_id.Set.singleton (Method_id.make "C" "m") in
+  List.iter
+    (fun (wrapper, out) -> Alcotest.(check string) wrapper "n=0 v=1\n" out)
+    (masked_outputs config ~targets arg_outside_roots_src)
+
+(* A rollback never rewinds objects allocated during the call: the
+   exception the wrapped method constructs (and initializes field by
+   field) reaches the handler intact. *)
+let exception_in_call_src =
+  {|
+class Boom extends Exception {
+  field code;
+  method init(m, k) { this.message = m; this.code = k; return this; }
+}
+class Counter {
+  field n;
+  method init() { this.n = 0; return this; }
+  method bump() throws Boom {
+    this.n = this.n + 42;
+    throw new Boom("boom", this.n);
+  }
+}
+function main() {
+  var c = new Counter();
+  try { c.bump(); } catch (Boom e) { println("caught " + e.message + " " + e.code); }
+  println("n=" + c.n);
+  return 0;
+}
+|}
+
+let test_rollback_spares_new_objects () =
+  let targets = Method_id.Set.singleton (Method_id.make "Counter" "bump") in
+  List.iter
+    (fun (wrapper, out) -> Alcotest.(check string) wrapper "caught boom 42\nn=0\n" out)
+    (masked_outputs Config.default ~targets exception_in_call_src)
+
+(* Masked runs of every catalog app, in both flavors, against the
+   golden rollback table (produced under eager checkpoints). *)
+let test_masked_runs_golden () =
+  List.iter
+    (fun (a : Registry.t) ->
+      let name = a.Registry.name in
+      Rollback_golden.check ("mask-binary " ^ name);
+      Rollback_golden.check ("mask-source " ^ name))
+    Registry.catalog
 
 (* Binary flavor masking: attach atomicity filters to a compiled VM and
    observe rollback without any source rewriting. *)
@@ -178,10 +338,30 @@ let test_masking_closes_apps () =
 (* Regression: an OCaml-level abort (deadline, scheduler unwind)
    unwinding through a masked call never runs the filter's [post] — the
    wrapper's [unwind] hook must pop the entry, roll it back, and
-   dispose it.  Before the hook existed the entry leaked: under the
-   lazy strategy its shadow stayed attached to the write barrier
-   forever, and the aborted call's mutations survived. *)
-let unwind_leak_src =
+   dispose it.  Before the hook existed the entry leaked: a
+   copy-on-write checkpoint's shadow stayed attached to the write
+   barrier forever, and the aborted call's mutations survived.  The
+   abort lands either before the call's first write (a clean shadow to
+   release) or after it (a dirty one to roll back as well). *)
+let unwind_early_src =
+  {|
+class Spin {
+  field x;
+  method init() { this.x = 0; return this; }
+  method spin() throws IllegalStateException {
+    var i = 0;
+    while (0 < 1) { i = i + 1; }
+    this.x = i;
+    return this.x;
+  }
+}
+function main() {
+  var s = new Spin();
+  return s.spin();
+}
+|}
+
+let unwind_late_src =
   {|
 class Spin {
   field x;
@@ -198,13 +378,12 @@ function main() {
 }
 |}
 
-let check_unwind_releases_checkpoint strategy () =
+let check_unwind_releases_checkpoint src () =
   let module Vm = Failatom_runtime.Vm in
   let module Heap = Failatom_runtime.Heap in
   let module Value = Failatom_runtime.Value in
-  let config = { Config.default with Config.checkpoint_strategy = strategy } in
-  let vm = Failatom_minilang.Compile.program (parse unwind_leak_src) in
-  Mask.attach_masking config
+  let vm = Failatom_minilang.Compile.program (parse src) in
+  Mask.attach_masking Config.default
     ~targets:(Method_id.Set.singleton (Method_id.make "Spin" "spin"))
     vm;
   Vm.arm_deadline vm ~timeout_s:0.05;
@@ -230,46 +409,20 @@ let check_unwind_releases_checkpoint strategy () =
 (* Production wrappers on the concurrent apps: per-thread entry stacks
    and per-thread COW dirty sets must keep interleaved wrapped calls
    independent.  Under each preemptive schedule, a canaried production
-   run must be byte-identical between the two rollback engines, roll
-   back at least once, and validate every perturbation. *)
-let check_concurrent_production name flavor () =
-  let module Sched = Failatom_runtime.Sched in
-  let module Plan = Failatom_prod.Plan in
-  let module Armed = Failatom_prod.Armed in
-  let module Perturb = Failatom_prod.Perturb in
+   run must match the golden rollback table (outputs and scorecard
+   core, as the eager checkpoint produced them), roll back at least
+   once, and validate every perturbation.  The plan comes from a sweep
+   detection, so the seeded schedule-only violations are wrapped like
+   any pure non-atomic method. *)
+let check_concurrent_production name () =
   let module Scorecard = Failatom_prod.Scorecard in
   let module Produce = Failatom_prod.Produce in
-  let program = parse (Option.get (Registry.find name)).Registry.source in
-  (* sweep detection so the seeded schedule-only violations are
-     classified — and therefore wrapped — like any pure non-atomic
-     method *)
-  let config =
-    { Config.default with Config.schedules = [ "coop"; "slice:1"; "slice:2"; "slice:3" ] }
-  in
-  let detection = Detect.run ~config ~flavor program in
-  let classification = Classify.classify detection in
-  let plan = Plan.build ~config ~flavor ~program ~detection ~classification in
-  let perturb =
-    { Produce.seed = 11;
-      rate_per_mille = 500;
-      max_fires = None;
-      point = Perturb.At_exit;
-      fallback_exceptions = [] }
-  in
+  let plan = Rollback_golden.concurrent_plan name in
   List.iter
     (fun spec ->
-      let policy = Option.get (Sched.policy_of_string spec) in
-      let run rollback =
-        match Produce.run ~config ~rollback ~perturb ~policy ~times:2 ~plan program with
-        | Ok r -> r
-        | Error msg -> Alcotest.failf "%s under %s: %s" name spec msg
-      in
-      let cp = run Armed.Rb_checkpoint in
-      let cow = run Armed.Rb_cow in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s under %s: outputs bitwise identical" name spec)
-        (List.map (fun (r : Produce.run_report) -> r.Produce.output) cp.Produce.runs)
-        (List.map (fun (r : Produce.run_report) -> r.Produce.output) cow.Produce.runs);
+      let key = Rollback_golden.concurrent_key name spec in
+      let cow = Rollback_golden.run_concurrent plan spec in
+      Rollback_golden.check_lines key (Rollback_golden.produce_lines key cow);
       Alcotest.(check bool)
         (Printf.sprintf "%s under %s: rollbacks exercised" name spec)
         true
@@ -285,7 +438,7 @@ let check_concurrent_production name flavor () =
         (Scorecard.fired cow.Produce.scorecard)
         (Scorecard.validated cow.Produce.scorecard
         + Scorecard.interfered cow.Produce.scorecard))
-    [ "slice:1"; "slice:4"; "pct:3:7" ]
+    Rollback_golden.concurrent_specs
 
 let suite =
   [ Alcotest.test_case "masking closes (source)" `Quick
@@ -298,19 +451,23 @@ let suite =
     Alcotest.test_case "corrected output unchanged" `Quick test_corrected_output_unchanged;
     Alcotest.test_case "rollback repairs corruption" `Quick
       test_rollback_semantics_end_to_end;
-    Alcotest.test_case "eager strategy" `Quick
-      (masking_strategy_works Failatom_runtime.Checkpoint.Eager);
-    Alcotest.test_case "lazy strategy" `Quick
-      (masking_strategy_works Failatom_runtime.Checkpoint.Lazy);
+    Alcotest.test_case "eager strategy" `Quick test_eager_reference_agrees;
+    Alcotest.test_case "lazy strategy" `Quick test_lazy_masking_closes;
+    Alcotest.test_case "reference argument outside the roots" `Quick
+      test_receiver_roots_only;
+    Alcotest.test_case "rollback spares objects allocated in the call" `Quick
+      test_rollback_spares_new_objects;
+    Alcotest.test_case "masked runs match the rollback table" `Quick
+      test_masked_runs_golden;
     Alcotest.test_case "binary masking" `Quick test_binary_masking;
     Alcotest.test_case "masking closes apps" `Quick test_masking_closes_apps;
-    Alcotest.test_case "unwind releases checkpoint (eager)" `Quick
-      (check_unwind_releases_checkpoint Failatom_runtime.Checkpoint.Eager);
-    Alcotest.test_case "unwind releases checkpoint (lazy)" `Quick
-      (check_unwind_releases_checkpoint Failatom_runtime.Checkpoint.Lazy);
+    Alcotest.test_case "unwind releases checkpoint (early abort)" `Quick
+      (check_unwind_releases_checkpoint unwind_early_src);
+    Alcotest.test_case "unwind releases checkpoint (late abort)" `Quick
+      (check_unwind_releases_checkpoint unwind_late_src);
     Alcotest.test_case "concurrent production: StripedMap (bytecode)" `Quick
-      (check_concurrent_production "StripedMap" Detect.Load_time_filters);
+      (check_concurrent_production "StripedMap");
     Alcotest.test_case "concurrent production: BoundedBuffer (bytecode)" `Quick
-      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters);
+      (check_concurrent_production "BoundedBuffer");
     Alcotest.test_case "concurrent production: WorkQueue (bytecode)" `Quick
-      (check_concurrent_production "WorkQueue" Detect.Load_time_filters) ]
+      (check_concurrent_production "WorkQueue") ]

@@ -4,8 +4,9 @@
    the always-on masking runtime: these tests pin its round trip
    (emit → load → armed targets equal a fresh detection's Mask.targets),
    its refusal of stale digests and of documents missing required
-   fields, the bitwise equivalence of the two rollback engines, and the
-   seeded canary channel validating failure-obliviousness live over a
+   fields, the rollback's observables against the golden rollback table
+   (produced under the eager checkpoint), and the seeded
+   canary channel validating failure-obliviousness live over a
    1000+-call run. *)
 
 open Failatom_core
@@ -13,7 +14,6 @@ open Failatom_apps
 module Minilang = Failatom_minilang.Minilang
 module Sched = Failatom_runtime.Sched
 module Plan = Failatom_prod.Plan
-module Armed = Failatom_prod.Armed
 module Perturb = Failatom_prod.Perturb
 module Scorecard = Failatom_prod.Scorecard
 module Produce = Failatom_prod.Produce
@@ -31,21 +31,12 @@ let plan_of ?(config = Config.default) ~flavor program =
 let strings_of_set s = List.map Method_id.to_string (Method_id.Set.elements s)
 let method_set = Alcotest.(slist string String.compare)
 
-let production ?config ?perturb ?policy ~plan ~times rollback program =
-  match Produce.run ?config ~rollback ?perturb ?policy ~times ~plan program with
+let production ?config ?perturb ?policy ~plan ~times program =
+  match Produce.run ?config ?perturb ?policy ~times ~plan program with
   | Ok r -> r
   | Error msg -> Alcotest.failf "production run failed: %s" msg
 
-(* Stripped of timings, a scorecard row is deterministic. *)
-let core_rows (sc : Scorecard.t) =
-  List.map
-    (fun (r : Scorecard.meth_row) ->
-      Format.asprintf
-        "%s calls=%d hits=%d fired=%d validated=%d interfered=%d failed=%d"
-        (Method_id.to_string r.Scorecard.r_id)
-        r.Scorecard.r_calls r.Scorecard.r_hits r.Scorecard.r_fired
-        r.Scorecard.r_validated r.Scorecard.r_interfered r.Scorecard.r_failed)
-    sc.Scorecard.rows
+let core_rows = Rollback_golden.core_rows
 
 (* A canary aggressive enough to force rollbacks on every eligible
    call; At_exit makes each one restore a really-mutated graph. *)
@@ -131,26 +122,20 @@ let test_strict_decoding () =
     Alcotest.(check string) "extension ignored" (Plan.to_json plan) (Plan.to_json p)
 
 (* ------------------------------------------------------------------ *)
-(* Rollback-engine equivalence                                         *)
+(* Rollback equivalence                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* COW rollback must be observationally indistinguishable from the
-   eager checkpoint: same outputs byte for byte, same per-method call,
-   hit, and canary-verdict counts — only the timings may differ. *)
+(* The copy-on-write rollback must be observationally indistinguishable
+   from the eager checkpoint: the outputs' digest and the per-method
+   call, hit, and canary-verdict counts must equal the golden rollback
+   table, produced under the eager checkpoint — only the timings may
+   differ. *)
 let check_rollback_equivalence name flavor () =
-  let program = parse (find_app name).Registry.source in
-  let plan = plan_of ~flavor program in
-  let run rollback = production ~perturb:(hot_canary 7) ~plan ~times:3 rollback program in
-  let cp = run Armed.Rb_checkpoint in
-  let cow = run Armed.Rb_cow in
-  Alcotest.(check (list string)) "outputs bitwise identical"
-    (List.map (fun (r : Produce.run_report) -> r.Produce.output) cp.Produce.runs)
-    (List.map (fun (r : Produce.run_report) -> r.Produce.output) cow.Produce.runs);
-  Alcotest.(check (list string)) "same scorecard core"
-    (core_rows cp.Produce.scorecard)
-    (core_rows cow.Produce.scorecard);
-  Alcotest.(check bool) "rollbacks exercised" true (Scorecard.hits cp.Produce.scorecard > 0);
-  Alcotest.(check int) "no validation failures" 0 (Scorecard.failed cow.Produce.scorecard)
+  let key = Rollback_golden.produce_key name flavor in
+  let r = Rollback_golden.run_produce name flavor in
+  Rollback_golden.check_lines key (Rollback_golden.produce_lines key r);
+  Alcotest.(check bool) "rollbacks exercised" true (Scorecard.hits r.Produce.scorecard > 0);
+  Alcotest.(check int) "no validation failures" 0 (Scorecard.failed r.Produce.scorecard)
 
 (* ------------------------------------------------------------------ *)
 (* Canary channel                                                      *)
@@ -160,7 +145,7 @@ let test_canary_thousand_calls () =
   let program = parse (find_app "LinkedList").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let { Produce.scorecard; _ } =
-    production ~perturb:(hot_canary 42) ~plan ~times:80 Armed.Rb_cow program
+    production ~perturb:(hot_canary 42) ~plan ~times:80 program
   in
   Alcotest.(check bool) "a 1000+-call production run" true
     (Scorecard.calls scorecard >= 1000);
@@ -179,7 +164,7 @@ let test_canary_determinism () =
   let program = parse (find_app "Dynarray").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let spec seed = { (hot_canary seed) with Produce.rate_per_mille = 300 } in
-  let run seed = production ~perturb:(spec seed) ~plan ~times:4 Armed.Rb_cow program in
+  let run seed = production ~perturb:(spec seed) ~plan ~times:4 program in
   let a = run 5 and b = run 5 in
   Alcotest.(check (list string)) "same seed, same scorecard core"
     (core_rows a.Produce.scorecard) (core_rows b.Produce.scorecard);
@@ -193,8 +178,8 @@ let test_canary_at_entry () =
   let program = parse (find_app "LinkedList").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let perturb = { (hot_canary 3) with Produce.point = Perturb.At_entry } in
-  let plain = production ~plan ~times:2 Armed.Rb_cow program in
-  let canaried = production ~perturb ~plan ~times:2 Armed.Rb_cow program in
+  let plain = production ~plan ~times:2 program in
+  let canaried = production ~perturb ~plan ~times:2 program in
   Alcotest.(check (list string)) "entry perturbation is output-transparent"
     (List.map (fun (r : Produce.run_report) -> r.Produce.output) plain.Produce.runs)
     (List.map (fun (r : Produce.run_report) -> r.Produce.output) canaried.Produce.runs);
@@ -208,7 +193,7 @@ let test_perturb_max_caps_fires () =
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let perturb = { (hot_canary 9) with Produce.max_fires = Some 2 } in
   let { Produce.scorecard; _ } =
-    production ~perturb ~plan ~times:5 Armed.Rb_cow program
+    production ~perturb ~plan ~times:5 program
   in
   Alcotest.(check int) "fires capped" 2 (Scorecard.fired scorecard)
 
@@ -220,7 +205,7 @@ let test_scorecard_round_trip () =
   let program = parse (find_app "LinkedList").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let { Produce.scorecard; _ } =
-    production ~perturb:(hot_canary 1) ~plan ~times:2 Armed.Rb_checkpoint program
+    production ~perturb:(hot_canary 1) ~plan ~times:2 program
   in
   let json = Scorecard.to_json scorecard in
   match Scorecard.of_string json with
@@ -229,9 +214,85 @@ let test_scorecard_round_trip () =
     Alcotest.(check string) "deterministic re-rendering" json (Scorecard.to_json sc2);
     Alcotest.(check (list string)) "same core" (core_rows scorecard) (core_rows sc2)
 
+(* The golden rollback table holds exactly the cases the checks
+   recompute, in order: a case added without its rows, or rows left
+   behind by a removed case, fails here. *)
+let test_rollback_table_complete () =
+  Alcotest.(check (list string))
+    "committed cases = computed cases"
+    (List.map fst Rollback_golden.cases)
+    (Rollback_golden.committed_keys ())
+
 (* ------------------------------------------------------------------ *)
 (* Compatibility pin                                                   *)
 (* ------------------------------------------------------------------ *)
+
+let failatom_exe () =
+  match Sys.getenv_opt "FAILATOM_EXE" with
+  | Some exe when Sys.file_exists exe -> Some exe
+  | _ -> None
+
+(* Runs the CLI with its output captured; [None] when the binary is not
+   wired in (the CI resilience smoke covers it then). *)
+let cli args =
+  Option.map
+    (fun exe ->
+      let out = Filename.temp_file "failatom_cli" ".out" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote out))
+      in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      Sys.remove out;
+      (code, text))
+    (failatom_exe ())
+
+(* Scorecards written while the eager checkpoint was the production
+   default record "rollback":"checkpoint".  They still decode, and
+   [failatom stats --resilience] still renders them. *)
+let test_checkpoint_scorecard_decodes () =
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "resilience_LinkedList.json")
+      In_channel.input_all
+  in
+  let old =
+    match Json.of_string golden with
+    | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj
+           (List.map
+              (fun (k, v) -> if k = "rollback" then (k, Json.Str "checkpoint") else (k, v))
+              fields))
+    | _ -> Alcotest.fail "golden scorecard is not a JSON object"
+  in
+  (match (Scorecard.of_string golden, Scorecard.of_string old) with
+   | Ok cow, Ok cp ->
+     Alcotest.(check string) "engine kept" "checkpoint" cp.Scorecard.rollback;
+     Alcotest.(check (list string)) "same core" (core_rows cow) (core_rows cp)
+   | Error msg, _ | _, Error msg -> Alcotest.failf "scorecard rejected: %s" msg);
+  let path = Filename.temp_file "failatom_sc" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc old);
+  let rendered = cli [ "stats"; path; "--resilience" ] in
+  Sys.remove path;
+  Option.iter
+    (fun (code, text) ->
+      Alcotest.(check int) "stats --resilience exit" 0 code;
+      Alcotest.(check bool) "renders the recorded engine" true
+        (String.starts_with ~prefix:"resilience scorecard (checkpoint rollback" text))
+    rendered
+
+(* The rollback-engine flag selects nothing any more: like other
+   retired flags it is an unknown option, a usage error. *)
+let test_wrapper_rollback_flag_retired () =
+  List.iter
+    (fun args ->
+      Option.iter
+        (fun (code, _) -> Alcotest.(check int) (String.concat " " args) 2 code)
+        (cli args))
+    [ [ "run"; "app:LinkedList"; "--wrapper-rollback"; "cow" ];
+      [ "submit"; "app:LinkedList"; "--wrapper-rollback"; "checkpoint" ] ]
 
 (* Copy-on-write snapshots replaced eager ones as the detection path
    without changing any run record, so every fingerprint recorded while
@@ -267,7 +328,7 @@ let test_golden_plan_still_arms () =
      | Error msg -> Alcotest.failf "golden plan invalid: %s" msg);
     Alcotest.(check string) "detect --emit-plan is byte-unchanged" (String.trim text)
       (Plan.to_json (plan_of ~config:cli_detect_config ~flavor:Detect.Source_weaving program));
-    let { Produce.scorecard; _ } = production ~plan ~times:1 Armed.Rb_checkpoint program in
+    let { Produce.scorecard; _ } = production ~plan ~times:1 program in
     Alcotest.(check (list string)) "every target armed"
       (List.map Method_id.to_string plan.Plan.targets)
       (List.filter_map
@@ -307,6 +368,12 @@ let suite =
       test_canary_at_entry;
     Alcotest.test_case "perturb-max caps fires" `Quick test_perturb_max_caps_fires;
     Alcotest.test_case "scorecard round trip" `Quick test_scorecard_round_trip;
+    Alcotest.test_case "rollback table lists every case" `Quick
+      test_rollback_table_complete;
+    Alcotest.test_case "checkpoint scorecards still decode" `Quick
+      test_checkpoint_scorecard_decodes;
+    Alcotest.test_case "--wrapper-rollback is retired" `Quick
+      test_wrapper_rollback_flag_retired;
     Alcotest.test_case "default fingerprints pinned" `Quick test_fingerprints_pinned;
     Alcotest.test_case "golden plan still validates and arms" `Quick
       test_golden_plan_still_arms ]

@@ -334,6 +334,58 @@ let test_snapshot_field_compat () =
       check_error_reply "unknown snapshot mode"
         (Json.to_string (submit (with_snapshot "bogus"))))
 
+(* The retired wire field "rollback" is still accepted from older
+   clients: a produce job with no field, "checkpoint" or "cow" runs the
+   one copy-on-write checkpoint and reports the same scorecard core,
+   and any other value is still an "unknown rollback engine" error. *)
+let test_rollback_field_compat () =
+  let module Plan = Failatom_prod.Plan in
+  let module Scorecard = Failatom_prod.Scorecard in
+  let program = parse (Option.get (Registry.find "LinkedList")).Registry.source in
+  let flavor = Detect.Load_time_filters in
+  let detection = Detect.run ~flavor program in
+  let plan =
+    Plan.build ~config:Config.default ~flavor ~program ~detection
+      ~classification:(Classify.classify detection)
+  in
+  let base =
+    { (Protocol.default_request Protocol.Produce (Protocol.App "LinkedList")) with
+      Protocol.plan = Some (Plan.to_json plan);
+      perturb_rate = Some 1000;
+      perturb_seed = Some 42;
+      times = Some 2 }
+  in
+  let fields =
+    match Protocol.request_to_json (Protocol.Submit base) with
+    | Json.Obj fields -> fields
+    | _ -> Alcotest.fail "a submit renders as an object"
+  in
+  Alcotest.(check bool) "the field is no longer written" false
+    (List.mem_assoc "rollback" fields);
+  with_server (fun socket_path ->
+      let submit extra =
+        Json.of_string
+          (snd (raw_request socket_path (Json.to_string (Json.Obj (fields @ extra)))))
+      in
+      let core extra =
+        let job = Option.get (Json.str_member "job" (submit extra)) in
+        let result, _ = with_client socket_path (fun conn -> completed (Client.watch conn job)) in
+        match Scorecard.of_string (Option.get result.Protocol.r_resilience) with
+        | Ok sc -> sc.Scorecard.rollback :: Rollback_golden.core_rows sc
+        | Error msg -> Alcotest.failf "scorecard rejected: %s" msg
+      in
+      let with_rollback v = [ ("rollback", Json.Str v) ] in
+      let absent = core [] in
+      Alcotest.(check string) "engine recorded" "cow" (List.hd absent);
+      Alcotest.(check (list string)) "checkpoint: same core" absent
+        (core (with_rollback "checkpoint"));
+      Alcotest.(check (list string)) "cow: same core" absent (core (with_rollback "cow"));
+      let bogus = submit (with_rollback "bogus") in
+      check_error_reply "unknown rollback engine" (Json.to_string bogus);
+      Alcotest.(check (option string)) "error names the engine"
+        (Some {|unknown rollback engine "bogus"|})
+        (Json.str_member "error" bogus))
+
 (* A warm hit's done frame is the cache entry's one shared string: 300
    warm RBTree hits must not grow the daemon's live heap by a copy of
    the ~200 KB result each, and every watcher still reads the same
@@ -576,6 +628,8 @@ let suite =
       test_cache_keyed_by_config;
     Alcotest.test_case "retired snapshot field shares one cache key" `Quick
       test_snapshot_field_compat;
+    Alcotest.test_case "retired rollback field decodes" `Quick
+      test_rollback_field_compat;
     Alcotest.test_case "warm hits share one done frame" `Quick
       test_warm_hits_share_done_frame;
     Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;

@@ -146,8 +146,8 @@ let test_rollback_restores_before_equality () =
   let roots = [ Value.Ref root ] in
   let entry = Object_graph.canonical_many heap roots in
   Shadow.with_shadow heap (fun sh ->
-      (* a nested masked call: lazy checkpoint, mutation, rollback *)
-      Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap roots (fun cp ->
+      (* a nested masked call: checkpoint, mutation, rollback *)
+      Checkpoint.with_checkpoint heap roots (fun cp ->
           Heap.set_field heap child "v" (Value.Int 42);
           Checkpoint.rollback cp);
       (* the rollback touched the object, so it is dirty — but its saved
