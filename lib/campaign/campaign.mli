@@ -48,9 +48,10 @@ val run :
     [jobs] worker domains execute the runs (default {!default_jobs}).
     [journal] appends every completed run to the given path;
     [resume] additionally adopts the runs already journaled there, so
-    only missing thresholds are executed.  [prepare] is applied to every
-    fresh VM (as in {!Detect.run}) and must be safe to call from
-    multiple domains.  [report] receives progress events.
+    only missing thresholds are executed.  Every run gets a fresh VM
+    ({!Detect.run_once}; the campaign does not share prefixes the way
+    {!Detect.run} does), and [prepare] is applied to each (as in
+    {!Detect.run}) and must be safe to call from multiple domains.  [report] receives progress events.
 
     [plain] and [compiled] reuse already-built images of this very
     [program] (the server's content-addressed image cache), skipping

@@ -31,6 +31,14 @@ val build :
     trace run.  Concatenating every group's [members] thresholds
     yields exactly [1 .. total_points]. *)
 
+val partition_pairs :
+  Exnflow.t -> Method_id.t -> (int * string) list -> (int * string) list list
+(** [partition_pairs flow site points] splits the (threshold, injected
+    class) points of one dynamic entry of [site] into handler-blindness
+    groups, in first-occurrence order, each group in point order.
+    {!build} applies it to every entry of a trace; the prefix-sharing
+    walk applies it to each entry as it is reached. *)
+
 val rep : group -> int * string
 (** The representative point (lowest threshold) of a group. *)
 

@@ -39,8 +39,8 @@ type cls_info = {
 type linkage = {
   lk_resolve : string -> string -> int;
       (* class name -> method name -> image method index, or -1 *)
-  lk_fn : string -> (int * (Vm.t -> Value.t list -> Value.t)) option;
-      (* user function: arity and (late-bound) implementation *)
+  lk_fn : string -> (int * Exec.fbody) option;
+      (* user function: arity and (late-filled) body *)
   lk_class : string -> cls_info option;
   lk_is_exc : Vm.t -> string -> bool;
   lk_exn_matches : Vm.t -> Vm.exn_value -> string -> bool;
@@ -491,34 +491,35 @@ let rec emit_expr cx b (e : Ast.expr) =
   | Ast.Fn_call (name, args) ->
     List.iter (emit_expr cx b) args;
     let nargs = List.length args in
-    let target : Vm.t -> Value.t list -> Value.t =
+    let native f = Exec.Native f in
+    let target =
       match cx.lk.lk_fn name with
-      | Some (arity, impl) ->
+      | Some (arity, fb) ->
         if nargs <> arity then
-          fun _ _ ->
-            raise
-              (Exec.Error
-                 ( Printf.sprintf "function %s expects %d argument(s), got %d"
-                     name arity nargs,
-                   line, col ))
-        else impl
+          native (fun _ _ ->
+              raise
+                (Exec.Error
+                   ( Printf.sprintf "function %s expects %d argument(s), got %d"
+                       name arity nargs,
+                     line, col )))
+        else Exec.Compiled fb
       | None -> (
         match Builtins.find name with
         | Some (arity, f) ->
           if nargs <> arity then
-            fun _ _ ->
-              raise
-                (Exec.Error
-                   ( Printf.sprintf "builtin %s: expected %d argument(s), got %d"
-                       name arity nargs,
-                     line, col ))
+            native (fun _ _ ->
+                raise
+                  (Exec.Error
+                     ( Printf.sprintf "builtin %s: expected %d argument(s), got %d"
+                         name arity nargs,
+                       line, col )))
           else
-            fun vm vargs ->
-              (try f vm vargs
-               with Invalid_argument msg -> raise (Exec.Error (msg, line, col)))
+            native (fun vm vargs ->
+                try f vm vargs
+                with Invalid_argument msg -> raise (Exec.Error (msg, line, col)))
         | None ->
-          fun _ _ ->
-            raise (Exec.Error (Printf.sprintf "unknown function %s" name, line, col)))
+          native (fun _ _ ->
+              raise (Exec.Error (Printf.sprintf "unknown function %s" name, line, col))))
     in
     let fix = add_fn cx { Exec.fs_name = name; fs_target = target } in
     (if
@@ -875,24 +876,19 @@ let compile_method_code lk ~cls_name ~defining_super (m : Ast.meth_decl) =
   compile_body lk ~defining:(Some (cls_name, defining_super)) m.Ast.m_params
     m.Ast.m_body
 
-let compile_method lk ~cls_name ~defining_super (m : Ast.meth_decl) : Vm.impl =
+let compile_method lk ~cls_name ~defining_super (m : Ast.meth_decl) : Exec.mbody =
   let code, param_slots = compile_method_code lk ~cls_name ~defining_super m in
-  let n_params = Array.length param_slots in
-  let name = m.Ast.m_name in
-  let line = m.Ast.m_pos.Ast.line and col = m.Ast.m_pos.Ast.col in
-  fun vm this args ->
-    let got = List.length args in
-    if got <> n_params then
-      raise
-        (Exec.Error
-           ( Printf.sprintf "method %s.%s expects %d argument(s), got %d" cls_name
-               name n_params got,
-             line, col ));
-    Exec.run_root code vm this param_slots args
+  { Exec.mb_code = code;
+    mb_params = param_slots;
+    mb_cls = cls_name;
+    mb_name = m.Ast.m_name;
+    mb_line = m.Ast.m_pos.Ast.line;
+    mb_col = m.Ast.m_pos.Ast.col }
 
-let compile_function lk (f : Ast.func_decl) : Vm.t -> Value.t list -> Value.t =
+(* Call sites check arity; a direct mismatched application (e.g. a
+   parameterised main) raises Invalid_argument "List.iter2" (see
+   Exec.function_impl). *)
+let compile_function lk (f : Ast.func_decl) (fb : Exec.fbody) =
   let code, param_slots = compile_body lk ~defining:None f.Ast.f_params f.Ast.f_body in
-  (* call sites check arity; a direct mismatched application (e.g. a
-     parameterised main) raises Invalid_argument "List.iter2" (see
-     Exec.run_root) *)
-  fun vm args -> Exec.run_root code vm Value.Null param_slots args
+  fb.Exec.fb_code <- code;
+  fb.Exec.fb_params <- param_slots

@@ -26,8 +26,8 @@ type cls_info = {
 type linkage = {
   lk_resolve : string -> string -> int;
       (** class name → method name → image method index, or -1 *)
-  lk_fn : string -> (int * (Vm.t -> Value.t list -> Value.t)) option;
-      (** user function: arity and (late-bound) implementation *)
+  lk_fn : string -> (int * Exec.fbody) option;
+      (** user function: arity and (late-filled) body *)
   lk_class : string -> cls_info option;
   lk_is_exc : Vm.t -> string -> bool;
   lk_exn_matches : Vm.t -> Vm.exn_value -> string -> bool;
@@ -57,10 +57,14 @@ val compile_method_code :
   Exec.code * int array
 
 val compile_method :
-  linkage -> cls_name:string -> defining_super:string option -> Ast.meth_decl -> Vm.impl
-(** Arity-checks ("method C.m expects N argument(s), got M" at the
-    method's declaration) and runs the emitted code via [Exec.run_root].
+  linkage -> cls_name:string -> defining_super:string option -> Ast.meth_decl ->
+  Exec.mbody
+(** The method's body for [Exec]: interpreted callers push a frame for
+    it, native callers go through [Exec.method_impl] (arity-checked:
+    "method C.m expects N argument(s), got M" at the declaration).
     Defects are raised as [Exec.Error]; [Compile] re-raises them as
-    [Runtime_error] at the boundary. *)
+    [Runtime_error] at the native boundary. *)
 
-val compile_function : linkage -> Ast.func_decl -> Vm.t -> Value.t list -> Value.t
+val compile_function : linkage -> Ast.func_decl -> Exec.fbody -> unit
+(** Emits a function body into the given (until now placeholder)
+    [fbody] — the one [linkage.lk_fn] handed out for that function. *)

@@ -70,6 +70,13 @@ val resolve_dispatch : image -> string -> string -> string option
     to — i.e. what [new cls(...)] invokes for [mname = "init"] — or
     [None] if the class or method is unknown. *)
 
+val resume_raise : Vm.t -> Exec.resumable -> Vm.exn_value -> Value.t
+(** {!Exec.resume_raise} with the conventions of {!run_main}: a program
+    defect surfaces as {!Runtime_error}, a MiniLang exception escaping
+    the outermost frame as [Vm.Mini_raise], and the steps and calls
+    interpreted are added to the [vm.steps] / [vm.calls] metrics (the
+    run they belong to is rewound before its harvest). *)
+
 val run_main : ?policy:Sched.policy -> Vm.t -> Value.t
 (** Runs the program's [main] function — always as MiniLang thread 0
     under {!Sched.run} — and returns its value.  [policy] defaults to

@@ -9,41 +9,61 @@
    goldens — equal to one tick per evaluated expression or executed
    statement, at every instruction boundary.
 
-   Control flow uses two channels:
+   The control stack is explicit.  One loop ([exec], tail calls only)
+   drives heap-allocated frames: a frame holds its registers, the
+   instruction array it is in, [pc], [sp] and the loop and try blocks
+   it is inside; its [parent] is the continuation that receives its
+   outcome:
 
-   - [return] is a status code (0 = fell off the end, 1 = returned with
-     the value in [frame.ret]) threaded through nested block executions —
-     the common case pays no OCaml exception;
-   - [break]/[continue] are OCaml exceptions ({!Break_loop},
-     {!Continue_loop}) because a [break] or [continue] outside any loop
-     of its body unwinds *across* MiniLang call frames into the
-     innermost loop of a caller, and that (degenerate but observable)
-     behavior is part of the language as the goldens pin it;
-   - MiniLang exceptions remain {!Vm.Mini_raise}; program defects raise
-     {!Error} with the source position, converted to
-     [Compile.Runtime_error] at the method boundary (this module cannot
-     see the AST).
+   - [K_call f]: frame [f] is suspended at a method-call instruction;
+     completing the call also completes its depth accounting;
+   - [K_fn f]: [f] is suspended at a function call (or a hook call);
+   - [K_filter]: a load-time filter whose [post] (normal or exceptional
+     outcome) or [unwind] (OCaml-level abort, loop control) is still
+     due — interposition is a frame-level continuation, not a native
+     call around the callee;
+   - [K_root]: the native caller that entered the engine.
 
-   Loops and try/catch/finally execute nested sub-blocks (separate
-   instruction arrays referenced through site records) rather than
-   intra-array jumps, so handler scopes map directly onto OCaml handler
-   scopes.  Straight-line control flow (if/and/or) uses jumps within one
-   array.
+   Calls from interpreted code to compiled methods and functions push a
+   frame; returning decodes the caller's suspended call instruction to
+   place the result.  Loops and try/catch/finally run nested sub-blocks
+   (separate instruction arrays referenced through site records); a
+   frame keeps a stack of block records, and a sub-block's END, a
+   [return], a MiniLang exception or a [break]/[continue] walks that
+   stack — running [finally] blocks with the pending outcome — before
+   leaving the frame.  A [break] or [continue] outside any loop of its
+   body unwinds *across* frames into the innermost loop of a caller (a
+   degenerate but observable behaviour the goldens pin); it crosses a
+   native boundary as {!Break_loop} / {!Continue_loop}.  MiniLang
+   exceptions raised by helpers arrive as {!Vm.Mini_raise}; program
+   defects raise {!Error} with the source position, converted to
+   [Compile.Runtime_error] where the engine returns to native code
+   (this module cannot see the AST).
+
+   Because the whole continuation is data, it can be copied: {!capture}
+   deep-copies the frames at the point a filter's [pre] or a hook is
+   running, and {!resume_raise} runs the copy as if that call had raised
+   — the detection driver forks each injected run from its injection
+   point this way.  Native re-entry (a builtin or filter calling
+   {!Vm.invoke}) starts a nested activation; a point inside one is not
+   capturable.
 
    The operand stack shares one [Value.t array] with the local-variable
    slots: registers [0, n_slots) are the slots, [n_slots, stack_size)
    the expression stack.  GC root enumeration marks [this] and the slot
-   prefix only — stack temporaries are deliberately *not* roots: a
-   frame's roots are exactly its receiver and its variables, so what a
-   collection keeps never depends on the intermediate values of a
-   half-evaluated expression. *)
+   prefix of every live frame — stack temporaries are deliberately
+   *not* roots: a frame's roots are exactly its receiver and its
+   variables, so what a collection keeps never depends on the
+   intermediate values of a half-evaluated expression. *)
 
 (* A genuine defect in the interpreted program, with its source position
    (line, column).  [Compile] re-raises it as [Runtime_error]. *)
 exception Error of string * int * int
 
-(* Loop control, raised by BREAK/CONT and caught by WHILE/FOR (and
-   TRY, which treats them as pending outcomes run after [finally]). *)
+(* Loop control crossing a native boundary: a [break]/[continue] that
+   leaves the outermost frame of an activation is re-raised as one of
+   these into the native caller, and an activation receiving one from
+   native code unwinds its frames for it. *)
 exception Break_loop
 exception Continue_loop
 
@@ -186,11 +206,6 @@ type call_site = {
   cs_resolve : string -> int; (* image method index, or -1 *)
 }
 
-type fn_site = {
-  fs_name : string; (* for the per-VM hook override check *)
-  fs_target : Vm.t -> Value.t list -> Value.t;
-}
-
 type new_site = {
   ns_cls : string;
   ns_known : bool; (* class present in the image *)
@@ -235,12 +250,35 @@ type code = {
   c_stack : int; (* register-file length: slots + max operand depth *)
 }
 
-type frame = {
-  regs : Value.t array;
-  n_slots : int;
-  mutable this : Value.t;
-  mutable ret : Value.t;
+(* A compiled function body, filled in once the whole image is laid out
+   (functions may call functions compiled later). *)
+and fbody = {
+  mutable fb_code : code;
+  mutable fb_params : int array; (* register of each parameter *)
 }
+
+and fn_site = {
+  fs_name : string; (* for the per-VM hook override check *)
+  fs_target : fn_target;
+}
+
+and fn_target =
+  | Native of (Vm.t -> Value.t list -> Value.t) (* builtin or error stub *)
+  | Compiled of fbody (* user function: called by pushing a frame *)
+
+(* A compiled method body: what {!Vm.meth.body} holds for methods of an
+   image, so interpreted callers push a frame instead of calling
+   [impl]. *)
+type mbody = {
+  mb_code : code;
+  mb_params : int array; (* register of each parameter *)
+  mb_cls : string;
+  mb_name : string;
+  mb_line : int; (* declaration position, for the arity error *)
+  mb_col : int;
+}
+
+type Vm.body += Method_body of mbody
 
 (* ------------------------------------------------------------------ *)
 (* Profiling (the flame/superinstruction-selection harness)            *)
@@ -453,60 +491,169 @@ let instantiate_dyn vm line col cls args =
   recv
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
+(* Frames and continuations                                            *)
 (* ------------------------------------------------------------------ *)
 
-type try_outcome =
+(* Block kinds: which part of a loop or try statement a frame's
+   innermost sub-block is.  The loop kinds come first ([<= bk_for_update]
+   is "a loop"). *)
+let bk_while_cond = 0
+let bk_while_body = 1
+let bk_for_cond = 2
+let bk_for_body = 3
+let bk_for_update = 4
+let bk_try = 5
+let bk_catch = 6
+let bk_fin = 7
+
+(* What a [finally] block resumes when it completes normally. *)
+type outcome =
   | ODone
-  | ORet of Value.t (* captured eagerly: [finally] may clobber [frame.ret] *)
+  | ORet of Value.t (* captured eagerly: [finally] may return itself *)
   | ORaise of Vm.exn_value
-  | OFlow of exn
+  | OBreak
+  | OCont
+
+(* One active loop or try statement of a frame.  [b_ops]/[b_pc] locate
+   the WHILE/FOR/TRY instruction in the enclosing array (execution
+   resumes after it); every sub-block runs at [b_sp].  A loop reuses its
+   record across iterations by switching [bk]. *)
+type block = {
+  mutable bk : int;
+  b_ops : int array;
+  b_pc : int;
+  b_sp : int;
+  b_loop : loop_site; (* [no_loop] for try blocks *)
+  b_try : try_site; (* [no_try] for loops *)
+  mutable b_pending : outcome;
+  b_next : block; (* enclosing block of the same frame *)
+}
+
+type frame = {
+  code : code;
+  regs : Value.t array;
+  this : Value.t;
+  mutable ops : int array; (* saved while suspended at a call *)
+  mutable pc : int; (* the call instruction, while suspended *)
+  mutable sp : int;
+  mutable blocks : block; (* innermost first; [no_block] at body level *)
+  parent : cont;
+}
+
+and cont =
+  | K_root
+  | K_call of frame
+  | K_fn of frame
+  | K_filter of filter_cont
+
+and filter_cont = {
+  f : Vm.filter;
+  f_meth : Vm.meth;
+  f_recv : Value.t;
+  f_args : Value.t list;
+  f_next : cont;
+}
+
+let no_loop = { ls_cond = [||]; ls_update = [||]; ls_body = [||] }
+let no_try = { ts_body = [||]; ts_catches = [||]; ts_fin = [||] }
+
+let rec no_block =
+  { bk = -1; b_ops = [||]; b_pc = 0; b_sp = 0; b_loop = no_loop; b_try = no_try;
+    b_pending = ODone; b_next = no_block }
+
+(* One engine activation: entered from native code ([run_root] or
+   [resume_raise]) and left when its outermost frame completes.
+   [cur] is the frame executing right now; [at] is the continuation a
+   filter's [pre] or a hook call that is running right now would raise
+   into — the capture point of {!capture}. *)
+type seg = {
+  mutable cur : frame;
+  prev : Vm.machine; (* the enclosing activation of this VM *)
+  mutable at : cont;
+}
+
+type Vm.machine += Running of seg
+
+(* An exception that has already unwound every frame of the activation
+   and only has to leave it. *)
+exception Unwound of exn
+
+let new_frame code this parent =
+  { code;
+    regs = Array.make code.c_stack unbound;
+    this;
+    ops = code.c_main;
+    pc = 0;
+    sp = code.c_nslots;
+    blocks = no_block;
+    parent }
+
+(* Parameters from an argument list.  A length mismatch raises
+   [Invalid_argument "List.iter2"]: only a directly applied function
+   (e.g. a parameterised [main]) gets there with the wrong arity — call
+   sites and method entries check arity first, with their own messages
+   — and the text is kept stable for callers that match on it. *)
+let fill regs param_slots args =
+  let n_params = Array.length param_slots in
+  let rec go i = function
+    | [] -> if i <> n_params then invalid_arg "List.iter2"
+    | v :: rest ->
+      if i >= n_params then invalid_arg "List.iter2";
+      Array.unsafe_set regs (Array.unsafe_get param_slots i) v;
+      go (i + 1) rest
+  in
+  go 0 args
+
+let arity_error mb n =
+  Error
+    ( Printf.sprintf "method %s.%s expects %d argument(s), got %d" mb.mb_cls
+        mb.mb_name (Array.length mb.mb_params) n,
+      mb.mb_line,
+      mb.mb_col )
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch                                                            *)
+(* ------------------------------------------------------------------ *)
 
 (* Arguments [base .. base+n) as a list, head first. *)
 let rec arg_list regs base i acc =
   if i < 0 then acc
   else arg_list regs base (i - 1) (Array.unsafe_get regs (base + i) :: acc)
 
-(* Method dispatch through a site's inline cache — shared by CALL and
-   its fused variants (CALLT / CALLP / CALLTP). *)
-let do_call vm (site : call_site) recv vargs : Value.t =
-  match recv with
-  | Value.Ref id -> (
-    match Heap.get vm.Vm.heap id with
-    | Heap.Obj { cls; _ } ->
-      let ccls, cidx = !(site.cs_cache) in
-      if cls == ccls then begin
-        vm.Vm.ic_hits <- vm.Vm.ic_hits + 1;
-        Vm.call_filtered vm (Array.unsafe_get vm.Vm.meth_table cidx) recv vargs
-      end
-      else begin
-        vm.Vm.ic_misses <- vm.Vm.ic_misses + 1;
-        let idx = site.cs_resolve cls in
-        if idx >= 0 then begin
-          site.cs_cache := (cls, idx);
-          Vm.call_filtered vm (Array.unsafe_get vm.Vm.meth_table idx) recv vargs
-        end
-        else
-          (* receiver class or method outside the image *)
-          Vm.call_filtered vm (Vm.find_method vm cls site.cs_name) recv vargs
-      end
-    | Heap.Arr _ ->
-      Vm.throw vm "UnsupportedOperationException"
-        ("method call on array: " ^ site.cs_name))
-  | Value.Null ->
-    Vm.throw vm "NullPointerException" ("call of " ^ site.cs_name ^ " on null")
-  | Value.Int _ | Value.Bool _ | Value.Str _ ->
-    Vm.throw vm "UnsupportedOperationException"
-      (Printf.sprintf "call of %s on %s" site.cs_name (Value.type_name recv))
+(* The call accounting of {!Vm.call_filtered}: preemption opportunity,
+   call count, depth (a StackOverflowError is raised in the caller). *)
+let call_enter vm =
+  if vm.Vm.preempt_flag then Effect.perform Vm.Preempt;
+  vm.Vm.calls <- vm.Vm.calls + 1;
+  let d = vm.Vm.call_depth + 1 in
+  vm.Vm.call_depth <- d;
+  if d > vm.Vm.max_call_depth then begin
+    vm.Vm.call_depth <- d - 1;
+    Vm.throw vm "StackOverflowError" "call depth exceeded"
+  end
 
-let do_fncall vm (site : fn_site) vargs : Value.t =
-  if Hashtbl.length vm.Vm.hooks = 0 then site.fs_target vm vargs
-  else
-    match Vm.find_hook vm site.fs_name with
-    | Some hook -> hook vm vargs
-    | None -> site.fs_target vm vargs
+(* An OCaml-level abort (step limit, deadline, program defect): every
+   frame up to the activation root leaves — filters get [unwind], calls
+   their depth accounting — and the exception leaves the activation. *)
+let rec abort vm k ex =
+  match k with
+  | K_call fr ->
+    vm.Vm.call_depth <- vm.Vm.call_depth - 1;
+    abort vm fr.parent ex
+  | K_fn fr -> abort vm fr.parent ex
+  | K_filter fc -> (
+    (* an [unwind] that raises replaces the exception, as a handler
+       that raises would *)
+    match fc.f.Vm.unwind vm fc.f_meth with
+    | () -> abort vm fc.f_next ex
+    | exception ex' -> abort vm fc.f_next ex')
+  | K_root -> raise (Unwound ex)
 
-let rec exec c vm fr regs ops pc sp : int =
+(* Every function below is in tail position with respect to the one
+   that calls it, so the native stack stays flat however deep the
+   MiniLang call stack grows; [exec] returns only when the activation's
+   outermost frame completes. *)
+let rec exec st c vm fr regs ops pc sp : Value.t =
   let op = Array.unsafe_get ops pc in
   if !profiling then record_op op;
   (* tick fast path, inlined by hand (no flambda): one add, one store,
@@ -519,36 +666,39 @@ let rec exec c vm fr regs ops pc sp : int =
      if s1 > vm.Vm.step_limit || (vm.Vm.deadline_ns > 0 && s1 lsr 12 <> s0 lsr 12)
      then tick_slow vm s0 s1
    end);
-  (* one dense match = one jump table; arms ordered by opcode number *)
+  (* one dense match = one jump table *)
   match op with
-  | 0 (* END *) -> 0
+  | 0 (* END *) ->
+    let b = fr.blocks in
+    if b == no_block then deliver st vm fr.parent Value.Null
+    else block_end st c vm fr regs b
   | 1 (* CONST *) ->
     Array.unsafe_set regs sp
       (Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)));
-    exec c vm fr regs ops (pc + 3) (sp + 1)
+    exec st c vm fr regs ops (pc + 3) (sp + 1)
   | 2 (* NULL *) ->
     Array.unsafe_set regs sp Value.Null;
-    exec c vm fr regs ops (pc + 2) (sp + 1)
+    exec st c vm fr regs ops (pc + 2) (sp + 1)
   | 3 (* THIS *) ->
     Array.unsafe_set regs sp fr.this;
-    exec c vm fr regs ops (pc + 2) (sp + 1)
+    exec st c vm fr regs ops (pc + 2) (sp + 1)
   | 4 (* LOAD *) ->
     let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
     if v == unbound then
       err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
     Array.unsafe_set regs sp v;
-    exec c vm fr regs ops (pc + 6) (sp + 1)
+    exec st c vm fr regs ops (pc + 6) (sp + 1)
   | 5 (* FAIL *) ->
     raise (Error (c.c_strs.(ops.(pc + 2)), ops.(pc + 3), ops.(pc + 4)))
   | 6 (* NEG *) ->
     (match Array.unsafe_get regs (sp - 1) with
      | Value.Int n -> Array.unsafe_set regs (sp - 1) (vint (-n))
      | v -> err ops.(pc + 2) ops.(pc + 3) "negation of %s" (Value.type_name v));
-    exec c vm fr regs ops (pc + 4) sp
+    exec st c vm fr regs ops (pc + 4) sp
   | 7 (* NOT *) ->
     Array.unsafe_set regs (sp - 1)
       (vbool (not (Value.truthy (Array.unsafe_get regs (sp - 1)))));
-    exec c vm fr regs ops (pc + 2) sp
+    exec st c vm fr regs ops (pc + 2) sp
   | 8 (* BINOP *) ->
     let b = Array.unsafe_get regs (sp - 1) in
     let a = Array.unsafe_get regs (sp - 2) in
@@ -556,16 +706,16 @@ let rec exec c vm fr regs ops pc sp : int =
       (eval_binop vm (Array.unsafe_get ops (pc + 2)) a b
          (Array.unsafe_get ops (pc + 3))
          (Array.unsafe_get ops (pc + 4)));
-    exec c vm fr regs ops (pc + 5) (sp - 1)
+    exec st c vm fr regs ops (pc + 5) (sp - 1)
   | 9 (* TRUTHY *) ->
     Array.unsafe_set regs (sp - 1)
       (vbool (Value.truthy (Array.unsafe_get regs (sp - 1))));
-    exec c vm fr regs ops (pc + 2) sp
-  | 10 (* JMP *) -> exec c vm fr regs ops (Array.unsafe_get ops (pc + 2)) sp
+    exec st c vm fr regs ops (pc + 2) sp
+  | 10 (* JMP *) -> exec st c vm fr regs ops (Array.unsafe_get ops (pc + 2)) sp
   | 11 (* JF *) ->
     if Value.truthy (Array.unsafe_get regs (sp - 1)) then
-      exec c vm fr regs ops (pc + 3) (sp - 1)
-    else exec c vm fr regs ops (Array.unsafe_get ops (pc + 2)) (sp - 1)
+      exec st c vm fr regs ops (pc + 3) (sp - 1)
+    else exec st c vm fr regs ops (Array.unsafe_get ops (pc + 2)) (sp - 1)
   | 12 (* GETFIELD *) ->
     Array.unsafe_set regs (sp - 1)
       (get_obj_field vm
@@ -573,7 +723,7 @@ let rec exec c vm fr regs ops pc sp : int =
          (Array.unsafe_get ops (pc + 4))
          (Array.unsafe_get regs (sp - 1))
          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 2))));
-    exec c vm fr regs ops (pc + 5) sp
+    exec st c vm fr regs ops (pc + 5) sp
   | 13 (* GETIDX *) ->
     let r =
       get_index vm
@@ -583,715 +733,1082 @@ let rec exec c vm fr regs ops pc sp : int =
         (Array.unsafe_get regs (sp - 1))
     in
     Array.unsafe_set regs (sp - 2) r;
-    exec c vm fr regs ops (pc + 4) (sp - 1)
+    exec st c vm fr regs ops (pc + 4) (sp - 1)
   | 14 (* CALL *) ->
-      let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let recv = Array.unsafe_get regs (base - 1) in
-      let vargs = arg_list regs base (n - 1) [] in
-      Array.unsafe_set regs (base - 1) (do_call vm site recv vargs);
-      exec c vm fr regs ops (pc + 4) base
-    | 18 (* FNCALL *) ->
-      let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      Array.unsafe_set regs base (do_fncall vm site vargs);
-      exec c vm fr regs ops (pc + 4) (base + 1)
-    | 19 (* NEW *) ->
-      let site = Array.unsafe_get c.c_news (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      let result =
-        if not site.ns_known then
-          instantiate_dyn vm site.ns_line site.ns_col site.ns_cls vargs
-        else begin
-          let id = Heap.alloc_object vm.Vm.heap ~cls:site.ns_cls site.ns_template in
-          let recv = Value.Ref id in
-          (if site.ns_init >= 0 then
-             ignore
-               (Vm.call_filtered vm
-                  (Array.unsafe_get vm.Vm.meth_table site.ns_init)
-                  recv vargs)
-           else
-             match Vm.lookup_method vm site.ns_cls "init" with
-             | Some meth ->
-               (* an init added to this VM after instantiation *)
-               ignore (Vm.call_filtered vm meth recv vargs)
-             | None -> (
-               match vargs with
-               | [] -> ()
-               | [ Value.Str m ] when site.ns_is_exc ->
-                 Heap.set_field vm.Vm.heap id "message" (Value.Str m)
-               | _ ->
-                 err site.ns_line site.ns_col "class %s has no init method"
-                   site.ns_cls));
-          recv
-        end
-      in
-      Array.unsafe_set regs base result;
-      exec c vm fr regs ops (pc + 4) (base + 1)
-    | 21 (* STORE *) ->
-      Array.unsafe_set regs (Array.unsafe_get ops (pc + 2))
-        (Array.unsafe_get regs (sp - 1));
-      exec c vm fr regs ops (pc + 3) (sp - 1)
-    | 22 (* STORECHK *) ->
-      let slot = Array.unsafe_get ops (pc + 2) in
-      if Array.unsafe_get regs slot == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      Array.unsafe_set regs slot (Array.unsafe_get regs (sp - 1));
-      exec c vm fr regs ops (pc + 6) (sp - 1)
-    | 23 (* SETFIELD *) ->
-      set_obj_field vm ops.(pc + 3) ops.(pc + 4)
-        (Array.unsafe_get regs (sp - 2))
-        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 2)))
-        (Array.unsafe_get regs (sp - 1));
-      exec c vm fr regs ops (pc + 5) (sp - 2)
-    | 24 (* SETIDX *) ->
-      set_index vm ops.(pc + 2) ops.(pc + 3)
-        (Array.unsafe_get regs (sp - 3))
-        (Array.unsafe_get regs (sp - 2))
-        (Array.unsafe_get regs (sp - 1));
-      exec c vm fr regs ops (pc + 4) (sp - 3)
-    | 25 (* POP *) -> exec c vm fr regs ops (pc + 2) (sp - 1)
-    | 26 (* RET *) ->
-      fr.ret <- Array.unsafe_get regs (sp - 1);
-      1
-    | 27 (* RETNULL *) ->
-      fr.ret <- Value.Null;
-      1
-    | 28 (* THROW *) -> (
-      match Array.unsafe_get regs (sp - 1) with
-      | Value.Ref id as obj -> (
-        match Heap.class_of vm.Vm.heap id with
-        | Some cls when c.c_env.env_is_exc vm cls ->
-          let message =
-            match Heap.get_field vm.Vm.heap id "message" with
-            | Some (Value.Str m) -> m
-            | Some _ | None -> ""
-          in
-          raise (Vm.Mini_raise { Vm.exn_class = cls; message; exn_obj = obj })
-        | Some cls -> err ops.(pc + 2) ops.(pc + 3) "throw of non-exception class %s" cls
-        | None -> err ops.(pc + 2) ops.(pc + 3) "throw of an array")
-      | v -> err ops.(pc + 2) ops.(pc + 3) "throw of %s" (Value.type_name v))
-    | 29 (* BREAK *) -> raise Break_loop
-    | 30 (* CONT *) -> raise Continue_loop
-    | 31 (* WHILE *) ->
-      let ls = Array.unsafe_get c.c_loops (Array.unsafe_get ops (pc + 2)) in
-      let st =
-        try
-          let rec wloop () =
-            ignore (exec c vm fr regs ls.ls_cond 0 sp : int);
-            if Value.truthy (Array.unsafe_get regs sp) then begin
-              let st =
-                try exec c vm fr regs ls.ls_body 0 sp with Continue_loop -> 0
-              in
-              if st = 0 then wloop () else st
-            end
-            else 0
-          in
-          wloop ()
-        with Break_loop -> 0
-      in
-      if st <> 0 then st else exec c vm fr regs ops (pc + 3) sp
-    | 32 (* FOR *) ->
-      let ls = Array.unsafe_get c.c_loops (Array.unsafe_get ops (pc + 2)) in
-      let cond_ok () =
-        Array.length ls.ls_cond = 0
-        || begin
-          ignore (exec c vm fr regs ls.ls_cond 0 sp : int);
-          Value.truthy (Array.unsafe_get regs sp)
-        end
-      in
-      let st =
-        try
-          let rec floop () =
-            if cond_ok () then begin
-              let st =
-                try exec c vm fr regs ls.ls_body 0 sp with Continue_loop -> 0
-              in
-              if st <> 0 then st
-              else begin
-                (* a [continue] in the update propagates out of the
-                   loop, a [break] is caught below: only the body
-                   catches [continue], the whole loop catches [break] *)
-                let stu =
-                  if Array.length ls.ls_update = 0 then 0
-                  else exec c vm fr regs ls.ls_update 0 sp
-                in
-                if stu <> 0 then stu else floop ()
-              end
-            end
-            else 0
-          in
-          floop ()
-        with Break_loop -> 0
-      in
-      if st <> 0 then st else exec c vm fr regs ops (pc + 3) sp
-    | 33 (* TRY *) ->
-      let ts = Array.unsafe_get c.c_trys (Array.unsafe_get ops (pc + 2)) in
-      let outcome =
-        match exec c vm fr regs ts.ts_body 0 sp with
-        | 0 -> ODone
-        | _ -> ORet fr.ret
-        | exception Vm.Mini_raise e -> ORaise e
-        | exception ((Break_loop | Continue_loop) as flow) -> OFlow flow
-      in
-      let handled =
-        match outcome with
-        | ORaise e ->
-          let n = Array.length ts.ts_catches in
-          let rec find i =
-            if i >= n then outcome
-            else begin
-              let hc, slot, cbody = Array.unsafe_get ts.ts_catches i in
-              if c.c_env.env_exn_matches vm e hc then begin
-                Array.unsafe_set regs slot e.Vm.exn_obj;
-                match exec c vm fr regs cbody 0 sp with
-                | 0 -> ODone
-                | _ -> ORet fr.ret
-                | exception Vm.Mini_raise e2 -> ORaise e2
-                | exception ((Break_loop | Continue_loop) as flow) -> OFlow flow
-              end
-              else find (i + 1)
-            end
-          in
-          find 0
-        | ODone | ORet _ | OFlow _ -> outcome
-      in
-      (* As in Java: the finally block runs last and, if it completes
-         abruptly (returns, raises), its outcome supersedes the pending
-         one. *)
-      let fin_st =
-        if Array.length ts.ts_fin = 0 then 0 else exec c vm fr regs ts.ts_fin 0 sp
-      in
-      if fin_st <> 0 then fin_st
-      else (
-        match handled with
-        | ODone -> exec c vm fr regs ops (pc + 3) sp
-        | ORet v ->
-          fr.ret <- v;
-          1
-        | ORaise e -> raise (Vm.Mini_raise e)
-        | OFlow f -> raise f)
-    | 34 (* TICKN *) -> exec c vm fr regs ops (pc + 2) sp
-    | 15 (* SUPER *) ->
-      let midx = Array.unsafe_get ops (pc + 2) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      let result =
-        Vm.call_filtered vm (Array.unsafe_get vm.Vm.meth_table midx) fr.this vargs
-      in
-      Array.unsafe_set regs base result;
-      exec c vm fr regs ops (pc + 4) (base + 1)
-    | 16 (* SUPERCK *) ->
-      let sup = c.c_strs.(ops.(pc + 2)) in
-      let m = c.c_strs.(ops.(pc + 3)) in
-      (match Vm.lookup_method vm sup m with
-       | Some _ -> ()
-       | None ->
-         err ops.(pc + 5) ops.(pc + 6) "no method %s in superclasses of %s" m
-           c.c_strs.(ops.(pc + 4)));
-      exec c vm fr regs ops (pc + 7) sp
-    | 17 (* SUPERDYN *) ->
-      let sup = c.c_strs.(ops.(pc + 2)) in
-      let m = c.c_strs.(ops.(pc + 3)) in
-      let n = Array.unsafe_get ops (pc + 7) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      (match Vm.lookup_method vm sup m with
-       | Some meth ->
-         Array.unsafe_set regs base (Vm.call_filtered vm meth fr.this vargs);
-         exec c vm fr regs ops (pc + 8) (base + 1)
-       | None ->
-         err ops.(pc + 5) ops.(pc + 6) "no method %s in superclasses of %s" m
-           c.c_strs.(ops.(pc + 4)))
-    | 20 (* ARRAY *) ->
-      let n = Array.unsafe_get ops (pc + 2) in
-      let base = sp - n in
-      let a = Array.init n (fun i -> Array.unsafe_get regs (base + i)) in
-      Array.unsafe_set regs base (Value.Ref (Heap.alloc vm.Vm.heap (Heap.Arr a)));
-      exec c vm fr regs ops (pc + 3) (base + 1)
-    | 35 (* LOAD2 *) ->
-      let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v1 == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      Array.unsafe_set regs sp v1;
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
-      if v2 == unbound then
-        err ops.(pc + 9) ops.(pc + 10) "unknown variable %s" c.c_strs.(ops.(pc + 8));
-      Array.unsafe_set regs (sp + 1) v2;
-      exec c vm fr regs ops (pc + 11) (sp + 2)
-    | 36 (* LOADC *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      Array.unsafe_set regs sp v;
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      Array.unsafe_set regs (sp + 1)
-        (Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)));
-      exec c vm fr regs ops (pc + 8) (sp + 2)
-    | 37 (* LOADF *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      Array.unsafe_set regs sp
-        (get_obj_field vm ops.(pc + 8) ops.(pc + 9) v
-           (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 7))));
-      exec c vm fr regs ops (pc + 10) (sp + 1)
-    | 38 (* THISF *) ->
-      let v = fr.this in
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      Array.unsafe_set regs sp
-        (get_obj_field vm ops.(pc + 4) ops.(pc + 5) v
-           (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3))));
-      exec c vm fr regs ops (pc + 6) (sp + 1)
-    | 39 (* CONSTB *) ->
-      let b = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
-      let t2 = Array.unsafe_get ops (pc + 3) in
-      if t2 <> 0 then tick_n vm t2;
-      Array.unsafe_set regs (sp - 1)
-        (eval_binop vm (Array.unsafe_get ops (pc + 4))
-           (Array.unsafe_get regs (sp - 1))
-           b ops.(pc + 5) ops.(pc + 6));
-      exec c vm fr regs ops (pc + 7) sp
-    | 40 (* LOADB *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      Array.unsafe_set regs (sp - 1)
-        (eval_binop vm (Array.unsafe_get ops (pc + 7))
-           (Array.unsafe_get regs (sp - 1))
-           v ops.(pc + 8) ops.(pc + 9));
-      exec c vm fr regs ops (pc + 10) sp
-    | 41 (* LCB: load; const; binop — both operands stay in locals *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
-      let t3 = Array.unsafe_get ops (pc + 8) in
-      if t3 <> 0 then tick_n vm t3;
-      Array.unsafe_set regs sp
-        (eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
-           ops.(pc + 11));
-      exec c vm fr regs ops (pc + 12) (sp + 1)
-    | 42 (* BJF: binop; jump-if-false — result branched, never pushed *) ->
-      let b = Array.unsafe_get regs (sp - 1) in
-      let a = Array.unsafe_get regs (sp - 2) in
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 2)) a b ops.(pc + 3)
-          ops.(pc + 4)
-      in
-      let t2 = Array.unsafe_get ops (pc + 5) in
-      if t2 <> 0 then tick_n vm t2;
-      if Value.truthy r then exec c vm fr regs ops (pc + 7) (sp - 2)
-      else exec c vm fr regs ops (Array.unsafe_get ops (pc + 6)) (sp - 2)
-    | 43 (* BSC: binop; storechk — result stored, never pushed *) ->
-      let b = Array.unsafe_get regs (sp - 1) in
-      let a = Array.unsafe_get regs (sp - 2) in
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 2)) a b ops.(pc + 3)
-          ops.(pc + 4)
-      in
-      let t2 = Array.unsafe_get ops (pc + 5) in
-      if t2 <> 0 then tick_n vm t2;
-      let slot = Array.unsafe_get ops (pc + 6) in
-      if Array.unsafe_get regs slot == unbound then
-        err ops.(pc + 8) ops.(pc + 9) "unknown variable %s" c.c_strs.(ops.(pc + 7));
-      Array.unsafe_set regs slot r;
-      exec c vm fr regs ops (pc + 10) (sp - 2)
-    | 44 (* CALLT: method call with [this] receiver (no receiver push) *) ->
-      let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      Array.unsafe_set regs base (do_call vm site fr.this vargs);
-      exec c vm fr regs ops (pc + 4) (base + 1)
-    | 45 (* SETFT: setfield on [this] *) ->
-      set_obj_field vm ops.(pc + 3) ops.(pc + 4) fr.this
-        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 2)))
-        (Array.unsafe_get regs (sp - 1));
-      exec c vm fr regs ops (pc + 5) (sp - 1)
-    | 46 (* CALLP: call; pop — result discarded *) ->
-      let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let recv = Array.unsafe_get regs (base - 1) in
-      let vargs = arg_list regs base (n - 1) [] in
-      ignore (do_call vm site recv vargs : Value.t);
-      let t2 = Array.unsafe_get ops (pc + 4) in
-      if t2 <> 0 then tick_n vm t2;
-      exec c vm fr regs ops (pc + 5) (base - 1)
-    | 47 (* FNCALLP: fncall; pop *) ->
-      let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      ignore (do_fncall vm site vargs : Value.t);
-      let t2 = Array.unsafe_get ops (pc + 4) in
-      if t2 <> 0 then tick_n vm t2;
-      exec c vm fr regs ops (pc + 5) base
-    | 48 (* CALLTP: callt; pop *) ->
-      let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
-      let n = Array.unsafe_get ops (pc + 3) in
-      let base = sp - n in
-      let vargs = arg_list regs base (n - 1) [] in
-      ignore (do_call vm site fr.this vargs : Value.t);
-      let t2 = Array.unsafe_get ops (pc + 4) in
-      if t2 <> 0 then tick_n vm t2;
-      exec c vm fr regs ops (pc + 5) base
-    | 49 (* LCBS: load; const; binop; storechk — zero stack traffic *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
-      let t3 = Array.unsafe_get ops (pc + 8) in
-      if t3 <> 0 then tick_n vm t3;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
-          ops.(pc + 11)
-      in
-      let t4 = Array.unsafe_get ops (pc + 12) in
-      if t4 <> 0 then tick_n vm t4;
-      let dslot = Array.unsafe_get ops (pc + 13) in
-      if Array.unsafe_get regs dslot == unbound then
-        err ops.(pc + 15) ops.(pc + 16) "unknown variable %s"
-          c.c_strs.(ops.(pc + 14));
-      Array.unsafe_set regs dslot r;
-      exec c vm fr regs ops (pc + 17) sp
-    | 50 (* LCBJF: load; const; binop; jump-if-false *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
-      let t3 = Array.unsafe_get ops (pc + 8) in
-      if t3 <> 0 then tick_n vm t3;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
-          ops.(pc + 11)
-      in
-      let t4 = Array.unsafe_get ops (pc + 12) in
-      if t4 <> 0 then tick_n vm t4;
-      if Value.truthy r then exec c vm fr regs ops (pc + 14) sp
-      else exec c vm fr regs ops (Array.unsafe_get ops (pc + 13)) sp
-    | 51 (* BRET: binop; ret *) ->
-      let b = Array.unsafe_get regs (sp - 1) in
-      let a = Array.unsafe_get regs (sp - 2) in
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 2)) a b ops.(pc + 3)
-          ops.(pc + 4)
-      in
-      let t2 = Array.unsafe_get ops (pc + 5) in
-      if t2 <> 0 then tick_n vm t2;
-      fr.ret <- r;
-      1
-    | 52 (* LRET: load; ret *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      fr.ret <- v;
-      1
-    | 53 (* NRET: null; ret *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      fr.ret <- Value.Null;
-      1
-    | 54 (* TFRET: thisf; ret *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      let v =
-        get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
-          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
-      in
-      let t3 = Array.unsafe_get ops (pc + 6) in
-      if t3 <> 0 then tick_n vm t3;
-      fr.ret <- v;
-      1
-    | 55 (* LCBR: load; const; binop; ret *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
-      let t3 = Array.unsafe_get ops (pc + 8) in
-      if t3 <> 0 then tick_n vm t3;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
-          ops.(pc + 11)
-      in
-      let t4 = Array.unsafe_get ops (pc + 12) in
-      if t4 <> 0 then tick_n vm t4;
-      fr.ret <- r;
-      1
-    | 56 (* LLB: load; load; binop *) ->
-      let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v1 == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
-      if v2 == unbound then
-        err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
-          c.c_strs.(ops.(pc + 8));
-      let t3 = Array.unsafe_get ops (pc + 11) in
-      if t3 <> 0 then tick_n vm t3;
-      Array.unsafe_set regs sp
-        (eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
-           ops.(pc + 14));
-      exec c vm fr regs ops (pc + 15) (sp + 1)
-    | 57 (* LLBS: load; load; binop; storechk *) ->
-      let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v1 == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
-      if v2 == unbound then
-        err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
-          c.c_strs.(ops.(pc + 8));
-      let t3 = Array.unsafe_get ops (pc + 11) in
-      if t3 <> 0 then tick_n vm t3;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
-          ops.(pc + 14)
-      in
-      let t4 = Array.unsafe_get ops (pc + 15) in
-      if t4 <> 0 then tick_n vm t4;
-      let dslot = Array.unsafe_get ops (pc + 16) in
-      if Array.unsafe_get regs dslot == unbound then
-        err ops.(pc + 18) ops.(pc + 19) "unknown variable %s"
-          c.c_strs.(ops.(pc + 17));
-      Array.unsafe_set regs dslot r;
-      exec c vm fr regs ops (pc + 20) sp
-    | 58 (* LLBJF: load; load; binop; jump-if-false *) ->
-      let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v1 == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
-      if v2 == unbound then
-        err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
-          c.c_strs.(ops.(pc + 8));
-      let t3 = Array.unsafe_get ops (pc + 11) in
-      if t3 <> 0 then tick_n vm t3;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
-          ops.(pc + 14)
-      in
-      let t4 = Array.unsafe_get ops (pc + 15) in
-      if t4 <> 0 then tick_n vm t4;
-      if Value.truthy r then exec c vm fr regs ops (pc + 17) sp
-      else exec c vm fr regs ops (Array.unsafe_get ops (pc + 16)) sp
-    | 59 (* LLBR: load; load; binop; ret *) ->
-      let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v1 == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
-      if v2 == unbound then
-        err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
-          c.c_strs.(ops.(pc + 8));
-      let t3 = Array.unsafe_get ops (pc + 11) in
-      if t3 <> 0 then tick_n vm t3;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
-          ops.(pc + 14)
-      in
-      let t4 = Array.unsafe_get ops (pc + 15) in
-      if t4 <> 0 then tick_n vm t4;
-      fr.ret <- r;
-      1
-    | 60 (* CRET: const; ret *) ->
-      let v = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
-      let t2 = Array.unsafe_get ops (pc + 3) in
-      if t2 <> 0 then tick_n vm t2;
-      fr.ret <- v;
-      1
-    | 61 (* TFCB: thisf; const; binop *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      let v =
-        get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
-          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
-      in
-      let t3 = Array.unsafe_get ops (pc + 6) in
-      if t3 <> 0 then tick_n vm t3;
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
-      let t4 = Array.unsafe_get ops (pc + 8) in
-      if t4 <> 0 then tick_n vm t4;
-      Array.unsafe_set regs sp
-        (eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
-           ops.(pc + 11));
-      exec c vm fr regs ops (pc + 12) (sp + 1)
-    | 62 (* FNCALLTF: fncall whose last argument is this.f *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      let v =
-        get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
-          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
-      in
-      let t3 = Array.unsafe_get ops (pc + 8) in
-      if t3 <> 0 then tick_n vm t3;
-      let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 6)) in
-      let n = Array.unsafe_get ops (pc + 7) in
-      let base = sp - (n - 1) in
-      let vargs = arg_list regs base (n - 2) [ v ] in
-      Array.unsafe_set regs base (do_fncall vm site vargs);
-      exec c vm fr regs ops (pc + 9) (base + 1)
-    | 63 (* LSETFT: load; setfield-on-this *) ->
-      let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
-      if v == unbound then
-        err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
-      let t2 = Array.unsafe_get ops (pc + 6) in
-      if t2 <> 0 then tick_n vm t2;
-      set_obj_field vm ops.(pc + 8) ops.(pc + 9) fr.this
-        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 7)))
-        v;
-      exec c vm fr regs ops (pc + 10) sp
-    | 64 (* CBSETFT: constb; setfield-on-this *) ->
-      let a = Array.unsafe_get regs (sp - 1) in
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
-      let t2 = Array.unsafe_get ops (pc + 3) in
-      if t2 <> 0 then tick_n vm t2;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 4)) a k ops.(pc + 5)
-          ops.(pc + 6)
-      in
-      let t3 = Array.unsafe_get ops (pc + 7) in
-      if t3 <> 0 then tick_n vm t3;
-      set_obj_field vm ops.(pc + 9) ops.(pc + 10) fr.this
+    let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    let base = sp - n in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    call_site st vm fr site (Array.unsafe_get regs (base - 1)) regs base n
+  | 15 (* SUPER *) ->
+    let midx = Array.unsafe_get ops (pc + 2) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    call_regs st vm fr (Array.unsafe_get vm.Vm.meth_table midx) fr.this regs (sp - n) n
+  | 16 (* SUPERCK *) ->
+    let sup = c.c_strs.(ops.(pc + 2)) in
+    let m = c.c_strs.(ops.(pc + 3)) in
+    (match Vm.lookup_method vm sup m with
+     | Some _ -> ()
+     | None ->
+       err ops.(pc + 5) ops.(pc + 6) "no method %s in superclasses of %s" m
+         c.c_strs.(ops.(pc + 4)));
+    exec st c vm fr regs ops (pc + 7) sp
+  | 17 (* SUPERDYN *) -> (
+    let sup = c.c_strs.(ops.(pc + 2)) in
+    let m = c.c_strs.(ops.(pc + 3)) in
+    let n = Array.unsafe_get ops (pc + 7) in
+    match Vm.lookup_method vm sup m with
+    | Some meth ->
+      fr.ops <- ops;
+      fr.pc <- pc;
+      fr.sp <- sp;
+      call_regs st vm fr meth fr.this regs (sp - n) n
+    | None ->
+      err ops.(pc + 5) ops.(pc + 6) "no method %s in superclasses of %s" m
+        c.c_strs.(ops.(pc + 4)))
+  | 18 (* FNCALL *) ->
+    let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    let vargs = arg_list regs (sp - n) (n - 1) [] in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    fn_call st vm fr site vargs
+  | 19 (* NEW *) ->
+    let site = Array.unsafe_get c.c_news (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    let base = sp - n in
+    let vargs = arg_list regs base (n - 1) [] in
+    if not site.ns_known then begin
+      Array.unsafe_set regs base
+        (instantiate_dyn vm site.ns_line site.ns_col site.ns_cls vargs);
+      exec st c vm fr regs ops (pc + 4) (base + 1)
+    end
+    else begin
+      let id = Heap.alloc_object vm.Vm.heap ~cls:site.ns_cls site.ns_template in
+      let recv = Value.Ref id in
+      (* the arguments are in [vargs]: the new object takes the result
+         register now, and [init]'s own result is discarded *)
+      Array.unsafe_set regs base recv;
+      if site.ns_init >= 0 then begin
+        fr.ops <- ops;
+        fr.pc <- pc;
+        fr.sp <- sp;
+        call_list st vm fr (Array.unsafe_get vm.Vm.meth_table site.ns_init) recv vargs
+      end
+      else
+        match Vm.lookup_method vm site.ns_cls "init" with
+        | Some meth ->
+          (* an init added to this VM after instantiation *)
+          fr.ops <- ops;
+          fr.pc <- pc;
+          fr.sp <- sp;
+          call_list st vm fr meth recv vargs
+        | None ->
+          (match vargs with
+           | [] -> ()
+           | [ Value.Str m ] when site.ns_is_exc ->
+             Heap.set_field vm.Vm.heap id "message" (Value.Str m)
+           | _ ->
+             err site.ns_line site.ns_col "class %s has no init method" site.ns_cls);
+          exec st c vm fr regs ops (pc + 4) (base + 1)
+    end
+  | 20 (* ARRAY *) ->
+    let n = Array.unsafe_get ops (pc + 2) in
+    let base = sp - n in
+    let a = Array.init n (fun i -> Array.unsafe_get regs (base + i)) in
+    Array.unsafe_set regs base (Value.Ref (Heap.alloc vm.Vm.heap (Heap.Arr a)));
+    exec st c vm fr regs ops (pc + 3) (base + 1)
+  | 21 (* STORE *) ->
+    Array.unsafe_set regs (Array.unsafe_get ops (pc + 2))
+      (Array.unsafe_get regs (sp - 1));
+    exec st c vm fr regs ops (pc + 3) (sp - 1)
+  | 22 (* STORECHK *) ->
+    let slot = Array.unsafe_get ops (pc + 2) in
+    if Array.unsafe_get regs slot == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    Array.unsafe_set regs slot (Array.unsafe_get regs (sp - 1));
+    exec st c vm fr regs ops (pc + 6) (sp - 1)
+  | 23 (* SETFIELD *) ->
+    set_obj_field vm ops.(pc + 3) ops.(pc + 4)
+      (Array.unsafe_get regs (sp - 2))
+      (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 2)))
+      (Array.unsafe_get regs (sp - 1));
+    exec st c vm fr regs ops (pc + 5) (sp - 2)
+  | 24 (* SETIDX *) ->
+    set_index vm ops.(pc + 2) ops.(pc + 3)
+      (Array.unsafe_get regs (sp - 3))
+      (Array.unsafe_get regs (sp - 2))
+      (Array.unsafe_get regs (sp - 1));
+    exec st c vm fr regs ops (pc + 4) (sp - 3)
+  | 25 (* POP *) -> exec st c vm fr regs ops (pc + 2) (sp - 1)
+  | 26 (* RET *) ->
+    return_from st vm fr (Array.unsafe_get regs (sp - 1))
+  | 27 (* RETNULL *) ->
+    return_from st vm fr Value.Null
+  | 28 (* THROW *) -> (
+    match Array.unsafe_get regs (sp - 1) with
+    | Value.Ref id as obj -> (
+      match Heap.class_of vm.Vm.heap id with
+      | Some cls when c.c_env.env_is_exc vm cls ->
+        let message =
+          match Heap.get_field vm.Vm.heap id "message" with
+          | Some (Value.Str m) -> m
+          | Some _ | None -> ""
+        in
+        raise_in st vm fr { Vm.exn_class = cls; message; exn_obj = obj }
+      | Some cls -> err ops.(pc + 2) ops.(pc + 3) "throw of non-exception class %s" cls
+      | None -> err ops.(pc + 2) ops.(pc + 3) "throw of an array")
+    | v -> err ops.(pc + 2) ops.(pc + 3) "throw of %s" (Value.type_name v))
+  | 29 (* BREAK *) -> flow_in st vm fr true
+  | 30 (* CONT *) -> flow_in st vm fr false
+  | 31 (* WHILE *) ->
+    let ls = Array.unsafe_get c.c_loops (Array.unsafe_get ops (pc + 2)) in
+    fr.blocks <-
+      { bk = bk_while_cond; b_ops = ops; b_pc = pc; b_sp = sp; b_loop = ls;
+        b_try = no_try; b_pending = ODone; b_next = fr.blocks };
+    exec st c vm fr regs ls.ls_cond 0 sp
+  | 32 (* FOR *) ->
+    let ls = Array.unsafe_get c.c_loops (Array.unsafe_get ops (pc + 2)) in
+    let b =
+      { bk = bk_for_cond; b_ops = ops; b_pc = pc; b_sp = sp; b_loop = ls;
+        b_try = no_try; b_pending = ODone; b_next = fr.blocks }
+    in
+    fr.blocks <- b;
+    for_test st c vm fr regs b
+  | 33 (* TRY *) ->
+    let ts = Array.unsafe_get c.c_trys (Array.unsafe_get ops (pc + 2)) in
+    fr.blocks <-
+      { bk = bk_try; b_ops = ops; b_pc = pc; b_sp = sp; b_loop = no_loop;
+        b_try = ts; b_pending = ODone; b_next = fr.blocks };
+    exec st c vm fr regs ts.ts_body 0 sp
+  | 34 (* TICKN *) -> exec st c vm fr regs ops (pc + 2) sp
+  | 35 (* LOAD2 *) ->
+    let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v1 == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    Array.unsafe_set regs sp v1;
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
+    if v2 == unbound then
+      err ops.(pc + 9) ops.(pc + 10) "unknown variable %s" c.c_strs.(ops.(pc + 8));
+    Array.unsafe_set regs (sp + 1) v2;
+    exec st c vm fr regs ops (pc + 11) (sp + 2)
+  | 36 (* LOADC *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    Array.unsafe_set regs sp v;
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    Array.unsafe_set regs (sp + 1)
+      (Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)));
+    exec st c vm fr regs ops (pc + 8) (sp + 2)
+  | 37 (* LOADF *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    Array.unsafe_set regs sp
+      (get_obj_field vm ops.(pc + 8) ops.(pc + 9) v
+         (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 7))));
+    exec st c vm fr regs ops (pc + 10) (sp + 1)
+  | 38 (* THISF *) ->
+    let v = fr.this in
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    Array.unsafe_set regs sp
+      (get_obj_field vm ops.(pc + 4) ops.(pc + 5) v
+         (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3))));
+    exec st c vm fr regs ops (pc + 6) (sp + 1)
+  | 39 (* CONSTB *) ->
+    let b = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
+    let t2 = Array.unsafe_get ops (pc + 3) in
+    if t2 <> 0 then tick_n vm t2;
+    Array.unsafe_set regs (sp - 1)
+      (eval_binop vm (Array.unsafe_get ops (pc + 4))
+         (Array.unsafe_get regs (sp - 1))
+         b ops.(pc + 5) ops.(pc + 6));
+    exec st c vm fr regs ops (pc + 7) sp
+  | 40 (* LOADB *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    Array.unsafe_set regs (sp - 1)
+      (eval_binop vm (Array.unsafe_get ops (pc + 7))
+         (Array.unsafe_get regs (sp - 1))
+         v ops.(pc + 8) ops.(pc + 9));
+    exec st c vm fr regs ops (pc + 10) sp
+  | 41 (* LCB: load; const; binop — both operands stay in locals *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
+    let t3 = Array.unsafe_get ops (pc + 8) in
+    if t3 <> 0 then tick_n vm t3;
+    Array.unsafe_set regs sp
+      (eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
+         ops.(pc + 11));
+    exec st c vm fr regs ops (pc + 12) (sp + 1)
+  | 42 (* BJF: binop; jump-if-false — result branched, never pushed *) ->
+    let b = Array.unsafe_get regs (sp - 1) in
+    let a = Array.unsafe_get regs (sp - 2) in
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 2)) a b ops.(pc + 3)
+        ops.(pc + 4)
+    in
+    let t2 = Array.unsafe_get ops (pc + 5) in
+    if t2 <> 0 then tick_n vm t2;
+    if Value.truthy r then exec st c vm fr regs ops (pc + 7) (sp - 2)
+    else exec st c vm fr regs ops (Array.unsafe_get ops (pc + 6)) (sp - 2)
+  | 43 (* BSC: binop; storechk — result stored, never pushed *) ->
+    let b = Array.unsafe_get regs (sp - 1) in
+    let a = Array.unsafe_get regs (sp - 2) in
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 2)) a b ops.(pc + 3)
+        ops.(pc + 4)
+    in
+    let t2 = Array.unsafe_get ops (pc + 5) in
+    if t2 <> 0 then tick_n vm t2;
+    let slot = Array.unsafe_get ops (pc + 6) in
+    if Array.unsafe_get regs slot == unbound then
+      err ops.(pc + 8) ops.(pc + 9) "unknown variable %s" c.c_strs.(ops.(pc + 7));
+    Array.unsafe_set regs slot r;
+    exec st c vm fr regs ops (pc + 10) (sp - 2)
+  | 44 (* CALLT: method call with [this] receiver (no receiver push) *) ->
+    let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    call_site st vm fr site fr.this regs (sp - n) n
+  | 45 (* SETFT: setfield on [this] *) ->
+    set_obj_field vm ops.(pc + 3) ops.(pc + 4) fr.this
+      (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 2)))
+      (Array.unsafe_get regs (sp - 1));
+    exec st c vm fr regs ops (pc + 5) (sp - 1)
+  | 46 (* CALLP: call; pop — result discarded *) ->
+    let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    let base = sp - n in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    call_site st vm fr site (Array.unsafe_get regs (base - 1)) regs base n
+  | 47 (* FNCALLP: fncall; pop *) ->
+    let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    let vargs = arg_list regs (sp - n) (n - 1) [] in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    fn_call st vm fr site vargs
+  | 48 (* CALLTP: callt; pop *) ->
+    let site = Array.unsafe_get c.c_calls (Array.unsafe_get ops (pc + 2)) in
+    let n = Array.unsafe_get ops (pc + 3) in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    call_site st vm fr site fr.this regs (sp - n) n
+  | 49 (* LCBS: load; const; binop; storechk — zero stack traffic *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
+    let t3 = Array.unsafe_get ops (pc + 8) in
+    if t3 <> 0 then tick_n vm t3;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
+        ops.(pc + 11)
+    in
+    let t4 = Array.unsafe_get ops (pc + 12) in
+    if t4 <> 0 then tick_n vm t4;
+    let dslot = Array.unsafe_get ops (pc + 13) in
+    if Array.unsafe_get regs dslot == unbound then
+      err ops.(pc + 15) ops.(pc + 16) "unknown variable %s"
+        c.c_strs.(ops.(pc + 14));
+    Array.unsafe_set regs dslot r;
+    exec st c vm fr regs ops (pc + 17) sp
+  | 50 (* LCBJF: load; const; binop; jump-if-false *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
+    let t3 = Array.unsafe_get ops (pc + 8) in
+    if t3 <> 0 then tick_n vm t3;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
+        ops.(pc + 11)
+    in
+    let t4 = Array.unsafe_get ops (pc + 12) in
+    if t4 <> 0 then tick_n vm t4;
+    if Value.truthy r then exec st c vm fr regs ops (pc + 14) sp
+    else exec st c vm fr regs ops (Array.unsafe_get ops (pc + 13)) sp
+  | 51 (* BRET: binop; ret *) ->
+    let b = Array.unsafe_get regs (sp - 1) in
+    let a = Array.unsafe_get regs (sp - 2) in
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 2)) a b ops.(pc + 3)
+        ops.(pc + 4)
+    in
+    let t2 = Array.unsafe_get ops (pc + 5) in
+    if t2 <> 0 then tick_n vm t2;
+    return_from st vm fr r
+  | 52 (* LRET: load; ret *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    return_from st vm fr v
+  | 53 (* NRET: null; ret *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    return_from st vm fr Value.Null
+  | 54 (* TFRET: thisf; ret *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    let v =
+      get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
+        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
+    in
+    let t3 = Array.unsafe_get ops (pc + 6) in
+    if t3 <> 0 then tick_n vm t3;
+    return_from st vm fr v
+  | 55 (* LCBR: load; const; binop; ret *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
+    let t3 = Array.unsafe_get ops (pc + 8) in
+    if t3 <> 0 then tick_n vm t3;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
+        ops.(pc + 11)
+    in
+    let t4 = Array.unsafe_get ops (pc + 12) in
+    if t4 <> 0 then tick_n vm t4;
+    return_from st vm fr r
+  | 56 (* LLB: load; load; binop *) ->
+    let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v1 == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
+    if v2 == unbound then
+      err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
+        c.c_strs.(ops.(pc + 8));
+    let t3 = Array.unsafe_get ops (pc + 11) in
+    if t3 <> 0 then tick_n vm t3;
+    Array.unsafe_set regs sp
+      (eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
+         ops.(pc + 14));
+    exec st c vm fr regs ops (pc + 15) (sp + 1)
+  | 57 (* LLBS: load; load; binop; storechk *) ->
+    let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v1 == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
+    if v2 == unbound then
+      err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
+        c.c_strs.(ops.(pc + 8));
+    let t3 = Array.unsafe_get ops (pc + 11) in
+    if t3 <> 0 then tick_n vm t3;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
+        ops.(pc + 14)
+    in
+    let t4 = Array.unsafe_get ops (pc + 15) in
+    if t4 <> 0 then tick_n vm t4;
+    let dslot = Array.unsafe_get ops (pc + 16) in
+    if Array.unsafe_get regs dslot == unbound then
+      err ops.(pc + 18) ops.(pc + 19) "unknown variable %s"
+        c.c_strs.(ops.(pc + 17));
+    Array.unsafe_set regs dslot r;
+    exec st c vm fr regs ops (pc + 20) sp
+  | 58 (* LLBJF: load; load; binop; jump-if-false *) ->
+    let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v1 == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
+    if v2 == unbound then
+      err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
+        c.c_strs.(ops.(pc + 8));
+    let t3 = Array.unsafe_get ops (pc + 11) in
+    if t3 <> 0 then tick_n vm t3;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
+        ops.(pc + 14)
+    in
+    let t4 = Array.unsafe_get ops (pc + 15) in
+    if t4 <> 0 then tick_n vm t4;
+    if Value.truthy r then exec st c vm fr regs ops (pc + 17) sp
+    else exec st c vm fr regs ops (Array.unsafe_get ops (pc + 16)) sp
+  | 59 (* LLBR: load; load; binop; ret *) ->
+    let v1 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v1 == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    let v2 = Array.unsafe_get regs (Array.unsafe_get ops (pc + 7)) in
+    if v2 == unbound then
+      err ops.(pc + 9) ops.(pc + 10) "unknown variable %s"
+        c.c_strs.(ops.(pc + 8));
+    let t3 = Array.unsafe_get ops (pc + 11) in
+    if t3 <> 0 then tick_n vm t3;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 12)) v1 v2 ops.(pc + 13)
+        ops.(pc + 14)
+    in
+    let t4 = Array.unsafe_get ops (pc + 15) in
+    if t4 <> 0 then tick_n vm t4;
+    return_from st vm fr r
+  | 60 (* CRET: const; ret *) ->
+    let v = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
+    let t2 = Array.unsafe_get ops (pc + 3) in
+    if t2 <> 0 then tick_n vm t2;
+    return_from st vm fr v
+  | 61 (* TFCB: thisf; const; binop *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    let v =
+      get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
+        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
+    in
+    let t3 = Array.unsafe_get ops (pc + 6) in
+    if t3 <> 0 then tick_n vm t3;
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
+    let t4 = Array.unsafe_get ops (pc + 8) in
+    if t4 <> 0 then tick_n vm t4;
+    Array.unsafe_set regs sp
+      (eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
+         ops.(pc + 11));
+    exec st c vm fr regs ops (pc + 12) (sp + 1)
+  | 62 (* FNCALLTF: fncall whose last argument is this.f *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    let v =
+      get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
+        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
+    in
+    let t3 = Array.unsafe_get ops (pc + 8) in
+    if t3 <> 0 then tick_n vm t3;
+    let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 6)) in
+    let n = Array.unsafe_get ops (pc + 7) in
+    let base = sp - (n - 1) in
+    let vargs = arg_list regs base (n - 2) [ v ] in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    fn_call st vm fr site vargs
+  | 63 (* LSETFT: load; setfield-on-this *) ->
+    let v = Array.unsafe_get regs (Array.unsafe_get ops (pc + 2)) in
+    if v == unbound then
+      err ops.(pc + 4) ops.(pc + 5) "unknown variable %s" c.c_strs.(ops.(pc + 3));
+    let t2 = Array.unsafe_get ops (pc + 6) in
+    if t2 <> 0 then tick_n vm t2;
+    set_obj_field vm ops.(pc + 8) ops.(pc + 9) fr.this
+      (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 7)))
+      v;
+    exec st c vm fr regs ops (pc + 10) sp
+  | 64 (* CBSETFT: constb; setfield-on-this *) ->
+    let a = Array.unsafe_get regs (sp - 1) in
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
+    let t2 = Array.unsafe_get ops (pc + 3) in
+    if t2 <> 0 then tick_n vm t2;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 4)) a k ops.(pc + 5)
+        ops.(pc + 6)
+    in
+    let t3 = Array.unsafe_get ops (pc + 7) in
+    if t3 <> 0 then tick_n vm t3;
+    set_obj_field vm ops.(pc + 9) ops.(pc + 10) fr.this
+      (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 8)))
+      r;
+    exec st c vm fr regs ops (pc + 11) (sp - 1)
+  | 65 (* TRET: this; ret *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    return_from st vm fr fr.this
+  | 66 (* CSETFT: const; setfield-on-this *) ->
+    let v = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
+    let t2 = Array.unsafe_get ops (pc + 3) in
+    if t2 <> 0 then tick_n vm t2;
+    set_obj_field vm ops.(pc + 5) ops.(pc + 6) fr.this
+      (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 4)))
+      v;
+    exec st c vm fr regs ops (pc + 7) sp
+  | 67 (* TFCBJF: thisf; const; binop; jump-if-false *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    let v =
+      get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
+        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
+    in
+    let t3 = Array.unsafe_get ops (pc + 6) in
+    if t3 <> 0 then tick_n vm t3;
+    let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
+    let t4 = Array.unsafe_get ops (pc + 8) in
+    if t4 <> 0 then tick_n vm t4;
+    let r =
+      eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
+        ops.(pc + 11)
+    in
+    let t5 = Array.unsafe_get ops (pc + 12) in
+    if t5 <> 0 then tick_n vm t5;
+    if Value.truthy r then exec st c vm fr regs ops (pc + 14) sp
+    else exec st c vm fr regs ops (Array.unsafe_get ops (pc + 13)) sp
+  | _ (* 68 FNCALLTF2: fncall, last two arguments this.f1 / this.f2 *) ->
+    let t2 = Array.unsafe_get ops (pc + 2) in
+    if t2 <> 0 then tick_n vm t2;
+    let v1 =
+      get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
+        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
+    in
+    let t3 = Array.unsafe_get ops (pc + 6) in
+    if t3 <> 0 then tick_n vm t3;
+    let t4 = Array.unsafe_get ops (pc + 7) in
+    if t4 <> 0 then tick_n vm t4;
+    let v2 =
+      get_obj_field vm ops.(pc + 9) ops.(pc + 10) fr.this
         (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 8)))
-        r;
-      exec c vm fr regs ops (pc + 11) (sp - 1)
-    | 65 (* TRET: this; ret *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      fr.ret <- fr.this;
-      1
-    | 66 (* CSETFT: const; setfield-on-this *) ->
-      let v = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 2)) in
-      let t2 = Array.unsafe_get ops (pc + 3) in
-      if t2 <> 0 then tick_n vm t2;
-      set_obj_field vm ops.(pc + 5) ops.(pc + 6) fr.this
-        (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 4)))
-        v;
-      exec c vm fr regs ops (pc + 7) sp
-    | 67 (* TFCBJF: thisf; const; binop; jump-if-false *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      let v =
-        get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
-          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
-      in
-      let t3 = Array.unsafe_get ops (pc + 6) in
-      if t3 <> 0 then tick_n vm t3;
-      let k = Array.unsafe_get c.c_consts (Array.unsafe_get ops (pc + 7)) in
-      let t4 = Array.unsafe_get ops (pc + 8) in
-      if t4 <> 0 then tick_n vm t4;
-      let r =
-        eval_binop vm (Array.unsafe_get ops (pc + 9)) v k ops.(pc + 10)
-          ops.(pc + 11)
-      in
-      let t5 = Array.unsafe_get ops (pc + 12) in
-      if t5 <> 0 then tick_n vm t5;
-      if Value.truthy r then exec c vm fr regs ops (pc + 14) sp
-      else exec c vm fr regs ops (Array.unsafe_get ops (pc + 13)) sp
-    | _ (* 68 FNCALLTF2: fncall, last two arguments this.f1 / this.f2 *) ->
-      let t2 = Array.unsafe_get ops (pc + 2) in
-      if t2 <> 0 then tick_n vm t2;
-      let v1 =
-        get_obj_field vm ops.(pc + 4) ops.(pc + 5) fr.this
-          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 3)))
-      in
-      let t3 = Array.unsafe_get ops (pc + 6) in
-      if t3 <> 0 then tick_n vm t3;
-      let t4 = Array.unsafe_get ops (pc + 7) in
-      if t4 <> 0 then tick_n vm t4;
-      let v2 =
-        get_obj_field vm ops.(pc + 9) ops.(pc + 10) fr.this
-          (Array.unsafe_get c.c_strs (Array.unsafe_get ops (pc + 8)))
-      in
-      let t5 = Array.unsafe_get ops (pc + 13) in
-      if t5 <> 0 then tick_n vm t5;
-      let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 11)) in
-      let n = Array.unsafe_get ops (pc + 12) in
-      let base = sp - (n - 2) in
-      let vargs = arg_list regs base (n - 3) [ v1; v2 ] in
-      Array.unsafe_set regs base (do_fncall vm site vargs);
-      exec c vm fr regs ops (pc + 14) (base + 1)
+    in
+    let t5 = Array.unsafe_get ops (pc + 13) in
+    if t5 <> 0 then tick_n vm t5;
+    let site = Array.unsafe_get c.c_fns (Array.unsafe_get ops (pc + 11)) in
+    let n = Array.unsafe_get ops (pc + 12) in
+    let base = sp - (n - 2) in
+    let vargs = arg_list regs base (n - 3) [ v1; v2 ] in
+    fr.ops <- ops;
+    fr.pc <- pc;
+    fr.sp <- sp;
+    fn_call st vm fr site vargs
+
+(* --- calls -------------------------------------------------------- *)
+
+(* Method dispatch through a site's inline cache — shared by CALL and
+   its fused variants (CALLT / CALLP / CALLTP).  The caller's state is
+   already saved in [fr]. *)
+and call_site st vm fr (site : call_site) recv regs base n =
+  match recv with
+  | Value.Ref id -> (
+    match Heap.get vm.Vm.heap id with
+    | Heap.Obj { cls; _ } ->
+      let ccls, cidx = !(site.cs_cache) in
+      if cls == ccls then begin
+        vm.Vm.ic_hits <- vm.Vm.ic_hits + 1;
+        call_regs st vm fr (Array.unsafe_get vm.Vm.meth_table cidx) recv regs base n
+      end
+      else begin
+        vm.Vm.ic_misses <- vm.Vm.ic_misses + 1;
+        let idx = site.cs_resolve cls in
+        if idx >= 0 then begin
+          site.cs_cache := (cls, idx);
+          call_regs st vm fr (Array.unsafe_get vm.Vm.meth_table idx) recv regs base n
+        end
+        else
+          (* receiver class or method outside the image *)
+          call_regs st vm fr (Vm.find_method vm cls site.cs_name) recv regs base n
+      end
+    | Heap.Arr _ ->
+      Vm.throw vm "UnsupportedOperationException"
+        ("method call on array: " ^ site.cs_name))
+  | Value.Null ->
+    Vm.throw vm "NullPointerException" ("call of " ^ site.cs_name ^ " on null")
+  | Value.Int _ | Value.Bool _ | Value.Str _ ->
+    Vm.throw vm "UnsupportedOperationException"
+      (Printf.sprintf "call of %s on %s" site.cs_name (Value.type_name recv))
+
+(* A method call whose arguments are registers [base .. base+n) of the
+   caller: an unfiltered compiled callee gets them copied straight into
+   its frame, anything else sees the argument list. *)
+and call_regs st vm fr (meth : Vm.meth) recv regs base n =
+  call_enter vm;
+  match meth.Vm.filters, meth.Vm.body with
+  | [], Method_body mb when Array.length mb.mb_params = n ->
+    let code = mb.mb_code in
+    let cregs = Array.make code.c_stack unbound in
+    let params = mb.mb_params in
+    for i = 0 to n - 1 do
+      Array.unsafe_set cregs (Array.unsafe_get params i)
+        (Array.unsafe_get regs (base + i))
+    done;
+    let callee =
+      { code; regs = cregs; this = recv; ops = code.c_main; pc = 0;
+        sp = code.c_nslots; blocks = no_block; parent = K_call fr }
+    in
+    st.cur <- callee;
+    exec st code vm callee cregs code.c_main 0 code.c_nslots
+  | filters, _ -> run_pres st vm (K_call fr) meth recv (arg_list regs base (n - 1) []) filters
+
+and call_list st vm fr (meth : Vm.meth) recv args =
+  call_enter vm;
+  run_pres st vm (K_call fr) meth recv args meth.Vm.filters
+
+(* The filter chain, outermost first: each [pre] that proceeds leaves a
+   [K_filter] continuation owing its [post]. *)
+and run_pres st vm k meth recv args = function
+  | [] -> enter st vm k meth recv args
+  | (f : Vm.filter) :: rest -> (
+    st.at <- k;
+    match f.Vm.pre vm meth recv args with
+    | Vm.Proceed ->
+      run_pres st vm
+        (K_filter { f; f_meth = meth; f_recv = recv; f_args = args; f_next = k })
+        meth recv args rest
+    | Vm.Pre_return v -> deliver st vm k v
+    | Vm.Pre_raise e -> deliver_raise st vm k e
+    | exception ex -> fail st vm k ex)
+
+and enter st vm k (meth : Vm.meth) recv args =
+  match meth.Vm.body with
+  | Method_body mb ->
+    let n = List.length args in
+    if n <> Array.length mb.mb_params then abort vm k (arity_error mb n)
+    else begin
+      let code = mb.mb_code in
+      let callee = new_frame code recv k in
+      fill callee.regs mb.mb_params args;
+      st.cur <- callee;
+      exec st code vm callee callee.regs code.c_main 0 code.c_nslots
+    end
+  | _ -> (
+    match meth.Vm.impl vm recv args with
+    | v -> deliver st vm k v
+    | exception ex -> fail st vm k ex)
+
+(* FNCALL and its fused variants.  A registered hook overrides the
+   target (woven code calls the engine through hooks); a user function
+   pushes a frame; a builtin runs natively.  The caller's state is
+   already saved in [fr]. *)
+and fn_call st vm fr (site : fn_site) vargs =
+  match
+    if Hashtbl.length vm.Vm.hooks = 0 then None else Vm.find_hook vm site.fs_name
+  with
+  | Some hook ->
+    st.at <- K_fn fr;
+    resume st vm fr (hook vm vargs)
+  | None -> (
+    match site.fs_target with
+    | Compiled fb ->
+      let code = fb.fb_code in
+      let callee = new_frame code Value.Null (K_fn fr) in
+      fill callee.regs fb.fb_params vargs;
+      st.cur <- callee;
+      exec st code vm callee callee.regs code.c_main 0 code.c_nslots
+    | Native f -> resume st vm fr (f vm vargs))
+
+(* A call made by [fr] completed with [v]: place it as the suspended
+   call instruction prescribes and continue after it. *)
+and resume st vm fr v =
+  let ops = fr.ops and pc = fr.pc and sp = fr.sp and regs = fr.regs in
+  let c = fr.code in
+  match Array.unsafe_get ops pc with
+  | 14 (* CALL *) ->
+    let base = sp - Array.unsafe_get ops (pc + 3) in
+    Array.unsafe_set regs (base - 1) v;
+    exec st c vm fr regs ops (pc + 4) base
+  | 15 (* SUPER *) | 18 (* FNCALL *) | 44 (* CALLT *) ->
+    let base = sp - Array.unsafe_get ops (pc + 3) in
+    Array.unsafe_set regs base v;
+    exec st c vm fr regs ops (pc + 4) (base + 1)
+  | 19 (* NEW: the new object is already in place *) ->
+    let base = sp - Array.unsafe_get ops (pc + 3) in
+    exec st c vm fr regs ops (pc + 4) (base + 1)
+  | 46 (* CALLP *) ->
+    let base = sp - Array.unsafe_get ops (pc + 3) in
+    let t2 = Array.unsafe_get ops (pc + 4) in
+    if t2 <> 0 then tick_n vm t2;
+    exec st c vm fr regs ops (pc + 5) (base - 1)
+  | 47 (* FNCALLP *) | 48 (* CALLTP *) ->
+    let base = sp - Array.unsafe_get ops (pc + 3) in
+    let t2 = Array.unsafe_get ops (pc + 4) in
+    if t2 <> 0 then tick_n vm t2;
+    exec st c vm fr regs ops (pc + 5) base
+  | 17 (* SUPERDYN *) ->
+    let base = sp - Array.unsafe_get ops (pc + 7) in
+    Array.unsafe_set regs base v;
+    exec st c vm fr regs ops (pc + 8) (base + 1)
+  | 62 (* FNCALLTF *) ->
+    let base = sp - (Array.unsafe_get ops (pc + 7) - 1) in
+    Array.unsafe_set regs base v;
+    exec st c vm fr regs ops (pc + 9) (base + 1)
+  | 68 (* FNCALLTF2 *) ->
+    let base = sp - (Array.unsafe_get ops (pc + 12) - 2) in
+    Array.unsafe_set regs base v;
+    exec st c vm fr regs ops (pc + 14) (base + 1)
+  | op -> invalid_arg ("Exec.resume: not a call instruction: " ^ op_names.(op))
+
+(* --- completion ---------------------------------------------------- *)
+
+(* Normal completion of whatever [k] is waiting for. *)
+and deliver st vm k v =
+  match k with
+  | K_call fr ->
+    vm.Vm.call_depth <- vm.Vm.call_depth - 1;
+    st.cur <- fr;
+    resume st vm fr v
+  | K_fn fr ->
+    st.cur <- fr;
+    resume st vm fr v
+  | K_filter fc -> (
+    match fc.f.Vm.post vm fc.f_meth fc.f_recv fc.f_args (Ok v) with
+    | Vm.Pass -> deliver st vm fc.f_next v
+    | Vm.Post_return v' -> deliver st vm fc.f_next v'
+    | Vm.Post_raise e -> deliver_raise st vm fc.f_next e
+    | exception ex -> fail st vm fc.f_next ex)
+  | K_root -> v
+
+(* Exceptional completion (a MiniLang exception) of [k]. *)
+and deliver_raise st vm k e =
+  match k with
+  | K_call fr ->
+    vm.Vm.call_depth <- vm.Vm.call_depth - 1;
+    st.cur <- fr;
+    raise_in st vm fr e
+  | K_fn fr ->
+    st.cur <- fr;
+    raise_in st vm fr e
+  | K_filter fc -> (
+    match fc.f.Vm.post vm fc.f_meth fc.f_recv fc.f_args (Error e) with
+    | Vm.Pass -> deliver_raise st vm fc.f_next e
+    | Vm.Post_return v -> deliver st vm fc.f_next v
+    | Vm.Post_raise e' -> deliver_raise st vm fc.f_next e'
+    | exception ex -> fail st vm fc.f_next ex)
+  | K_root -> raise (Unwound (Vm.Mini_raise e))
+
+(* Loop control leaving a frame: filters see it as an abort ([unwind],
+   no [post]), callers continue unwinding to their innermost loop. *)
+and flow_out st vm k brk =
+  match k with
+  | K_call fr ->
+    vm.Vm.call_depth <- vm.Vm.call_depth - 1;
+    st.cur <- fr;
+    flow_in st vm fr brk
+  | K_fn fr ->
+    st.cur <- fr;
+    flow_in st vm fr brk
+  | K_filter fc -> (
+    match fc.f.Vm.unwind vm fc.f_meth with
+    | () -> flow_out st vm fc.f_next brk
+    | exception ex -> fail st vm fc.f_next ex)
+  | K_root -> raise (Unwound (if brk then Break_loop else Continue_loop))
+
+(* An OCaml exception raised by native code (a filter, a native method,
+   a hook) while [k] was waiting for it. *)
+and fail st vm k ex =
+  match ex with
+  | Vm.Mini_raise e -> deliver_raise st vm k e
+  | Break_loop -> flow_out st vm k true
+  | Continue_loop -> flow_out st vm k false
+  | _ -> abort vm k ex
+
+(* --- unwinding within a frame -------------------------------------- *)
+
+(* [return v] in [fr]: pending [finally] blocks run first. *)
+and return_from st vm fr v =
+  let b = fr.blocks in
+  if b == no_block then deliver st vm fr.parent v
+  else if (b.bk = bk_try || b.bk = bk_catch) && Array.length b.b_try.ts_fin > 0
+  then begin
+    b.bk <- bk_fin;
+    b.b_pending <- ORet v;
+    exec st fr.code vm fr fr.regs b.b_try.ts_fin 0 b.b_sp
+  end
+  else begin
+    (* a loop, a try without finally, or a return out of a finally
+       (which supersedes its pending outcome) *)
+    fr.blocks <- b.b_next;
+    return_from st vm fr v
+  end
+
+(* A MiniLang exception in [fr]: the innermost try whose handler
+   matches catches it; [finally] blocks on the way run with it
+   pending. *)
+and raise_in st vm fr e =
+  let b = fr.blocks in
+  if b == no_block then deliver_raise st vm fr.parent e
+  else if b.bk = bk_try then begin
+    let catches = b.b_try.ts_catches in
+    let n = Array.length catches in
+    let rec find i =
+      if i >= n then pending_fin st vm fr b (ORaise e)
+      else begin
+        let hc, slot, cbody = Array.unsafe_get catches i in
+        if fr.code.c_env.env_exn_matches vm e hc then begin
+          Array.unsafe_set fr.regs slot e.Vm.exn_obj;
+          b.bk <- bk_catch;
+          exec st fr.code vm fr fr.regs cbody 0 b.b_sp
+        end
+        else find (i + 1)
+      end
+    in
+    find 0
+  end
+  else if b.bk = bk_catch then pending_fin st vm fr b (ORaise e)
+  else begin
+    fr.blocks <- b.b_next;
+    raise_in st vm fr e
+  end
+
+(* [break] ([brk]) or [continue] in [fr]. *)
+and flow_in st vm fr brk =
+  let b = fr.blocks in
+  if b == no_block then flow_out st vm fr.parent brk
+  else begin
+    let k = b.bk in
+    if k <= bk_for_update then begin
+      if brk then leave_block st fr.code vm fr fr.regs b
+      else if k = bk_while_body then begin
+        b.bk <- bk_while_cond;
+        exec st fr.code vm fr fr.regs b.b_loop.ls_cond 0 b.b_sp
+      end
+      else if k = bk_for_body then for_next st fr.code vm fr fr.regs b
+      else begin
+        (* only a loop body catches [continue]: from a condition or an
+           update it leaves the loop *)
+        fr.blocks <- b.b_next;
+        flow_in st vm fr brk
+      end
+    end
+    else if k = bk_fin then begin
+      fr.blocks <- b.b_next;
+      flow_in st vm fr brk
+    end
+    else pending_fin st vm fr b (if brk then OBreak else OCont)
+  end
+
+(* A try or catch block [b] completes abruptly with [o]: run its
+   [finally] with [o] pending, or pass [o] on. *)
+and pending_fin st vm fr b o =
+  if Array.length b.b_try.ts_fin > 0 then begin
+    b.bk <- bk_fin;
+    b.b_pending <- o;
+    exec st fr.code vm fr fr.regs b.b_try.ts_fin 0 b.b_sp
+  end
+  else finish_block st vm fr b o
+
+(* The statement owning block [b] is over with outcome [o]. *)
+and finish_block st vm fr b o =
+  fr.blocks <- b.b_next;
+  match o with
+  | ODone -> exec st fr.code vm fr fr.regs b.b_ops (b.b_pc + 3) b.b_sp
+  | ORet v -> return_from st vm fr v
+  | ORaise e -> raise_in st vm fr e
+  | OBreak -> flow_in st vm fr true
+  | OCont -> flow_in st vm fr false
+
+(* END of a sub-block: the enclosing loop or try statement decides. *)
+and block_end st c vm fr regs b =
+  match b.bk with
+  | 0 (* while condition *) ->
+    if Value.truthy (Array.unsafe_get regs b.b_sp) then begin
+      b.bk <- bk_while_body;
+      exec st c vm fr regs b.b_loop.ls_body 0 b.b_sp
+    end
+    else leave_block st c vm fr regs b
+  | 1 (* while body *) ->
+    b.bk <- bk_while_cond;
+    exec st c vm fr regs b.b_loop.ls_cond 0 b.b_sp
+  | 2 (* for condition *) ->
+    if Value.truthy (Array.unsafe_get regs b.b_sp) then begin
+      b.bk <- bk_for_body;
+      exec st c vm fr regs b.b_loop.ls_body 0 b.b_sp
+    end
+    else leave_block st c vm fr regs b
+  | 3 (* for body *) -> for_next st c vm fr regs b
+  | 4 (* for update *) -> for_test st c vm fr regs b
+  | 7 (* finally *) -> finish_block st vm fr b b.b_pending
+  | _ (* try body or handler completed normally *) ->
+    if Array.length b.b_try.ts_fin > 0 then begin
+      b.bk <- bk_fin;
+      b.b_pending <- ODone;
+      exec st c vm fr regs b.b_try.ts_fin 0 b.b_sp
+    end
+    else leave_block st c vm fr regs b
+
+(* Normal completion of the statement that owns block [b]. *)
+and leave_block st c vm fr regs b =
+  fr.blocks <- b.b_next;
+  exec st c vm fr regs b.b_ops (b.b_pc + 3) b.b_sp
+
+(* After a for body: the update, if any, then the condition. *)
+and for_next st c vm fr regs b =
+  if Array.length b.b_loop.ls_update = 0 then for_test st c vm fr regs b
+  else begin
+    b.bk <- bk_for_update;
+    exec st c vm fr regs b.b_loop.ls_update 0 b.b_sp
+  end
+
+(* A for condition; an absent one is always true. *)
+and for_test st c vm fr regs b =
+  if Array.length b.b_loop.ls_cond = 0 then begin
+    b.bk <- bk_for_body;
+    exec st c vm fr regs b.b_loop.ls_body 0 b.b_sp
+  end
+  else begin
+    b.bk <- bk_for_cond;
+    exec st c vm fr regs b.b_loop.ls_cond 0 b.b_sp
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Frame entry                                                         *)
+(* Activations                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Root enumeration scans [this] and the slot prefix in place.  Stack
-   temporaries are not roots — see the module comment. *)
-let frame_mark fr (mark : Value.t -> unit) =
+(* Runs [k] — the start or a resumption of activation [st] — and routes
+   what native code raised into the frame running at the time. *)
+let rec drive st vm k =
+  match k () with
+  | v -> v
+  | exception Unwound ex -> raise ex
+  | exception Vm.Mini_raise e -> drive st vm (fun () -> raise_in st vm st.cur e)
+  | exception Break_loop -> drive st vm (fun () -> flow_in st vm st.cur true)
+  | exception Continue_loop -> drive st vm (fun () -> flow_in st vm st.cur false)
+  | exception ex -> drive st vm (fun () -> abort vm (K_fn st.cur) ex)
+
+(* Root enumeration scans [this] and the slot prefix of every frame in
+   place.  Stack temporaries are not roots — see the module comment. *)
+let mark_frame mark fr =
   mark fr.this;
   let regs = fr.regs in
-  for i = 0 to fr.n_slots - 1 do
+  for i = 0 to fr.code.c_nslots - 1 do
     mark (Array.unsafe_get regs i)
   done
 
+let rec mark_cont mark = function
+  | K_root -> ()
+  | K_call fr | K_fn fr ->
+    mark_frame mark fr;
+    mark_cont mark fr.parent
+  | K_filter fc -> mark_cont mark fc.f_next
+
 (* Removal is by physical identity, not a blind head pop: under the
-   thread scheduler the root list interleaves frames of several MiniLang
-   threads, so this frame's entry need not be the head when it exits. *)
+   thread scheduler the root list interleaves activations of several
+   MiniLang threads, so this one's entry need not be the head when it
+   exits. *)
 let pop_frame_roots vm roots =
   match vm.Vm.frame_roots with
   | r :: rest when r == roots -> vm.Vm.frame_roots <- rest
   | l -> vm.Vm.frame_roots <- List.filter (fun r -> r != roots) l
 
-(* Runs a body in a fresh frame.  [param_slots.(i)] is the register of
-   the i-th parameter; a length mismatch with [args] raises
-   [Invalid_argument "List.iter2"].  Only a directly applied function
-   (e.g. a parameterised [main]) gets here with the wrong arity — call
-   sites and method entry wrappers check arity first, with their own
-   messages — and the text is kept stable for callers that match on
-   it. *)
-let run_root code vm this param_slots args =
-  let fr =
-    { regs = Array.make code.c_stack unbound;
-      n_slots = code.c_nslots;
-      this;
-      ret = Value.Null }
+(* One activation whose innermost frame is [fr]: registered for GC root
+   enumeration and as the VM's running machine while it runs. *)
+let activate vm fr start =
+  let st = { cur = fr; prev = vm.Vm.machine; at = K_root } in
+  let roots mark =
+    mark_frame mark st.cur;
+    mark_cont mark st.cur.parent
   in
-  let n_params = Array.length param_slots in
-  let rec fill i = function
-    | [] -> if i <> n_params then invalid_arg "List.iter2"
-    | v :: rest ->
-      if i >= n_params then invalid_arg "List.iter2";
-      fr.regs.(Array.unsafe_get param_slots i) <- v;
-      fill (i + 1) rest
-  in
-  fill 0 args;
-  let roots = frame_mark fr in
   vm.Vm.frame_roots <- roots :: vm.Vm.frame_roots;
-  match exec code vm fr fr.regs code.c_main 0 code.c_nslots with
-  | st ->
+  vm.Vm.machine <- Running st;
+  let leave () =
     pop_frame_roots vm roots;
-    if st = 0 then Value.Null else fr.ret
+    vm.Vm.machine <- st.prev
+  in
+  match drive st vm (fun () -> start st) with
+  | v ->
+    leave ();
+    v
   | exception e ->
-    pop_frame_roots vm roots;
+    leave ();
     raise e
+
+let run_root code vm this param_slots args =
+  let fr = new_frame code this K_root in
+  fill fr.regs param_slots args;
+  activate vm fr (fun st -> exec st code vm fr fr.regs code.c_main 0 code.c_nslots)
+
+let method_impl mb : Vm.impl =
+ fun vm this args ->
+  let n = List.length args in
+  if n <> Array.length mb.mb_params then raise (arity_error mb n);
+  run_root mb.mb_code vm this mb.mb_params args
+
+(* Stands in for a function body until the image fills it in. *)
+let placeholder_code =
+  { c_env = { env_is_exc = (fun _ _ -> false); env_exn_matches = (fun _ _ _ -> false) };
+    c_main = [| op_end; 0 |];
+    c_consts = [||];
+    c_strs = [||];
+    c_calls = [||];
+    c_fns = [||];
+    c_news = [||];
+    c_loops = [||];
+    c_trys = [||];
+    c_nslots = 0;
+    c_stack = 1 }
+
+let new_fbody () = { fb_code = placeholder_code; fb_params = [||] }
+
+let function_impl fb vm args = run_root fb.fb_code vm Value.Null fb.fb_params args
+
+(* ------------------------------------------------------------------ *)
+(* Capturing and resuming continuations                                *)
+(* ------------------------------------------------------------------ *)
+
+type resumable = cont
+
+let rec copy_blocks b =
+  if b == no_block then no_block else { b with b_next = copy_blocks b.b_next }
+
+let rec copy_cont = function
+  | K_root -> K_root
+  | K_call fr -> K_call (copy_frame fr)
+  | K_fn fr -> K_fn (copy_frame fr)
+  | K_filter fc -> K_filter { fc with f_next = copy_cont fc.f_next }
+
+and copy_frame fr =
+  { fr with
+    regs = Array.copy fr.regs;
+    blocks = copy_blocks fr.blocks;
+    parent = copy_cont fr.parent }
+
+let capture vm =
+  match vm.Vm.machine with
+  | Running { prev = Vm.No_machine; at = (K_call _ | K_fn _ | K_filter _) as k; _ } ->
+    Some (copy_cont k)
+  | _ -> None
+
+let rec innermost = function
+  | K_call fr | K_fn fr -> Some fr
+  | K_filter fc -> innermost fc.f_next
+  | K_root -> None
+
+(* The copy is a whole continuation of the VM's outermost activation:
+   while it runs, the frames it was copied from are not live, so they
+   leave the GC root set for the duration. *)
+let resume_raise vm k e =
+  match innermost k with
+  | None -> raise (Vm.Mini_raise e)
+  | Some fr -> (
+    let roots = vm.Vm.frame_roots in
+    vm.Vm.frame_roots <- [];
+    match activate vm fr (fun st -> deliver_raise st vm k e) with
+    | v ->
+      vm.Vm.frame_roots <- roots;
+      v
+    | exception ex ->
+      vm.Vm.frame_roots <- roots;
+      raise ex)

@@ -9,6 +9,13 @@
     straight-line control flow uses jumps within one array.  Emission
     lives in [Failatom_minilang.Bytecode]; this module only executes.
 
+    The control stack is explicit: one loop drives heap-allocated
+    frames (registers, position, active loop and try blocks), and
+    filter [post]/[unwind] are frame-level continuations, so a call
+    from interpreted code never nests on the native stack.  The
+    continuation at a filter's [pre] or a hook call can therefore be
+    copied ({!capture}) and run again ({!resume_raise}).
+
     Evaluation order, error messages, heap allocation order,
     step/call/inline-cache counters and GC root visibility are all
     observable (in outputs, counters and detection run logs); the
@@ -22,10 +29,11 @@ exception Error of string * int * int
 
 exception Break_loop
 exception Continue_loop
-(** Loop control must be OCaml exceptions (not statuses): a [break] or
-    [continue] outside any loop of its body unwinds across MiniLang call
-    frames into the innermost loop of a caller, and that observable
-    behavior is preserved. *)
+(** A [break] or [continue] outside any loop of its body unwinds across
+    MiniLang call frames into the innermost loop of a caller (observable
+    behaviour the goldens pin).  Within one activation that is explicit
+    unwinding; across a native boundary it travels as these
+    exceptions. *)
 
 (** {1 Opcodes} *)
 
@@ -121,11 +129,6 @@ type call_site = {
   cs_resolve : string -> int;  (** image method index, or -1 *)
 }
 
-type fn_site = {
-  fs_name : string;
-  fs_target : Vm.t -> Value.t list -> Value.t;
-}
-
 type new_site = {
   ns_cls : string;
   ns_known : bool;
@@ -168,12 +171,35 @@ type code = {
   c_stack : int;  (** register-file length: slots + max operand depth *)
 }
 
-type frame = {
-  regs : Value.t array;
-  n_slots : int;
-  mutable this : Value.t;
-  mutable ret : Value.t;
+and fbody = {
+  mutable fb_code : code;
+  mutable fb_params : int array;  (** register of each parameter *)
 }
+(** A compiled function body, filled in once the whole image is laid
+    out (functions may call functions compiled later). *)
+
+and fn_site = {
+  fs_name : string;
+  fs_target : fn_target;
+}
+
+and fn_target =
+  | Native of (Vm.t -> Value.t list -> Value.t)  (** builtin or error stub *)
+  | Compiled of fbody  (** user function: called by pushing a frame *)
+
+type mbody = {
+  mb_code : code;
+  mb_params : int array;  (** register of each parameter *)
+  mb_cls : string;
+  mb_name : string;
+  mb_line : int;  (** declaration position, for the arity error *)
+  mb_col : int;
+}
+(** A compiled method body. *)
+
+type Vm.body += Method_body of mbody
+(** What {!Vm.meth.body} holds for methods of an image: interpreted
+    callers push a frame for it instead of calling [impl]. *)
 
 val unbound : Value.t
 (** Slot sentinel, compared with [(==)]; reading it is the "unknown
@@ -185,18 +211,43 @@ val tick_n : Vm.t -> int -> unit
 (** [n] {!Vm.tick}s at once: same step-limit stop value and same
     deadline-poll cadence as [n] individual ticks. *)
 
-val exec : code -> Vm.t -> frame -> Value.t array -> int array -> int -> int -> int
-(** [exec code vm frame regs ops pc sp] dispatches until the block ends;
-    returns 0 (fell off the end) or 1 (returned; value in [frame.ret]).
-    Exposed for the engine's unit tests. *)
+val method_impl : mbody -> Vm.impl
+(** The native entry of a compiled method: checks the arity (raising
+    {!Error} at the declaration), then enters the engine — a new
+    activation whose first frame runs the body (registered for GC root
+    enumeration); calls the body makes to compiled methods and
+    functions stay in that activation.  Returns the result ([Null] when
+    the body falls off the end). *)
 
-val run_root : code -> Vm.t -> Value.t -> int array -> Value.t list -> Value.t
-(** [run_root code vm this param_slots args] runs a body in a fresh
-    frame: registers the frame for GC root enumeration, fills parameter
-    slots from [args] (a length mismatch — only possible for a directly
-    applied function such as a parameterised [main] — raises
-    [Invalid_argument "List.iter2"]), executes, and returns the result
-    ([Null] when the body falls off the end). *)
+val new_fbody : unit -> fbody
+(** A function body to fill in later. *)
+
+val function_impl : fbody -> Vm.t -> Value.t list -> Value.t
+(** The native entry of a compiled function, as {!method_impl}; an
+    argument list of the wrong length — only possible for a directly
+    applied function such as a parameterised [main], since call sites
+    check arity — raises [Invalid_argument "List.iter2"]. *)
+
+(** {1 Continuations} *)
+
+type resumable
+(** A deep copy of an activation's frames and pending filter
+    continuations, at a point where a filter's [pre] or a hook was
+    running. *)
+
+val capture : Vm.t -> resumable option
+(** Called from inside a filter's [pre] or a hook that the engine is
+    running: copies the continuation that call would raise into.
+    [None] when the running activation is not the VM's outermost one
+    (native re-entry: frames of the continuation live on the native
+    stack) or when no such call is running. *)
+
+val resume_raise : Vm.t -> resumable -> Vm.exn_value -> Value.t
+(** Runs a captured continuation as if the captured call had raised
+    the given exception there, to the end of the outermost frame:
+    returns what that frame returned, or raises what escaped it, as the
+    original activation would have.  The copy is consumed: resume each
+    capture at most once. *)
 
 (** {1 Profiling}
 

@@ -333,3 +333,70 @@ let iter_ids h f =
   for id = 1 to h.next_id - 1 do
     match Array.unsafe_get h.store id with Some _ -> f id | None -> ()
   done
+
+(* ------------------------------------------------------------------ *)
+(* Forks                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A fork point: the heap as it was when a tentative continuation
+   started, restorable in O(objects the continuation touched).  A fresh
+   shadow opened innermost records every payload the continuation
+   mutates or frees.  The shadows already open at the fork (detection
+   snapshots of calls in progress) keep recording — the continuation's
+   exceptional returns read them — but every save they receive during
+   the continuation shares its payload copy with the fork's shadow (the
+   barrier saves innermost-first with one copy, and the fork's shadow
+   stays innermost and open throughout), which is how {!rewind} tells
+   those saves from the ones made before the fork. *)
+type fork = {
+  fk_shadow : shadow;
+  fk_shadows : shadow list; (* active at the fork, innermost first *)
+  fk_next_id : Value.obj_id;
+  fk_live : int;
+}
+
+let fork h =
+  let sh = { shadow_saved = None; shadow_tid = None; shadow_active = true } in
+  let f = { fk_shadow = sh; fk_shadows = h.shadows; fk_next_id = h.next_id; fk_live = h.live } in
+  h.shadows <- sh :: h.shadows;
+  f
+
+(* Back to the fork point: payloads restored, objects allocated since
+   truncated (so later allocations get the ids a run without the
+   continuation would), the shadows open at the fork reopened with the
+   dirty sets they had then.  [write_gen] only moves forward: restored
+   and truncated ids are stamped afresh, so no memoized canonical form
+   computed during the continuation validates afterwards. *)
+let rewind h f =
+  (match f.fk_shadow.shadow_saved with
+   | None -> ()
+   | Some saved ->
+     List.iter
+       (fun sh ->
+         match sh.shadow_saved with
+         | None -> ()
+         | Some tbl ->
+           Hashtbl.iter
+             (fun id p ->
+               match Hashtbl.find_opt tbl id with
+               | Some p' when p' == p ->
+                 Hashtbl.remove tbl id;
+                 Option.iter (fun t -> Hashtbl.remove t id) sh.shadow_tid
+               | _ -> ())
+             saved)
+       f.fk_shadows;
+     Hashtbl.iter
+       (fun id p ->
+         if id < f.fk_next_id then begin
+           h.store.(id) <- Some (copy_payload p);
+           stamp h id
+         end)
+       saved);
+  List.iter (fun sh -> sh.shadow_active <- true) f.fk_shadows;
+  h.shadows <- f.fk_shadows;
+  for id = f.fk_next_id to h.next_id - 1 do
+    h.store.(id) <- None;
+    stamp h id
+  done;
+  h.next_id <- f.fk_next_id;
+  h.live <- f.fk_live

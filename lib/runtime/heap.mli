@@ -165,3 +165,27 @@ val successors : t -> Value.obj_id -> Value.obj_id list
 (** Direct successors: every reference stored in the object. *)
 
 val iter_ids : t -> (Value.obj_id -> unit) -> unit
+
+(** {1 Forks}
+
+    A fork point lets a tentative continuation run on the heap and be
+    undone in O(objects it touched).  The detection driver forks each
+    injected run from its injection point. *)
+
+type fork
+
+val fork : t -> fork
+(** Opens a copy-on-write record of every payload mutated or freed from
+    now on, and remembers the allocation watermark and the active
+    shadows.  O(1). *)
+
+val rewind : t -> fork -> unit
+(** Restores the heap as it was at {!fork}: mutated and freed payloads
+    back, objects allocated since removed (their ids are handed out
+    again), [live] as it was, the shadows active at the fork active
+    again with the dirty sets they had then (shadows opened since are
+    dropped).  {!write_gen} moves forward — every restored or removed
+    id gets a fresh {!write_stamp} — so canonical forms memoized during
+    the continuation never validate afterwards.  [allocations] and
+    [barrier_hits] keep counting the work done.  Call at most once per
+    fork, with no other fork opened after it still pending. *)

@@ -54,7 +54,7 @@ let stub_linkage =
   { Bytecode.lk_resolve = (fun _ _ -> -1);
     lk_fn =
       (fun name ->
-        if name = "g" then Some (2, fun _ _ -> Value.Null) else None);
+        if name = "g" then Some (2, Exec.new_fbody ()) else None);
     lk_class = (fun _ -> None);
     lk_is_exc = (fun _ _ -> false);
     lk_exn_matches = (fun _ _ _ -> false) }

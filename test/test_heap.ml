@@ -85,6 +85,40 @@ let test_successors () =
   let arr = Heap.alloc_array heap [| Value.Ref b; Value.Null |] in
   check Alcotest.(list int) "array successors" [ b ] (Heap.successors heap arr)
 
+(* A fork point rewinds in place: payloads, the allocation watermark,
+   and the shadows open at the fork — reopened if the continuation
+   closed them, and holding only the saves they had then. *)
+let test_fork_rewind () =
+  let heap = Heap.create () in
+  let a = Heap.alloc_object heap ~cls:"C" [ ("x", Value.Int 0) ] in
+  let b = Heap.alloc_object heap ~cls:"C" [ ("x", Value.Int 0) ] in
+  let outer = Shadow.open_ heap in
+  Heap.set_field heap a "x" (Value.Int 1);
+  let f = Heap.fork heap in
+  let gen = Heap.write_gen heap in
+  Heap.set_field heap a "x" (Value.Int 2);
+  Heap.set_field heap b "x" (Value.Int 3);
+  let fresh = Heap.alloc_object heap ~cls:"C" [ ("x", Value.Int 4) ] in
+  Heap.set_field heap fresh "x" (Value.Int 5);
+  Heap.free heap b;
+  Shadow.close outer;
+  Heap.rewind heap f;
+  check Alcotest.bool "write undone" true (Heap.get_field heap a "x" = Some (Value.Int 1));
+  check Alcotest.bool "free undone" true (Heap.get_field heap b "x" = Some (Value.Int 0));
+  check Alcotest.bool "allocation truncated" false (Heap.mem heap fresh);
+  check Alcotest.int "live count" 2 (Heap.live_count heap);
+  check Alcotest.int "id handed out again" fresh (Heap.alloc_object heap ~cls:"D" []);
+  check Alcotest.bool "stamps move forward" true
+    (Heap.write_stamp heap b > gen && Heap.write_stamp heap fresh > gen);
+  check Alcotest.int "outer keeps its own save only" 1 (Shadow.dirty_count outer);
+  check Alcotest.bool "outer's save of a intact" true
+    (match Shadow.saved_payload outer a with
+     | Some (Heap.Obj { fields; _ }) -> Hashtbl.find fields "x" = Value.Int 0
+     | _ -> false);
+  Heap.set_field heap b "x" (Value.Int 6);
+  check Alcotest.bool "outer records again" true (Shadow.is_dirty outer b);
+  Shadow.close outer
+
 let suite =
   [ Alcotest.test_case "value basics" `Quick test_value_basics;
     Alcotest.test_case "alloc and get" `Quick test_alloc_get;
@@ -92,4 +126,5 @@ let suite =
     Alcotest.test_case "arrays" `Quick test_arrays;
     Alcotest.test_case "write barrier" `Quick test_write_barrier;
     Alcotest.test_case "payload copy detached" `Quick test_copy_payload_detached;
-    Alcotest.test_case "successors" `Quick test_successors ]
+    Alcotest.test_case "successors" `Quick test_successors;
+    Alcotest.test_case "fork and rewind" `Quick test_fork_rewind ]

@@ -17,6 +17,7 @@ let () =
       ("weaver", Test_weaver.suite);
       ("injection", Test_injection.suite);
       ("detect", Test_detect.suite);
+      ("prefix-walk", Test_prefix_walk.suite);
       ("concurrent-detect", Test_concurrent_detect.suite);
       ("classify", Test_classify.suite);
       ("mask", Test_mask.suite);

@@ -1,0 +1,387 @@
+(* Prefix-sharing detection against the fresh-VM oracle.
+
+   [Detect.run] walks a sequential program once and forks each injected
+   run from its injection point; [Detect.run_once] runs one threshold on
+   a fresh VM.  The walk must produce exactly the records of the loop
+   Listing 1 describes — threshold 1, 2, … on fresh VMs until a run
+   fires nothing — and the same run-log bytes, on every sequential
+   catalog app, in both flavors, under every pruning mode and both
+   snapshot modes.  The edge cases below each pin one piece of what a
+   fork must copy or rewind; each fails when that piece is left out. *)
+
+open Failatom_runtime
+open Failatom_minilang
+open Failatom_core
+open Failatom_apps
+
+let flavors = [ Detect.Source_weaving; Detect.Load_time_filters ]
+
+(* Listing 1 on fresh VMs: the oracle every walk is compared with. *)
+let fresh_loop ?(setup = fun (_ : Vm.t) -> ()) compiled config analyzer =
+  let rec go threshold acc =
+    if threshold > config.Config.max_runs then
+      raise
+        (Detect.Detection_error
+           (Printf.sprintf "exceeded max_runs = %d injection runs" config.Config.max_runs))
+    else
+      let r = Detect.run_once compiled config analyzer ~prepare:setup ~threshold in
+      match r.Marks.injected with
+      | Some _ -> go (threshold + 1) (r :: acc)
+      | None -> List.rev (r :: acc)
+  in
+  go 1 []
+
+let records_t = Alcotest.testable (Fmt.any "<run records>") ( = )
+
+(* ---------------- differential: every sequential app -------------- *)
+
+let sequential_apps =
+  List.filter (fun (a : Registry.t) -> a.Registry.suite <> Registry.Conc) Registry.catalog
+
+let check_app (app : Registry.t) () =
+  let program = Minilang.parse app.Registry.source in
+  let plain = Compile.image program in
+  let flow = Exnflow.analyze plain program in
+  let baseline = (Profile.of_image plain).Profile.output in
+  List.iter
+    (fun flavor ->
+      let compiled = Detect.compile ~plain flavor program in
+      List.iter
+        (fun snapshot_mode ->
+          let base = { Config.default with Config.snapshot_mode } in
+          (* drop changes the injectable sets, hence the numbering; off
+             and coalesce share one oracle *)
+          let oracles = Hashtbl.create 2 in
+          let oracle analyzer =
+            let key = List.map (Analyzer.injectable_for analyzer) (Analyzer.method_ids analyzer) in
+            match Hashtbl.find_opt oracles key with
+            | Some runs -> runs
+            | None ->
+              let runs = fresh_loop compiled base analyzer in
+              Hashtbl.replace oracles key runs;
+              runs
+          in
+          List.iter
+            (fun prune ->
+              let config = { base with Config.prune } in
+              let what =
+                Printf.sprintf "%s %s %s %s" app.Registry.name
+                  (Detect.flavor_name flavor) (Config.prune_name prune)
+                  (match snapshot_mode with
+                   | Config.Snapshot_cow -> "cow"
+                   | Config.Snapshot_eager -> "eager")
+              in
+              let walked = Detect.run ~config ~flavor ~plain ~compiled program in
+              let analyzer =
+                match prune with
+                | Config.Prune_drop -> Analyzer.analyze ~flow config program
+                | Config.Prune_off | Config.Prune_coalesce -> Analyzer.analyze config program
+              in
+              let runs = oracle analyzer in
+              Alcotest.check records_t (what ^ ": runs") runs walked.Detect.runs;
+              let fresh =
+                { walked with
+                  Detect.runs;
+                  transparent =
+                    String.equal (List.nth runs (List.length runs - 1)).Marks.output
+                      baseline }
+              in
+              Alcotest.(check string) (what ^ ": run log") (Run_log.save fresh)
+                (Run_log.save walked))
+            [ Config.Prune_off; Config.Prune_drop; Config.Prune_coalesce ])
+        [ Config.Snapshot_cow; Config.Snapshot_eager ])
+    flavors
+
+(* ---------------- edge cases -------------------------------------- *)
+
+let compile_src ?(checked = true) src =
+  let program =
+    if checked then Minilang.parse ~allow_reserved:true src
+    else Parser.program_of_string src
+  in
+  (program, Compile.image program)
+
+(* The walk next to the oracle, for one program under one setup. *)
+let walk_vs_fresh ?setup ?(config = Config.default) ?(checked = true) ~what src =
+  let program, plain = compile_src ~checked src in
+  let flow = Exnflow.analyze plain program in
+  let analyzer = Analyzer.analyze config program in
+  let outcome f = match f () with runs -> Ok runs | exception Detect.Detection_error m -> Error m in
+  List.iter
+    (fun flavor ->
+      let compiled = Detect.compile ~plain flavor program in
+      let expected = outcome (fun () -> fresh_loop ?setup compiled config analyzer) in
+      List.iter
+        (fun flow ->
+          let got =
+            outcome (fun () ->
+                fst (Detect.walk ?setup ?flow compiled config analyzer ~baseline_output:""))
+          in
+          let label =
+            Printf.sprintf "%s, %s, %s" what (Detect.flavor_name flavor)
+              (if flow = None then "off" else "coalesce")
+          in
+          match expected, got with
+          | Ok a, Ok b -> Alcotest.check records_t label a b
+          | Error a, Error b -> Alcotest.(check string) label a b
+          | Ok _, Error m -> Alcotest.failf "%s: walk failed: %s" label m
+          | Error m, Ok _ -> Alcotest.failf "%s: walk succeeded, oracle failed: %s" label m)
+        [ None; Some flow ])
+    flavors;
+  analyzer
+
+let set_step_limit n vm = vm.Vm.step_limit <- n
+
+(* A suffix that spins: each caught runtime exception costs 400 loop
+   iterations per unit of [i].  With the limit between the cost of the
+   i = 2 suffixes and the i = 3 ones, the first run to overrun is the
+   first i = 3 point — unless suffix steps leak into the walk's
+   counter, which trips earlier. *)
+let spin_src =
+  {|
+class W {
+  field n;
+  method init() { this.n = 0; return this; }
+  method work(k) { this.n = this.n + k; return this.n; }
+}
+function main() {
+  var w = new W();
+  var i = 0;
+  while (i < 4) {
+    try { w.work(i); } catch (RuntimeException e) {
+      var j = 0;
+      while (j < 400 * i) { j = j + 1; }
+    }
+    i = i + 1;
+  }
+  println(w.n);
+  return 0;
+}
+|}
+
+let test_step_limit () =
+  let program, plain = compile_src spin_src in
+  let compiled = Detect.compile ~plain Detect.Load_time_filters program in
+  let analyzer = Analyzer.analyze Config.default program in
+  (* steps of every fresh run under the default limit *)
+  let steps =
+    let last = ref None in
+    let capture vm = last := Some vm in
+    List.map
+      (fun (r : Marks.run_record) ->
+        ignore
+          (Detect.run_once compiled Config.default analyzer ~prepare:capture
+             ~threshold:r.Marks.injection_point);
+        (r.Marks.injection_point, (Option.get !last).Vm.steps))
+      (fresh_loop compiled Config.default analyzer)
+  in
+  (* the limit sits between the longest run before the most expensive
+     one and that one: exactly one threshold overruns first *)
+  let worst_t, worst = List.fold_left (fun (t, s) (t', s') -> if s' > s then (t', s') else (t, s)) (0, 0) steps in
+  let before = List.fold_left (fun acc (t, s) -> if t < worst_t then max acc s else acc) 0 steps in
+  Alcotest.(check bool) "suffix costs grow with i" true (before < worst);
+  let setup = set_step_limit ((before + worst) / 2) in
+  (match fresh_loop ~setup compiled Config.default analyzer with
+   | _ -> Alcotest.fail "oracle did not overrun the step limit"
+   | exception Detect.Detection_error m ->
+     Alcotest.(check string) "the oracle overruns at the costliest run"
+       (Printf.sprintf "run %d exceeded the step limit" worst_t)
+       m);
+  ignore (walk_vs_fresh ~setup ~what:"step limit" spin_src)
+
+let test_max_runs () =
+  let config = { Config.default with Config.max_runs = 5 } in
+  ignore (walk_vs_fresh ~config ~what:"max_runs" spin_src);
+  (* and through Detect.run, both pruning modes *)
+  let program, _ = compile_src spin_src in
+  List.iter
+    (fun prune ->
+      match Detect.run ~config:{ config with Config.prune } program with
+      | _ -> Alcotest.fail "max_runs not enforced"
+      | exception Detect.Detection_error m ->
+        Alcotest.(check string) "max_runs message" "exceeded max_runs = 5 injection runs" m)
+    [ Config.Prune_off; Config.Prune_coalesce ]
+
+(* Globals live in the VM, outside the heap: a suffix that writes one
+   (through hooks a tool registered) must not leak into the walk. *)
+let globals_src =
+  {|
+class W {
+  field n;
+  method init() { this.n = 0; return this; }
+  method work(k) { this.n = this.n + k; return this.n; }
+}
+function main() {
+  __setg(0);
+  var w = new W();
+  for (var i = 0; i < 3; i = i + 1) {
+    try { w.work(i); } catch (RuntimeException e) { __setg(__getg() + 1); __seth(i); }
+  }
+  println("g=" + __getg() + " h=" + __geth());
+  return 0;
+}
+|}
+
+let global_hooks vm =
+  let get name = Option.value (Vm.get_global vm name) ~default:Value.Null in
+  Vm.register_hook vm "__setg" (fun vm args ->
+      Vm.set_global vm "g" (List.hd args);
+      Value.Null);
+  Vm.register_hook vm "__getg" (fun _ _ -> get "g");
+  (* "h" only ever exists in runs where an injection was caught *)
+  Vm.register_hook vm "__seth" (fun vm args ->
+      Vm.set_global vm "h" (List.hd args);
+      Value.Null);
+  Vm.register_hook vm "__geth" (fun _ _ -> get "h")
+
+let test_suffix_writes_global () =
+  ignore (walk_vs_fresh ~setup:global_hooks ~what:"globals" globals_src)
+
+(* A suffix that allocates: the ids it used are handed out again after
+   the rewind, so later injected exceptions (whose heap ids the marks
+   record, and by which coalescing decides [injected_escaped]) get the
+   ids fresh runs give them. *)
+let alloc_src =
+  {|
+class Junk { field v; method init(v) { this.v = v; return this; } }
+class W {
+  field n;
+  method init() { this.n = 0; return this; }
+  method work(k) { this.n = this.n + k; return this.n; }
+  method guarded(k) {
+    try { this.work(k); } catch (IllegalStateException e) { var j = new Junk(k); j.v = k + 1; }
+    return this.n;
+  }
+}
+function main() {
+  var w = new W();
+  for (var i = 0; i < 3; i = i + 1) {
+    try { w.guarded(i); } catch (RuntimeException e) { var a = new Junk(i); var b = [a, a]; }
+  }
+  println(w.n);
+  return 0;
+}
+|}
+
+let test_suffix_allocates () = ignore (walk_vs_fresh ~what:"allocation" alloc_src)
+
+(* [outer]'s entry snapshot is open when the points inside [inner] fork;
+   every suffix unwinds through [outer] (closing that snapshot and
+   popping it off the snapshot stack).  Back in the walk, [outer] then
+   mutates and exits exceptionally for real: its mark must still see the
+   mutation — the snapshot reopened, with its dirty set as at the fork. *)
+let shadow_src =
+  {|
+class Box {
+  field x;
+  method init() { this.x = 0; return this; }
+  method inner() { return 1; }
+  method outer(fail) {
+    this.inner();
+    this.x = this.x + 1;
+    if (fail) { var a = [1]; var y = a[5]; }
+    return this.x;
+  }
+}
+function main() {
+  var b = new Box();
+  b.outer(false);
+  try { b.outer(true); } catch (IndexOutOfBoundsException e) { println("caught"); }
+  println(b.x);
+  return 0;
+}
+|}
+
+let test_open_prefix_snapshot () =
+  List.iter
+    (fun snapshot_mode ->
+      let config = { Config.default with Config.snapshot_mode } in
+      let analyzer = walk_vs_fresh ~config ~what:"open snapshot" shadow_src in
+      ignore analyzer)
+    [ Config.Snapshot_cow; Config.Snapshot_eager ];
+  (* the real exceptional exit is marked non-atomic in the probe run *)
+  let program, _ = compile_src shadow_src in
+  let d = Detect.run ~flavor:Detect.Load_time_filters program in
+  let probe = List.nth d.Detect.runs (List.length d.Detect.runs - 1) in
+  Alcotest.(check bool) "probe marks outer non-atomic" true
+    (List.exists
+       (fun (m : Marks.mark) ->
+         m.Marks.meth = Method_id.make "Box" "outer" && not m.Marks.atomic)
+       probe.Marks.marks)
+
+(* A [break] outside any loop of [step] unwinds into [main]'s loop,
+   through a try/finally, crossing the wrapper frame; points inside
+   [step] fork in the middle of that loop, with its block records and
+   registers live: a suffix whose exception the handler catches writes
+   the loop variable, one whose exception it does not catch leaves the
+   try block running its finally. *)
+let break_src =
+  {|
+class S {
+  field n;
+  method init() { this.n = 0; return this; }
+  method step(i) { this.n = this.n + i; if (i == 2) { break; } return this.n; }
+}
+function main() {
+  var s = new S();
+  for (var i = 0; i < 5; i = i + 1) {
+    try { s.step(i); print(i); }
+    catch (NullPointerException e) { i = i + 1; }
+    finally { print("f"); }
+  }
+  println("/" + s.n);
+  return 0;
+}
+|}
+
+let test_cross_frame_break () =
+  ignore (walk_vs_fresh ~checked:false ~what:"cross-frame break" break_src)
+
+(* Points reached under native re-entry (a hook calling back into the
+   program) cannot fork: they run on fresh VMs, with the same records. *)
+let reentry_src =
+  {|
+class W {
+  field n;
+  method init() { this.n = 0; return this; }
+  method work() { this.n = this.n + 1; return this.n; }
+}
+function main() {
+  var w = new W();
+  w.work();
+  __call(w);
+  w.work();
+  println(w.n);
+  return 0;
+}
+|}
+
+let reentry_hooks vm =
+  Vm.register_hook vm "__call" (fun vm args -> Vm.invoke vm (List.hd args) "work" [])
+
+let test_native_reentry () =
+  Failatom_obs.Obs.with_enabled true (fun () ->
+      Failatom_obs.Obs.reset ();
+      ignore (walk_vs_fresh ~setup:reentry_hooks ~what:"native re-entry" reentry_src);
+      let count name = Failatom_obs.Obs.counter_value (Failatom_obs.Obs.counter name) in
+      Alcotest.(check bool) "points forked" true (count "detect.forks" > 0);
+      Alcotest.(check bool) "re-entered points ran fresh" true
+        (count "detect.fork_fallbacks.native" > 0);
+      Alcotest.(check int) "fallbacks total by reason"
+        (count "detect.fork_fallbacks.native")
+        (count "detect.fork_fallbacks"))
+
+let suite =
+  List.map
+    (fun (app : Registry.t) ->
+      (* RegExp's fresh-VM oracle alone takes about a minute *)
+      let speed = if app.Registry.name = "RegExp" then `Slow else `Quick in
+      Alcotest.test_case ("walk == fresh VMs: " ^ app.Registry.name) speed (check_app app))
+    sequential_apps
+  @ [ Alcotest.test_case "suffix overruns the step limit" `Quick test_step_limit;
+      Alcotest.test_case "max_runs exceeded" `Quick test_max_runs;
+      Alcotest.test_case "suffix writes a global" `Quick test_suffix_writes_global;
+      Alcotest.test_case "suffix allocates" `Quick test_suffix_allocates;
+      Alcotest.test_case "open prefix snapshot exits later" `Quick test_open_prefix_snapshot;
+      Alcotest.test_case "break across frames, forked mid-loop" `Quick test_cross_frame_break;
+      Alcotest.test_case "native re-entry falls back" `Quick test_native_reentry ]

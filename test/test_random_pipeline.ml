@@ -18,7 +18,9 @@
    4. masking idempotence: masking an already-masked program changes no
       verdicts, and
    5. image determinism: repeated instantiations of one compiled image
-      produce identical outputs.
+      produce identical outputs, and
+   6. prefix sharing: the walk that forks every injected run from its
+      injection point produces the run records of fresh VMs.
 
    Baseline determinism: generated validations can never fire on the
    real path (the [boom] try/catch handles its exception locally and
@@ -226,10 +228,36 @@ let prop_image_determinism =
       List.for_all (fun o -> String.equal o first)
         [ run_image image; run_image image; run_image (C.image program) ])
 
+(* Forking injected runs off one walk is an optimization, never a
+   semantic change: [Detect.run] without a [prepare] hook walks, with a
+   (no-op) one it runs every threshold on a fresh VM.  Both flavors,
+   exact and coalescing loops. *)
+let prop_walk_equals_fresh =
+  QCheck2.Test.make ~name:"prefix-sharing walk equals fresh VMs" ~count:25
+    ~long_factor ~print:print_spec gen_program_spec
+    (fun spec ->
+      let program = Failatom_minilang.Minilang.parse (render_spec spec) in
+      List.for_all
+        (fun (flavor, prune) ->
+          let config = { Config.default with Config.prune } in
+          let walked = Detect.run ~config ~flavor program in
+          let fresh = Detect.run ~config ~flavor ~prepare:(fun _ -> ()) program in
+          if walked.Detect.runs = fresh.Detect.runs
+             && walked.Detect.transparent = fresh.Detect.transparent
+          then true
+          else
+            QCheck2.Test.fail_reportf "%s, %s: walked runs differ from fresh runs"
+              (Detect.flavor_name flavor) (Config.prune_name prune))
+        [ (Detect.Source_weaving, Config.Prune_off);
+          (Detect.Source_weaving, Config.Prune_coalesce);
+          (Detect.Load_time_filters, Config.Prune_off);
+          (Detect.Load_time_filters, Config.Prune_coalesce) ])
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_masking_closes;
     QCheck_alcotest.to_alcotest prop_flavor_equivalence;
     QCheck_alcotest.to_alcotest prop_transparent;
     QCheck_alcotest.to_alcotest prop_snapshot_equivalence;
     QCheck_alcotest.to_alcotest prop_masking_idempotent;
-    QCheck_alcotest.to_alcotest prop_image_determinism ]
+    QCheck_alcotest.to_alcotest prop_image_determinism;
+    QCheck_alcotest.to_alcotest prop_walk_equals_fresh ]
