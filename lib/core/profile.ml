@@ -29,20 +29,31 @@ let call_count t id = Option.value ~default:0 (Method_id.Map.find_opt id t.calls
 let of_image ?(prepare = fun (_ : Vm.t) -> ()) (image : Compile.image) : t =
   let vm = Compile.instantiate image in
   prepare vm;
-  let counts : (Method_id.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let filter =
-    { Vm.filt_name = "profile";
-      pre =
-        (fun _vm meth _recv _args ->
-          let id = Method_id.make meth.Vm.meth_class meth.Vm.meth_name in
-          Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id));
-          Vm.Proceed);
-      post = (fun _vm _meth _recv _args _result -> Vm.Pass);
-      unwind = Vm.no_unwind }
-  in
-  Vm.attach_filter_everywhere vm filter;
+  (* one counter per method entry, bumped by a filter of its own: the
+     hot path is an increment, not a table update per call *)
+  let counters = ref [] in
+  Vm.iter_methods vm (fun _ meth ->
+      let n = ref 0 in
+      counters := (Method_id.make meth.Vm.meth_class meth.Vm.meth_name, n) :: !counters;
+      Vm.attach_filter meth
+        { Vm.filt_name = "profile";
+          pre =
+            (fun _vm _meth _recv _args ->
+              incr n;
+              Vm.Proceed);
+          post = (fun _vm _meth _recv _args _result -> Vm.Pass);
+          unwind = Vm.no_unwind });
   let exit_value = Compile.run_main vm in
-  let calls = Hashtbl.fold Method_id.Map.add counts Method_id.Map.empty in
+  let calls =
+    List.fold_left
+      (fun acc (id, n) ->
+        if !n = 0 then acc
+        else
+          Method_id.Map.add id
+            (!n + Option.value ~default:0 (Method_id.Map.find_opt id acc))
+            acc)
+      Method_id.Map.empty !counters
+  in
   { calls;
     total_calls = Method_id.Map.fold (fun _ n acc -> n + acc) calls 0;
     output = Vm.output vm;
