@@ -1183,7 +1183,11 @@ let section_server () =
       Server.wait server;
       if Sys.file_exists socket_path then Sys.remove socket_path)
     (fun () ->
-      let request = Protocol.default_request Protocol.Detect (Protocol.App "RBTree") in
+      (* [log = true]: the warm-vs-cold check below compares run logs *)
+      let request =
+        { (Protocol.default_request Protocol.Detect (Protocol.App "RBTree")) with
+          Protocol.log = true }
+      in
       let time f =
         let t0 = Unix.gettimeofday () in
         let r = f () in
@@ -1193,6 +1197,7 @@ let section_server () =
         time (fun () -> submit_round_trip ~socket_path request)
       in
       assert (not cold_cached);
+      if cold_result.Protocol.r_log = "" then failwith "cold result carries no run log";
       let warm_iters = if bench_short then 10 else 30 in
       let warm_s = ref infinity in
       for _ = 1 to warm_iters do

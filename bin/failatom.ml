@@ -965,15 +965,19 @@ let job_result_code (r : Protocol.job_result) =
   | Protocol.Detect | Protocol.Campaign | Protocol.Mask ->
     if r.Protocol.r_non_atomic = [] then exit_ok else exit_non_atomic
 
-let finish_outcome ?(resilience_out = None) ~log ~corrected_out outcome =
-  match outcome with
+(* Watches [job] to its end and prints the outcome.  Done frames carry
+   no run log ([submit] leaves [log = false]); [--log] fetches it with
+   the [log] op once the job is done. *)
+let watch_outcome ?(resilience_out = None) ~log ~corrected_out conn job =
+  match Client.watch ~on_event:print_event conn job with
   | Client.Completed (result, cached) ->
     if cached then Fmt.epr "(result served from cache)@.";
     print_job_result result;
     (match log with
      | Some path ->
+       let text = Client.log conn job in
        let oc = open_out_bin path in
-       output_string oc result.Protocol.r_log;
+       output_string oc text;
        close_out oc;
        Fmt.epr "run log written to %s@." path
      | None -> ());
@@ -1222,8 +1226,7 @@ let submit_cmd =
               end
               else begin
                 Fmt.epr "job %s submitted%s@." id (if cached then " (cached)" else "");
-                finish_outcome ~resilience_out ~log ~corrected_out
-                  (Client.watch ~on_event:print_event conn id)
+                watch_outcome ~resilience_out ~log ~corrected_out conn id
               end))
   in
   let doc =
@@ -1271,8 +1274,7 @@ let watch_cmd =
         with_cluster_fallback ~retries ~socket ~pick:(pick_shard_of_job job)
           (fun conn local ->
             let job = Option.value local ~default:job in
-            finish_outcome ~log ~corrected_out:None
-              (Client.watch ~on_event:print_event conn job)))
+            watch_outcome ~log ~corrected_out:None conn job))
   in
   let doc =
     "Stream a job's progress events until it finishes and print its result \

@@ -424,6 +424,7 @@ let forward_simple t pool client_fd ~id ~make_request =
 let status_line local = Json.to_string (Protocol.request_to_json (Protocol.Status local))
 let cancel_line local = Json.to_string (Protocol.request_to_json (Protocol.Cancel local))
 let watch_line local = Json.to_string (Protocol.request_to_json (Protocol.Watch local))
+let log_line local = Json.to_string (Protocol.request_to_json (Protocol.Log local))
 
 (* ------------------------------------------------------------------ *)
 (* Watch (streaming relay + re-dispatch)                               *)
@@ -621,6 +622,8 @@ let handle_connection t fd =
               forward_simple t pool fd ~id ~make_request:status_line
             | Ok (Protocol.Cancel id) ->
               forward_simple t pool fd ~id ~make_request:cancel_line
+            | Ok (Protocol.Log id) ->
+              forward_simple t pool fd ~id ~make_request:log_line
             | Ok (Protocol.Watch id) -> handle_watch t pool fd ~id
             | Ok Protocol.Stats -> handle_stats t pool fd
             | Ok Protocol.Shutdown ->

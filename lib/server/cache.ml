@@ -11,12 +11,14 @@
    - The {b result cache} maps a full job fingerprint — program digest
      plus everything that influences the outcome (mode, flavor,
      config fingerprint, run timeout, protocol revision) — to the
-     finished {!Protocol.job_result} together with its rendered NDJSON
-     text.  A warm hit answers a resubmission in O(1) with a
-     byte-identical result: the cached value carries the very
-     {!Run_log} text the original job produced, and the pre-rendered
-     text lets the server splice a ~100KB done-frame into the reply
-     without re-serializing it per hit.
+     finished {!Protocol.job_result} together with two renderings of
+     it, each with its warm done frame: the full result, which carries
+     the very {!Run_log} text the original job produced (a ~200KB
+     frame for RBTree), and the log-less result, which omits the
+     ["log"] member (under 1KB).  A warm hit answers a resubmission in
+     O(1) by appending whichever frame its request asked for, without
+     re-serializing anything per hit; log and log-less requests share
+     one entry, since the flag is not part of the key.
 
    Keying by [Config.fingerprint] rather than by the request object
    means two requests that spell the same configuration differently
@@ -65,6 +67,8 @@ type entry = {
   e_result : Protocol.job_result;
   e_rendered : string;  (* Json.to_string (Protocol.result_to_json e_result) *)
   e_warm_frame : string;  (* done_frame ~cached:true e_rendered, shared by warm hits *)
+  e_rendered_nolog : string;  (* the same, without the "log" member *)
+  e_warm_frame_nolog : string;  (* done_frame ~cached:true e_rendered_nolog *)
 }
 
 type persist = {
@@ -278,7 +282,7 @@ let images t ~program_digest ~flavor (program : Ast.program) =
 (* Results                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let render result = Json.to_string (Protocol.result_to_json result)
+let render ?log result = Json.to_string (Protocol.result_to_json ?log result)
 
 (* The done frame splices the pre-rendered result text.  Field order
    matches the server's rendering of [Ev_done] exactly, and
@@ -288,14 +292,21 @@ let done_frame ~cached rendered =
   Printf.sprintf "{\"ok\":true,\"event\":\"done\",\"cached\":%b,\"result\":%s}"
     cached rendered
 
-(* The warm frame is built once here, outside every lock: warm hits
-   append this one string to their jobs instead of a fresh copy each. *)
+(* Both warm frames are built once here, outside every lock: warm hits
+   append one of these strings to their jobs instead of a fresh copy
+   each. *)
 let entry_of_rendered result rendered =
+  let nolog = render ~log:false result in
   { e_result = result;
     e_rendered = rendered;
-    e_warm_frame = done_frame ~cached:true rendered }
+    e_warm_frame = done_frame ~cached:true rendered;
+    e_rendered_nolog = nolog;
+    e_warm_frame_nolog = done_frame ~cached:true nolog }
 
 let entry result = entry_of_rendered result (render result)
+
+let rendered e ~log = if log then e.e_rendered else e.e_rendered_nolog
+let warm_frame e ~log = if log then e.e_warm_frame else e.e_warm_frame_nolog
 
 let find_result t key =
   match
@@ -306,8 +317,10 @@ let find_result t key =
     Some e
   | None -> (
     (* Memory miss: consult the durable tier, deserializing outside the
-       lock.  The stored payload is the exact rendered text, so the
-       revived entry keeps the byte-identity guarantee. *)
+       lock.  The stored payload is the exact rendered text (log
+       included), so the revived entry keeps the byte-identity
+       guarantee; its log-less rendering is derived from the decoded
+       result. *)
     match t.persist with
     | None ->
       Obs.incr m_result_misses;

@@ -3,7 +3,8 @@
     by the full job fingerprint (program digest, mode, flavor,
     {!Config.fingerprint}, run timeout, protocol revision).  A warm
     result hit answers a resubmission in O(1) with a byte-identical
-    {!Protocol.job_result} plus its pre-rendered NDJSON text.
+    {!Protocol.job_result} plus its pre-rendered NDJSON text, with or
+    without the run log.
 
     Thread-safe; bounded by FIFO eviction.  The internal mutex guards
     table mutation only — compilation, rendering, and durable-tier
@@ -27,6 +28,10 @@ type entry = {
       (** [done_frame ~cached:true e_rendered], rendered once per entry:
           every warm hit appends this same string to its job, so the
           job table retains no per-hit copy of the result *)
+  e_rendered_nolog : string;
+      (** [e_rendered] without the ["log"] member
+          ([Protocol.result_to_json ~log:false]) *)
+  e_warm_frame_nolog : string;  (** [done_frame ~cached:true e_rendered_nolog] *)
 }
 
 val done_frame : cached:bool -> string -> string
@@ -34,7 +39,14 @@ val done_frame : cached:bool -> string -> string
     byte-identical to rendering the event through {!Json}. *)
 
 val entry : Protocol.job_result -> entry
-(** An uncached entry: renders the result and its warm frame. *)
+(** An uncached entry: renders the result and its warm frame, with and
+    without the log. *)
+
+val rendered : entry -> log:bool -> string
+(** [e_rendered] or [e_rendered_nolog]. *)
+
+val warm_frame : entry -> log:bool -> string
+(** [e_warm_frame] or [e_warm_frame_nolog]. *)
 
 type persist = {
   find_blob : ns:string -> key:string -> string option;
@@ -59,7 +71,9 @@ val result_key :
   program_digest:string -> mode:Protocol.mode -> flavor:Detect.flavor ->
   config:Config.t -> run_timeout_s:float option -> string
 (** The full job fingerprint.  Equal keys guarantee byte-identical
-    results (detection is deterministic given program + config). *)
+    results (detection is deterministic given program + config).  The
+    request's [log] flag is not part of it: it selects a rendering of
+    the entry, not a different result. *)
 
 val image_blob_key : program_digest:string -> flavor:string -> string
 (** The durable-tier key for an image metadata blob. *)

@@ -166,6 +166,12 @@ let watch ?(on_event = fun (_ : Protocol.event) -> ()) conn id =
 
 let cancel conn id = ignore (request conn (Protocol.Cancel id))
 
+let log conn id =
+  let j = request conn (Protocol.Log id) in
+  match Json.str_member "log" j with
+  | Some text -> text
+  | None -> fail "malformed log reply: %s" (Json.to_string j)
+
 let stats conn =
   let j = request conn Protocol.Stats in
   match Json.str_member "metrics" j with

@@ -47,6 +47,12 @@ val cancel : conn -> string -> unit
 (** Requests cancellation; idempotent.  A queued job is cancelled
     immediately, a running one at its next scheduling point. *)
 
+val log : conn -> string -> string
+(** The run log of a finished job, as {!Failatom_core.Run_log.save}
+    wrote it — also when the job's request set [log = false] and its
+    done frame carried none.  [""] for a produce job.  Raises {!Error}
+    for an unknown or unfinished job. *)
+
 val stats : conn -> string
 (** The server's [failatom.metrics/1] snapshot, as JSON text. *)
 

@@ -73,8 +73,13 @@ type job_request = {
   perturb_max : int option;
   perturb_point : string option;  (* "entry" | "exit" *)
   times : int option;  (* production runs per job *)
+  log : bool;
+      (* whether done frames and status replies carry the run log;
+         absent on the wire = true, so older clients get full replies *)
 }
 
+(* [log = false]: the verdicts travel without the run log, which a
+   client that wants it fetches with the [log] op. *)
 let default_request mode program =
   { mode;
     program;
@@ -92,13 +97,15 @@ let default_request mode program =
     perturb_seed = None;
     perturb_max = None;
     perturb_point = None;
-    times = None }
+    times = None;
+    log = false }
 
 type request =
   | Submit of job_request
   | Status of string  (* job id *)
   | Watch of string
   | Cancel of string
+  | Log of string  (* job id *)
   | Stats
   | Shutdown
 
@@ -120,7 +127,8 @@ type job_result = {
   r_transparent : bool;
   r_non_atomic : (string * string) list;  (* method id, verdict name *)
   r_counts : counts;
-  r_log : string;  (* full Run_log text; "" in mask mode *)
+  r_log : string;
+      (* full Run_log text; "" in produce mode and in log-less replies *)
   r_wrapped : string list;  (* mask mode: wrapped method ids *)
   r_corrected : string option;  (* mask mode: corrected program source *)
   r_summary : summary option;  (* campaign execution statistics *)
@@ -169,10 +177,12 @@ let request_to_json = function
         ("perturb_seed", opt (fun n -> Json.Int n) r.perturb_seed);
         ("perturb_max", opt (fun n -> Json.Int n) r.perturb_max);
         ("perturb_point", opt (fun s -> Json.Str s) r.perturb_point);
-        ("times", opt (fun n -> Json.Int n) r.times) ]
+        ("times", opt (fun n -> Json.Int n) r.times);
+        ("log", Json.Bool r.log) ]
   | Status job -> Json.Obj [ ("cmd", Json.Str "status"); ("job", Json.Str job) ]
   | Watch job -> Json.Obj [ ("cmd", Json.Str "watch"); ("job", Json.Str job) ]
   | Cancel job -> Json.Obj [ ("cmd", Json.Str "cancel"); ("job", Json.Str job) ]
+  | Log job -> Json.Obj [ ("cmd", Json.Str "log"); ("job", Json.Str job) ]
   | Stats -> Json.Obj [ ("cmd", Json.Str "stats") ]
   | Shutdown -> Json.Obj [ ("cmd", Json.Str "shutdown") ]
 
@@ -191,23 +201,26 @@ let summary_to_json s =
       ("synthesized", Json.Int s.synthesized);
       ("wall_s", Json.Float s.wall_s) ]
 
-let result_to_json r =
+(* [~log:false] omits the "log" member; the decoder reads its absence
+   as [""]. *)
+let result_to_json ?(log = true) r =
+  let log_field = if log then [ ("log", Json.Str r.r_log) ] else [] in
   Json.Obj
-    [ ("mode", Json.Str (mode_name r.r_mode));
-      ("flavor", Json.Str r.r_flavor);
-      ("injections", Json.Int r.r_injections);
-      ("transparent", Json.Bool r.r_transparent);
-      ( "non_atomic",
-        Json.List
-          (List.map
-             (fun (m, v) -> Json.List [ Json.Str m; Json.Str v ])
-             r.r_non_atomic) );
-      ("counts", counts_to_json r.r_counts);
-      ("log", Json.Str r.r_log);
-      ("wrapped", Json.List (List.map (fun m -> Json.Str m) r.r_wrapped));
-      ("corrected", opt (fun s -> Json.Str s) r.r_corrected);
-      ("summary", opt summary_to_json r.r_summary);
-      ("resilience", opt (fun s -> Json.Str s) r.r_resilience) ]
+    ([ ("mode", Json.Str (mode_name r.r_mode));
+       ("flavor", Json.Str r.r_flavor);
+       ("injections", Json.Int r.r_injections);
+       ("transparent", Json.Bool r.r_transparent);
+       ( "non_atomic",
+         Json.List
+           (List.map
+              (fun (m, v) -> Json.List [ Json.Str m; Json.Str v ])
+              r.r_non_atomic) );
+       ("counts", counts_to_json r.r_counts) ]
+    @ log_field
+    @ [ ("wrapped", Json.List (List.map (fun m -> Json.Str m) r.r_wrapped));
+        ("corrected", opt (fun s -> Json.Str s) r.r_corrected);
+        ("summary", opt summary_to_json r.r_summary);
+        ("resilience", opt (fun s -> Json.Str s) r.r_resilience) ])
 
 let event_to_json = function
   | Ev_state s -> Json.Obj [ ("event", Json.Str "state"); ("state", Json.Str s) ]
@@ -333,6 +346,13 @@ let submit_of_json j =
   let* perturb_seed = opt_int "perturb_seed" "perturb_seed" in
   let* perturb_max = opt_int "perturb_max" "perturb_max" in
   let* times = opt_int "times" "times" in
+  let* log =
+    (* Absent means true: an older client gets the run log as before. *)
+    match Json.member "log" j with
+    | None -> Ok true
+    | Some (Json.Bool b) -> Ok b
+    | Some _ -> Error "log must be a boolean"
+  in
   Ok
     (Submit
        { mode;
@@ -351,7 +371,8 @@ let submit_of_json j =
          perturb_seed;
          perturb_max;
          perturb_point = Json.str_member "perturb_point" j;
-         times })
+         times;
+         log })
 
 let request_of_json j =
   let* cmd = require "cmd" (Json.str_member "cmd" j) in
@@ -364,6 +385,7 @@ let request_of_json j =
   | "status" -> with_job (fun job -> Status job)
   | "watch" -> with_job (fun job -> Watch job)
   | "cancel" -> with_job (fun job -> Cancel job)
+  | "log" -> with_job (fun job -> Log job)
   | "stats" -> Ok Stats
   | "shutdown" -> Ok Shutdown
   | cmd -> Error ("unknown command " ^ cmd)
@@ -408,7 +430,13 @@ let result_of_json j =
     | Some c -> counts_of_json c
     | None -> Error "missing counts"
   in
-  let* log = require "result.log" (Json.str_member "log" j) in
+  let* log =
+    (* absent: the request asked for no log *)
+    match Json.member "log" j with
+    | None -> Ok ""
+    | Some (Json.Str s) -> Ok s
+    | Some _ -> Error "result.log must be a string"
+  in
   let* wrapped = str_list "wrapped" j "wrapped" in
   let corrected = Json.str_member "corrected" j in
   let* summary =

@@ -56,16 +56,28 @@ type job_request = {
   perturb_max : int option;  (** cap on total canary fires *)
   perturb_point : string option;  (** ["entry"] / ["exit"] *)
   times : int option;  (** production runs per job (default 1) *)
+  log : bool;
+      (** whether the job's done frame and [status] reply carry the run
+          log; absent on the wire decodes as [true], so older clients
+          get today's reply bytes.  A log-less result omits the ["log"]
+          member; the log stays available through the {!Log} request. *)
 }
 
 val default_request : mode -> program_spec -> job_request
-(** All options at their defaults. *)
+(** All options at their defaults, including [log = false]: the reply
+    carries the verdicts without the run log, as [failatom submit]
+    without [--log] asks for it.  Set [log = true] to have the log in
+    the done frame, or fetch it afterwards with {!Log}. *)
 
 type request =
   | Submit of job_request
   | Status of string  (** job id *)
   | Watch of string
   | Cancel of string
+  | Log of string
+      (** job id; a finished job's run log,
+          [{"ok":true,"job":ID,"log":TEXT}] — an error reply for an
+          unknown or unfinished job *)
   | Stats
   | Shutdown
 
@@ -89,7 +101,9 @@ type job_result = {
   r_transparent : bool;
   r_non_atomic : (string * string) list;  (** method id, verdict name *)
   r_counts : counts;
-  r_log : string;  (** full {!Run_log} text; [""] in mask mode *)
+  r_log : string;
+      (** full {!Run_log} text; [""] in produce mode and when the
+          request set [log = false] *)
   r_wrapped : string list;  (** mask mode: wrapped method ids *)
   r_corrected : string option;  (** mask mode: corrected program source *)
   r_summary : summary option;  (** campaign execution statistics *)
@@ -110,7 +124,9 @@ type event =
 (** {1 Encoding} *)
 
 val request_to_json : request -> Json.t
-val result_to_json : job_result -> Json.t
+val result_to_json : ?log:bool -> job_result -> Json.t
+(** [~log:false] (default [true]) omits the ["log"] member. *)
+
 val event_to_json : event -> Json.t
 
 val ok : (string * Json.t) list -> Json.t
@@ -131,4 +147,6 @@ val request_of_json : Json.t -> (request, string) result
     is an ["unknown rollback engine"] error. *)
 
 val result_of_json : Json.t -> (job_result, string) result
+(** An absent ["log"] member decodes as [r_log = ""]. *)
+
 val event_of_json : Json.t -> (event, string) result

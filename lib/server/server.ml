@@ -28,10 +28,13 @@
      the program digest through the cache's source-key memo (no parse
      for a known source), and finished results carry their rendered
      NDJSON text, so a cache hit splices pre-rendered bytes into the
-     reply instead of re-serializing a ~100KB result per hit, and its
-     done event is the cache entry's one shared warm frame, so a
-     finished warm job retains no copy of the result.  Event frames are
-     rendered once when appended, not once per watcher.
+     reply instead of re-serializing the result per hit, and its done
+     event is one of the cache entry's two shared warm frames, so a
+     finished warm job retains no copy of the result.  A request with
+     [log = false] gets the log-less frame (under 1KB instead of up to
+     ~200KB) and can fetch the run log afterwards with the [log] op.
+     Event frames are rendered once when appended, not once per
+     watcher.
 
    - {b Admission control}: a full queue rejects new submissions
      instead of accepting unbounded work; a per-job wall-clock deadline
@@ -107,6 +110,7 @@ type prepared = {
   p_run_timeout_s : float option;
   p_produce : produce option;  (* Some iff p_mode = Produce *)
   p_key : string;  (* result-cache fingerprint *)
+  p_log : bool;  (* done frame and status reply carry the run log *)
 }
 
 type job_state =
@@ -343,7 +347,8 @@ let prepare_request t (r : Protocol.job_request) : (prepared, string) result =
       p_produce;
       p_key =
         Cache.result_key ~program_digest:digest ~mode:r.Protocol.mode ~flavor
-          ~config ~run_timeout_s }
+          ~config ~run_timeout_s;
+      p_log = r.Protocol.log }
 
 (* ------------------------------------------------------------------ *)
 (* Job execution                                                       *)
@@ -525,7 +530,7 @@ let execute t (job : job) =
         job.state <- Done (entry, false);
         Obs.incr m_completed;
         append_frame_locked t job ~terminal:true
-          (Cache.done_frame ~cached:false entry.Cache.e_rendered))
+          (Cache.done_frame ~cached:false (Cache.rendered entry ~log:p.p_log)))
   | Error `Cancelled ->
     locked t (fun () ->
         job.state <- Cancelled;
@@ -601,11 +606,11 @@ let render = Json.to_string
 
 (* Replies that embed a finished result are spliced from the cached
    rendering (same field order as the [Json] path, byte-identical). *)
-let done_reply ~job_id ~cached (entry : Cache.entry) =
+let done_reply ~job_id ~cached ~log entry =
   Printf.sprintf
     "{\"ok\":true,\"job\":%s,\"state\":\"done\",\"cached\":%b,\"result\":%s}"
     (Json.to_string (Json.Str job_id))
-    cached entry.Cache.e_rendered
+    cached (Cache.rendered entry ~log)
 
 let handle_submit t req =
   match prepare_request t req with
@@ -635,7 +640,8 @@ let handle_submit t req =
                job's, so the [log] text is bitwise-identical. *)
             let job = new_job t p in
             job.state <- Done (entry, true);
-            append_frame_locked t job ~terminal:true entry.Cache.e_warm_frame;
+            append_frame_locked t job ~terminal:true
+              (Cache.warm_frame entry ~log:p.p_log);
             Obs.incr m_accepted;
             render
               (Protocol.ok
@@ -678,9 +684,26 @@ let handle_status t id =
           [ ("job", Json.Str job.id); ("state", Json.Str (state_name job.state)) ]
         in
         match job.state with
-        | Done (entry, cached) -> done_reply ~job_id:job.id ~cached entry
+        | Done (entry, cached) ->
+          done_reply ~job_id:job.id ~cached ~log:job.prepared.p_log entry
         | Failed msg -> render (Protocol.ok (base @ [ ("error", Json.Str msg) ]))
         | Queued | Running | Cancelled | Timed_out -> render (Protocol.ok base)))
+
+(* The log is looked up under the mutex and rendered outside it. *)
+let handle_log t id =
+  let found =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.jobs id with
+        | None -> Error ("unknown job " ^ id)
+        | Some { state = Done (entry, _); _ } ->
+          Ok entry.Cache.e_result.Protocol.r_log
+        | Some job ->
+          Error (Printf.sprintf "job %s is %s: no run log" id (state_name job.state)))
+  in
+  render
+    (match found with
+     | Ok log -> Protocol.ok [ ("job", Json.Str id); ("log", Json.Str log) ]
+     | Error msg -> Protocol.error msg)
 
 let handle_cancel t id =
   locked t (fun () ->
@@ -771,6 +794,7 @@ let handle_connection t fd =
             | Ok (Protocol.Status id) -> send_raw (handle_status t id)
             | Ok (Protocol.Watch id) -> handle_watch t fd id
             | Ok (Protocol.Cancel id) -> send (handle_cancel t id)
+            | Ok (Protocol.Log id) -> send_raw (handle_log t id)
             | Ok Protocol.Stats -> send (handle_stats t)
             | Ok Protocol.Shutdown ->
               send (Protocol.ok []);

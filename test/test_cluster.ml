@@ -38,9 +38,11 @@ let rm_rf dir =
   in
   if Sys.file_exists dir then go dir
 
+(* [log = true]: the tests below compare run logs across paths. *)
 let detect_request app =
   { (Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)) with
-    Protocol.infer = true }
+    Protocol.infer = true;
+    log = true }
 
 let completed = function
   | Client.Completed (result, cached) -> (result, cached)
@@ -341,6 +343,9 @@ let test_router_matches_single_server () =
                 Client.with_conn ~socket_path:single_socket (fun conn ->
                     completed (Client.submit_wait conn req))
               in
+              Alcotest.(check bool)
+                (app.Registry.name ^ ": the compared log is not empty")
+                true (via_single.Protocol.r_log <> "");
               Alcotest.(check string)
                 (app.Registry.name ^ ": identical run log")
                 via_single.Protocol.r_log via_cluster.Protocol.r_log;
@@ -369,6 +374,64 @@ let test_router_dead_shard_failover () =
       Alcotest.(check bool)
         "job completed on the surviving shard" true
         (String.length result.Protocol.r_log > 0))
+
+(* The router relays the [log] op like [status], mapping the global id
+   to the shard-local one; a submit line without a [log] field (an
+   older client) is relayed as it came and answered with the log. *)
+let test_router_log_op () =
+  let open Failatom_core in
+  let app = List.hd Registry.catalog in
+  let expected =
+    Run_log.save
+      (Detect.run
+         ~config:{ Config.default with Config.infer_exception_free = true }
+         ~flavor:(Harness.flavor_of_suite app.Registry.suite)
+         (Failatom_minilang.Minilang.parse app.Registry.source))
+  in
+  let req = { (detect_request app) with Protocol.log = false } in
+  with_router (fun base ->
+      Client.with_conn ~socket_path:base (fun conn ->
+          List.iter
+            (fun cached ->
+              let id, c = Client.submit conn req in
+              Alcotest.(check bool) "cached" cached c;
+              let result, _ = completed (Client.watch conn id) in
+              Alcotest.(check string) "no log in the relayed frame" ""
+                result.Protocol.r_log;
+              Alcotest.(check string) "relayed log op: the one-shot log" expected
+                (Client.log conn id))
+            [ false; true ];
+          List.iter
+            (fun id ->
+              match Client.log conn id with
+              | _ -> Alcotest.failf "log of unknown job %s returned" id
+              | exception Client.Error _ -> ())
+            [ "s0-j999"; "nope" ];
+          let line =
+            match Protocol.request_to_json (Protocol.Submit req) with
+            | Json.Obj fields -> Json.to_string (Json.Obj (List.remove_assoc "log" fields))
+            | _ -> Alcotest.fail "a submit renders as an object"
+          in
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX base);
+          let ic = Unix.in_channel_of_descr fd
+          and oc = Unix.out_channel_of_descr (Unix.dup fd) in
+          Fun.protect
+            ~finally:(fun () ->
+              close_out_noerr oc;
+              close_in_noerr ic)
+            (fun () ->
+              ignore (input_line ic);
+              output_string oc (line ^ "\n");
+              flush oc;
+              let id =
+                Option.get (Json.str_member "job" (Json.of_string (input_line ic)))
+              in
+              let status = Client.status conn id in
+              Alcotest.(check string) "old client: done at submit" "done"
+                status.Client.state;
+              Alcotest.(check string) "old client: the log in the reply" expected
+                (Option.get status.Client.result).Protocol.r_log)))
 
 (* ------------------------------------------------------------------ *)
 (* Warm store across restarts                                          *)
@@ -451,7 +514,8 @@ let test_supervisor_kill_respawn_redispatch () =
     let req =
       { (Protocol.default_request Protocol.Campaign
            (Protocol.App app.Registry.name)) with
-        Protocol.infer = true }
+        Protocol.infer = true;
+        log = true }
     in
     let events =
       with_supervisor ~exe (fun base sup ->
@@ -555,6 +619,7 @@ let suite =
       `Slow test_router_matches_single_server;
     Alcotest.test_case "router: dead home shard fails over" `Quick
       test_router_dead_shard_failover;
+    Alcotest.test_case "router: relays the log op" `Quick test_router_log_op;
     Alcotest.test_case "warm store restart answers without re-running" `Quick
       test_warm_store_restart;
     Alcotest.test_case "supervisor: kill -9 mid-job, respawn + redispatch"

@@ -53,13 +53,16 @@ let check_round_trip socket_path (app : Registry.t) flavor =
   let request =
     { (Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)) with
       Protocol.flavor = Some flavor;
-      infer = true }
+      infer = true;
+      log = true }
   in
   let result, _cached =
     with_client socket_path (fun conn -> completed (Client.submit_wait conn request))
   in
   let config = { Config.default with Config.infer_exception_free = true } in
   let expected = Detect.run ~config ~flavor (parse app.Registry.source) in
+  Alcotest.(check bool) "the compared log is not empty" true
+    (result.Protocol.r_log <> "");
   Alcotest.(check string)
     "identical run log" (Run_log.save expected) result.Protocol.r_log;
   Alcotest.(check int) "same injections" expected.Detect.injections
@@ -93,7 +96,8 @@ let test_campaign_mode_matches_detect () =
     (fun socket_path ->
       let request mode =
         { (Protocol.default_request mode (Protocol.App "LinkedList")) with
-          Protocol.jobs = Some 4 }
+          Protocol.jobs = Some 4;
+          log = true }
       in
       with_client socket_path (fun conn ->
           let d, _ = completed (Client.submit_wait conn (request Protocol.Detect)) in
@@ -133,12 +137,14 @@ let test_inline_program () =
   with_server (fun socket_path ->
       let app = Option.get (Registry.find "Dynarray") in
       let by_name =
-        Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)
+        { (Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)) with
+          Protocol.log = true }
       in
       let inline =
         { (Protocol.default_request Protocol.Detect
              (Protocol.Inline app.Registry.source)) with
-          Protocol.flavor = Some (Harness.flavor_of_suite app.Registry.suite) }
+          Protocol.flavor = Some (Harness.flavor_of_suite app.Registry.suite);
+          log = true }
       in
       with_client socket_path (fun conn ->
           let a, _ = completed (Client.submit_wait conn by_name) in
@@ -152,7 +158,8 @@ let test_inline_program () =
 let test_cache_hit () =
   with_server (fun socket_path ->
       let request =
-        Protocol.default_request Protocol.Detect (Protocol.App "CircularList")
+        { (Protocol.default_request Protocol.Detect (Protocol.App "CircularList")) with
+          Protocol.log = true }
       in
       with_client socket_path (fun conn ->
           let first, cached1 = completed (Client.submit_wait conn request) in
@@ -209,7 +216,8 @@ let test_concurrent_clients () =
               (fun () ->
                 let name = List.nth apps (i mod List.length apps) in
                 let request =
-                  Protocol.default_request Protocol.Detect (Protocol.App name)
+                  { (Protocol.default_request Protocol.Detect (Protocol.App name)) with
+                    Protocol.log = true }
                 in
                 let result, _ =
                   with_client socket_path (fun conn ->
@@ -392,7 +400,10 @@ let test_rollback_field_compat () =
    bytes. *)
 let test_warm_hits_share_done_frame () =
   with_server (fun socket_path ->
-      let request = Protocol.default_request Protocol.Detect (Protocol.App "RBTree") in
+      let request =
+        { (Protocol.default_request Protocol.Detect (Protocol.App "RBTree")) with
+          Protocol.log = true }
+      in
       with_client socket_path (fun conn ->
           ignore (completed (Client.submit_wait conn request)));
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -529,7 +540,8 @@ let test_run_timeout_in_result () =
       let request =
         { (Protocol.default_request Protocol.Detect
              (Protocol.Inline slow_catch_source)) with
-          Protocol.run_timeout_s = Some 0.005 }
+          Protocol.run_timeout_s = Some 0.005;
+          log = true }
       in
       let result, _ =
         with_client socket_path (fun conn -> completed (Client.submit_wait conn request))
@@ -614,6 +626,226 @@ let test_stats_snapshot () =
              | None -> false)))
 
 (* ------------------------------------------------------------------ *)
+(* (h) the [log] request field and the [log] op                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One raw connection past its greeting: [send] writes a line, [read]
+   reads the next one. *)
+let with_raw socket_path f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  let ic = Unix.in_channel_of_descr fd
+  and oc = Unix.out_channel_of_descr (Unix.dup fd) in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      close_in_noerr ic)
+    (fun () ->
+      ignore (input_line ic);
+      let send line =
+        output_string oc line;
+        output_char oc '\n';
+        flush oc
+      in
+      f ~send ~read:(fun () -> input_line ic))
+
+let submit_fields req =
+  match Protocol.request_to_json (Protocol.Submit req) with
+  | Json.Obj fields -> fields
+  | _ -> Alcotest.fail "a submit renders as an object"
+
+let request_line req = Json.to_string (Protocol.request_to_json req)
+
+(* Watches [job] and returns its done frame, verbatim. *)
+let watch_done ~send ~read job =
+  send (request_line (Protocol.Watch job));
+  let rec loop () =
+    let line = read () in
+    match Json.str_member "event" (Json.of_string line) with
+    | Some "done" -> line
+    | Some ("state" | "tick" | "warning") -> loop ()
+    | _ -> Alcotest.failf "job %s ended without a result: %s" job line
+  in
+  loop ()
+
+let frame_result frame =
+  match Protocol.event_of_json (Json.of_string frame) with
+  | Ok (Protocol.Ev_done { result; _ }) -> result
+  | _ -> Alcotest.failf "not a done frame: %s" frame
+
+(* What the daemon sent before the [log] field existed. *)
+let full_done_frame ~cached r =
+  Json.to_string
+    (Json.Obj
+       [ ("ok", Json.Bool true);
+         ("event", Json.Str "done");
+         ("cached", Json.Bool cached);
+         ("result", Protocol.result_to_json r) ])
+
+let full_status_reply ~job ~cached r =
+  Json.to_string
+    (Json.Obj
+       [ ("ok", Json.Bool true);
+         ("job", Json.Str job);
+         ("state", Json.Str "done");
+         ("cached", Json.Bool cached);
+         ("result", Protocol.result_to_json r) ])
+
+let one_shot_log name =
+  let app = Option.get (Registry.find name) in
+  Run_log.save
+    (Detect.run ~flavor:(Harness.flavor_of_suite app.Registry.suite)
+       (parse app.Registry.source))
+
+(* An older client sends no [log] field: its done frames and status
+   replies, cold and warm, are the full rendering, run log included. *)
+let test_absent_log_field () =
+  with_server (fun socket_path ->
+      let expected = one_shot_log "LinkedList" in
+      let line =
+        Json.to_string
+          (Json.Obj
+             (List.remove_assoc "log"
+                (submit_fields
+                   (Protocol.default_request Protocol.Detect (Protocol.App "LinkedList")))))
+      in
+      with_raw socket_path (fun ~send ~read ->
+          List.iter
+            (fun cached ->
+              send line;
+              let reply = Json.of_string (read ()) in
+              Alcotest.(check (option bool)) "cached" (Some cached)
+                (Json.bool_member "cached" reply);
+              let job = Option.get (Json.str_member "job" reply) in
+              let frame = watch_done ~send ~read job in
+              let result = frame_result frame in
+              Alcotest.(check string) "the frame carries the run log" expected
+                result.Protocol.r_log;
+              Alcotest.(check string) "done frame: the full rendering"
+                (full_done_frame ~cached result) frame;
+              send (request_line (Protocol.Status job));
+              Alcotest.(check string) "status reply: the full rendering"
+                (full_status_reply ~job ~cached result) (read ()))
+            [ false; true ]))
+
+let result_counter socket_path name =
+  let snap =
+    Failatom_obs.Obs.parse_json (with_client socket_path Client.stats)
+  in
+  Option.value ~default:0 (List.assoc_opt name snap.Failatom_obs.Obs.s_counters)
+
+(* [log:false] omits the log member and nothing else, and shares the
+   cache entry of a [log:true] submission of the same program. *)
+let test_logless_frame () =
+  with_server (fun socket_path ->
+      let req = Protocol.default_request Protocol.Detect (Protocol.App "Dynarray") in
+      let counters () =
+        ( result_counter socket_path "server.cache_result_misses",
+          result_counter socket_path "server.cache_result_hits" )
+      in
+      let misses0, hits0 = counters () in
+      with_raw socket_path (fun ~send ~read ->
+          let run log =
+            send (request_line (Protocol.Submit { req with Protocol.log }));
+            let reply = Json.of_string (read ()) in
+            let job = Option.get (Json.str_member "job" reply) in
+            (job, Json.bool_member "cached" reply, watch_done ~send ~read job)
+          in
+          let _, cold, full_frame = run true in
+          let job, warm, brief_frame = run false in
+          Alcotest.(check (option bool)) "log:true computes" (Some false) cold;
+          Alcotest.(check (option bool)) "log:false hits its entry" (Some true) warm;
+          let misses1, hits1 = counters () in
+          Alcotest.(check (pair int int)) "one miss, then one hit" (1, 1)
+            (misses1 - misses0, hits1 - hits0);
+          let has_log frame =
+            Json.member "log" (Option.get (Json.member "result" (Json.of_string frame)))
+            <> None
+          in
+          Alcotest.(check bool) "full frame has the log key" true (has_log full_frame);
+          Alcotest.(check bool) "log-less frame has no log key" false (has_log brief_frame);
+          Alcotest.(check bool) "log-less frame under 4 KB" true
+            (String.length brief_frame < 4096);
+          let full = frame_result full_frame in
+          Alcotest.(check bool) "the full log is not empty" true (full.Protocol.r_log <> "");
+          Alcotest.(check bool) "same result but for r_log" true
+            (frame_result brief_frame = { full with Protocol.r_log = "" });
+          send (request_line (Protocol.Status job));
+          Alcotest.(check bool) "log-less status reply has no log key" false
+            (Json.member "log"
+               (Option.get (Json.member "result" (Json.of_string (read ()))))
+             <> None)))
+
+(* The [log] op returns a finished job's run log, whatever its request
+   asked of the done frame; unknown and unfinished jobs get errors. *)
+let test_log_op () =
+  with_server (fun socket_path ->
+      let expected = one_shot_log "LinkedList" in
+      let req = Protocol.default_request Protocol.Detect (Protocol.App "LinkedList") in
+      with_client socket_path (fun conn ->
+          let cold, c1 = Client.submit conn req in
+          let result, _ = completed (Client.watch conn cold) in
+          Alcotest.(check bool) "cold" false c1;
+          Alcotest.(check string) "no log in the done frame" "" result.Protocol.r_log;
+          Alcotest.(check string) "cold job: the one-shot log" expected
+            (Client.log conn cold);
+          let warm, c2 = Client.submit conn req in
+          Alcotest.(check bool) "warm" true c2;
+          Alcotest.(check string) "warm job: the one-shot log" expected
+            (Client.log conn warm);
+          let refused what id =
+            match Client.log conn id with
+            | _ -> Alcotest.failf "%s: a log was returned" what
+            | exception Client.Error _ -> ()
+          in
+          refused "unknown job" "j999";
+          let slow, _ =
+            Client.submit conn
+              (Protocol.default_request Protocol.Detect (Protocol.Inline slow_source))
+          in
+          refused "unfinished job" slow;
+          Client.cancel conn slow;
+          ignore (Client.watch conn slow));
+      check_error_reply "log of an unknown job"
+        (snd (raw_request socket_path {|{"cmd":"log","job":"j999"}|})))
+
+(* An entry revived from the durable tier renders the same two frames
+   as the entry that was stored, and the tier keeps the full payload. *)
+let test_durable_entry_frames () =
+  let module Cache = Failatom_server.Cache in
+  let blobs = Hashtbl.create 4 in
+  let persist =
+    { Cache.find_blob = (fun ~ns ~key -> Hashtbl.find_opt blobs (ns, key));
+      store_blob = (fun ~ns ~key v -> Hashtbl.replace blobs (ns, key) v) }
+  in
+  let result =
+    { Protocol.r_mode = Protocol.Detect;
+      r_flavor = "source";
+      r_injections = 3;
+      r_transparent = true;
+      r_non_atomic = [ ("A.m", "pure") ];
+      r_counts = { Protocol.atomic = 1; conditional = 0; pure = 1 };
+      r_log = "a run log\n";
+      r_wrapped = [];
+      r_corrected = None;
+      r_summary = None;
+      r_resilience = None }
+  in
+  let stored = Cache.store_result (Cache.create ~persist ()) "k" result in
+  let revived = Option.get (Cache.find_result (Cache.create ~persist ()) "k") in
+  Alcotest.(check string) "the tier keeps the full payload" stored.Cache.e_rendered
+    (Hashtbl.find blobs (Cache.ns_results, "k"));
+  List.iter
+    (fun log ->
+      Alcotest.(check string)
+        (Printf.sprintf "revived warm frame, log=%b" log)
+        (Cache.warm_frame stored ~log) (Cache.warm_frame revived ~log))
+    [ true; false ];
+  Alcotest.(check string) "log-less rendering"
+    (Json.to_string (Protocol.result_to_json ~log:false result))
+    revived.Cache.e_rendered_nolog
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "round trip matrix (all apps, both flavors)" `Slow
@@ -642,4 +874,11 @@ let suite =
     Alcotest.test_case "per-run timeout recorded in result" `Quick
       test_run_timeout_in_result;
     Alcotest.test_case "shutdown drains gracefully" `Quick test_shutdown_drains;
-    Alcotest.test_case "stats snapshot is parseable" `Quick test_stats_snapshot ]
+    Alcotest.test_case "stats snapshot is parseable" `Quick test_stats_snapshot;
+    Alcotest.test_case "no log field: replies carry the log" `Quick
+      test_absent_log_field;
+    Alcotest.test_case "log:false frame omits only the log" `Quick
+      test_logless_frame;
+    Alcotest.test_case "log op returns the one-shot log" `Quick test_log_op;
+    Alcotest.test_case "durable-tier entry renders both frames" `Quick
+      test_durable_entry_frames ]
