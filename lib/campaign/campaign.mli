@@ -1,8 +1,9 @@
 (** The parallel, resumable detection-campaign engine.
 
     Drop-in replacement for {!Detect.run} that executes the
-    injection-threshold runs across OCaml 5 domains with speculative
-    batch scheduling ({!Scheduler}), journals every completed run for
+    injection-threshold runs across OCaml 5 domains — on a sequential
+    program every worker walks the uninjected run and forks the points
+    it claims ({!Scheduler.visit}) — journals every filed record for
     resumption ({!Journal}), and reports progress ({!Progress}).  The
     returned {!Detect.result} is identical to what the sequential loop
     produces on the same program and flavor. *)
@@ -19,7 +20,7 @@ exception Cancelled
 (** The [cancel] callback returned [true]: workers stopped claiming new
     thresholds and the campaign aborted once in-flight runs drained
     (each bounded by [run_timeout_s] when set).  The journal, if any,
-    retains every run completed before the abort, so a cancelled
+    retains every record filed before the abort, so a cancelled
     campaign can later be resumed. *)
 
 val default_jobs : unit -> int
@@ -45,21 +46,31 @@ val run :
   Detect.result * Progress.summary
 (** Runs the complete detection phase in parallel.
 
-    [jobs] worker domains execute the runs (default {!default_jobs}).
-    [journal] appends every completed run to the given path;
-    [resume] additionally adopts the runs already journaled there, so
-    only missing thresholds are executed.  Every run gets a fresh VM
-    ({!Detect.run_once}; the campaign does not share prefixes the way
-    {!Detect.run} does), and [prepare] is applied to each (as in
-    {!Detect.run}) and must be safe to call from multiple domains.  [report] receives progress events.
+    [jobs] worker domains execute the runs (default {!default_jobs}),
+    never the calling thread.  On a sequential program each worker
+    walks the uninjected run once and forks the injected runs of the
+    points it claims, as {!Detect.run} forks them all; no run is
+    speculative, so [discarded] is 0, and a one-worker campaign's
+    summary counts are those of the fresh-VM path.  Concurrent
+    programs, a [prepare] hook or [run_timeout_s] give every run a
+    fresh VM ({!Detect.run_once}) with speculative claiming, as in
+    {!Detect.run}; [prepare] is applied to each and must be safe to
+    call from multiple domains.
+
+    [journal] appends every filed record to the given path; [resume]
+    additionally adopts the runs already journaled there, so only
+    missing thresholds are executed (a coalesced group is re-executed
+    unless every member is on file) and resuming a complete journal
+    executes nothing.  [report] receives progress events.
 
     [plain] and [compiled] reuse already-built images of this very
     [program] (the server's content-addressed image cache), skipping
     the per-campaign weaving and compilation.  [run_timeout_s] bounds
     each run's wall-clock time; a timed-out run is recorded with
     [Marks.timed_out] and never establishes the frontier.  [cancel] is
-    polled by every worker before claiming a threshold; once it returns
-    [true] the campaign aborts with {!Cancelled}.
+    polled at every point a walk offers (fresh-VM workers: before
+    every claim); once it returns [true] the campaign aborts with
+    {!Cancelled}.
 
     Concurrent programs ({!Minilang.uses_concurrency}) run one complete
     campaign phase per spec in [config.schedules], exactly as in
@@ -70,6 +81,7 @@ val run :
     format byte-identical to before.
 
     @raise Detect.Detection_error as {!Detect.run} would (a genuine
-    failure inside a run, or [max_runs] exceeded).
+    failure inside a run, or [max_runs] exceeded); a walking campaign
+    raises the very error {!Detect.run} does, whatever [jobs] is.
     @raise Campaign_error on journal misuse.
     @raise Cancelled when [cancel] fired. *)

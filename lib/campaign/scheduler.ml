@@ -1,25 +1,34 @@
-(* Speculative batch scheduling of injection thresholds.
+(* Claiming injection thresholds for a campaign's workers.
 
    The detection loop (paper §4.1) arms InjectionPoint = 1, 2, 3, … and
-   stops at the first run that completes with no injection.  That
-   stopping threshold — the *frontier* — is unknown until it is reached,
-   so a parallel campaign must speculate: it dispatches thresholds past
-   the highest completed one and discards whatever lands beyond the
-   frontier once it is found.  Because every run is deterministic and
-   independent (fresh VM and heap per run), discarding the over-run is
-   enough to make the merged result identical to the sequential loop's.
+   stops at the first run that completes with no injection: the
+   *frontier*.  Workers claim thresholds in one of two ways.
 
-   Speculation is bounded by a *horizon* that starts at one batch per
-   worker and doubles every time the whole window below it completes
-   without finding the frontier — so a campaign near its (unknown)
-   frontier wastes at most one window of runs, while a campaign far from
-   it quickly reaches full parallelism.
+   - Walking workers (sequential programs) each walk the uninjected run
+     and offer every point they reach to [visit], which claims it for
+     that worker unless it is claimed or on file already.  All walks
+     visit the same points in the same order, so nothing is claimed
+     past the frontier: the first walk to finish files the probe, and
+     that fixes the frontier.
+
+   - Fresh-VM workers (concurrent programs, [prepare] hooks, per-run
+     timeouts) take thresholds from [claim].  The frontier is unknown
+     until it is reached, so [claim] speculates: it dispatches
+     thresholds past the highest completed one and the over-run past
+     the frontier is discarded once it is found.  Because every run is
+     deterministic and independent (fresh VM and heap per run),
+     discarding the over-run is enough to make the merged result
+     identical to the sequential loop's.  Speculation is bounded by a
+     *horizon* that starts at one batch per worker and doubles every
+     time the whole window below it completes without finding the
+     frontier — so a campaign near its (unknown) frontier wastes at most
+     one window of runs, while a campaign far from it quickly reaches
+     full parallelism.
 
    The scheduler itself is plain single-threaded state; {!Campaign}
-   serialises access with a mutex.  [claim] hands out thresholds,
-   [record] files completed runs (from workers or from a resumed
-   journal), and [runs] extracts the merged, frontier-truncated run
-   list. *)
+   serialises access with a mutex.  [record] and [adopt] file runs
+   (from workers or from a resumed journal), and [runs] extracts the
+   merged, frontier-truncated run list. *)
 
 open Failatom_core
 
@@ -183,6 +192,32 @@ let claim t =
 let finished t =
   match t.frontier with Some f -> t.contiguous >= f | None -> false
 
+let filed t point = Hashtbl.mem t.completed point
+
+(* Walk-driven claiming: every walk visits the same points in the same
+   order and claims each unclaimed one it reaches, so the claimed and
+   filed points always form a prefix of the reached ones and no run is
+   ever speculative.  A group is forked when its head is unclaimed and
+   some member is not yet on file; once the frontier is known and every
+   point up to it is taken, walks stop. *)
+let visit t (g : Prune.group) =
+  while taken t t.next do
+    t.next <- t.next + 1
+  done;
+  match t.frontier with
+  | Some f when t.next > f -> Detect.Stop
+  | Some _ | None ->
+    let head = fst (Prune.rep g) in
+    if Hashtbl.mem t.claimed head || group_complete t g then Detect.Pass
+    else begin
+      List.iter
+        (fun (th, _) ->
+          if th = head || not (Hashtbl.mem t.completed th) then
+            Hashtbl.replace t.claimed th ())
+        g.Prune.members;
+      Detect.Fork
+    end
+
 (* The merged campaign result: thresholds 1 .. frontier in order, every
    speculative record past the frontier dropped.  Only meaningful once
    [finished]. *)
@@ -212,6 +247,7 @@ let stats t =
   { executed = t.executed; reused; discarded; synthesized = t.adopted }
 
 (* Progress snapshot: (recorded runs, runs that injected, needed total
-   once the frontier is known). *)
+   once the frontier is known, runs executed).  Constant time: it is
+   taken after every filed record. *)
 let progress t =
-  (Hashtbl.length t.completed, t.injected_runs, t.frontier)
+  (Hashtbl.length t.completed, t.injected_runs, t.frontier, t.executed)

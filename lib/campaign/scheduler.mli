@@ -1,12 +1,14 @@
-(** Speculative batch scheduling of injection thresholds.
+(** Claiming injection thresholds for a campaign's workers.
 
     The sequential detection loop stops at the first run that completes
-    with no injection — the {e frontier}.  A parallel campaign cannot
-    know the frontier upfront, so this scheduler speculates: it hands
-    out thresholds up to a doubling {e horizon} and discards completed
-    runs that land past the frontier once it is found.  Runs are
-    deterministic and independent, so the merged, frontier-truncated run
-    list is identical to what the sequential loop produces.
+    with no injection — the {e frontier}.  Walking workers claim the
+    points their walks reach ({!visit}); no point past the frontier is
+    ever claimed.  Fresh-VM workers cannot know the frontier upfront,
+    so {!claim} speculates: it hands out thresholds up to a doubling
+    {e horizon} and discards completed runs that land past the frontier
+    once it is found.  Runs are deterministic and independent, so the
+    merged, frontier-truncated run list is identical to what the
+    sequential loop produces.
 
     The scheduler is plain single-threaded state; {!Campaign} serialises
     access to it with a mutex. *)
@@ -53,6 +55,17 @@ val adopt : t -> Marks.run_record -> unit
     executed/reused/discarded accounting, no effect if the threshold is
     already on file. *)
 
+val visit : t -> Prune.group -> Detect.visit
+(** A walk reached the group's head (a one-member group unless
+    coalescing).  [Fork] claims it: its head, and every member not yet
+    on file.  [Pass] when the head is claimed by another walk or every
+    member is on file (a coalesced group is skipped only when every
+    member is); [Stop] once the frontier is known and every point up to
+    it is claimed or on file. *)
+
+val filed : t -> int -> bool
+(** The threshold's record is on file. *)
+
 val frontier : t -> int option
 (** The least recorded threshold whose run did not inject, if any. *)
 
@@ -65,7 +78,7 @@ val runs : t -> Marks.run_record list
 
 val stats : t -> stats
 
-val progress : t -> int * int * int option
-(** [(recorded, injected, needed)]: runs recorded so far, how many of
-    them fired an injection, and the total needed once the frontier is
-    known. *)
+val progress : t -> int * int * int option * int
+(** [(recorded, injected, needed, executed)]: runs recorded so far, how
+    many of them fired an injection, the total needed once the frontier
+    is known, and [executed] of {!stats} — in constant time. *)

@@ -232,7 +232,8 @@ let finished_entry t (e : job_entry) =
    {"ok":true,"job":"<id>","state":"<state>",...} — and ids/states never
    contain escapes.  Splitting on that head lets the router read the id
    and state and splice in the global id without parsing the reply,
-   which for a cached submit embeds a result of ~100KB. *)
+   which for the status of a finished job embeds its result (with the
+   run log, up to ~200KB). *)
 let reply_head = "{\"ok\":true,\"job\":\""
 let state_head = "\",\"state\":\""
 

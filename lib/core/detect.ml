@@ -11,9 +11,11 @@
 
    Two engines produce the same records: [run_once] runs one threshold
    on a fresh VM (concurrent programs, [prepare] hooks, wall-clock
-   budgets, campaigns), and [walk] runs a sequential program once,
-   forking every injected run from its injection point (see the
-   prefix-sharing section below). *)
+   budgets), and [walk_with] runs a sequential program once, forking
+   injected runs from their injection points (see the prefix-sharing
+   section below); [walk] forks every one, a campaign's workers fork
+   the ones they claim.  [set_up] is the one-time work both [run] and
+   campaigns start from. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -267,7 +269,6 @@ let coalesced_loop ?run_timeout_s compiled config analyzer flow ~prepare ~profil
     let plan = Prune.build flow ~entries:extras.entries in
     (* The unpruned loop would abort at the probe run's threshold. *)
     ignore (within_max_runs config plan.Prune.frontier);
-    Obs.add m_points_total plan.Prune.total_points;
     Obs.add m_points_coalesced (Prune.coalesced_away plan);
     (* Threshold 0 and threshold P+1 never fire, and a never-firing
        run's behaviour does not depend on the armed threshold: the
@@ -327,6 +328,9 @@ let coalesced_loop ?run_timeout_s compiled config analyzer flow ~prepare ~profil
    control to them. *)
 exception Walk_abort of exn
 
+(* A [visit] hook asked the walk to stop. *)
+exception Walk_stop
+
 (* The run armed at the point being visited, forked from the walk;
    [None] when the continuation is not capturable (native re-entry).
    The VM and the injection state are rewound before returning. *)
@@ -347,15 +351,19 @@ let fork_run state vm ~threshold inject =
     Injection.restore state sv;
     Some result
 
-let walk ?(setup = fun (_ : Vm.t) -> ()) ?flow compiled config analyzer
-    ~baseline_output =
+type visit = Fork | Pass | Stop
+
+type walk_end =
+  | Finished of { probe : Marks.run_record; points : int; groups : int }
+  | Stopped
+
+let walk_with ?(setup = fun (_ : Vm.t) -> ()) ?flow compiled config analyzer ~visit
+    ~forked =
   let vm, state =
     instrumented_vm compiled config analyzer ~prepare:setup ~threshold:0
   in
-  let records = ref [] (* reversed *) in
   let last = ref 0 (* the last point reached *) in
   let n_groups = ref 0 in
-  let pending = ref None (* the first representative's failure *) in
   let run_at threshold inject =
     match fork_run state vm ~threshold inject with
     | Some r -> r
@@ -367,65 +375,77 @@ let walk ?(setup = fun (_ : Vm.t) -> ()) ?flow compiled config analyzer
       | r -> Ok r
       | exception ex -> Error ex)
   in
-  (* Coalescing: the entry whose points are being visited — its site,
-     its first point, and per class index the blindness group that
-     class heads, if it heads one.  An entry's grouping depends on its
-     site only (the injectable classes are the site's), so each site is
+  (* The entry whose points are being visited: its site, its first
+     point, its classes, whether it is the site's first dynamic visit,
+     and (coalescing) per class index the blindness group that class
+     heads, if it heads one.  An entry's grouping depends on its site
+     only (the injectable classes are the site's), so each site is
      partitioned once. *)
   let partitions = Hashtbl.create 16 in
-  let entry = ref (Method_id.make "" "", 0, [||]) in
+  let entry = ref (Method_id.make "" "", 0, [], false, [||]) in
   let w_entry site classes ~first =
-    Option.iter
-      (fun flow ->
+    let first_visit, heads =
+      match Hashtbl.find_opt partitions site with
+      | Some heads -> (false, heads)
+      | None ->
         let heads =
-          match Hashtbl.find_opt partitions site with
-          | Some heads -> heads
-          | None ->
+          match flow with
+          | None -> [||]
+          | Some flow ->
             let heads = Array.make (List.length classes) None in
             List.iter
               (fun group -> heads.(fst (List.hd group)) <- Some group)
               (Prune.partition_pairs flow site (List.mapi (fun i cls -> (i, cls)) classes));
-            Hashtbl.replace partitions site heads;
             heads
         in
-        entry := (site, first, heads))
-      flow
+        Hashtbl.replace partitions site heads;
+        (true, heads)
+    in
+    entry := (site, first, classes, first_visit, heads)
+  in
+  (* Offers the group of the entry's [members] (class indices), headed by
+     point [p], to [visit], and forks it. *)
+  let offer p inject (site, first, _, first_visit, _) members =
+    let g =
+      { Prune.site; members = List.map (fun (i, cls) -> (first + i, cls)) members; first_visit }
+    in
+    match visit g with
+    | Pass -> ()
+    | Stop -> raise Walk_stop
+    | Fork ->
+      forked g
+        (match run_at p inject with
+         | Ok (r, ex) ->
+           Ok
+             ( r,
+               if Option.is_none flow then []
+               else Prune.synthesize g ~rep_record:r ~injected_escaped:ex.injected_escaped )
+         | Error ex -> Error ex)
   in
   let w_point p inject =
     last := p;
-    match flow with
-    | None -> (
-      match run_at (within_max_runs config p) inject with
-      | Ok (r, _) -> records := r :: !records
-      | Error ex -> raise (Walk_abort ex))
-    | Some _ -> (
-      let site, first, heads = !entry in
-      match heads.(p - first) with
-      | None -> () (* a member: synthesized with its representative *)
-      | Some group ->
-        incr n_groups;
-        (* the coalescing loop fails over max_runs only after its census,
-           which a failing walk still overrides *)
-        if p <= config.Config.max_runs && Option.is_none !pending then
-          match run_at p inject with
-          | Ok (r, ex) ->
-            let g =
-              { Prune.site;
-                members = List.map (fun (i, cls) -> (first + i, cls)) group;
-                first_visit = false }
-            in
-            records :=
-              List.rev_append
-                (Prune.synthesize g ~rep_record:r
-                   ~injected_escaped:ex.injected_escaped)
-                (r :: !records)
-          | Error ex -> pending := Some ex)
+    let ((_, first, classes, _, heads) as e) = !entry in
+    try
+      match flow with
+      | None ->
+        ignore (within_max_runs config p);
+        offer p inject e [ (p - first, List.nth classes (p - first)) ]
+      | Some _ -> (
+        match heads.(p - first) with
+        | None -> () (* a member: synthesized with its representative *)
+        | Some members ->
+          incr n_groups;
+          (* the coalescing loop fails over max_runs only after its
+             census, so heads past it are not offered *)
+          if p <= config.Config.max_runs then offer p inject e members)
+    with ex -> raise (Walk_abort ex)
   in
   state.Injection.walker <- Some { Injection.w_entry; w_point };
   let ending =
     match Compile.run_main vm with
-    | _ -> Returned
-    | exception Vm.Mini_raise e -> Escaped e
+    | _ -> Some Returned
+    | exception Vm.Mini_raise e -> Some (Escaped e)
+    | exception Walk_abort Walk_stop -> None
     | exception Walk_abort ex -> raise ex
     | exception ex -> (
       (* the failure is the probe's (exact loop, numbered past the last
@@ -436,19 +456,32 @@ let walk ?(setup = fun (_ : Vm.t) -> ()) ?flow compiled config analyzer
       match run_error threshold ex with Some err -> raise err | None -> raise ex)
   in
   state.Injection.walker <- None;
-  let frontier = within_max_runs config (!last + 1) in
-  Option.iter raise !pending;
-  if Option.is_some flow then begin
-    Obs.add m_points_total !last;
-    Obs.add m_points_coalesced (!last - !n_groups)
-  end;
-  let probe, _ = record_of ~threshold:frontier state vm ending in
-  let runs =
-    List.sort
-      (fun a b -> compare a.Marks.injection_point b.Marks.injection_point)
-      !records
+  match ending with
+  | None -> Stopped
+  | Some ending ->
+    let frontier = within_max_runs config (!last + 1) in
+    let probe, _ = record_of ~threshold:frontier state vm ending in
+    Finished { probe; points = !last; groups = !n_groups }
+
+let walk ?setup ?flow compiled config analyzer ~baseline_output =
+  let records = ref [] (* reversed *) in
+  let pending = ref None (* the first representative's failure *) in
+  let visit _ = if Option.is_some !pending then Pass else Fork in
+  let forked _ = function
+    | Ok (r, members) -> records := List.rev_append members (r :: !records)
+    | Error ex -> if Option.is_none flow then raise ex else pending := Some ex
   in
-  (runs @ [ probe ], String.equal probe.Marks.output baseline_output)
+  match walk_with ?setup ?flow compiled config analyzer ~visit ~forked with
+  | Stopped -> assert false (* [visit] never stops *)
+  | Finished { probe; points; groups } ->
+    Option.iter raise !pending;
+    if Option.is_some flow then Obs.add m_points_coalesced (points - groups);
+    let runs =
+      List.sort
+        (fun a b -> compare a.Marks.injection_point b.Marks.injection_point)
+        !records
+    in
+    (runs @ [ probe ], String.equal probe.Marks.output baseline_output)
 
 (* Schedule exploration observability: one tick per (schedule, program)
    detection loop. *)
@@ -463,10 +496,21 @@ let baseline_under plain ~prepare policy =
   ignore (Compile.run_main ~policy vm);
   Vm.output vm
 
-(* Runs the complete detection phase (see .mli). *)
-let run ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
-    ?compiled ?run_timeout_s (program : Ast.program) : result =
-  Obs.span "detect.run" ~attrs:[ ("flavor", flavor_name flavor) ] @@ fun () ->
+(* The one-time set-up of a detection (see .mli). *)
+type setup = {
+  s_config : Config.t;
+  s_schedules : (string * Sched.policy) list;
+  s_fallback : string option;
+  s_prepare : Vm.t -> unit;
+  s_coalesce : Exnflow.t option;
+  s_analyzer : Analyzer.t;
+  s_plain : Compile.image;
+  s_profile : Profile.t;
+  s_compiled : compiled;
+}
+
+let set_up ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
+    ?compiled ?run_timeout_s (program : Ast.program) : setup =
   let concurrent = Minilang.uses_concurrency program in
   (* The prefix-sharing walk needs the whole continuation of an
      injection point in interpreter frames and every effect of a run
@@ -495,7 +539,7 @@ let run ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
     if not concurrent then [ "coop" ]
     else match config.Config.schedules with [] -> [ "coop" ] | l -> l
   in
-  let policies =
+  let schedules =
     List.map
       (fun spec ->
         match Sched.policy_of_string spec with
@@ -541,18 +585,39 @@ let run ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
   let compiled =
     match compiled with Some c -> c | None -> compile ~plain flavor program
   in
+  { s_config = config;
+    s_schedules = schedules;
+    s_fallback = fallback;
+    s_prepare = prepare;
+    (* only coalescing needs the flow once the analyzer is built *)
+    s_coalesce =
+      (match config.Config.prune with
+       | Config.Prune_coalesce -> flow
+       | Config.Prune_off | Config.Prune_drop -> None);
+    s_analyzer = analyzer;
+    s_plain = plain;
+    s_profile = profile;
+    s_compiled = compiled }
+
+(* Runs the complete detection phase (see .mli). *)
+let run ?config ?(flavor = Source_weaving) ?prepare ?plain ?compiled ?run_timeout_s
+    (program : Ast.program) : result =
+  Obs.span "detect.run" ~attrs:[ ("flavor", flavor_name flavor) ] @@ fun () ->
+  let s = set_up ?config ~flavor ?prepare ?plain ?compiled ?run_timeout_s program in
+  let config = s.s_config and analyzer = s.s_analyzer and compiled = s.s_compiled in
+  let prepare = s.s_prepare and profile = s.s_profile in
   let runs, transparent =
-    match (config.Config.prune, flow, fallback) with
-    | Config.Prune_coalesce, Some flow, None ->
+    match (s.s_coalesce, s.s_fallback) with
+    | Some flow, None ->
       walk ~flow compiled config analyzer ~baseline_output:profile.Profile.output
-    | Config.Prune_coalesce, Some flow, Some fallback ->
+    | Some flow, Some fallback ->
       coalesced_loop ?run_timeout_s compiled config analyzer flow ~prepare ~profile
         ~fallback
-    | _, _, None ->
+    | None, None ->
       Obs.span "detect.schedule" ~attrs:[ ("schedule", "coop") ] @@ fun () ->
       Obs.incr m_schedules;
       walk compiled config analyzer ~baseline_output:profile.Profile.output
-    | _, _, Some fallback ->
+    | None, Some fallback ->
       (* One full injection campaign per schedule; records of non-coop
          schedules carry their spec and decision digest, and each
          schedule's probe run checks transparency against that
@@ -564,22 +629,19 @@ let run ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
           let baseline_output =
             match policy with
             | Sched.Coop -> profile.Profile.output
-            | Sched.Slice _ | Sched.Pct _ -> baseline_under plain ~prepare policy
+            | Sched.Slice _ | Sched.Pct _ -> baseline_under s.s_plain ~prepare policy
           in
           let runs, t =
             unpruned_loop ?run_timeout_s ~schedule:(spec, policy) compiled config
               analyzer ~prepare ~baseline_output ~fallback
           in
           (acc @ runs, transp && t))
-        ([], true) policies
+        ([], true) s.s_schedules
   in
-  let probes = match config.Config.prune with Config.Prune_coalesce -> 1 | _ -> List.length policies in
-  (match config.Config.prune with
-   | Config.Prune_off | Config.Prune_drop ->
-     (* Every reached point got its own run; the probes are the odd
-        ones out.  Coalesce reports the plan's count instead. *)
-     Obs.add m_points_total (List.length runs - probes)
-   | Config.Prune_coalesce -> ());
+  (* Every reached point got its own record; the probes are the odd
+     ones out. *)
+  let probes = List.length s.s_schedules in
+  Obs.add m_points_total (List.length runs - probes);
   { flavor;
     config;
     analyzer;

@@ -62,7 +62,7 @@ val run_once :
   prepare:(Vm.t -> unit) -> threshold:int -> Marks.run_record
 (** One detection run with the given threshold armed, on a fresh VM and
     heap instantiated from the compiled image.  Runs are independent of
-    each other by construction, which is what lets
+    each other by construction, which is what lets the fresh-VM path of
     {!Failatom_campaign.Campaign} execute them in parallel.
     [schedule] (default [("coop", Sched.Coop)]) is the (spec, policy)
     pair the run executes under; non-coop records carry
@@ -97,22 +97,98 @@ val run_once_ext :
     records every injection-point visit; with [threshold:0] — which
     never fires — the trace is the campaign's exact point census. *)
 
+type visit =
+  | Fork  (** fork the point's run (a coalesced group's representative) *)
+  | Pass  (** walk on uninjected *)
+  | Stop  (** end the walk here *)
+
+type walk_end =
+  | Finished of {
+      probe : Marks.run_record;
+          (** the walk's own record: the no-injection probe, numbered
+              one past the last point *)
+      points : int;  (** injection points reached *)
+      groups : int;  (** blindness groups among them (coalescing) *)
+    }
+  | Stopped  (** a [visit] hook returned [Stop] *)
+
+val walk_with :
+  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> compiled -> Config.t ->
+  Analyzer.t -> visit:(Prune.group -> visit) ->
+  forked:
+    (Prune.group ->
+    (Marks.run_record * Marks.run_record list, exn) Stdlib.result -> unit) ->
+  walk_end
+(** The prefix-sharing walk of a sequential program, driven by hooks:
+    one uninjected run that offers every injection point it reaches to
+    [visit] — under coalescing ([flow]) only the head of each blindness
+    group, as a group whose [members] include its synthesized points;
+    otherwise each point as a one-member group — and, on [Fork], forks
+    the injected run there and hands [forked] its record and its
+    members' synthesized records, or the failure of the run.  The
+    walker's VM is its own, so walks may run on several domains at once
+    from one [compiled] image; every walk of a program visits the same
+    points in the same order.
+
+    The walk itself fails, whatever the hooks do, as the fresh-VM loops
+    would past the last point: [max_runs] exceeded (without [flow] at
+    the first point past it, with [flow] once the census is complete),
+    or a failure of the uninjected run itself.  An exception raised by
+    a hook ends the walk and is re-raised as is.  [setup] is as for
+    {!walk}. *)
+
 val walk :
   ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> compiled -> Config.t ->
   Analyzer.t -> baseline_output:string -> Marks.run_record list * bool
 (** The prefix-sharing detection loop of a sequential program: one
-    uninjected run that forks each injection run at its point; returns
-    the runs (injection runs by threshold, then the probe) and whether
-    the probe's output equals [baseline_output].  With [flow] it
-    coalesces (only each blindness group's representative forks, the
-    members are synthesized).  Errors are those of the fresh-VM loops,
-    in the same order.  {!run} uses it when it applies.
+    {!walk_with} that forks every point; returns the runs (injection
+    runs by threshold, then the probe) and whether the probe's output
+    equals [baseline_output].  With [flow] it coalesces (only each
+    blindness group's representative forks, the members are
+    synthesized).  Errors are those of the fresh-VM loops, in the same
+    order.  {!run} uses it when it applies.
 
     [setup] is a test seam (no caller in the library or the CLI passes
     it): it prepares the VM like [prepare] does for {!run_once} (also
     for the fresh runs of points that cannot fork), so tests can lower
     the step limit or register hooks.  Unlike [prepare] its effects must
     stay inside the VM, since forks rewind only the VM. *)
+
+type setup = {
+  s_config : Config.t;
+      (** the requested configuration, pruning forced off for concurrent
+          programs *)
+  s_schedules : (string * Sched.policy) list;
+      (** the schedule axis: every spec in [config.schedules] for a
+          concurrent program, the single coop schedule otherwise *)
+  s_fallback : string option;
+      (** why the runs cannot fork off a {!walk}, if they cannot:
+          ["concurrent"], ["prepare"] or ["timeout"] *)
+  s_prepare : Vm.t -> unit;  (** the [prepare] hook, or a no-op *)
+  s_coalesce : Exnflow.t option;
+      (** the exception-flow analysis, when the configuration coalesces *)
+  s_analyzer : Analyzer.t;  (** drop filters its injectable sets *)
+  s_plain : Compile.image;
+  s_profile : Profile.t;
+  s_compiled : compiled;
+}
+(** The one-time work of a detection, shared by {!run} and
+    {!Failatom_campaign.Campaign.run}. *)
+
+val set_up :
+  ?config:Config.t -> ?flavor:flavor -> ?prepare:(Vm.t -> unit) ->
+  ?plain:Compile.image -> ?compiled:compiled -> ?run_timeout_s:float ->
+  Ast.program -> setup
+(** Resolves the schedules and the walk's fallback, analyzes the
+    program (flow, analyzer, and the [detect.points_dropped] census
+    under drop), runs the profile and compiles the program — reusing
+    [plain] and [compiled] when given.  Arguments are those of {!run}.
+    @raise Detection_error on an unknown schedule spec. *)
+
+val count_fallbacks : string -> int -> unit
+(** [count_fallbacks reason n] adds [n] injected runs executed on a
+    fresh VM instead of forked, to [detect.fork_fallbacks] and
+    [detect.fork_fallbacks.<reason>]. *)
 
 val run :
   ?config:Config.t -> ?flavor:flavor -> ?prepare:(Vm.t -> unit) ->

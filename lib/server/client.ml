@@ -182,17 +182,6 @@ let shutdown conn = ignore (request conn Protocol.Shutdown)
 
 let submit_wait ?on_event conn job_request =
   let j = request conn (Protocol.Submit job_request) in
-  match (Json.str_member "job" j, Json.str_member "state" j) with
-  | None, _ -> fail "malformed submit reply: %s" (Json.to_string j)
-  | Some _, Some "done" when Json.member "result" j <> None -> (
-    (* a cache hit is born finished: the submit reply already carries
-       the result, so skip the watch round trip *)
-    match Protocol.result_of_json (Option.get (Json.member "result" j)) with
-    | Error msg -> fail "malformed result in submit reply: %s" msg
-    | Ok result ->
-      let cached = Option.value ~default:false (Json.bool_member "cached" j) in
-      (match on_event with
-       | Some f -> f (Protocol.Ev_done { result; cached })
-       | None -> ());
-      Completed (result, cached))
-  | Some id, _ -> watch ?on_event conn id
+  match Json.str_member "job" j with
+  | None -> fail "malformed submit reply: %s" (Json.to_string j)
+  | Some id -> watch ?on_event conn id

@@ -61,6 +61,6 @@ val shutdown : conn -> unit
 
 val submit_wait :
   ?on_event:(Protocol.event -> unit) -> conn -> Protocol.job_request -> outcome
-(** [submit] followed by [watch] — except that a cache hit, whose
-    submit reply already embeds the finished result, returns without
-    the watch round trip ([on_event] still sees its [Ev_done]). *)
+(** [submit] followed by [watch].  The submit reply carries only the
+    job id, its state and whether it was a cache hit, so even a cache
+    hit (born finished) takes the watch round trip for its result. *)

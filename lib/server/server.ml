@@ -16,7 +16,9 @@
    - {b Executor threads} ([workers] of them) pop jobs off a FIFO queue
      and run them.  Detection and campaign jobs go through
      {!Campaign.run} (a detect job is a campaign with one worker, which
-     produces a result bitwise-identical to {!Detect.run}); mask jobs
+     produces a result bitwise-identical to {!Detect.run}: on a
+     sequential program its worker domain walks the uninjected run once
+     and forks every injected run at its point); mask jobs
      additionally compute the wrap targets and the corrected program
      from the same detection result.  Compiled images come from the
      content-addressed {!Cache}, so resubmitting a known program skips
@@ -49,9 +51,11 @@
    executors (queue non-empty, drain) and watchers (new events).  The
    cache has its own finer-grained locking and is never touched while
    the server mutex is held.  The executors call {!Campaign.run}, which
-   spawns its own worker domains; the server threads themselves are
-   systhreads, interleaved on the main domain, which is fine because
-   they only block on I/O and the condition variable. *)
+   runs every detection run on worker domains of its own; the server
+   threads themselves are systhreads, interleaved on the main domain,
+   which is fine because they only block on I/O and the condition
+   variable — except for a cold job's set-up (compile, analysis,
+   profile), which {!Campaign.run} does on the executor thread. *)
 
 open Failatom_core
 open Failatom_minilang

@@ -178,6 +178,36 @@ let test_cache_hit () =
           Alcotest.(check string)
             "watch returns the same result" first.Protocol.r_log third.Protocol.r_log))
 
+(* A detect job is a one-worker campaign, which walks: its summary
+   counts (executed, reused, discarded, synthesized) are those of the
+   fresh-VM path, which a per-run timeout forces, and so is its log. *)
+let test_walk_summary_matches_fresh () =
+  with_server (fun socket_path ->
+      with_client socket_path (fun conn ->
+          List.iter
+            (fun prune ->
+              let request run_timeout_s =
+                { (Protocol.default_request Protocol.Detect (Protocol.App "LinkedList")) with
+                  Protocol.prune;
+                  run_timeout_s;
+                  log = true }
+              in
+              let walked, _ = completed (Client.submit_wait conn (request None)) in
+              let fresh, _ = completed (Client.submit_wait conn (request (Some 600.))) in
+              let counts (r : Protocol.job_result) =
+                match r.Protocol.r_summary with
+                | Some s ->
+                  [ s.Protocol.workers; s.Protocol.executed; s.Protocol.reused;
+                    s.Protocol.discarded; s.Protocol.synthesized ]
+                | None -> Alcotest.fail "detect result carries no summary"
+              in
+              let what = Config.prune_name prune in
+              Alcotest.(check (list int)) (what ^ ": summary counts") (counts fresh)
+                (counts walked);
+              Alcotest.(check string) (what ^ ": run log") fresh.Protocol.r_log
+                walked.Protocol.r_log)
+            [ Config.Prune_off; Config.Prune_coalesce ]))
+
 (* Different configurations must NOT share a cache entry. *)
 let test_cache_keyed_by_config () =
   with_server (fun socket_path ->
@@ -856,6 +886,8 @@ let suite =
       test_mask_mode;
     Alcotest.test_case "inline program == registry app" `Quick test_inline_program;
     Alcotest.test_case "resubmission is a cache hit" `Quick test_cache_hit;
+    Alcotest.test_case "walking job summary == fresh-VM job's" `Quick
+      test_walk_summary_matches_fresh;
     Alcotest.test_case "cache is keyed by configuration" `Quick
       test_cache_keyed_by_config;
     Alcotest.test_case "retired snapshot field shares one cache key" `Quick
