@@ -135,8 +135,10 @@ let campaign_jobs = [ 1; 2; 4; 8 ]
 
 let section_campaign () =
   Fmt.pr "@.== Campaign scaling: detection wall-clock vs worker domains ===========@.";
-  Fmt.pr "  (speculative batch scheduling; every result verified identical to the@.";
-  Fmt.pr "   sequential detector; times in seconds, speedup vs --jobs 1)@.";
+  Fmt.pr "  (sequential apps walk: every worker walks the uninjected run and forks@.";
+  Fmt.pr "   the points it claims; concurrent apps run each threshold on a fresh@.";
+  Fmt.pr "   VM under speculative batch scheduling; every result verified identical@.";
+  Fmt.pr "   to the sequential detector; times in seconds, speedup vs --jobs 1)@.";
   Fmt.pr "  hardware: %d core(s) available — wall-clock gains need cores > 1@."
     (Domain.recommended_domain_count ());
   Fmt.pr "%-14s %6s" "Application" "runs";
