@@ -495,7 +495,14 @@ let detect_cmd =
 
 let campaign_cmd =
   let jobs_arg =
-    let doc = "Number of worker domains (0 = one per available core, capped at 8)." in
+    let doc =
+      "Number of worker domains (0 = one per available core, capped at 8).  Every \
+       worker of a walking campaign repeats the uninjected run, so a walking \
+       campaign runs at most one worker per core \
+       ($(b,Domain.recommended_domain_count)), whatever $(docv) says; results \
+       and journals do not depend on it.  The fresh-VM path \
+       ($(b,--run-timeout)) runs $(docv) workers."
+    in
     Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let journal_arg =

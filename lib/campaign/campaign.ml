@@ -5,9 +5,9 @@
    then assemble the runs into a {!Detect.result}.  The difference is
    how the runs are executed:
 
-   - {b Parallel}: [jobs] OCaml 5 domains share the runs.  On a
-     sequential program each worker instantiates its own VM from the
-     shared image and walks the uninjected run once ({!Detect.walk_with}).
+   - {b Parallel}: [jobs] OCaml 5 domains share the runs.  Each worker
+     instantiates its own VM from the shared image and walks the
+     uninjected run once ({!Detect.walk_with}).
      At each injection point — under coalescing, at each blindness-group
      head — it asks the {!Scheduler} whether the point is still
      unclaimed and not on file; if so it claims the point and forks the
@@ -19,10 +19,13 @@
      walk is also the point census.  Each extra worker walks the whole
      uninjected run again, so extra walks pay only up to the number of
      cores, and only for programs with many points (EXPERIMENTS.md,
-     "Several walks per campaign").
+     "Several walks per campaign"): a walking campaign runs at most
+     [Domain.recommended_domain_count ()] workers, whatever [jobs]
+     asks.  Concurrent programs walk each schedule phase this way,
+     forking with the scheduler's state ({!Sched.fork}).
 
-     Concurrent programs, [prepare] hooks and per-run timeouts keep
-     the fresh-VM path, exactly as in {!Detect.run}: every claimed
+     [prepare] hooks and per-run timeouts keep the fresh-VM path,
+     exactly as in {!Detect.run}, with [jobs] workers: every claimed
      threshold gets a fresh VM and heap ({!Detect.run_once}), the
      scheduler hands thresholds out speculatively (the stopping
      threshold is unknown upfront) and discards whatever was executed
@@ -148,12 +151,20 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
     Detect.result * Progress.summary =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   Obs.span "campaign.run" ~attrs:[ ("flavor", Detect.flavor_name flavor) ] @@ fun () ->
-  Obs.set_gauge g_workers jobs;
   let t_start = Unix.gettimeofday () in
   (* One-time work, done on the spawning domain and shared read-only by
      every worker.  Callers that already hold the images (the server's
      content-addressed cache) pass them in and skip compilation. *)
   let s = Detect.set_up ?config ~flavor ?prepare ?plain ?compiled ?run_timeout_s program in
+  (* Every walking worker repeats the uninjected run, so walkers beyond
+     the cores only add walks that compete for them; the fresh-VM path
+     keeps [jobs] workers. *)
+  let jobs =
+    match s.Detect.s_fallback with
+    | None -> min jobs (Domain.recommended_domain_count ())
+    | Some _ -> jobs
+  in
+  Obs.set_gauge g_workers jobs;
   let config = s.Detect.s_config and analyzer = s.Detect.s_analyzer in
   let compiled = s.Detect.s_compiled and prepare = s.Detect.s_prepare in
   let coalesce = s.Detect.s_coalesce in
@@ -325,7 +336,9 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
             | Ok (rep, members) -> file_group ~members_executed:false g rep members
             | Error e -> fail (fst (Prune.rep g)) e)
       in
-      (match Detect.walk_with ?flow:coalesce compiled config analyzer ~visit ~forked with
+      (match
+         Detect.walk_with ?flow:coalesce ~schedule compiled config analyzer ~visit ~forked
+       with
        | Detect.Stopped -> ()
        | Detect.Finished { probe; points; groups } ->
          locked (fun () ->

@@ -1,9 +1,9 @@
 (** The parallel, resumable detection-campaign engine.
 
     Drop-in replacement for {!Detect.run} that executes the
-    injection-threshold runs across OCaml 5 domains — on a sequential
-    program every worker walks the uninjected run and forks the points
-    it claims ({!Scheduler.visit}) — journals every filed record for
+    injection-threshold runs across OCaml 5 domains — every worker
+    walks the uninjected run (per schedule) and forks the points it
+    claims ({!Scheduler.visit}) — journals every filed record for
     resumption ({!Journal}), and reports progress ({!Progress}).  The
     returned {!Detect.result} is identical to what the sequential loop
     produces on the same program and flavor. *)
@@ -46,15 +46,18 @@ val run :
   Detect.result * Progress.summary
 (** Runs the complete detection phase in parallel.
 
-    [jobs] worker domains execute the runs (default {!default_jobs}),
-    never the calling thread.  On a sequential program each worker
-    walks the uninjected run once and forks the injected runs of the
-    points it claims, as {!Detect.run} forks them all; no run is
-    speculative, so [discarded] is 0, and a one-worker campaign's
-    summary counts are those of the fresh-VM path.  Concurrent
-    programs, a [prepare] hook or [run_timeout_s] give every run a
-    fresh VM ({!Detect.run_once}) with speculative claiming, as in
-    {!Detect.run}; [prepare] is applied to each and must be safe to
+    Worker domains execute the runs, never the calling thread.  Each
+    worker walks the uninjected run once (per schedule phase) and forks
+    the injected runs of the points it claims, as {!Detect.run} forks
+    them all; no run is speculative, so [discarded] is 0, and a
+    one-worker campaign's summary counts are those of the fresh-VM
+    path.  Walking campaigns run [jobs] workers (default
+    {!default_jobs}) but never more than
+    [Domain.recommended_domain_count ()], since every extra walk repeats
+    the uninjected run; the summary reports the workers that ran.  A
+    [prepare] hook or [run_timeout_s] gives every run a fresh VM
+    ({!Detect.run_once}) with speculative claiming on [jobs] workers, as
+    in {!Detect.run}; [prepare] is applied to each and must be safe to
     call from multiple domains.
 
     [journal] appends every filed record to the given path; [resume]

@@ -7,13 +7,14 @@
     contributes the marks of the workload's {e real} exception paths.
 
     Runs are deterministic, so run k repeats the uninjected run up to
-    point k.  For sequential programs {!run} therefore {e walks} the
-    uninjected run once and forks every injected run from its injection
-    point (interpreter continuation, heap, globals, output, counters and
-    injection state are copied or rewound); the records are
-    bitwise-identical to fresh runs.  Concurrent programs, runs with a
-    [prepare] hook or a wall-clock budget, and points reached under
-    native re-entry use {!run_once}: a fresh VM and heap per run. *)
+    point k.  {!run} therefore {e walks} the uninjected run once per
+    schedule and forks every injected run from its injection point
+    (interpreter continuation, heap, globals, output, counters,
+    injection state and, for concurrent programs, the scheduler with
+    every thread's frames are copied or rewound; see {!Sched.fork}); the
+    records are bitwise-identical to fresh runs.  Runs with a [prepare]
+    hook or a wall-clock budget, and points reached under native
+    re-entry, use {!run_once}: a fresh VM and heap per run. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -113,22 +114,25 @@ type walk_end =
   | Stopped  (** a [visit] hook returned [Stop] *)
 
 val walk_with :
-  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> compiled -> Config.t ->
-  Analyzer.t -> visit:(Prune.group -> visit) ->
+  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
+  compiled -> Config.t -> Analyzer.t -> visit:(Prune.group -> visit) ->
   forked:
     (Prune.group ->
     (Marks.run_record * Marks.run_record list, exn) Stdlib.result -> unit) ->
   walk_end
-(** The prefix-sharing walk of a sequential program, driven by hooks:
-    one uninjected run that offers every injection point it reaches to
-    [visit] — under coalescing ([flow]) only the head of each blindness
-    group, as a group whose [members] include its synthesized points;
-    otherwise each point as a one-member group — and, on [Fork], forks
-    the injected run there and hands [forked] its record and its
-    members' synthesized records, or the failure of the run.  The
-    walker's VM is its own, so walks may run on several domains at once
-    from one [compiled] image; every walk of a program visits the same
-    points in the same order.
+(** The prefix-sharing walk of a program under [schedule] (default
+    coop), driven by hooks: one uninjected run that offers every
+    injection point it reaches, in whichever thread, to [visit] — under
+    coalescing ([flow]) only the head of each blindness group, as a
+    group whose [members] include its synthesized points; otherwise
+    each point as a one-member group — and, on [Fork], forks the
+    injected run there and hands [forked] its record and its members'
+    synthesized records, or the failure of the run (records of a
+    non-coop schedule carry its spec, switch count and decision digest,
+    as {!run_once}'s do).  The walker's VM is its own, so walks may run
+    on several domains at once from one [compiled] image; every walk of
+    a program under one schedule visits the same points in the same
+    order.
 
     The walk itself fails, whatever the hooks do, as the fresh-VM loops
     would past the last point: [max_runs] exceeded (without [flow] at
@@ -138,9 +142,10 @@ val walk_with :
     {!walk}. *)
 
 val walk :
-  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> compiled -> Config.t ->
-  Analyzer.t -> baseline_output:string -> Marks.run_record list * bool
-(** The prefix-sharing detection loop of a sequential program: one
+  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
+  compiled -> Config.t -> Analyzer.t -> baseline_output:string ->
+  Marks.run_record list * bool
+(** The prefix-sharing detection loop of one schedule: one
     {!walk_with} that forks every point; returns the runs (injection
     runs by threshold, then the probe) and whether the probe's output
     equals [baseline_output].  With [flow] it coalesces (only each
@@ -163,7 +168,7 @@ type setup = {
           concurrent program, the single coop schedule otherwise *)
   s_fallback : string option;
       (** why the runs cannot fork off a {!walk}, if they cannot:
-          ["concurrent"], ["prepare"] or ["timeout"] *)
+          ["prepare"] or ["timeout"] *)
   s_prepare : Vm.t -> unit;  (** the [prepare] hook, or a no-op *)
   s_coalesce : Exnflow.t option;
       (** the exception-flow analysis, when the configuration coalesces *)
@@ -218,8 +223,8 @@ val run :
     Sequential programs always run the single coop schedule, leaving
     their results byte-identical to the pre-scheduler pipeline.
 
-    Sequential programs without [prepare] or [run_timeout_s] run as one
+    Without [prepare] or [run_timeout_s] each schedule runs as one
     {!walk}; the runs are the same either way.  Counters
     [detect.forks] and [detect.fork_fallbacks] (plus
-    [detect.fork_fallbacks.<reason>], reason [concurrent], [prepare],
-    [timeout] or [native]) count injected runs forked and run fresh. *)
+    [detect.fork_fallbacks.<reason>], reason [prepare], [timeout] or
+    [native]) count injected runs forked and run fresh. *)

@@ -82,6 +82,19 @@ type state = {
       (* source flavor: snapshots held by wrapper-local tokens *)
   mutable next_token : int;
   mutable walker : walker option;
+  mutable journal : journal option;
+      (* while a fork is open: what restoring its save point undoes *)
+}
+
+(* The writes to the snapshot tables since a save point, undone by
+   {!restore}: a fork pays for the snapshots its suffix touched, not for
+   copies of both tables. *)
+and journal = {
+  mutable j_stacks : (int * (Method_id.t * snapshot) list option) list;
+      (* per thread, its snapshot stack at the save point (first write only) *)
+  mutable j_tokens : (int * snapshot) list;
+      (* tokens of the save point removed since, with their snapshots *)
+  j_next_token : int; (* tokens from here on were handed out since *)
 }
 
 let make_state ?(trace = false) config analyzer ~threshold =
@@ -98,7 +111,8 @@ let make_state ?(trace = false) config analyzer ~threshold =
     snap_stacks = Hashtbl.create 4;
     snapshots = Hashtbl.create 32;
     next_token = 0;
-    walker = None }
+    walker = None;
+    journal = None }
 
 let marks state = List.rev state.marks
 
@@ -178,46 +192,73 @@ let inject_at state vm id injectable =
 let maybe_inject state vm id =
   inject_at state vm id (Analyzer.injectable_for state.analyzer id)
 
-(* The mutable part of a state, for forking a run: the snapshot tables
-   are copied (their snapshots are shared — cow shadows are rewound with
-   the heap). *)
+(* The mutable part of a state, for forking a run; the snapshot tables
+   are journaled from the save point on (their snapshots are shared —
+   cow shadows are rewound with the heap). *)
 type saved = {
   sv_point : int;
   sv_injected : (Method_id.t * string) option;
   sv_injected_exn_id : int;
   sv_trace : (Method_id.t * string list) list;
   sv_marks : Marks.mark list;
-  sv_snap_stacks : (int, (Method_id.t * snapshot) list) Hashtbl.t;
-  sv_snapshots : (int, snapshot) Hashtbl.t;
   sv_next_token : int;
   sv_walker : walker option;
+  sv_journal : journal option; (* an enclosing save point's *)
 }
 
 let save state =
-  { sv_point = state.point;
-    sv_injected = state.injected;
-    sv_injected_exn_id = state.injected_exn_id;
-    sv_trace = state.trace_entries;
-    sv_marks = state.marks;
-    sv_snap_stacks = Hashtbl.copy state.snap_stacks;
-    sv_snapshots = Hashtbl.copy state.snapshots;
-    sv_next_token = state.next_token;
-    sv_walker = state.walker }
-
-let refill dst src =
-  Hashtbl.reset dst;
-  Hashtbl.iter (Hashtbl.replace dst) src
+  let sv =
+    { sv_point = state.point;
+      sv_injected = state.injected;
+      sv_injected_exn_id = state.injected_exn_id;
+      sv_trace = state.trace_entries;
+      sv_marks = state.marks;
+      sv_next_token = state.next_token;
+      sv_walker = state.walker;
+      sv_journal = state.journal }
+  in
+  state.journal <- Some { j_stacks = []; j_tokens = []; j_next_token = state.next_token };
+  sv
 
 let restore state sv =
+  (match state.journal with
+   | Some j ->
+     List.iter
+       (fun (tid, before) ->
+         match before with
+         | Some l -> Hashtbl.replace state.snap_stacks tid l
+         | None -> Hashtbl.remove state.snap_stacks tid)
+       j.j_stacks;
+     for token = j.j_next_token to state.next_token - 1 do
+       Hashtbl.remove state.snapshots token
+     done;
+     List.iter
+       (fun (token, snapshot) -> Hashtbl.replace state.snapshots token snapshot)
+       j.j_tokens
+   | None -> ());
   state.point <- sv.sv_point;
   state.injected <- sv.sv_injected;
   state.injected_exn_id <- sv.sv_injected_exn_id;
   state.trace_entries <- sv.sv_trace;
   state.marks <- sv.sv_marks;
-  refill state.snap_stacks sv.sv_snap_stacks;
-  refill state.snapshots sv.sv_snapshots;
   state.next_token <- sv.sv_next_token;
-  state.walker <- sv.sv_walker
+  state.walker <- sv.sv_walker;
+  state.journal <- sv.sv_journal
+
+(* Every write to the snapshot tables goes through these two, which
+   journal it while a save point is open. *)
+let set_snap_stack state tid stack =
+  (match state.journal with
+   | Some j when not (List.mem_assoc tid j.j_stacks) ->
+     j.j_stacks <- (tid, Hashtbl.find_opt state.snap_stacks tid) :: j.j_stacks
+   | Some _ | None -> ());
+  Hashtbl.replace state.snap_stacks tid stack
+
+let remove_snapshot state token snapshot =
+  (match state.journal with
+   | Some j when token < j.j_next_token -> j.j_tokens <- (token, snapshot) :: j.j_tokens
+   | Some _ | None -> ());
+  Hashtbl.remove state.snapshots token
 
 let exn_identity (exn_v : Vm.exn_value) =
   match exn_v.Vm.exn_obj with Value.Ref id -> id | _ -> 0
@@ -303,7 +344,7 @@ let filter state (meth : Vm.meth) =
         | Some exn_v -> Vm.Pre_raise exn_v
         | None ->
           let tid = vm.Vm.cur_tid in
-          Hashtbl.replace state.snap_stacks tid
+          set_snap_stack state tid
             ((id, take_snapshot state vm recv args) :: snap_stack_of state tid);
           Vm.Proceed);
     post =
@@ -315,7 +356,7 @@ let filter state (meth : Vm.meth) =
              the run; nothing sensible to record. *)
           Vm.Pass
         | (id, snapshot) :: rest ->
-          Hashtbl.replace state.snap_stacks tid rest;
+          set_snap_stack state tid rest;
           (match result with
            | Ok _ -> release_snapshot snapshot
            | Error exn_v ->
@@ -332,7 +373,7 @@ let filter state (meth : Vm.meth) =
         match snap_stack_of state tid with
         | [] -> ()
         | (_, snapshot) :: rest ->
-          Hashtbl.replace state.snap_stacks tid rest;
+          set_snap_stack state tid rest;
           release_snapshot snapshot) }
 
 let attach state vm = Vm.iter_methods vm (fun _ m -> Vm.attach_filter m (filter state m))
@@ -384,7 +425,7 @@ let register_hooks state vm =
         (match Hashtbl.find_opt state.snapshots token with
          | None -> hook_error "__mark"
          | Some snapshot ->
-           Hashtbl.remove state.snapshots token;
+           remove_snapshot state token snapshot;
            check_and_mark state vm id snapshot
              (roots_of state vm recv args_array)
              ~exn_id);
@@ -396,7 +437,7 @@ let register_hooks state vm =
         (match Hashtbl.find_opt state.snapshots token with
          | Some snapshot ->
            release_snapshot snapshot;
-           Hashtbl.remove state.snapshots token
+           remove_snapshot state token snapshot
          | None -> ());
         Value.Null
       | _ -> hook_error "__drop")

@@ -64,7 +64,12 @@ type state = {
   snapshots : (int, snapshot) Hashtbl.t;
   mutable next_token : int;
   mutable walker : walker option;  (** [None] outside a walk *)
+  mutable journal : journal option;
+      (** while a {!save} point is open: the snapshot-table writes
+          {!restore} undoes *)
 }
+
+and journal
 
 val make_state : ?trace:bool -> Config.t -> Analyzer.t -> threshold:int -> state
 (** [trace] (default [false]) records each visited injection site and
@@ -73,13 +78,18 @@ val make_state : ?trace:bool -> Config.t -> Analyzer.t -> threshold:int -> state
 
 type saved
 (** The mutable part of a state: point counter, injection, trace,
-    marks, snapshot tables, token counter and walker. *)
+    marks, token counter and walker, and a journal of the snapshot
+    tables. *)
 
 val save : state -> saved
+(** A save point, O(1): the snapshot tables are not copied; their
+    writes are journaled from here on (first write per thread stack,
+    pre-existing tokens removed). *)
 
 val restore : state -> saved -> unit
-(** Back to a {!save}d state.  Snapshots are shared, not copied: a fork
-    rewinds their copy-on-write shadows together with the heap. *)
+(** Back to a {!save}d state, in time proportional to the snapshot-table
+    writes since.  Snapshots are shared, not copied: a fork rewinds
+    their copy-on-write shadows together with the heap. *)
 
 val marks : state -> Marks.mark list
 (** Marks recorded so far, in emission (callee-before-caller) order. *)

@@ -240,7 +240,7 @@ let () =
         | Value.Null -> Vm.throw vm "NullPointerException" ("spawn null." ^ m)
         | Value.Ref _ ->
           Value.Int
-            (Effect.perform (Vm.Sched_spawn (fun () -> Vm.invoke vm recv m call_args)))
+            (Effect.perform (Vm.Sched_spawn (fun () -> Exec.invoke vm recv m call_args)))
         | v ->
           Vm.throw vm "UnsupportedOperationException"
             (Printf.sprintf "spawn on %s receiver" (Value.type_name v)))

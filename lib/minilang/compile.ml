@@ -432,6 +432,13 @@ let harvest vm =
   Obs.add m_contention vm.Vm.sched_contention;
   Obs.observe h_live (Heap.live_count vm.Vm.heap)
 
+(* A spawned thread's root call leaves a program defect as
+   [Exec.Error] (main's entry converts its own): the run fails with it
+   as [Runtime_error] all the same. *)
+let defect = function
+  | Exec.Error (msg, line, col) -> Runtime_error (msg, { Ast.line; col })
+  | e -> e
+
 (* Runs the program's [main] function; returns its value.  [main] is
    always MiniLang thread 0 under the scheduler, so the concurrency
    effects are handled even in sequential programs (which never perform
@@ -440,36 +447,33 @@ let run_main ?(policy = Sched.Coop) vm =
   match Hashtbl.find_opt vm.Vm.functions "main" with
   | None -> invalid_arg "program has no main function"
   | Some fn ->
-    if not (Obs.enabled ()) then
-      Sched.run vm ~policy (fun () -> fn.Vm.fn_impl vm [])
+    let run () =
+      try Sched.run vm ~policy (fun () -> fn.Vm.fn_impl vm [])
+      with Exec.Error _ as e -> raise (defect e)
+    in
+    if not (Obs.enabled ()) then run ()
     else
       (* harvest even when a MiniLang exception escapes main — that is
          how most injection runs end *)
-      Fun.protect
-        ~finally:(fun () -> harvest vm)
-        (fun () ->
-          Obs.span "vm.run_main" (fun () ->
-              Sched.run vm ~policy (fun () -> fn.Vm.fn_impl vm [])))
+      Fun.protect ~finally:(fun () -> harvest vm) (fun () -> Obs.span "vm.run_main" run)
 
-(* Runs a continuation captured with [Exec.capture] as if the captured
-   call had raised [e], to the end of the run (see [Exec.resume_raise]).
-   Defects become [Runtime_error] as they would leaving [main]; the
-   steps and calls the continuation interprets are folded into the
+(* The rest of the run from a continuation captured with [Exec.capture],
+   as if the captured call had raised [inject ()] there: a
+   [Sched.fork] whose current thread resumes the capture.  Defects
+   become [Runtime_error] as they would leaving the run; the steps,
+   calls and scheduler counters the fork adds are folded into the
    harvest counters here, because the fork they belong to is rewound
    before its run's own harvest. *)
-let resume_raise vm k e =
+let fork_raise vm k inject =
   let steps0 = vm.Vm.steps and calls0 = vm.Vm.calls in
-  let count () =
-    Obs.add m_steps (vm.Vm.steps - steps0);
-    Obs.add m_calls (vm.Vm.calls - calls0)
-  in
-  match Exec.resume_raise vm k e with
-  | v ->
-    count ();
-    v
-  | exception Exec.Error (msg, line, col) ->
-    count ();
-    raise (Runtime_error (msg, { Ast.line; col }))
-  | exception ex ->
-    count ();
-    raise ex
+  let preemptions0 = vm.Vm.sched_preemptions and switches0 = vm.Vm.sched_switches in
+  let contention0 = vm.Vm.sched_contention in
+  let forked = Sched.fork vm (fun () -> Exec.resume_raise vm k (inject ())) in
+  Obs.add m_steps (vm.Vm.steps - steps0);
+  Obs.add m_calls (vm.Vm.calls - calls0);
+  Obs.add m_preemptions (vm.Vm.sched_preemptions - preemptions0);
+  Obs.add m_switches (vm.Vm.sched_switches - switches0);
+  Obs.add m_contention (vm.Vm.sched_contention - contention0);
+  match forked with
+  | Some (Error e) -> Some (Error (defect e))
+  | Some (Ok _) | None -> forked

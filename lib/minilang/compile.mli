@@ -70,12 +70,19 @@ val resolve_dispatch : image -> string -> string -> string option
     to — i.e. what [new cls(...)] invokes for [mname = "init"] — or
     [None] if the class or method is unknown. *)
 
-val resume_raise : Vm.t -> Exec.resumable -> Vm.exn_value -> Value.t
-(** {!Exec.resume_raise} with the conventions of {!run_main}: a program
-    defect surfaces as {!Runtime_error}, a MiniLang exception escaping
-    the outermost frame as [Vm.Mini_raise], and the steps and calls
-    interpreted are added to the [vm.steps] / [vm.calls] metrics (the
-    run they belong to is rewound before its harvest). *)
+val fork_raise :
+  Vm.t -> Exec.resumable -> (unit -> Vm.exn_value) ->
+  (Value.t, exn) result option
+(** Called inside a run of {!run_main}, from a filter's [pre] or a hook
+    whose continuation [k] was captured there ({!Exec.capture}): runs
+    the rest of the run as if that call had raised [inject ()], on a
+    {!Sched.fork} — other threads resume copies of their frames — and
+    returns what {!run_main} would have returned ([Ok]) or raised
+    ([Error]: a program defect as {!Runtime_error}, a MiniLang
+    exception escaping the run as [Vm.Mini_raise]).  The steps, calls
+    and scheduler counters interpreted are added to their metrics (the
+    run they belong to is rewound before its harvest).  [None], with
+    nothing run, when another thread cannot be copied. *)
 
 val run_main : ?policy:Sched.policy -> Vm.t -> Value.t
 (** Runs the program's [main] function — always as MiniLang thread 0

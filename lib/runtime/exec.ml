@@ -44,7 +44,11 @@
    deep-copies the frames at the point a filter's [pre] or a hook is
    running, and {!resume_raise} runs the copy as if that call had raised
    — the detection driver forks each injected run from its injection
-   point this way.  Native re-entry (a builtin or filter calling
+   point this way.  A thread the scheduler holds suspended is copied
+   and resumed the same way ({!suspended}, {!continue_call},
+   {!continue_with}), and a spawned thread's root call is made from a
+   trampoline frame ({!invoke}), so each MiniLang thread is one
+   activation.  Native re-entry (a builtin or filter calling
    {!Vm.invoke}) starts a nested activation; a point inside one is not
    capturable.
 
@@ -570,7 +574,28 @@ type seg = {
   mutable cur : frame;
   prev : Vm.machine; (* the enclosing activation of this VM *)
   mutable at : cont;
+  mutable pending : pending;
+      (* while suspended at the preemption opportunity of a call from
+         [cur]: the call, which a copy of this thread makes when it
+         resumes (see {!suspended}); [no_pending] otherwise *)
 }
+
+and pending = {
+  p_meth : Vm.meth;
+  p_recv : Value.t;
+  p_base : int; (* the arguments are [cur]'s registers from here ... *)
+  p_n : int;
+  p_args : Value.t list; (* ... or, when [p_base < 0], this list *)
+}
+
+let no_pending =
+  { p_meth =
+      { Vm.meth_class = ""; meth_name = ""; params = []; throws = [];
+        impl = (fun _ _ _ -> Value.Null); body = Vm.No_body; filters = [] };
+    p_recv = Value.Null;
+    p_base = -1;
+    p_n = 0;
+    p_args = [] }
 
 type Vm.machine += Running of seg
 
@@ -620,10 +645,18 @@ let rec arg_list regs base i acc =
   if i < 0 then acc
   else arg_list regs base (i - 1) (Array.unsafe_get regs (base + i) :: acc)
 
-(* The call accounting of {!Vm.call_filtered}: preemption opportunity,
-   call count, depth (a StackOverflowError is raised in the caller). *)
-let call_enter vm =
-  if vm.Vm.preempt_flag then Effect.perform Vm.Preempt;
+(* The preemption opportunity of a call from [st.cur] (only performed
+   under a preemptive policy).  The call's target and arguments are
+   noted first, so the scheduler can copy this thread while it is
+   suspended here. *)
+let preempt st meth recv base n args =
+  st.pending <- { p_meth = meth; p_recv = recv; p_base = base; p_n = n; p_args = args };
+  Effect.perform Vm.Preempt;
+  st.pending <- no_pending
+
+(* The rest of the call accounting of {!Vm.call_filtered}: call count,
+   depth (a StackOverflowError is raised in the caller). *)
+let count_call vm =
   vm.Vm.calls <- vm.Vm.calls + 1;
   let d = vm.Vm.call_depth + 1 in
   vm.Vm.call_depth <- d;
@@ -1345,7 +1378,11 @@ and call_site st vm fr (site : call_site) recv regs base n =
    caller: an unfiltered compiled callee gets them copied straight into
    its frame, anything else sees the argument list. *)
 and call_regs st vm fr (meth : Vm.meth) recv regs base n =
-  call_enter vm;
+  if vm.Vm.preempt_flag then preempt st meth recv base n [];
+  enter_regs st vm fr meth recv regs base n
+
+and enter_regs st vm fr (meth : Vm.meth) recv regs base n =
+  count_call vm;
   match meth.Vm.filters, meth.Vm.body with
   | [], Method_body mb when Array.length mb.mb_params = n ->
     let code = mb.mb_code in
@@ -1364,7 +1401,11 @@ and call_regs st vm fr (meth : Vm.meth) recv regs base n =
   | filters, _ -> run_pres st vm (K_call fr) meth recv (arg_list regs base (n - 1) []) filters
 
 and call_list st vm fr (meth : Vm.meth) recv args =
-  call_enter vm;
+  if vm.Vm.preempt_flag then preempt st meth recv (-1) 0 args;
+  enter_list st vm fr meth recv args
+
+and enter_list st vm fr (meth : Vm.meth) recv args =
+  count_call vm;
   run_pres st vm (K_call fr) meth recv args meth.Vm.filters
 
 (* The filter chain, outermost first: each [pre] that proceeds leaves a
@@ -1459,6 +1500,8 @@ and resume st vm fr v =
     let base = sp - (Array.unsafe_get ops (pc + 12) - 2) in
     Array.unsafe_set regs base v;
     exec st c vm fr regs ops (pc + 14) (base + 1)
+  | 0 (* END: the trampoline under a thread's root call (see {!invoke}) *) ->
+    deliver st vm fr.parent v
   | op -> invalid_arg ("Exec.resume: not a call instruction: " ^ op_names.(op))
 
 (* --- completion ---------------------------------------------------- *)
@@ -1680,13 +1723,13 @@ and for_test st c vm fr regs b =
 (* Runs [k] — the start or a resumption of activation [st] — and routes
    what native code raised into the frame running at the time. *)
 let rec drive st vm k =
-  match k () with
+  match k st with
   | v -> v
   | exception Unwound ex -> raise ex
-  | exception Vm.Mini_raise e -> drive st vm (fun () -> raise_in st vm st.cur e)
-  | exception Break_loop -> drive st vm (fun () -> flow_in st vm st.cur true)
-  | exception Continue_loop -> drive st vm (fun () -> flow_in st vm st.cur false)
-  | exception ex -> drive st vm (fun () -> abort vm (K_fn st.cur) ex)
+  | exception Vm.Mini_raise e -> drive st vm (fun st -> raise_in st vm st.cur e)
+  | exception Break_loop -> drive st vm (fun st -> flow_in st vm st.cur true)
+  | exception Continue_loop -> drive st vm (fun st -> flow_in st vm st.cur false)
+  | exception ex -> drive st vm (fun st -> abort vm (K_fn st.cur) ex)
 
 (* Root enumeration scans [this] and the slot prefix of every frame in
    place.  Stack temporaries are not roots — see the module comment. *)
@@ -1716,23 +1759,21 @@ let pop_frame_roots vm roots =
 (* One activation whose innermost frame is [fr]: registered for GC root
    enumeration and as the VM's running machine while it runs. *)
 let activate vm fr start =
-  let st = { cur = fr; prev = vm.Vm.machine; at = K_root } in
+  let st = { cur = fr; prev = vm.Vm.machine; at = K_root; pending = no_pending } in
   let roots mark =
     mark_frame mark st.cur;
     mark_cont mark st.cur.parent
   in
   vm.Vm.frame_roots <- roots :: vm.Vm.frame_roots;
   vm.Vm.machine <- Running st;
-  let leave () =
-    pop_frame_roots vm roots;
-    vm.Vm.machine <- st.prev
-  in
-  match drive st vm (fun () -> start st) with
+  match drive st vm start with
   | v ->
-    leave ();
+    pop_frame_roots vm roots;
+    vm.Vm.machine <- st.prev;
     v
   | exception e ->
-    leave ();
+    pop_frame_roots vm roots;
+    vm.Vm.machine <- st.prev;
     raise e
 
 let run_root code vm this param_slots args =
@@ -1763,6 +1804,30 @@ let placeholder_code =
 let new_fbody () = { fb_code = placeholder_code; fb_params = [||] }
 
 let function_impl fb vm args = run_root fb.fb_code vm Value.Null fb.fb_params args
+
+(* The frame under a thread's root call: suspended at an END, which
+   [resume] reads as "return the call's value from the activation".  It
+   has no slots and never executes an instruction. *)
+let root_code = { placeholder_code with c_stack = 0 }
+
+(* A thread's root call [recv.mname(args)]: dispatched as {!Vm.invoke}
+   does, with the same errors, but made from a trampoline frame, so the
+   whole thread — preemption opportunity and filters of the root call
+   included — runs as frames of one activation. *)
+let invoke vm recv mname args =
+  match recv with
+  | Value.Ref id -> (
+    match Heap.get vm.Vm.heap id with
+    | Heap.Obj { cls; _ } ->
+      let meth = Vm.find_method vm cls mname in
+      let fr = new_frame root_code Value.Null K_root in
+      activate vm fr (fun st -> call_list st vm fr meth recv args)
+    | Heap.Arr _ ->
+      Vm.throw vm "UnsupportedOperationException" ("method call on array: " ^ mname))
+  | Value.Null -> Vm.throw vm "NullPointerException" ("call of " ^ mname ^ " on null")
+  | Value.Int _ | Value.Bool _ | Value.Str _ ->
+    Vm.throw vm "UnsupportedOperationException"
+      (Printf.sprintf "call of %s on %s" mname (Value.type_name recv))
 
 (* ------------------------------------------------------------------ *)
 (* Capturing and resuming continuations                                *)
@@ -1796,19 +1861,42 @@ let rec innermost = function
   | K_filter fc -> innermost fc.f_next
   | K_root -> None
 
-(* The copy is a whole continuation of the VM's outermost activation:
-   while it runs, the frames it was copied from are not live, so they
-   leave the GC root set for the duration. *)
+(* The copy is a whole continuation of its thread's outermost
+   activation; the scheduler's fork takes the frames it was copied from
+   out of the GC root set while the copy runs. *)
 let resume_raise vm k e =
   match innermost k with
   | None -> raise (Vm.Mini_raise e)
-  | Some fr -> (
-    let roots = vm.Vm.frame_roots in
-    vm.Vm.frame_roots <- [];
-    match activate vm fr (fun st -> deliver_raise st vm k e) with
-    | v ->
-      vm.Vm.frame_roots <- roots;
-      v
-    | exception ex ->
-      vm.Vm.frame_roots <- roots;
-      raise ex)
+  | Some fr -> activate vm fr (fun st -> deliver_raise st vm k e)
+
+(* A thread suspended by the scheduler: its one activation, frozen
+   while the thread is.  The frames are copied when a copy resumes. *)
+type suspended = seg
+
+let at_fncall fr =
+  match fr.ops.(fr.pc) with
+  | 18 (* FNCALL *) | 47 (* FNCALLP *) | 62 (* FNCALLTF *) | 68 (* FNCALLTF2 *) -> true
+  | _ -> false
+
+let suspended m ~in_call =
+  match m with
+  | Running ({ prev = Vm.No_machine; _ } as st) ->
+    let pending = st.pending != no_pending in
+    if in_call then if pending then Some st else None
+    else if (not pending) && at_fncall st.cur then Some st
+    else None
+  | _ -> None
+
+let continue_call vm s =
+  let fr = copy_frame s.cur in
+  let { p_meth = meth; p_recv = recv; p_base = base; p_n = n; p_args = args } = s.pending in
+  activate vm fr (fun st ->
+      if base >= 0 then enter_regs st vm fr meth recv fr.regs base n
+      else enter_list st vm fr meth recv args)
+
+let continue_with vm s outcome =
+  let fr = copy_frame s.cur in
+  activate vm fr (fun st ->
+      match outcome with
+      | Ok v -> resume st vm fr v
+      | Error e -> raise_in st vm fr e)

@@ -228,6 +228,14 @@ val function_impl : fbody -> Vm.t -> Value.t list -> Value.t
     applied function such as a parameterised [main], since call sites
     check arity — raises [Invalid_argument "List.iter2"]. *)
 
+val invoke : Vm.t -> Value.t -> string -> Value.t list -> Value.t
+(** [invoke vm recv m args]: a thread's root call, dispatched and
+    failing as {!Vm.invoke} does, but made from a trampoline frame of a
+    new activation, so the thread's whole stack — the root call's
+    preemption opportunity and filters included — is frames that
+    {!capture} and {!suspended} can copy.  A program defect leaves it as
+    {!Error}. *)
+
 (** {1 Continuations} *)
 
 type resumable
@@ -248,6 +256,28 @@ val resume_raise : Vm.t -> resumable -> Vm.exn_value -> Value.t
     returns what that frame returned, or raises what escaped it, as the
     original activation would have.  The copy is consumed: resume each
     capture at most once. *)
+
+type suspended
+(** A MiniLang thread the scheduler holds suspended: its activation,
+    whose frames stay untouched while the thread is suspended. *)
+
+val suspended : Vm.machine -> in_call:bool -> suspended option
+(** The thread whose activations are [machine], as the scheduler saw
+    it suspend: at a call's preemption opportunity ([in_call]) or
+    inside a builtin it called ([join], a monitor enter).  [None] when
+    the thread is not suspended there in its outermost activation
+    (native re-entry: part of its continuation is on the native stack
+    of its fiber). *)
+
+val continue_call : Vm.t -> suspended -> Value.t
+(** Runs a copy of a thread suspended at a call's preemption
+    opportunity, from there to the end of its outermost frame: makes the
+    call, as the original would when resumed. *)
+
+val continue_with :
+  Vm.t -> suspended -> (Value.t, Vm.exn_value) result -> Value.t
+(** Runs a copy of a thread suspended inside a builtin, as if the
+    builtin had returned the value or raised the exception. *)
 
 (** {1 Profiling}
 

@@ -34,3 +34,22 @@ val run : Vm.t -> policy:policy -> (unit -> Value.t) -> Value.t
     immediately.  On return (normal or exceptional) the VM's [sched_*]
     counters and decision digest are filled in and [cur_tid] is back
     to 0. *)
+
+val fork : Vm.t -> (unit -> Value.t) -> (Value.t, exn) result option
+(** [fork vm run], called from inside a MiniLang thread of a {!run} of
+    [vm]: the
+    rest of that run from here, as if the current thread went on with
+    [run] — a function that continues a copy of its frames, e.g.
+    {!Exec.resume_raise} on an {!Exec.capture} — instead of returning.
+    The scheduler is copied (threads with their states, [joined] flags
+    and priorities, monitors with owners, depths and FIFO waiters, the
+    run queue, the decision stream and digest, the counters, the slice
+    quantum and the PCT state), every other suspended thread resumes a
+    copy of its frames when first picked, and the VM's [sched_*]
+    counters continue from the fork point.  Returns what {!run} would
+    have returned or raised, with the VM's [sched_*] fields as {!run}
+    leaves them (restore them with {!Vm.rewind}); the run it forks from
+    is left as it was, apart from everything else the forked run changes
+    in the VM.  [None], with nothing run, when some other thread is
+    suspended under native re-entry (part of its continuation is on its
+    fiber's native stack). *)

@@ -30,6 +30,11 @@ type body += No_body
 type machine = ..
 type machine += No_machine
 
+(* The scheduler running this VM's threads (extended by the scheduler;
+   [No_sched] outside a run). *)
+type sched = ..
+type sched += No_sched
+
 type t = {
   heap : Heap.t;
   classes : (string, cls) Hashtbl.t;
@@ -78,9 +83,18 @@ type t = {
          allocated on every throw, including the hot injection paths;
          invalidated whenever a class is (re)defined *)
   mutable machine : machine;
-      (* the innermost interpreter activation of this VM, for capturing
-         its continuation; set and restored by the engine *)
+      (* the innermost interpreter activation of the running MiniLang
+         thread, for capturing its continuation; set and restored by the
+         engine, swapped per thread by the scheduler *)
+  mutable sched : sched; (* the scheduler of the run in progress *)
+  mutable global_undo : global_undo list option;
+      (* while a fork point is open: how to undo each global write made
+         since, newest first *)
 }
+
+and global_undo =
+  | Undo_set of Value.t ref * Value.t (* the ref held this *)
+  | Undo_add of string (* the global did not exist *)
 
 and cls = {
   cls_name : string;
@@ -221,7 +235,9 @@ let create () =
       sched_contention = 0;
       sched_digest = "";
       exn_fields_cache = Hashtbl.create 16;
-      machine = No_machine }
+      machine = No_machine;
+      sched = No_sched;
+      global_undo = None }
   in
   List.iter
     (fun (name, super) -> ignore (add_class vm ?super ~fields:[ "message" ] name))
@@ -414,8 +430,15 @@ let print_out vm s = Buffer.add_string vm.out s
 
 let set_global vm name v =
   match Hashtbl.find_opt vm.globals name with
-  | Some r -> r := v
+  | Some r ->
+    (match vm.global_undo with
+     | Some l -> vm.global_undo <- Some (Undo_set (r, !r) :: l)
+     | None -> ());
+    r := v
   | None ->
+    (match vm.global_undo with
+     | Some l -> vm.global_undo <- Some (Undo_add name :: l)
+     | None -> ());
     let r = ref v in
     Hashtbl.replace vm.globals name r;
     vm.global_roots <- r :: vm.global_roots
@@ -435,48 +458,61 @@ let set_cur_tid vm tid =
 (* ------------------------------------------------------------------ *)
 
 (* Everything a tentative continuation of this run can change outside
-   the interpreter's own frames, restorable by {!rewind}: the heap (see
-   {!Heap.fork}), globals, output and the per-run counters.  Inline
-   caches are shared with the image and only ever warm up; [cur_tid]
-   stays 0 on the sequential path forks are taken on. *)
+   the interpreter's own frames and the scheduler, restorable by
+   {!rewind}: the heap (see {!Heap.fork}), globals, output, the per-run
+   counters and the scheduler's counters and digest (its fork restores
+   the running thread's [cur_tid] and [machine] itself).  Inline caches
+   are shared with the image and only ever warm up. *)
 type fork = {
   fk_heap : Heap.fork;
-  fk_globals : (string * Value.t ref * Value.t) list;
+  fk_global_undo : global_undo list option; (* an enclosing fork's *)
   fk_global_roots : Value.t ref list;
-  fk_frame_roots : ((Value.t -> unit) -> unit) list;
   fk_out : int;
   fk_steps : int;
   fk_calls : int;
   fk_call_depth : int;
   fk_ic_hits : int;
   fk_ic_misses : int;
+  fk_sched_switches : int;
+  fk_sched_preemptions : int;
+  fk_sched_contention : int;
+  fk_sched_digest : string;
 }
 
 let fork vm =
+  let fk_global_undo = vm.global_undo in
+  vm.global_undo <- Some [];
   { fk_heap = Heap.fork vm.heap;
-    fk_globals = Hashtbl.fold (fun k r acc -> (k, r, !r) :: acc) vm.globals [];
+    fk_global_undo;
     fk_global_roots = vm.global_roots;
-    fk_frame_roots = vm.frame_roots;
     fk_out = Buffer.length vm.out;
     fk_steps = vm.steps;
     fk_calls = vm.calls;
     fk_call_depth = vm.call_depth;
     fk_ic_hits = vm.ic_hits;
-    fk_ic_misses = vm.ic_misses }
+    fk_ic_misses = vm.ic_misses;
+    fk_sched_switches = vm.sched_switches;
+    fk_sched_preemptions = vm.sched_preemptions;
+    fk_sched_contention = vm.sched_contention;
+    fk_sched_digest = vm.sched_digest }
 
 let rewind vm f =
   Heap.rewind vm.heap f.fk_heap;
-  Hashtbl.reset vm.globals;
-  List.iter
-    (fun (k, r, v) ->
-      r := v;
-      Hashtbl.replace vm.globals k r)
-    f.fk_globals;
+  (match vm.global_undo with
+   | Some l ->
+     List.iter
+       (function Undo_set (r, v) -> r := v | Undo_add name -> Hashtbl.remove vm.globals name)
+       l
+   | None -> ());
+  vm.global_undo <- f.fk_global_undo;
   vm.global_roots <- f.fk_global_roots;
-  vm.frame_roots <- f.fk_frame_roots;
   Buffer.truncate vm.out f.fk_out;
   vm.steps <- f.fk_steps;
   vm.calls <- f.fk_calls;
   vm.call_depth <- f.fk_call_depth;
   vm.ic_hits <- f.fk_ic_hits;
-  vm.ic_misses <- f.fk_ic_misses
+  vm.ic_misses <- f.fk_ic_misses;
+  vm.sched_switches <- f.fk_sched_switches;
+  vm.sched_preemptions <- f.fk_sched_preemptions;
+  vm.sched_contention <- f.fk_sched_contention;
+  vm.sched_digest <- f.fk_sched_digest

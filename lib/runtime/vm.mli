@@ -30,6 +30,12 @@ type machine = ..
 
 type machine += No_machine  (** no interpreter activation running *)
 
+type sched = ..
+(** The scheduler running this VM's MiniLang threads, extended by
+    [Sched] so that a fork point can find the run it forks. *)
+
+type sched += No_sched  (** no run in progress *)
+
 type t = {
   heap : Heap.t;
   classes : (string, cls) Hashtbl.t;
@@ -64,19 +70,27 @@ type t = {
       (** set by the scheduler for preemptive policies; when false,
           {!call_filtered} performs no effect (the sequential path) *)
   mutable cur_tid : int;  (** MiniLang thread running right now; 0 = main *)
-  mutable sched_switches : int;  (** context switches this run *)
+  mutable sched_switches : int;
+      (** context switches this run, counted by [Sched.run] as it goes *)
   mutable sched_preemptions : int;  (** switches forced at a Preempt point *)
   mutable sched_contention : int;  (** monitor acquisitions that blocked *)
   mutable sched_digest : string;
       (** hex FNV-1a digest of the scheduler decision stream, written by
-          [Sched.run]; [""] for coop runs *)
+          [Sched.run] at the end of the run; [""] for coop runs *)
   exn_fields_cache : (string, string list) Hashtbl.t;
       (** memoized per-class field lists for exception allocation;
           invalidated by [add_class] *)
   mutable machine : machine;
-      (** the innermost interpreter activation of this VM, for
-          capturing its continuation; maintained by the engine *)
+      (** the innermost interpreter activation of the running MiniLang
+          thread, for capturing its continuation; maintained by the
+          engine, and swapped per thread by the scheduler *)
+  mutable sched : sched;  (** the scheduler of the run in progress *)
+  mutable global_undo : global_undo list option;
+      (** while a {!fork} point is open: the global writes {!rewind}
+          undoes, newest first; maintained by {!set_global} *)
 }
+
+and global_undo
 
 and cls = {
   cls_name : string;
@@ -275,13 +289,16 @@ type fork
     change outside the interpreter's frames. *)
 
 val fork : t -> fork
-(** Takes a fork point: {!Heap.fork} plus the globals, the output
-    length, the root registrations and the per-run counters ([steps],
-    [calls], [call_depth], inline-cache hits and misses).  O(globals). *)
+(** Takes a fork point: {!Heap.fork}, a journal of global writes, the
+    output length, the per-run counters
+    ([steps], [calls], [call_depth], inline-cache hits and misses) and
+    the scheduler's counters and digest ([sched_*]).  O(1) besides the
+    heap's. *)
 
 val rewind : t -> fork -> unit
-(** Puts the run back at the fork point (see {!Heap.rewind}): globals
-    created since are gone and the others hold their old values, the
+(** Puts the run back at the fork point (see {!Heap.rewind}), in time
+    proportional to what changed since: globals created since are gone
+    and the others hold their old values, the
     output is truncated, the counters are restored — so a continuation
     resumed later counts steps against the step limit exactly as a run
     that never took the fork would. *)

@@ -506,10 +506,17 @@ let test_walk_resume () =
                 else []
               in
               let fresh = read_file journal in
+              (* the frontier run's threshold: the fresh-VM path may
+                 journal speculative runs past it, which resume discards *)
+              let frontier = List.length uninterrupted.Detect.runs in
               List.iter
                 (fun keep ->
                   write_file journal fresh;
                   truncate_journal journal ~keep;
+                  let reusable =
+                    List.length
+                      (List.filter (fun t -> t <= frontier) (journal_thresholds journal))
+                  in
                   let resumed, summary =
                     Campaign.run ~config ?run_timeout_s ~jobs ~journal ~resume:true program
                   in
@@ -520,8 +527,11 @@ let test_walk_resume () =
                   in
                   Alcotest.(check string) (what ^ ": result")
                     (Run_log.save uninterrupted) (Run_log.save resumed);
-                  Alcotest.(check int) (what ^ ": reused the kept records") keep
+                  Alcotest.(check int) (what ^ ": reused the kept records") reusable
                     summary.Progress.reused;
+                  if Option.is_none run_timeout_s then
+                    Alcotest.(check int) (what ^ ": a walk journals no speculative run")
+                      keep reusable;
                   if Option.is_none run_timeout_s then
                     Alcotest.(check int) (what ^ ": nothing discarded") 0
                       summary.Progress.discarded;
@@ -657,31 +667,63 @@ let test_walk_counters () =
         [ 1; 2 ])
     [ Config.Prune_off; Config.Prune_coalesce ]
 
-(* Only concurrent programs, [prepare] hooks and per-run timeouts take
-   the fresh-VM path, and it forks nothing. *)
+(* Only [prepare] hooks and per-run timeouts take the fresh-VM path,
+   and it forks nothing. *)
 let test_fresh_vm_fallbacks () =
   let counters f =
     Obs.with_enabled true (fun () ->
         Obs.reset ();
         f ();
         let count name = Obs.counter_value (Obs.counter name) in
-        let r = (count "detect.forks", count "detect.fork_fallbacks.timeout",
-                 count "detect.fork_fallbacks.concurrent") in
+        let r = (count "detect.forks", count "detect.fork_fallbacks.timeout") in
         Obs.reset ();
         r)
   in
   let linked_list = parse (Option.get (Registry.find "LinkedList")).Registry.source in
-  let striped = parse (Option.get (Registry.find "StripedMap")).Registry.source in
-  let forks, timeout, _ =
+  let forks, timeout =
     counters (fun () -> ignore (Campaign.run ~run_timeout_s:600. ~jobs:2 linked_list))
   in
   Alcotest.(check int) "timeout: no forks" 0 forks;
   Alcotest.(check bool) "timeout: fallbacks counted" true (timeout > 0);
-  let forks, _, concurrent = counters (fun () -> ignore (Campaign.run ~jobs:2 striped)) in
-  Alcotest.(check int) "concurrent: no forks" 0 forks;
-  Alcotest.(check bool) "concurrent: fallbacks counted" true (concurrent > 0);
-  let forks, _, _ = counters (fun () -> ignore (Campaign.run ~jobs:2 linked_list)) in
+  let forks, _ = counters (fun () -> ignore (Campaign.run ~jobs:2 linked_list)) in
   Alcotest.(check bool) "sequential: forks" true (forks > 0)
+
+(* Concurrent campaigns walk every schedule phase: at one and two
+   workers they equal [Detect.run] — records, schedule switches and
+   digests, transparency — and every injected run forks. *)
+let test_concurrent_walk () =
+  let config =
+    { Config.default with Config.schedules = [ "coop"; "slice:1"; "slice:2"; "pct:2:7" ] }
+  in
+  let counted f =
+    Obs.with_enabled true (fun () ->
+        Obs.reset ();
+        let r = f () in
+        let count name = Obs.counter_value (Obs.counter name) in
+        let c = (count "detect.forks", count "detect.fork_fallbacks") in
+        Obs.reset ();
+        (r, c))
+  in
+  List.iter
+    (fun name ->
+      let program = parse (Option.get (Registry.find name)).Registry.source in
+      List.iter
+        (fun flavor ->
+          let expected = Detect.run ~config ~flavor program in
+          List.iter
+            (fun jobs ->
+              let what = Printf.sprintf "%s %s jobs %d" name (Detect.flavor_name flavor) jobs in
+              let (got, _), (forks, fallbacks) =
+                counted (fun () -> Campaign.run ~config ~flavor ~jobs program)
+              in
+              Alcotest.(check string) (what ^ ": run log") (Run_log.save expected)
+                (Run_log.save got);
+              Alcotest.(check int) (what ^ ": every injected run forked")
+                expected.Detect.injections forks;
+              Alcotest.(check int) (what ^ ": no fallbacks") 0 fallbacks)
+            [ 1; 2 ])
+        [ Detect.Source_weaving; Detect.Load_time_filters ])
+    [ "StripedMap"; "BoundedBuffer"; "WorkQueue" ]
 
 let suite =
   [ Alcotest.test_case "probe run last (8 workers)" `Quick test_probe_last;
@@ -704,6 +746,7 @@ let suite =
       test_walk_cancel_resume;
     Alcotest.test_case "walking campaign errors == detect's" `Quick test_walk_errors;
     Alcotest.test_case "walking campaign counters == detect's" `Quick test_walk_counters;
-    Alcotest.test_case "fresh-VM path only for timeouts and threads" `Quick
-      test_fresh_vm_fallbacks ]
+    Alcotest.test_case "fresh-VM path only for timeouts" `Quick test_fresh_vm_fallbacks;
+    Alcotest.test_case "concurrent campaigns walk == detect's" `Quick
+      test_concurrent_walk ]
   @ walk_cases @ determinism_cases

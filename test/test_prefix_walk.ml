@@ -17,14 +17,14 @@ open Failatom_apps
 let flavors = [ Detect.Source_weaving; Detect.Load_time_filters ]
 
 (* Listing 1 on fresh VMs: the oracle every walk is compared with. *)
-let fresh_loop ?(setup = fun (_ : Vm.t) -> ()) compiled config analyzer =
+let fresh_loop ?(setup = fun (_ : Vm.t) -> ()) ?schedule compiled config analyzer =
   let rec go threshold acc =
     if threshold > config.Config.max_runs then
       raise
         (Detect.Detection_error
            (Printf.sprintf "exceeded max_runs = %d injection runs" config.Config.max_runs))
     else
-      let r = Detect.run_once compiled config analyzer ~prepare:setup ~threshold in
+      let r = Detect.run_once ?schedule compiled config analyzer ~prepare:setup ~threshold in
       match r.Marks.injected with
       | Some _ -> go (threshold + 1) (r :: acc)
       | None -> List.rev (r :: acc)
@@ -371,6 +371,418 @@ let test_native_reentry () =
         (count "detect.fork_fallbacks.native")
         (count "detect.fork_fallbacks"))
 
+(* ---------------- concurrent programs ----------------------------- *)
+
+(* Every concurrent comparison runs under coop, the three slice seeds of
+   [--schedules 4], a seeded slice and two PCT specs.  The walk forks
+   with the scheduler copied: threads, monitors, run queue, decision
+   stream and counters. *)
+let schedules =
+  List.map
+    (fun spec -> (spec, Option.get (Sched.policy_of_string spec)))
+    [ "coop"; "slice:1"; "slice:2"; "slice:3"; "slice:48271"; "pct:2:7"; "pct:3:9001" ]
+
+let spec_config = { Config.default with Config.schedules = List.map fst schedules }
+
+let count name = Failatom_obs.Obs.counter_value (Failatom_obs.Obs.counter name)
+
+(* Runs [f] with metrics on; also returns the fork and fallback counts. *)
+let with_fork_counts f =
+  Failatom_obs.Obs.with_enabled true (fun () ->
+      Failatom_obs.Obs.reset ();
+      let r = f () in
+      let counts = (count "detect.forks", count "detect.fork_fallbacks") in
+      Failatom_obs.Obs.reset ();
+      (r, counts))
+
+let conc_apps =
+  List.filter (fun (a : Registry.t) -> a.Registry.suite = Registry.Conc) Registry.catalog
+
+(* Detection of a concurrent app, walked per schedule, against one
+   fresh-VM loop per schedule: records (their schedule switches and
+   decision digests included), transparency and run-log bytes. *)
+let check_conc_app (app : Registry.t) () =
+  let program = Minilang.parse app.Registry.source in
+  let plain = Compile.image program in
+  List.iter
+    (fun flavor ->
+      let what = app.Registry.name ^ " " ^ Detect.flavor_name flavor in
+      let compiled = Detect.compile ~plain flavor program in
+      let walked, (forks, fallbacks) =
+        with_fork_counts (fun () ->
+            Detect.run ~config:spec_config ~flavor ~plain ~compiled program)
+      in
+      Alcotest.(check int) (what ^ ": every injected run forked") walked.Detect.injections forks;
+      Alcotest.(check int) (what ^ ": no fallbacks") 0 fallbacks;
+      let per_schedule =
+        List.map
+          (fun ((_, policy) as schedule) ->
+            let runs =
+              fresh_loop ~schedule compiled walked.Detect.config walked.Detect.analyzer
+            in
+            let probe = List.nth runs (List.length runs - 1) in
+            ( runs,
+              String.equal probe.Marks.output
+                (Detect.baseline_under plain ~prepare:ignore policy) ))
+          schedules
+      in
+      let runs = List.concat_map fst per_schedule in
+      Alcotest.check records_t (what ^ ": runs") runs walked.Detect.runs;
+      Alcotest.(check bool) (what ^ ": transparent") (List.for_all snd per_schedule)
+        walked.Detect.transparent;
+      Alcotest.(check bool) (what ^ ": schedules switch threads") true
+        (List.exists
+           (fun (r : Marks.run_record) ->
+             match r.Marks.sched with Some s -> s.Marks.sched_switches > 0 | None -> false)
+           walked.Detect.runs);
+      Alcotest.(check string) (what ^ ": run log")
+        (Run_log.save { walked with Detect.runs })
+        (Run_log.save walked))
+    flavors
+
+(* The walk under each schedule next to the oracle under that schedule,
+   for one small program: the records, or the detection error. *)
+let conc_walk_vs_fresh ?setup ?(config = Config.default) ?(schedules = schedules)
+    ?(reentry = false) ~what src =
+  let program, plain = compile_src src in
+  let fallbacks_seen = ref 0 in
+  let analyzer = Analyzer.analyze config program in
+  let outcome f = match f () with runs -> Ok runs | exception Detect.Detection_error m -> Error m in
+  List.iter
+    (fun flavor ->
+      let compiled = Detect.compile ~plain flavor program in
+      List.iter
+        (fun ((spec, _) as schedule) ->
+          let label = Printf.sprintf "%s, %s, %s" what (Detect.flavor_name flavor) spec in
+          let expected =
+            outcome (fun () -> fresh_loop ?setup ~schedule compiled config analyzer)
+          in
+          let got, (forks, fallbacks) =
+            with_fork_counts (fun () ->
+                outcome (fun () ->
+                    fst
+                      (Detect.walk ?setup ~schedule compiled config analyzer
+                         ~baseline_output:"")))
+          in
+          fallbacks_seen := !fallbacks_seen + fallbacks;
+          if not reentry then Alcotest.(check int) (label ^ ": no fallbacks") 0 fallbacks;
+          Alcotest.(check bool) (label ^ ": forked") true (forks > 0);
+          match expected, got with
+          | Ok a, Ok b -> Alcotest.check records_t label a b
+          | Error a, Error b -> Alcotest.(check string) label a b
+          | Ok _, Error m -> Alcotest.failf "%s: walk failed: %s" label m
+          | Error m, Ok _ -> Alcotest.failf "%s: walk succeeded, oracle failed: %s" label m)
+        schedules)
+    flavors;
+  if reentry then
+    Alcotest.(check bool) (what ^ ": some points ran fresh") true (!fallbacks_seen > 0);
+  (program, plain)
+
+(* What the uninstrumented program does under a schedule: its VM after
+   the run, and the exception that escaped, if any. *)
+let baseline_vm plain policy =
+  let vm = Compile.instantiate plain in
+  let escaped =
+    match Compile.run_main ~policy vm with
+    | _ -> None
+    | exception Vm.Mini_raise e -> Some e.Vm.exn_class
+  in
+  (vm, escaped)
+
+(* Workers bump a shared counter inside [synchronized] blocks; under the
+   slice schedules they are preempted holding the lock, so points fork
+   while the monitor has an owner, a depth and queued waiters — and
+   main waits in [join] meanwhile. *)
+let monitor_src =
+  {|
+class Counter {
+  field n;
+  method init() { this.n = 0; return this; }
+  method bump(k) { this.n = this.n + k; return this.n; }
+}
+class Worker {
+  field c; field lock; field id;
+  method init(c, lock, id) { this.c = c; this.lock = lock; this.id = id; return this; }
+  method run() {
+    for (var i = 0; i < 3; i = i + 1) {
+      synchronized (this.lock) {
+        try { this.c.bump(this.id); this.c.bump(i); } catch (NullPointerException e) { print("x"); }
+      }
+    }
+    return this.c.n;
+  }
+}
+function main() {
+  var c = new Counter();
+  var lock = new Counter();
+  var w1 = new Worker(c, lock, 1);
+  var w2 = new Worker(c, lock, 2);
+  var w3 = new Worker(c, lock, 3);
+  var t1 = spawn w1.run();
+  var t2 = spawn w2.run();
+  var t3 = spawn w3.run();
+  synchronized (lock) { c.bump(10); }
+  println(join(t1) + join(t2) + join(t3));
+  println(c.n);
+  return 0;
+}
+|}
+
+let test_monitor_waiters () =
+  let _, plain = conc_walk_vs_fresh ~what:"monitor waiters" monitor_src in
+  Alcotest.(check bool) "some schedule contends for the monitor" true
+    (List.exists
+       (fun (_, policy) -> (fst (baseline_vm plain policy)).Vm.sched_contention > 0)
+       schedules)
+
+(* Under coop, [main] reaches its points with the task spawned but not
+   started, then blocks in [join] while the task's points fork; the
+   task's injected crash reaches [main] through the join. *)
+let join_src =
+  {|
+class Acc {
+  field n;
+  method init() { this.n = 0; return this; }
+  method add(k) { this.n = this.n + k; return this.n; }
+}
+class Task {
+  field a;
+  method init(a) { this.a = a; return this; }
+  method run() { this.a.add(1); this.a.add(2); return this.a.n; }
+}
+function main() {
+  var a = new Acc();
+  var task = new Task(a);
+  var t = spawn task.run();
+  a.add(10);
+  var r = 0;
+  try { r = join(t); } catch (RuntimeException e) { r = -1; }
+  a.add(r);
+  println(a.n);
+  return 0;
+}
+|}
+
+let test_join_and_unstarted () = ignore (conc_walk_vs_fresh ~what:"join, unstarted" join_src)
+
+(* The bomb crashes and nobody joins it: points of the task and of main
+   fork with a crashed, unjoined thread, whose crash every run that
+   gets that far re-raises at the end. *)
+let crash_src =
+  {|
+class Acc {
+  field n;
+  method init() { this.n = 0; return this; }
+  method add(k) { this.n = this.n + k; return this.n; }
+}
+class Bomb {
+  method init() { return this; }
+  method run() { var a = [1]; return a[3]; }
+}
+class Task {
+  field a;
+  method init(a) { this.a = a; return this; }
+  method run() { this.a.add(1); return this.a.n; }
+}
+function main() {
+  var a = new Acc();
+  var bomb = new Bomb();
+  var task = new Task(a);
+  var b = spawn bomb.run();
+  var t = spawn task.run();
+  a.add(1);
+  join(t);
+  a.add(2);
+  println(a.n);
+  return 0;
+}
+|}
+
+let test_unjoined_crash () =
+  let _, plain = conc_walk_vs_fresh ~what:"unjoined crash" crash_src in
+  Alcotest.(check (option string)) "the uninjected run ends with the crash"
+    (Some "IndexOutOfBoundsException")
+    (snd (baseline_vm plain Sched.Coop))
+
+(* Only a run whose [touch] inside the lock fails makes main join the
+   worker while holding the lock the worker waits for: a deadlock that
+   exists in the suffix alone. *)
+let deadlock_src =
+  {|
+class Lockee {
+  field n;
+  method init() { this.n = 0; return this; }
+  method touch() { this.n = this.n + 1; return this.n; }
+}
+class W {
+  field l;
+  method init(l) { this.l = l; return this; }
+  method run() { synchronized (this.l) { this.l.touch(); } return 0; }
+}
+function main() {
+  var l = new Lockee();
+  var w = new W(l);
+  var t = 0;
+  synchronized (l) {
+    t = spawn w.run();
+    try { l.touch(); } catch (RuntimeException e) { join(t); }
+  }
+  join(t);
+  println(l.n);
+  return 0;
+}
+|}
+
+let test_suffix_deadlock () =
+  let program, plain = conc_walk_vs_fresh ~what:"suffix deadlock" deadlock_src in
+  Alcotest.(check (option string)) "no deadlock uninjected" None
+    (snd (baseline_vm plain Sched.Coop));
+  let d = Detect.run ~config:spec_config program in
+  Alcotest.(check bool) "some injected run deadlocks" true
+    (List.exists
+       (fun (r : Marks.run_record) -> r.Marks.escaped = Some "IllegalStateException")
+       d.Detect.runs)
+
+(* Two threads make thousands of call opportunities, a few of them
+   points (only [mark] declares an exception, and no generic one is
+   injected).  Fifty change points over the 10,000-opportunity horizon
+   put several inside the run, after fork points: a forked run must
+   demote threads where a fresh one does. *)
+let pct_src =
+  {|
+class Ctr {
+  field n;
+  method init() { this.n = 0; return this; }
+  method inc() { this.n = this.n + 1; return this.n; }
+  method mark(k) throws IllegalStateException { this.n = this.n + k; return this.n; }
+}
+class Spin {
+  field c; field k;
+  method init(c, k) { this.c = c; this.k = k; return this; }
+  method run() {
+    for (var i = 0; i < 1500; i = i + 1) {
+      this.c.inc();
+      if (i % 300 == 0) {
+        try { this.c.mark(this.k); } catch (IllegalStateException e) { print(this.k); }
+      }
+    }
+    return this.c.n;
+  }
+}
+function main() {
+  var c = new Ctr();
+  var s1 = new Spin(c, 1);
+  var s2 = new Spin(c, 2);
+  var t1 = spawn s1.run();
+  var t2 = spawn s2.run();
+  println(join(t1) + join(t2));
+  return 0;
+}
+|}
+
+let test_pct_change_points () =
+  let config = { Config.default with Config.runtime_exceptions = [] } in
+  let specs = [ "pct:50:7"; "pct:50:123" ] in
+  let schedules = List.map (fun s -> (s, Option.get (Sched.policy_of_string s))) specs in
+  let _, plain = conc_walk_vs_fresh ~config ~schedules ~what:"pct change points" pct_src in
+  List.iter
+    (fun (spec, policy) ->
+      let vm, _ = baseline_vm plain policy in
+      Alcotest.(check bool) (spec ^ ": thousands of opportunities") true (vm.Vm.calls > 3000);
+      Alcotest.(check bool) (spec ^ ": change points preempt") true
+        (vm.Vm.sched_preemptions > 2))
+    schedules
+
+(* A suffix that spins inside the worker thread: with the step limit
+   between the uninjected run's cost and the spinning suffix's, the
+   first run to overrun is the one the fresh loop stops at. *)
+let conc_spin_src =
+  {|
+class W {
+  field n;
+  method init() { this.n = 0; return this; }
+  method work(k) { this.n = this.n + k; return this.n; }
+  method run() {
+    var i = 0;
+    while (i < 4) {
+      try { this.work(i); } catch (RuntimeException e) {
+        var j = 0;
+        while (j < 400 * i) { j = j + 1; }
+      }
+      i = i + 1;
+    }
+    return this.n;
+  }
+}
+function main() {
+  var w = new W();
+  var t = spawn w.run();
+  w.work(5);
+  println(join(t));
+  return 0;
+}
+|}
+
+let test_conc_step_limit () =
+  let program, plain = compile_src conc_spin_src in
+  let config = Config.default in
+  let analyzer = Analyzer.analyze config program in
+  List.iter
+    (fun flavor ->
+      let compiled = Detect.compile ~plain flavor program in
+      List.iter
+        (fun ((spec, _) as schedule) ->
+          let label = Printf.sprintf "%s, %s" (Detect.flavor_name flavor) spec in
+          (* the uninjected instrumented run's cost, plus less than one
+             injected run's spin *)
+          let last = ref None in
+          ignore
+            (Detect.run_once ~schedule compiled config analyzer
+               ~prepare:(fun vm -> last := Some vm)
+               ~threshold:0);
+          let setup = set_step_limit ((Option.get !last).Vm.steps + 1_000) in
+          let failure f =
+            match f () with
+            | _ -> Alcotest.failf "%s: no run overran the step limit" label
+            | exception Detect.Detection_error m -> m
+          in
+          let expected = failure (fun () -> fresh_loop ~setup ~schedule compiled config analyzer) in
+          Alcotest.(check string) label expected
+            (failure (fun () ->
+                 Detect.walk ~setup ~schedule compiled config analyzer ~baseline_output:"")))
+        schedules)
+    flavors
+
+(* The worker re-enters the program from a hook, so under the slice
+   schedules it is preempted with part of its continuation on its
+   fiber's native stack: main's points reached meanwhile cannot copy it
+   and run on fresh VMs, with the same records. *)
+let conc_reentry_src =
+  {|
+class W {
+  field n;
+  method init() { this.n = 0; return this; }
+  method work() { this.n = this.n + 1; return this.n; }
+  method run() {
+    for (var i = 0; i < 3; i = i + 1) { __call(this); this.work(); }
+    return this.n;
+  }
+}
+function main() {
+  var w = new W();
+  var v = new W();
+  var t = spawn w.run();
+  for (var i = 0; i < 3; i = i + 1) { v.work(); }
+  println(join(t) + v.n);
+  return 0;
+}
+|}
+
+let test_conc_native_reentry () =
+  ignore
+    (conc_walk_vs_fresh ~setup:reentry_hooks ~reentry:true
+       ~what:"another thread under native re-entry" conc_reentry_src)
+
 let suite =
   List.map
     (fun (app : Registry.t) ->
@@ -385,3 +797,18 @@ let suite =
       Alcotest.test_case "open prefix snapshot exits later" `Quick test_open_prefix_snapshot;
       Alcotest.test_case "break across frames, forked mid-loop" `Quick test_cross_frame_break;
       Alcotest.test_case "native re-entry falls back" `Quick test_native_reentry ]
+  @ List.map
+      (fun (app : Registry.t) ->
+        Alcotest.test_case ("walk == fresh VMs, swept: " ^ app.Registry.name) `Quick
+          (check_conc_app app))
+      conc_apps
+  @ [ Alcotest.test_case "forked with a monitor held and waiters queued" `Quick
+        test_monitor_waiters;
+      Alcotest.test_case "forked with a thread in join and one unstarted" `Quick
+        test_join_and_unstarted;
+      Alcotest.test_case "forked with an unjoined crash" `Quick test_unjoined_crash;
+      Alcotest.test_case "deadlock only in the suffix" `Quick test_suffix_deadlock;
+      Alcotest.test_case "PCT change points after the fork" `Quick test_pct_change_points;
+      Alcotest.test_case "step limit in a concurrent suffix" `Quick test_conc_step_limit;
+      Alcotest.test_case "another thread under native re-entry falls back" `Quick
+        test_conc_native_reentry ]
