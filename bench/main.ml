@@ -135,10 +135,9 @@ let campaign_jobs = [ 1; 2; 4; 8 ]
 
 let section_campaign () =
   Fmt.pr "@.== Campaign scaling: detection wall-clock vs worker domains ===========@.";
-  Fmt.pr "  (sequential apps walk: every worker walks the uninjected run and forks@.";
-  Fmt.pr "   the points it claims; concurrent apps run each threshold on a fresh@.";
-  Fmt.pr "   VM under speculative batch scheduling; every result verified identical@.";
-  Fmt.pr "   to the sequential detector; times in seconds, speedup vs --jobs 1)@.";
+  Fmt.pr "  (every worker walks the uninjected run and forks the points it claims;@.";
+  Fmt.pr "   every result verified identical to the sequential detector; times in@.";
+  Fmt.pr "   seconds, speedup vs --jobs 1)@.";
   Fmt.pr "  hardware: %d core(s) available — wall-clock gains need cores > 1@."
     (Domain.recommended_domain_count ());
   Fmt.pr "%-14s %6s" "Application" "runs";
@@ -857,7 +856,7 @@ type prune_row = {
 let section_prune () =
   Fmt.pr "@.== Exception-flow pruning: unpruned vs coalesced campaigns =============@.";
   Fmt.pr "  (coalesce executes one run per handler-blindness group and synthesizes@.";
-  Fmt.pr "   the rest from a threshold-0 trace-run plan; its runs list is verified@.";
+  Fmt.pr "   the rest, grouped as the walk reaches them; its runs list is verified@.";
   Fmt.pr "   bitwise-identical to the unpruned campaign's.  dropped counts what@.";
   Fmt.pr "   --prune drop's may-raise filter would remove instead)@.";
   let apps = prune_apps () in
@@ -884,16 +883,20 @@ let section_prune () =
         let flow =
           Exnflow.analyze (Failatom_minilang.Compile.image program) program
         in
-        (* plan census from a trace run, exactly as Detect builds it *)
+        (* the census of a walk that passes every point, exactly as
+           Detect coalesces *)
         let config = Config.default in
         let analyzer = Analyzer.analyze config program in
         let compiled = Detect.compile flavor program in
-        let _, extras =
-          Detect.run_once_ext ~trace:true compiled config analyzer
-            ~prepare:(fun _ -> ())
-            ~threshold:0
+        let points, groups =
+          match
+            Detect.walk_with ~flow compiled config analyzer
+              ~visit:(fun _ -> Detect.Pass)
+              ~forked:(fun _ _ -> ())
+          with
+          | Detect.Finished { points; groups; _ } -> (points, groups)
+          | Detect.Stopped -> assert false (* [visit] never stops *)
         in
-        let plan = Prune.build flow ~entries:extras.Detect.entries in
         let dropped =
           let filtered = Analyzer.analyze ~flow config program in
           List.fold_left
@@ -915,9 +918,9 @@ let section_prune () =
         let row =
           { pr_app = app;
             pr_flavor = flavor;
-            pr_points = plan.Prune.total_points;
-            pr_groups = Prune.group_count plan;
-            pr_coalesced = Prune.coalesced_away plan;
+            pr_points = points;
+            pr_groups = groups;
+            pr_coalesced = points - groups;
             pr_dropped = dropped;
             pr_off_s = off_s;
             pr_co_s = co_s;

@@ -140,8 +140,10 @@ let wrap_all_arg =
 let run_timeout_arg =
   let doc =
     "Abort any single detection run after $(docv) seconds of wall-clock time \
-     and record it as timed out instead of wedging a worker.  A timed-out \
-     run never ends the detection loop."
+     and record it as timed out instead of wedging a worker.  Each injected \
+     run then executes on a fresh VM under that budget instead of being \
+     forked off the walk of the uninjected run.  A timed-out run never ends \
+     the detection loop."
   in
   Arg.(value & opt (some float) None & info [ "run-timeout" ] ~docv:"SECONDS" ~doc)
 
@@ -497,11 +499,9 @@ let campaign_cmd =
   let jobs_arg =
     let doc =
       "Number of worker domains (0 = one per available core, capped at 8).  Every \
-       worker of a walking campaign repeats the uninjected run, so a walking \
-       campaign runs at most one worker per core \
-       ($(b,Domain.recommended_domain_count)), whatever $(docv) says; results \
-       and journals do not depend on it.  The fresh-VM path \
-       ($(b,--run-timeout)) runs $(docv) workers."
+       worker repeats the uninjected run, so a campaign runs at most one worker \
+       per core ($(b,Domain.recommended_domain_count)), whatever $(docv) says; \
+       results and journals do not depend on it."
     in
     Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
@@ -565,9 +565,10 @@ let campaign_cmd =
         end)
   in
   let doc =
-    "Detection phase as a parallel, resumable campaign: injection-threshold \
-     runs are scheduled speculatively across worker domains, journaled to \
-     disk, and merged into a classification identical to $(b,detect)'s."
+    "Detection phase as a parallel, resumable campaign: worker domains walk \
+     the program and run the injection points they claim; every run is \
+     journaled to disk, and the runs merge into a classification identical \
+     to $(b,detect)'s."
   in
   Cmd.v
     (Cmd.info "campaign" ~doc ~exits)
@@ -1489,31 +1490,24 @@ let analyze_cmd =
               (Exnflow.handler_clause_count flow id)
               (if set = [] then "(never throws)" else String.concat ", " set))
           (Exnflow.methods flow);
-        (* The dynamic census: one threshold-0 trace run per analyzer
-           (no injection ever fires at threshold 0). *)
-        let unfiltered = Analyzer.analyze config program in
+        (* The dynamic census: one walk per analyzer that passes every
+           point it offers. *)
         let compiled = Detect.compile ~plain:img flavor program in
-        let prepare (_ : Failatom_runtime.Vm.t) = () in
-        match
-          Detect.run_once_ext ~trace:true compiled config unfiltered ~prepare
-            ~threshold:0
-        with
+        let census ?flow analyzer =
+          match
+            Detect.walk_with ?flow compiled config analyzer
+              ~visit:(fun _ -> Detect.Pass)
+              ~forked:(fun _ _ -> ())
+          with
+          | Detect.Finished { points; groups; _ } -> (points, groups)
+          | Detect.Stopped -> assert false (* [visit] never stops *)
+        in
+        match census ~flow (Analyzer.analyze config program) with
         | exception Detect.Detection_error msg ->
           Fmt.epr "failatom: %s@." msg;
           exit_internal
-        | _, ex_off ->
-          let plan = Prune.build flow ~entries:ex_off.Detect.entries in
-          let p_off = plan.Prune.total_points in
-          let filtered = Analyzer.analyze ~flow config program in
-          let _, ex_drop =
-            Detect.run_once_ext ~trace:true compiled config filtered ~prepare
-              ~threshold:0
-          in
-          let p_drop =
-            List.fold_left
-              (fun acc (_, classes) -> acc + List.length classes)
-              0 ex_drop.Detect.entries
-          in
+        | p_off, groups ->
+          let p_drop, _ = census (Analyzer.analyze ~flow config program) in
           Fmt.pr "@.pruning report (%s flavor):@." (Detect.flavor_name flavor);
           Fmt.pr "  injection points:      %d (%d runs unpruned, incl. probe)@."
             p_off (p_off + 1);
@@ -1522,11 +1516,8 @@ let analyze_cmd =
           Fmt.pr
             "  --prune coalesce:      %d representative runs, %d synthesized \
              (%.1f%% of runs eliminated)@."
-            (Prune.group_count plan)
-            (Prune.coalesced_away plan)
-            (100.
-            *. float_of_int (Prune.coalesced_away plan)
-            /. float_of_int (max 1 (p_off + 1)));
+            groups (p_off - groups)
+            (100. *. float_of_int (p_off - groups) /. float_of_int (max 1 (p_off + 1)));
           exit_ok)
   in
   let doc =

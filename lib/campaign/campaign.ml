@@ -10,33 +10,27 @@
      uninjected run once ({!Detect.walk_with}).
      At each injection point — under coalescing, at each blindness-group
      head — it asks the {!Scheduler} whether the point is still
-     unclaimed and not on file; if so it claims the point and forks the
-     injected run there, otherwise it walks on.  All walks visit the
-     same points in the same order, so the workers split the forks
-     between them with no speculation and no discarded runs.  The first
-     walk to finish files the probe, which fixes the frontier; a worker
-     with nothing left to claim stops its walk.  Under coalescing the
-     walk is also the point census.  Each extra worker walks the whole
+     unclaimed and not on file; if so it claims the point and runs the
+     injected run there, otherwise it walks on.  The run is forked off
+     the walk, or, with [run_timeout_s], executed on a fresh VM under
+     that budget ({!Detect.run_once}), exactly as in {!Detect.run}.  All
+     walks visit the same points in the same order, so the workers split
+     the runs between them with no speculation and no discarded runs.
+     The first walk to finish files the probe, which fixes the frontier;
+     a worker with nothing left to claim stops its walk.  The walk is
+     also the point census.  Each extra worker walks the whole
      uninjected run again, so extra walks pay only up to the number of
      cores, and only for programs with many points (EXPERIMENTS.md,
-     "Several walks per campaign"): a walking campaign runs at most
+     "Several walks per campaign"): a campaign runs at most
      [Domain.recommended_domain_count ()] workers, whatever [jobs]
      asks.  Concurrent programs walk each schedule phase this way,
      forking with the scheduler's state ({!Sched.fork}).
 
-     [prepare] hooks and per-run timeouts keep the fresh-VM path,
-     exactly as in {!Detect.run}, with [jobs] workers: every claimed
-     threshold gets a fresh VM and heap ({!Detect.run_once}), the
-     scheduler hands thresholds out speculatively (the stopping
-     threshold is unknown upfront) and discards whatever was executed
-     past the frontier; under coalescing a threshold-0 trace run takes
-     the census first.
-
-     Either way the merged result — run records, order, injection
-     count, transparency verdict — is identical to the sequential
-     loop's, and so are the errors: a walk reports the failure of the
-     least failing threshold (under coalescing, a failure of the census
-     or [max_runs] first), as the sequential walk would.
+     The merged result — run records, order, injection count,
+     transparency verdict — is identical to the sequential loop's, and
+     so are the errors: a campaign reports the failure of the least
+     failing threshold (under coalescing, a failure of the census or
+     [max_runs] first), as the sequential walk would.
 
    - {b Resumable}: with [~journal], every record is appended to an
      on-disk journal the moment it is filed.  A killed campaign
@@ -47,9 +41,8 @@
      transparency check of a resumed campaign uses the genuine probe
      output.
 
-   - {b Cancellable}: [cancel] is polled at every point a walk offers
-     (by fresh-VM workers, before every claim), so a cancelled campaign
-     stops after at most one run per worker.
+   - {b Cancellable}: [cancel] is polled at every point a walk offers,
+     so a cancelled campaign stops after at most one run per worker.
 
    - {b Observable}: a [report] callback receives one event per state
      change; {!Progress.reporter} turns them into throughput/ETA lines
@@ -89,12 +82,10 @@ exception Cancelled
    records how evenly the workers shared the runs. *)
 let m_executed = Obs.counter "campaign.runs_executed"
 let m_reused = Obs.counter "campaign.runs_reused"
-let m_discarded = Obs.counter "campaign.runs_discarded"
 
-(* First-visit representatives whose run produced at least one
-   non-atomic mark: the runs the fresh-VM path's seeded plan order moves
-   to the front, so that a time-bounded campaign reaches its verdicts
-   sooner. *)
+(* Under coalescing, first-visit representatives whose run produced at
+   least one non-atomic mark: how often the first visit of a site
+   already surfaces a verdict. *)
 let m_seed_order_hits = Obs.counter "campaign.seed_order_hits"
 
 (* The campaign-side view of the same pruning census {!Detect.run}
@@ -145,9 +136,8 @@ let load_journal ~warn ~path ~header:(expected : Journal.header) =
   | exception Run_log.Bad_log (msg, line) ->
     raise (Campaign_error (Printf.sprintf "corrupt journal %s: line %d: %s" path line msg))
 
-let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
-    ?run_timeout_s ?(cancel = fun () -> false) ?jobs ?journal ?(resume = false)
-    ?(report = Progress.null) (program : Ast.program) :
+let run ?config ?(flavor = Detect.Source_weaving) ?plain ?compiled ?run_timeout_s
+    ?(cancel = fun () -> false) ?jobs ?journal ?(resume = false) ?(report = Progress.null) (program : Ast.program) :
     Detect.result * Progress.summary =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   Obs.span "campaign.run" ~attrs:[ ("flavor", Detect.flavor_name flavor) ] @@ fun () ->
@@ -155,45 +145,13 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
   (* One-time work, done on the spawning domain and shared read-only by
      every worker.  Callers that already hold the images (the server's
      content-addressed cache) pass them in and skip compilation. *)
-  let s = Detect.set_up ?config ~flavor ?prepare ?plain ?compiled ?run_timeout_s program in
-  (* Every walking worker repeats the uninjected run, so walkers beyond
-     the cores only add walks that compete for them; the fresh-VM path
-     keeps [jobs] workers. *)
-  let jobs =
-    match s.Detect.s_fallback with
-    | None -> min jobs (Domain.recommended_domain_count ())
-    | Some _ -> jobs
-  in
+  let s = Detect.set_up ?config ~flavor ?plain ?compiled program in
+  (* Every worker repeats the uninjected run, so workers beyond the
+     cores only add walks that compete for them. *)
+  let jobs = min jobs (Domain.recommended_domain_count ()) in
   Obs.set_gauge g_workers jobs;
   let config = s.Detect.s_config and analyzer = s.Detect.s_analyzer in
-  let compiled = s.Detect.s_compiled and prepare = s.Detect.s_prepare in
-  let coalesce = s.Detect.s_coalesce in
-  (* The fresh-VM path's coalesce trace run (threshold 0, never fires)
-     takes the point census on the spawning domain; it doubles as the
-     probe record.  A timed-out trace falls back to the exact
-     speculative schedule.  Coalesce implies sequential (concurrent
-     programs force prune off), so the plan only ever feeds the single
-     coop phase. *)
-  let plan_and_probe =
-    match (coalesce, s.Detect.s_fallback) with
-    | Some flow, Some _ -> (
-      let trace_rec, extras =
-        Detect.run_once_ext ?run_timeout_s ~trace:true compiled config analyzer
-          ~prepare ~threshold:0
-      in
-      if trace_rec.Marks.timed_out then None
-      else
-        let plan = Prune.build flow ~entries:extras.Detect.entries in
-        if plan.Prune.frontier > config.Config.max_runs then
-          raise
-            (Detect.Detection_error
-               (Printf.sprintf "exceeded max_runs = %d injection runs"
-                  config.Config.max_runs));
-        Obs.add m_points_coalesced (Prune.coalesced_away plan);
-        Some
-          (plan, { trace_rec with Marks.injection_point = plan.Prune.frontier }))
-    | _ -> None
-  in
+  let compiled = s.Detect.s_compiled and coalesce = s.Detect.s_coalesce in
   let header =
     { Journal.flavor = Detect.flavor_name flavor; program_digest = program_digest program }
   in
@@ -219,7 +177,6 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
   let cpu_start = cpu_now () in
   let total_executed = ref 0 in
   let total_reused = ref 0 in
-  let total_discarded = ref 0 in
   let total_synthesized = ref 0 in
   (* One complete campaign — own scheduler, own frontier, own worker
      domains — for one schedule.  Returns the merged frontier-truncated
@@ -231,13 +188,8 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
     let journaled_here =
       List.filter (fun r -> String.equal (spec_of_run r) spec) journaled
     in
-    let sched =
-      Scheduler.create ~journaled:journaled_here
-        ?plan:(Option.map fst plan_and_probe)
-        ~max_runs:config.Config.max_runs ~jobs ()
-    in
+    let sched = Scheduler.create ~journaled:journaled_here () in
     let mutex = Mutex.create () in
-    let cond = Condition.create () in
     let locked f =
       Mutex.lock mutex;
       Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
@@ -257,12 +209,7 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
        | Some w when not (Scheduler.filed sched r.Marks.injection_point) ->
          Journal.append w r
        | Some _ | None -> ());
-      if executed then begin
-        ignore (Scheduler.record sched r);
-        if Option.is_some r.Marks.injected then
-          Option.iter (fun reason -> Detect.count_fallbacks reason 1) s.Detect.s_fallback
-      end
-      else Scheduler.adopt sched r
+      if executed then Scheduler.record sched r else Scheduler.adopt sched r
     in
     let tick () =
       let completed, injections, needed, executed = Scheduler.progress sched in
@@ -277,13 +224,13 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
     in
     (* A coalesced group: the executed representative, then its members
        (synthesized, or executed after a timed-out representative). *)
-    let file_group ~members_executed (g : Prune.group) rep members =
+    let file_group (g : Prune.group) rep members =
       file ~executed:true rep;
       if
         Option.is_some coalesce && g.Prune.first_visit
         && List.exists (fun (m : Marks.mark) -> not m.Marks.atomic) rep.Marks.marks
       then Obs.incr m_seed_order_hits;
-      List.iter (file ~executed:members_executed) members;
+      List.iter (file ~executed:rep.Marks.timed_out) members;
       tick ()
     in
     (* Claimed-but-unfiled runs, i.e. runs in flight. *)
@@ -292,23 +239,16 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
       incr in_flight;
       Obs.observe h_queue_depth !in_flight
     in
-    (match plan_and_probe with
-     | Some (_, probe) ->
-       (* The trace run is the probe run (neither fires, and a
-          never-firing run's behaviour does not depend on the armed
-          threshold), so no worker ever claims the frontier. *)
-       file ~executed:false probe
-     | None -> ());
-    (* A walking worker.  A failing fork ranks by its threshold; the
-       walk's own failure (census, [max_runs]) ranks after every fork
-       failure, or before them under coalescing — the order of the
-       sequential walk.  Under coalescing a fork failure stops the
-       forking but not the walk: the census may still fail first. *)
+    (* A worker.  A failing run ranks by its threshold; the walk's own
+       failure (census, [max_runs]) ranks after every run's failure, or
+       before them under coalescing — the order of the sequential walk.
+       Under coalescing a run's failure stops the running but not the
+       walk: the census may still fail first. *)
     let walked = ref false in
     let census = ref None in
     let walk_rank = if Option.is_some coalesce then 0 else max_int in
-    let walk_worker () =
-      let forks = ref 0 in
+    let worker () =
+      let ran = ref 0 in
       let visit g =
         locked (fun () ->
             let go_on =
@@ -331,13 +271,14 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
       let forked g outcome =
         locked (fun () ->
             decr in_flight;
-            incr forks;
+            incr ran;
             match outcome with
-            | Ok (rep, members) -> file_group ~members_executed:false g rep members
+            | Ok (rep, members) -> file_group g rep members
             | Error e -> fail (fst (Prune.rep g)) e)
       in
       (match
-         Detect.walk_with ?flow:coalesce ~schedule compiled config analyzer ~visit ~forked
+         Detect.walk_with ?run_timeout_s ?flow:coalesce ~schedule compiled config analyzer
+           ~visit ~forked
        with
        | Detect.Stopped -> ()
        | Detect.Finished { probe; points; groups } ->
@@ -346,91 +287,16 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
              if Option.is_some coalesce && Option.is_none !census then
                census := Some (points - groups);
              if not (Scheduler.filed sched probe.Marks.injection_point) then begin
-               (* executed where the fresh-VM loop executes it, adopted
-                  where coalescing's trace run stands in for it *)
+               (* executed, as Listing 1's loop executes it, or under
+                  coalescing adopted, as the census that stands in for
+                  it *)
                file ~executed:(Option.is_none coalesce) probe;
                tick ()
              end)
        | exception e -> locked (fun () -> fail walk_rank e));
-      Obs.observe h_worker_runs !forks
-    in
-    let fresh_worker () =
-      Mutex.lock mutex;
-      let executed_here = ref 0 in
-      let rec loop () =
-        if Option.is_some !failure then ()
-        else if cancel () then begin
-          (* Stop claiming; runs already in flight on other workers drain
-             first (each bounded by [run_timeout_s] if set), so
-             cancellation latency is at most one run. *)
-          fail 0 Cancelled;
-          Condition.broadcast cond
-        end
-        else
-          match Scheduler.claim sched with
-          | Scheduler.Done -> ()
-          | Scheduler.Exhausted ->
-            fail 0
-              (Detect.Detection_error
-                 (Printf.sprintf "exceeded max_runs = %d injection runs"
-                    config.Config.max_runs));
-            Condition.broadcast cond
-          | Scheduler.Wait ->
-            Condition.wait cond mutex;
-            loop ()
-          | Scheduler.Claimed threshold ->
-            execute (fun () ->
-                Detect.run_once ?run_timeout_s ~schedule compiled config analyzer
-                  ~prepare ~threshold)
-              (fun record ->
-                file ~executed:true record;
-                tick ())
-          | Scheduler.Claimed_group g ->
-            execute
-              (fun () ->
-                let rep_t, _ = Prune.rep g in
-                let rep_record, ex =
-                  Detect.run_once_ext ?run_timeout_s compiled config analyzer
-                    ~prepare ~threshold:rep_t
-                in
-                if rep_record.Marks.timed_out then
-                  (* Wall-clock aborts are not bisimilar across class
-                     tags: execute the members for real. *)
-                  ( rep_record,
-                    true,
-                    List.map
-                      (fun (t, _) ->
-                        Detect.run_once ?run_timeout_s compiled config analyzer
-                          ~prepare ~threshold:t)
-                      (List.tl g.Prune.members) )
-                else
-                  ( rep_record,
-                    false,
-                    Prune.synthesize g ~rep_record
-                      ~injected_escaped:ex.Detect.injected_escaped ))
-              (fun (rep, members_executed, members) ->
-                file_group ~members_executed g rep members)
-      (* Runs one claim outside the mutex, then files it. *)
-      and execute : 'a. (unit -> 'a) -> ('a -> unit) -> unit =
-       fun work on_ok ->
-        start_run ();
-        Mutex.unlock mutex;
-        let outcome = try Ok (work ()) with e -> Error e in
-        Mutex.lock mutex;
-        decr in_flight;
-        incr executed_here;
-        (match outcome with Ok v -> on_ok v | Error e -> fail 0 e);
-        Condition.broadcast cond;
-        if Result.is_ok outcome then loop ()
-      in
-      loop ();
-      Obs.observe h_worker_runs !executed_here;
-      Mutex.unlock mutex
+      Obs.observe h_worker_runs !ran
     in
     if not (Scheduler.finished sched) then begin
-      let worker =
-        match s.Detect.s_fallback with None -> walk_worker | Some _ -> fresh_worker
-      in
       let domains = List.init jobs (fun _ -> Domain.spawn worker) in
       List.iter Domain.join domains
     end;
@@ -440,7 +306,6 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
     let stats = Scheduler.stats sched in
     total_executed := !total_executed + stats.Scheduler.executed;
     total_reused := !total_reused + stats.Scheduler.reused;
-    total_discarded := !total_discarded + stats.Scheduler.discarded;
     total_synthesized := !total_synthesized + stats.Scheduler.synthesized;
     (* The frontier run is the no-injection probe; its output against
        this schedule's own uninjected baseline is the paper's
@@ -449,7 +314,7 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
       match policy with
       | Sched.Coop -> s.Detect.s_profile.Profile.output
       | Sched.Slice _ | Sched.Pct _ ->
-        Detect.baseline_under s.Detect.s_plain ~prepare policy
+        Detect.baseline_under s.Detect.s_plain ~prepare:ignore policy
     in
     let probe = List.nth runs (List.length runs - 1) in
     (runs, String.equal probe.Marks.output baseline_output)
@@ -463,7 +328,6 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
   let transparent = List.for_all snd phases in
   Obs.add m_executed !total_executed;
   Obs.add m_reused !total_reused;
-  Obs.add m_discarded !total_discarded;
   (* Every reached point has its record; one never-injecting probe per
      phase. *)
   let probes = List.length s.Detect.s_schedules in
@@ -482,7 +346,7 @@ let run ?config ?(flavor = Detect.Source_weaving) ?prepare ?plain ?compiled
       injections = result.Detect.injections;
       executed = !total_executed;
       reused = !total_reused;
-      discarded = !total_discarded;
+      discarded = 0;
       synthesized = !total_synthesized;
       workers = jobs;
       wall_clock_s = Unix.gettimeofday () -. t_start;

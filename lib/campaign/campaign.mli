@@ -2,14 +2,14 @@
 
     Drop-in replacement for {!Detect.run} that executes the
     injection-threshold runs across OCaml 5 domains — every worker
-    walks the uninjected run (per schedule) and forks the points it
-    claims ({!Scheduler.visit}) — journals every filed record for
+    walks the uninjected run (per schedule) and runs the points it
+    claims ({!Scheduler.visit}), forked or, under a run budget, on fresh
+    VMs — journals every filed record for
     resumption ({!Journal}), and reports progress ({!Progress}).  The
     returned {!Detect.result} is identical to what the sequential loop
     produces on the same program and flavor. *)
 
 open Failatom_core
-open Failatom_runtime
 open Failatom_minilang
 
 exception Campaign_error of string
@@ -33,7 +33,6 @@ val program_digest : Ast.program -> string
 val run :
   ?config:Config.t ->
   ?flavor:Detect.flavor ->
-  ?prepare:(Vm.t -> unit) ->
   ?plain:Compile.image ->
   ?compiled:Detect.compiled ->
   ?run_timeout_s:float ->
@@ -47,18 +46,14 @@ val run :
 (** Runs the complete detection phase in parallel.
 
     Worker domains execute the runs, never the calling thread.  Each
-    worker walks the uninjected run once (per schedule phase) and forks
-    the injected runs of the points it claims, as {!Detect.run} forks
-    them all; no run is speculative, so [discarded] is 0, and a
-    one-worker campaign's summary counts are those of the fresh-VM
-    path.  Walking campaigns run [jobs] workers (default
-    {!default_jobs}) but never more than
-    [Domain.recommended_domain_count ()], since every extra walk repeats
-    the uninjected run; the summary reports the workers that ran.  A
-    [prepare] hook or [run_timeout_s] gives every run a fresh VM
-    ({!Detect.run_once}) with speculative claiming on [jobs] workers, as
-    in {!Detect.run}; [prepare] is applied to each and must be safe to
-    call from multiple domains.
+    worker walks the uninjected run once (per schedule phase) and runs
+    the injected runs of the points it claims, as {!Detect.run} runs
+    them all: forked off the walk, or with [run_timeout_s] on a fresh VM
+    ({!Detect.run_once}).  No run is speculative, so [discarded] is
+    always 0.  A campaign runs [jobs] workers (default {!default_jobs})
+    but never more than [Domain.recommended_domain_count ()], since
+    every extra walk repeats the uninjected run; the summary reports the
+    workers that ran.
 
     [journal] appends every filed record to the given path; [resume]
     additionally adopts the runs already journaled there, so only
@@ -71,9 +66,8 @@ val run :
     the per-campaign weaving and compilation.  [run_timeout_s] bounds
     each run's wall-clock time; a timed-out run is recorded with
     [Marks.timed_out] and never establishes the frontier.  [cancel] is
-    polled at every point a walk offers (fresh-VM workers: before
-    every claim); once it returns [true] the campaign aborts with
-    {!Cancelled}.
+    polled at every point a walk offers; once it returns [true] the
+    campaign aborts with {!Cancelled}.
 
     Concurrent programs ({!Minilang.uses_concurrency}) run one complete
     campaign phase per spec in [config.schedules], exactly as in

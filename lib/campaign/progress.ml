@@ -12,7 +12,7 @@ type summary = {
   injections : int;
   executed : int;  (* runs executed by workers in this invocation *)
   reused : int;  (* journaled runs adopted without re-execution *)
-  discarded : int;  (* speculative runs discarded past the frontier *)
+  discarded : int;  (* always 0: no run is speculative; kept for the wire *)
   synthesized : int;  (* coalesced records adopted without execution *)
   workers : int;
   wall_clock_s : float;
@@ -45,8 +45,7 @@ let null (_ : event) = ()
 let pp_summary ppf s =
   Fmt.pf ppf "campaign: %d runs (%d injections) in %.2fs on %d worker(s)@."
     s.total_runs s.injections s.wall_clock_s s.workers;
-  Fmt.pf ppf "campaign: %d executed, %d reused from journal, %d speculative discarded@."
-    s.executed s.reused s.discarded;
+  Fmt.pf ppf "campaign: %d executed, %d reused from journal@." s.executed s.reused;
   if s.synthesized > 0 then
     Fmt.pf ppf "campaign: %d synthesized from blindness-group representatives@."
       s.synthesized;

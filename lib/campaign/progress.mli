@@ -6,11 +6,13 @@ type summary = {
   injections : int;
   executed : int;  (** runs executed by workers in this invocation *)
   reused : int;  (** journaled runs adopted without re-execution *)
-  discarded : int;  (** speculative runs discarded past the frontier *)
+  discarded : int;
+      (** always 0 — no run is speculative; kept so that the wire
+          summary keeps decoding in older clients *)
   synthesized : int;
       (** coalesced records adopted without execution (`--prune
-          coalesce`); [executed + reused + synthesized - discarded]
-          covers [total_runs] *)
+          coalesce`); [executed + reused + synthesized] covers
+          [total_runs] *)
   workers : int;
   wall_clock_s : float;
   busy_s : float;  (** CPU seconds consumed over the campaign *)

@@ -9,13 +9,15 @@
    run doubles as a transparency check: with no injection firing, the
    instrumented program must produce the baseline output.
 
-   Two engines produce the same records: [run_once] runs one threshold
-   on a fresh VM ([prepare] hooks, wall-clock budgets), and [walk_with]
-   runs a program once per schedule, forking injected runs from their
-   injection points (see the prefix-sharing section below); [walk]
-   forks every one, a campaign's workers fork the ones they claim.
-   Concurrent programs walk too: a fork point adds the scheduler's
-   state to the VM's and the injection state's — every thread (tid,
+   One loop produces the records: [walk_with] runs a program once per
+   schedule and offers every injection point it reaches; each offered
+   run is forked from its point (see the prefix-sharing section below)
+   or, under a [prepare] hook, a wall-clock budget or native re-entry,
+   executed on a fresh VM ([run_once], also the reference tests compare
+   the walk with).  [walk] runs every offered point, a campaign's
+   workers run the ones they claim.  Concurrent programs walk too: a
+   fork point adds the scheduler's state to the VM's and the injection
+   state's — every thread (tid,
    state, [joined], PCT priority and its suspended frames, whether it
    waits at a call's preemption opportunity, in [join], on a monitor or
    has not started), every monitor (owner, depth, FIFO waiters), the
@@ -83,8 +85,8 @@ let compiled_flavor c = c.cflavor
    the armed injection state.  [prepare] registers any extra hooks the
    program needs (e.g. checkpoint hooks of an already-masked program
    being re-validated). *)
-let instrumented_vm ?(trace = false) compiled config analyzer ~prepare ~threshold =
-  let state = Injection.make_state ~trace config analyzer ~threshold in
+let instrumented_vm compiled config analyzer ~prepare ~threshold =
+  let state = Injection.make_state config analyzer ~threshold in
   let vm = Compile.instantiate compiled.cimage in
   prepare vm;
   (match compiled.cflavor with
@@ -112,16 +114,9 @@ let m_points_coalesced = Obs.counter "detect.points_coalesced"
 let m_forks = Obs.counter "detect.forks"
 let m_fork_fallbacks = Obs.counter "detect.fork_fallbacks"
 
-let count_fallbacks reason n =
-  if n > 0 then begin
-    Obs.add m_fork_fallbacks n;
-    Obs.add (Obs.counter ("detect.fork_fallbacks." ^ reason)) n
-  end
-
-type run_extras = {
-  injected_escaped : bool;
-  entries : (Method_id.t * string list) list;
-}
+let count_fallback reason =
+  Obs.incr m_fork_fallbacks;
+  Obs.incr (Obs.counter ("detect.fork_fallbacks." ^ reason))
 
 (* The default schedule: sequential detection always runs under [Coop],
    whose records carry no sched info — byte-identical to the
@@ -155,7 +150,8 @@ let ending_of_exn ~threshold = function
 let ending_of ~threshold run =
   match run () with _ -> Returned | exception ex -> ending_of_exn ~threshold ex
 
-(* The record of a finished run, read off its injection state and VM. *)
+(* The record of a finished run, read off its injection state and VM,
+   and whether the exception escaping [main] was the injected one. *)
 let record_of ~threshold ?sched state vm ending =
   let escaped, injected_escaped, timed_out =
     match ending with
@@ -182,7 +178,7 @@ let record_of ~threshold ?sched state vm ending =
       calls = vm.Vm.calls;
       timed_out;
       sched },
-    { injected_escaped; entries = Injection.trace_entries state } )
+    injected_escaped )
 
 (* What a record of a run under [schedule] says of its schedule. *)
 let sched_info (spec, policy) vm =
@@ -194,14 +190,12 @@ let sched_info (spec, policy) vm =
         sched_switches = vm.Vm.sched_switches;
         sched_digest = vm.Vm.sched_digest }
 
-let run_once_ext ?run_timeout_s ?(trace = false) ?(schedule = coop_schedule)
-    compiled config analyzer ~prepare ~threshold : Marks.run_record * run_extras =
+let run_once_ext ?run_timeout_s ?(schedule = coop_schedule) compiled config analyzer
+    ~prepare ~threshold =
   Obs.span "detect.run_once"
     ~attrs:[ ("flavor", flavor_name compiled.cflavor) ]
     (fun () ->
-      let vm, state =
-        instrumented_vm ~trace compiled config analyzer ~prepare ~threshold
-      in
+      let vm, state = instrumented_vm compiled config analyzer ~prepare ~threshold in
       (match run_timeout_s with
        | Some timeout_s -> Vm.arm_deadline vm ~timeout_s
        | None -> ());
@@ -214,108 +208,14 @@ let run_once ?run_timeout_s ?schedule compiled config analyzer ~prepare ~thresho
     Marks.run_record =
   fst (run_once_ext ?run_timeout_s ?schedule compiled config analyzer ~prepare ~threshold)
 
-(* Runs the complete detection phase on [program].  [plain] and
-   [compiled] short-circuit the per-detection compilation when the
-   caller already holds the program's images (the server's
-   content-addressed image cache); they must have been built from this
-   very [program]. *)
-let max_runs_error config =
-  Detection_error
-    (Printf.sprintf "exceeded max_runs = %d injection runs" config.Config.max_runs)
-
-(* [threshold], unless a loop must stop with the max_runs error before
-   running it — the one numbering rule every detection loop shares. *)
+(* [threshold], unless the walk must stop with the max_runs error
+   before running it — the numbering rule of Listing 1's loop. *)
 let within_max_runs config threshold =
-  if threshold > config.Config.max_runs then raise (max_runs_error config);
+  if threshold > config.Config.max_runs then
+    raise
+      (Detection_error
+         (Printf.sprintf "exceeded max_runs = %d injection runs" config.Config.max_runs));
   threshold
-
-(* The exact (unpruned) detection loop: threshold 1, 2, 3, ... until the
-   first run in which no injection fires.  [baseline_output] is the
-   uninjected, uninstrumented output under the same schedule — the
-   transparency oracle for this schedule's probe run. *)
-let unpruned_loop ?run_timeout_s ?schedule compiled config analyzer ~prepare
-    ~baseline_output ~fallback =
-  let rec loop threshold acc =
-    let record =
-      run_once ?run_timeout_s ?schedule compiled config analyzer ~prepare
-        ~threshold:(within_max_runs config threshold)
-    in
-    match record.Marks.injected with
-    | Some _ ->
-      count_fallbacks fallback 1;
-      loop (threshold + 1) (record :: acc)
-    | None when record.Marks.timed_out ->
-      (* Timed out before any injection fired: the threshold was not
-         proven past the last injection point, so this is not the
-         probe run — keep going. *)
-      loop (threshold + 1) (record :: acc)
-    | None ->
-      (* The no-injection probe run: instrumentation must be
-         transparent w.r.t. the baseline, and its marks capture the
-         workload's real exception paths. *)
-      let transparent = String.equal record.Marks.output baseline_output in
-      (List.rev (record :: acc), transparent)
-  in
-  loop 1 []
-
-(* The coalescing detection loop ([--prune coalesce]): a threshold-0
-   trace run takes the campaign census (it never fires, so it is a
-   faithful stand-in for the probe run), the points are partitioned
-   into handler-blindness groups, one representative per group is
-   executed, and the members' records are synthesized from it.  The
-   resulting run list is bitwise-identical to the unpruned loop's. *)
-let coalesced_loop ?run_timeout_s compiled config analyzer flow ~prepare ~profile
-    ~fallback =
-  let trace_rec, extras =
-    run_once_ext ?run_timeout_s ~trace:true compiled config analyzer ~prepare
-      ~threshold:0
-  in
-  if trace_rec.Marks.timed_out then
-    (* The census is incomplete; fall back to the exact loop rather
-       than prune against a truncated point list. *)
-    unpruned_loop ?run_timeout_s compiled config analyzer ~prepare
-      ~baseline_output:profile.Profile.output ~fallback
-  else begin
-    let plan = Prune.build flow ~entries:extras.entries in
-    (* The unpruned loop would abort at the probe run's threshold. *)
-    ignore (within_max_runs config plan.Prune.frontier);
-    Obs.add m_points_coalesced (Prune.coalesced_away plan);
-    (* Threshold 0 and threshold P+1 never fire, and a never-firing
-       run's behaviour does not depend on the armed threshold: the
-       trace run *is* the probe run, modulo its recorded threshold. *)
-    let probe = { trace_rec with Marks.injection_point = plan.Prune.frontier } in
-    count_fallbacks fallback (Prune.group_count plan);
-    let records =
-      List.concat_map
-        (fun g ->
-          let rep_t, _ = Prune.rep g in
-          let rep_record, ex =
-            run_once_ext ?run_timeout_s compiled config analyzer ~prepare
-              ~threshold:rep_t
-          in
-          if rep_record.Marks.timed_out then
-            (* A wall-clock abort is not bisimilar across class tags:
-               run the members for real instead of synthesizing. *)
-            rep_record
-            :: List.map
-                 (fun (t, _) ->
-                   run_once ?run_timeout_s compiled config analyzer ~prepare
-                     ~threshold:t)
-                 (List.tl g.Prune.members)
-          else
-            rep_record
-            :: Prune.synthesize g ~rep_record
-                 ~injected_escaped:ex.injected_escaped)
-        plan.Prune.groups
-    in
-    let records =
-      List.sort
-        (fun a b -> compare a.Marks.injection_point b.Marks.injection_point)
-        records
-    in
-    let transparent = String.equal trace_rec.Marks.output profile.Profile.output in
-    (records @ [ probe ], transparent)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* The prefix-sharing walk                                             *)
@@ -328,12 +228,19 @@ let coalesced_loop ?run_timeout_s compiled config analyzer flow ~prepare ~profil
    fork point of the VM and the injection state, runs the injected
    suffix from there to the end on a copy of the scheduler
    ([Compile.fork_raise]), emits its record and rewinds — then carries
-   on uninjected.  A suffix's step
-   counter continues from the fork point, so the step limit trips where
-   a fresh run's would, and its allocations get the ids a fresh run's
-   would.  The walk itself is the probe run.  Under coalescing it is
-   also the census: each entry is split into blindness groups as it is
-   reached, only representatives fork, members are synthesized. *)
+   on uninjected.  A suffix's step counter continues from the fork
+   point, so the step limit trips where a fresh run's would, and its
+   allocations get the ids a fresh run's would.  The walk itself is the
+   probe run and the point census.  Under coalescing each entry is split
+   into blindness groups as it is reached, only representatives run,
+   members are synthesized.
+
+   A fork copies and rewinds only what lives in the VM and the
+   injection state.  A [prepare] hook keeps state outside the VM and a
+   wall-clock budget is per run, so with either the walk forks nothing:
+   it runs each offered point on a fresh VM ([run_once_ext]), as it does
+   for a point reached under native re-entry.  The walk itself carries
+   no budget, like the profile run of the same program. *)
 
 (* A failure the walk leaves with as is: raised through the walk's own
    frames, it must look neither like a MiniLang exception nor like loop
@@ -397,26 +304,51 @@ type cursor = {
 (* The walk itself, driven by {!walk_with}'s hooks, except that they get
    the group of the point offered as a function: hooks that do not read
    it never build it. *)
-let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?flow ~schedule compiled config analyzer
-    ~(visit : (unit -> Prune.group) -> visit)
+let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?prepare ?run_timeout_s ?flow ~schedule
+    compiled config analyzer ~(visit : (unit -> Prune.group) -> visit)
     ~(forked :
        (unit -> Prune.group) ->
        (Marks.run_record * Marks.run_record list, exn) Stdlib.result -> unit) =
+  let fresh_only =
+    match (prepare, run_timeout_s) with
+    | Some _, _ -> Some "prepare"
+    | None, Some _ -> Some "timeout"
+    | None, None -> None
+  in
+  let setup vm =
+    setup vm;
+    Option.iter (fun prepare -> prepare vm) prepare
+  in
   let vm, state =
     instrumented_vm compiled config analyzer ~prepare:setup ~threshold:0
   in
   let last = ref 0 (* the last point reached *) in
   let n_groups = ref 0 in
+  let reason = Option.value fresh_only ~default:"native" in
+  let fresh threshold =
+    count_fallback reason;
+    match
+      run_once_ext ?run_timeout_s ~schedule compiled config analyzer ~prepare:setup
+        ~threshold
+    with
+    | r -> Ok r
+    | exception ex -> Error ex
+  in
   let run_at threshold inject =
-    match fork_run ~schedule state vm ~threshold inject with
-    | Some r -> r
-    | None -> (
-      count_fallbacks "native" 1;
-      match
-        run_once_ext ~schedule compiled config analyzer ~prepare:setup ~threshold
-      with
-      | r -> Ok r
-      | exception ex -> Error ex)
+    let r =
+      if Option.is_some fresh_only then None
+      else fork_run ~schedule state vm ~threshold inject
+    in
+    match r with Some r -> r | None -> fresh threshold
+  in
+  (* A timed-out representative's members: a wall-clock abort is not
+     bisimilar across class tags, so they run for real. *)
+  let rec run_members acc = function
+    | [] -> Ok (List.rev acc)
+    | (t, _) :: rest -> (
+      match fresh t with
+      | Ok (r, _) -> run_members (r :: acc) rest
+      | Error ex -> Error ex)
   in
   (* An entry's grouping depends on its site only (the injectable
      classes are the site's), so each site is partitioned once. *)
@@ -469,14 +401,13 @@ let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?flow ~schedule compiled config an
     | Fork ->
       forked group
         (match run_at p inject with
-         | Ok (r, ex) ->
-           Ok
-             ( r,
-               if Option.is_none flow then []
-               else
-                 Prune.synthesize (group ()) ~rep_record:r
-                   ~injected_escaped:ex.injected_escaped )
-         | Error ex -> Error ex)
+         | Error ex -> Error ex
+         | Ok (r, _) when Option.is_none flow -> Ok (r, [])
+         | Ok (r, _) when r.Marks.timed_out ->
+           run_members [] (List.tl (group ()).Prune.members)
+           |> Result.map (fun members -> (r, members))
+         | Ok (r, injected_escaped) ->
+           Ok (r, Prune.synthesize (group ()) ~rep_record:r ~injected_escaped))
   in
   let w_point p inject =
     last := p;
@@ -520,19 +451,19 @@ let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?flow ~schedule compiled config an
     in
     Finished { probe; points = !last; groups = !n_groups }
 
-let walk_with ?setup ?flow ?(schedule = coop_schedule) compiled config analyzer ~visit
-    ~forked =
+let walk_with ?setup ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compiled
+    config analyzer ~visit ~forked =
   (* the group [visit] saw is the one its fork belongs to *)
   let offered = ref None in
-  walk_core ?setup ?flow ~schedule compiled config analyzer
+  walk_core ?setup ?prepare ?run_timeout_s ?flow ~schedule compiled config analyzer
     ~visit:(fun group ->
       let g = group () in
       offered := Some g;
       visit g)
     ~forked:(fun _ outcome -> forked (Option.get !offered) outcome)
 
-let walk ?setup ?flow ?(schedule = coop_schedule) compiled config analyzer
-    ~baseline_output =
+let walk ?setup ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compiled config
+    analyzer ~baseline_output =
   let records = ref [] (* reversed *) in
   let pending = ref None (* the first representative's failure *) in
   (* neither hook reads the group *)
@@ -541,7 +472,10 @@ let walk ?setup ?flow ?(schedule = coop_schedule) compiled config analyzer
     | Ok (r, members) -> records := List.rev_append members (r :: !records)
     | Error ex -> if Option.is_none flow then raise ex else pending := Some ex
   in
-  match walk_core ?setup ?flow ~schedule compiled config analyzer ~visit ~forked with
+  match
+    walk_core ?setup ?prepare ?run_timeout_s ?flow ~schedule compiled config analyzer
+      ~visit ~forked
+  with
   | Stopped -> assert false (* [visit] never stops *)
   | Finished { probe; points; groups } ->
     Option.iter raise !pending;
@@ -570,8 +504,6 @@ let baseline_under plain ~prepare policy =
 type setup = {
   s_config : Config.t;
   s_schedules : (string * Sched.policy) list;
-  s_fallback : string option;
-  s_prepare : Vm.t -> unit;
   s_coalesce : Exnflow.t option;
   s_analyzer : Analyzer.t;
   s_plain : Compile.image;
@@ -580,25 +512,8 @@ type setup = {
 }
 
 let set_up ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
-    ?compiled ?run_timeout_s (program : Ast.program) : setup =
+    ?compiled (program : Ast.program) : setup =
   let concurrent = Minilang.uses_concurrency program in
-  (* The prefix-sharing walk needs the whole continuation of an
-     injection point in interpreter frames and scheduler state, and
-     every effect of a run inside the VM: [prepare] hooks keep state
-     outside the VM, and a wall-clock budget is per run.  Threads are no
-     obstacle: a fork copies the scheduler — every thread (state,
-     [joined], priority, and its frames, whether it waits at a call's
-     preemption opportunity, in [join], on a monitor or has not
-     started), every monitor (owner, depth, FIFO waiters), the run
-     queue, the decision stream and digest, the counters, the quantum
-     and the PCT state — and the VM's scheduler fields (see
-     {!Sched.fork}). *)
-  let fallback =
-    if Option.is_some prepare then Some "prepare"
-    else if Option.is_some run_timeout_s then Some "timeout"
-    else None
-  in
-  let prepare = Option.value prepare ~default:(fun (_ : Vm.t) -> ()) in
   (* Static exception-flow pruning reasons about sequential control
      flow; with threads present the interleaving can reorder handler
      activity, so pruning is forced off and every point runs. *)
@@ -657,14 +572,12 @@ let set_up ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
      in
      Obs.add m_points_dropped dropped
    | Config.Prune_off | Config.Prune_coalesce -> ());
-  let profile = Profile.of_image ~prepare plain in
+  let profile = Profile.of_image ?prepare plain in
   let compiled =
     match compiled with Some c -> c | None -> compile ~plain flavor program
   in
   { s_config = config;
     s_schedules = schedules;
-    s_fallback = fallback;
-    s_prepare = prepare;
     (* only coalescing needs the flow once the analyzer is built *)
     s_coalesce =
       (match config.Config.prune with
@@ -675,52 +588,40 @@ let set_up ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
     s_profile = profile;
     s_compiled = compiled }
 
-(* Runs the complete detection phase (see .mli). *)
+(* Runs the complete detection phase (see .mli): one walk per schedule.
+   Records of non-coop schedules carry their spec and decision digest,
+   and each schedule's probe run checks transparency against that
+   schedule's own uninjected baseline. *)
 let run ?config ?(flavor = Source_weaving) ?prepare ?plain ?compiled ?run_timeout_s
     (program : Ast.program) : result =
   Obs.span "detect.run" ~attrs:[ ("flavor", flavor_name flavor) ] @@ fun () ->
-  let s = set_up ?config ~flavor ?prepare ?plain ?compiled ?run_timeout_s program in
-  let config = s.s_config and analyzer = s.s_analyzer and compiled = s.s_compiled in
-  let prepare = s.s_prepare and profile = s.s_profile in
+  let s = set_up ?config ~flavor ?prepare ?plain ?compiled program in
+  let profile = s.s_profile in
   let runs, transparent =
-    match (s.s_coalesce, s.s_fallback) with
-    | Some flow, None ->
-      walk ~flow compiled config analyzer ~baseline_output:profile.Profile.output
-    | Some flow, Some fallback ->
-      coalesced_loop ?run_timeout_s compiled config analyzer flow ~prepare ~profile
-        ~fallback
-    | None, fallback ->
-      (* One full injection campaign per schedule — a walk, or fresh VMs
-         per run; records of non-coop schedules carry their spec and
-         decision digest, and each schedule's probe run checks
-         transparency against that schedule's own uninjected
-         baseline. *)
-      List.fold_left
-        (fun (acc, transp) ((spec, policy) as schedule) ->
-          Obs.span "detect.schedule" ~attrs:[ ("schedule", spec) ] @@ fun () ->
-          Obs.incr m_schedules;
-          let baseline_output =
-            match policy with
-            | Sched.Coop -> profile.Profile.output
-            | Sched.Slice _ | Sched.Pct _ -> baseline_under s.s_plain ~prepare policy
-          in
-          let runs, t =
-            match fallback with
-            | None -> walk ~schedule compiled config analyzer ~baseline_output
-            | Some fallback ->
-              unpruned_loop ?run_timeout_s ~schedule compiled config analyzer ~prepare
-                ~baseline_output ~fallback
-          in
-          (acc @ runs, transp && t))
-        ([], true) s.s_schedules
+    List.fold_left
+      (fun (acc, transp) ((spec, policy) as schedule) ->
+        Obs.span "detect.schedule" ~attrs:[ ("schedule", spec) ] @@ fun () ->
+        Obs.incr m_schedules;
+        let baseline_output =
+          match policy with
+          | Sched.Coop -> profile.Profile.output
+          | Sched.Slice _ | Sched.Pct _ ->
+            baseline_under s.s_plain ~prepare:(Option.value prepare ~default:ignore) policy
+        in
+        let runs, t =
+          walk ?prepare ?run_timeout_s ?flow:s.s_coalesce ~schedule s.s_compiled
+            s.s_config s.s_analyzer ~baseline_output
+        in
+        (acc @ runs, transp && t))
+      ([], true) s.s_schedules
   in
   (* Every reached point got its own record; the probes are the odd
      ones out. *)
   let probes = List.length s.s_schedules in
   Obs.add m_points_total (List.length runs - probes);
   { flavor;
-    config;
-    analyzer;
+    config = s.s_config;
+    analyzer = s.s_analyzer;
     profile;
     runs;
     injections = List.length runs - probes;

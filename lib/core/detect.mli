@@ -7,14 +7,17 @@
     contributes the marks of the workload's {e real} exception paths.
 
     Runs are deterministic, so run k repeats the uninjected run up to
-    point k.  {!run} therefore {e walks} the uninjected run once per
-    schedule and forks every injected run from its injection point
+    point k.  The one detection loop, {!walk_with}, therefore {e walks} the
+    uninjected run once per schedule: it is the probe run and the point
+    census, and it forks every injected run from its injection point
     (interpreter continuation, heap, globals, output, counters,
     injection state and, for concurrent programs, the scheduler with
     every thread's frames are copied or rewound; see {!Sched.fork}); the
-    records are bitwise-identical to fresh runs.  Runs with a [prepare]
-    hook or a wall-clock budget, and points reached under native
-    re-entry, use {!run_once}: a fresh VM and heap per run. *)
+    records are bitwise-identical to fresh runs.  Under a [prepare]
+    hook or a wall-clock budget, and at points reached under native
+    re-entry, the walk runs the injected run with {!run_once}'s fresh VM
+    and heap instead.  {!run_once} is also the reference the walk is
+    tested against. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -62,26 +65,13 @@ val run_once :
   Config.t -> Analyzer.t ->
   prepare:(Vm.t -> unit) -> threshold:int -> Marks.run_record
 (** One detection run with the given threshold armed, on a fresh VM and
-    heap instantiated from the compiled image.  Runs are independent of
-    each other by construction, which is what lets the fresh-VM path of
-    {!Failatom_campaign.Campaign} execute them in parallel.
-    [schedule] (default [("coop", Sched.Coop)]) is the (spec, policy)
+    heap instantiated from the compiled image: Listing 1's run, the
+    reference every walk is compared with.  [schedule] (default [("coop", Sched.Coop)]) is the (spec, policy)
     pair the run executes under; non-coop records carry
     {!Marks.sched_info}.  With [run_timeout_s] the run is aborted once
     it exceeds that wall-clock budget and its record carries
     [Marks.timed_out = true] (marks observed so far are kept).
     @raise Detection_error on a non-MiniLang failure inside the run. *)
-
-type run_extras = {
-  injected_escaped : bool;
-      (** the exception that escaped [main] was the injected object
-          itself, by heap identity (always [false] when nothing escaped
-          or nothing was injected) *)
-  entries : (Method_id.t * string list) list;
-      (** trace of wrapped-entry visits, empty unless [trace] was set *)
-}
-(** Side observations of a run that {!Marks.run_record} does not carry;
-    consumed by the coalescing pruner. *)
 
 val baseline_under :
   Compile.image -> prepare:(Vm.t -> unit) -> Sched.policy -> string
@@ -89,14 +79,6 @@ val baseline_under :
     VM — the per-schedule transparency baseline.  For {!Sched.Coop} this
     equals the profile run's output; preemptive policies need their own
     baseline because a schedule may legitimately reorder output. *)
-
-val run_once_ext :
-  ?run_timeout_s:float -> ?trace:bool -> ?schedule:string * Sched.policy ->
-  compiled -> Config.t -> Analyzer.t ->
-  prepare:(Vm.t -> unit) -> threshold:int -> Marks.run_record * run_extras
-(** {!run_once} plus its {!run_extras}.  [trace] (default [false])
-    records every injection-point visit; with [threshold:0] — which
-    never fires — the trace is the campaign's exact point census. *)
 
 type visit =
   | Fork  (** fork the point's run (a coalesced group's representative) *)
@@ -114,7 +96,8 @@ type walk_end =
   | Stopped  (** a [visit] hook returned [Stop] *)
 
 val walk_with :
-  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
+  ?setup:(Vm.t -> unit) -> ?prepare:(Vm.t -> unit) -> ?run_timeout_s:float ->
+  ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
   compiled -> Config.t -> Analyzer.t -> visit:(Prune.group -> visit) ->
   forked:
     (Prune.group ->
@@ -125,16 +108,27 @@ val walk_with :
     injection point it reaches, in whichever thread, to [visit] — under
     coalescing ([flow]) only the head of each blindness group, as a
     group whose [members] include its synthesized points; otherwise
-    each point as a one-member group — and, on [Fork], forks the
+    each point as a one-member group — and, on [Fork], runs the
     injected run there and hands [forked] its record and its members'
-    synthesized records, or the failure of the run (records of a
-    non-coop schedule carry its spec, switch count and decision digest,
-    as {!run_once}'s do).  The walker's VM is its own, so walks may run
-    on several domains at once from one [compiled] image; every walk of
-    a program under one schedule visits the same points in the same
-    order.
+    records, or the failure of the run (records of a non-coop schedule
+    carry its spec, switch count and decision digest, as {!run_once}'s
+    do).  A [visit] that always passes makes the walk a point census.
+    The walker's VM is its own, so walks may run on several domains at
+    once from one [compiled] image; every walk of a program under one
+    schedule visits the same points in the same order.
 
-    The walk itself fails, whatever the hooks do, as the fresh-VM loops
+    The injected run is forked off the walk, or executed on a fresh VM
+    ({!run_once}) when a fork cannot reproduce it: with [prepare] (its
+    hooks may keep state outside the VM; reason [prepare]), with
+    [run_timeout_s] (the budget is per run; reason [timeout]), and at a
+    point reached under native re-entry (reason [native]).  Each fresh
+    run counts under [detect.fork_fallbacks] and
+    [detect.fork_fallbacks.<reason>].  A coalesced group whose
+    representative timed out gets its members run on fresh VMs too,
+    since a wall-clock abort is not bisimilar across class tags.
+    [prepare] also prepares the walk's own VM, which carries no budget.
+
+    The walk itself fails, whatever the hooks do, as Listing 1's loop
     would past the last point: [max_runs] exceeded (without [flow] at
     the first point past it, with [flow] once the census is complete),
     or a failure of the uninjected run itself.  An exception raised by
@@ -142,7 +136,8 @@ val walk_with :
     {!walk}. *)
 
 val walk :
-  ?setup:(Vm.t -> unit) -> ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
+  ?setup:(Vm.t -> unit) -> ?prepare:(Vm.t -> unit) -> ?run_timeout_s:float ->
+  ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
   compiled -> Config.t -> Analyzer.t -> baseline_output:string ->
   Marks.run_record list * bool
 (** The prefix-sharing detection loop of one schedule: one
@@ -150,14 +145,15 @@ val walk :
     runs by threshold, then the probe) and whether the probe's output
     equals [baseline_output].  With [flow] it coalesces (only each
     blindness group's representative forks, the members are
-    synthesized).  Errors are those of the fresh-VM loops, in the same
-    order.  {!run} uses it when it applies.
+    synthesized).  Errors are those of Listing 1's loop on fresh VMs, in
+    the same order.  {!run} runs one per schedule.
 
     [setup] is a test seam (no caller in the library or the CLI passes
-    it): it prepares the VM like [prepare] does for {!run_once} (also
-    for the fresh runs of points that cannot fork), so tests can lower
-    the step limit or register hooks.  Unlike [prepare] its effects must
-    stay inside the VM, since forks rewind only the VM. *)
+    it): it prepares every VM like [prepare] does (also the fresh VMs of
+    points that cannot fork), so tests can lower the step limit or
+    register hooks, but the walk still forks.  Unlike [prepare] its
+    effects must therefore stay inside the VM, since forks rewind only
+    the VM. *)
 
 type setup = {
   s_config : Config.t;
@@ -166,10 +162,6 @@ type setup = {
   s_schedules : (string * Sched.policy) list;
       (** the schedule axis: every spec in [config.schedules] for a
           concurrent program, the single coop schedule otherwise *)
-  s_fallback : string option;
-      (** why the runs cannot fork off a {!walk}, if they cannot:
-          ["prepare"] or ["timeout"] *)
-  s_prepare : Vm.t -> unit;  (** the [prepare] hook, or a no-op *)
   s_coalesce : Exnflow.t option;
       (** the exception-flow analysis, when the configuration coalesces *)
   s_analyzer : Analyzer.t;  (** drop filters its injectable sets *)
@@ -182,18 +174,12 @@ type setup = {
 
 val set_up :
   ?config:Config.t -> ?flavor:flavor -> ?prepare:(Vm.t -> unit) ->
-  ?plain:Compile.image -> ?compiled:compiled -> ?run_timeout_s:float ->
-  Ast.program -> setup
-(** Resolves the schedules and the walk's fallback, analyzes the
-    program (flow, analyzer, and the [detect.points_dropped] census
-    under drop), runs the profile and compiles the program — reusing
-    [plain] and [compiled] when given.  Arguments are those of {!run}.
+  ?plain:Compile.image -> ?compiled:compiled -> Ast.program -> setup
+(** Resolves the schedules, analyzes the program (flow, analyzer, and
+    the [detect.points_dropped] census under drop), runs the profile
+    and compiles the program — reusing [plain] and [compiled] when
+    given.  Arguments are those of {!run}.
     @raise Detection_error on an unknown schedule spec. *)
-
-val count_fallbacks : string -> int -> unit
-(** [count_fallbacks reason n] adds [n] injected runs executed on a
-    fresh VM instead of forked, to [detect.fork_fallbacks] and
-    [detect.fork_fallbacks.<reason>]. *)
 
 val run :
   ?config:Config.t -> ?flavor:flavor -> ?prepare:(Vm.t -> unit) ->
@@ -223,8 +209,8 @@ val run :
     Sequential programs always run the single coop schedule, leaving
     their results byte-identical to the pre-scheduler pipeline.
 
-    Without [prepare] or [run_timeout_s] each schedule runs as one
-    {!walk}; the runs are the same either way.  Counters
-    [detect.forks] and [detect.fork_fallbacks] (plus
-    [detect.fork_fallbacks.<reason>], reason [prepare], [timeout] or
-    [native]) count injected runs forked and run fresh. *)
+    Each schedule runs as one {!walk}, which runs the injected runs on
+    fresh VMs under [prepare] or [run_timeout_s]; the runs are the same
+    either way.  Counters [detect.forks] and [detect.fork_fallbacks]
+    (plus [detect.fork_fallbacks.<reason>], reason [prepare], [timeout]
+    or [native]) count injected runs forked and run fresh. *)

@@ -62,16 +62,12 @@ type state = {
          [Object_graph.Memo]); before-state reconstructions through a
          shadow's saved payloads are never memoized *)
   threshold : int; (* this run's InjectionPoint *)
-  tracing : bool;
-      (* record every injection-point visit (the pruning pre-pass: a
-         threshold-0 run never fires, so tracing is free and exact) *)
   mutable point : int; (* the global Point counter *)
   mutable injected : (Method_id.t * string) option;
   mutable injected_exn_id : int;
       (* heap id of the injected exception object (0 before injection):
          lets the driver distinguish "the injected exception escaped"
          from "a natural exception escaped" by identity, not class *)
-  mutable trace_entries : (Method_id.t * string list) list; (* reversed *)
   mutable marks : Marks.mark list; (* reversed *)
   snap_stacks : (int, (Method_id.t * snapshot) list) Hashtbl.t;
       (* binary flavor: snapshot pushed by pre, popped by post; keyed by
@@ -97,16 +93,14 @@ and journal = {
   j_next_token : int; (* tokens from here on were handed out since *)
 }
 
-let make_state ?(trace = false) config analyzer ~threshold =
+let make_state config analyzer ~threshold =
   { config;
     analyzer;
     memo = Object_graph.Memo.create ();
     threshold;
-    tracing = trace;
     point = 0;
     injected = None;
     injected_exn_id = 0;
-    trace_entries = [];
     marks = [];
     snap_stacks = Hashtbl.create 4;
     snapshots = Hashtbl.create 32;
@@ -115,8 +109,6 @@ let make_state ?(trace = false) config analyzer ~threshold =
     journal = None }
 
 let marks state = List.rev state.marks
-
-let trace_entries state = List.rev state.trace_entries
 
 (* Roots of a snapshot: the receiver plus, per configuration, every
    argument passed by reference (paper: "all arguments that are passed
@@ -170,8 +162,6 @@ let fire state vm id exn_class =
    injectable exception type.  Returns the exception to inject when the
    armed threshold is crossed.  A walker sees every point on the way. *)
 let inject_at state vm id injectable =
-  if state.tracing && injectable <> [] then
-    state.trace_entries <- (id, injectable) :: state.trace_entries;
   (match state.walker with
    | Some w when injectable <> [] -> w.w_entry id injectable ~first:(state.point + 1)
    | Some _ | None -> ());
@@ -199,7 +189,6 @@ type saved = {
   sv_point : int;
   sv_injected : (Method_id.t * string) option;
   sv_injected_exn_id : int;
-  sv_trace : (Method_id.t * string list) list;
   sv_marks : Marks.mark list;
   sv_next_token : int;
   sv_walker : walker option;
@@ -211,7 +200,6 @@ let save state =
     { sv_point = state.point;
       sv_injected = state.injected;
       sv_injected_exn_id = state.injected_exn_id;
-      sv_trace = state.trace_entries;
       sv_marks = state.marks;
       sv_next_token = state.next_token;
       sv_walker = state.walker;
@@ -239,7 +227,6 @@ let restore state sv =
   state.point <- sv.sv_point;
   state.injected <- sv.sv_injected;
   state.injected_exn_id <- sv.sv_injected_exn_id;
-  state.trace_entries <- sv.sv_trace;
   state.marks <- sv.sv_marks;
   state.next_token <- sv.sv_next_token;
   state.walker <- sv.sv_walker;

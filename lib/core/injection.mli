@@ -47,8 +47,6 @@ type state = {
           revalidated against {!Heap.write_stamp}; before-state
           reconstructions through a shadow are never memoized *)
   threshold : int;  (** this run's InjectionPoint *)
-  tracing : bool;
-      (** record every injection-point visit (the pruning pre-pass) *)
   mutable point : int;  (** the global Point counter *)
   mutable injected : (Method_id.t * string) option;
       (** injection site and exception class, once fired *)
@@ -56,7 +54,6 @@ type state = {
       (** heap id of the injected exception object, 0 before injection:
           distinguishes an escaped injected exception from a natural
           one by identity rather than class *)
-  mutable trace_entries : (Method_id.t * string list) list;  (** reversed *)
   mutable marks : Marks.mark list;  (** reversed *)
   snap_stacks : (int, (Method_id.t * snapshot) list) Hashtbl.t;
       (** binary flavor: per-MiniLang-thread snapshot stacks (pre/post
@@ -71,15 +68,11 @@ type state = {
 
 and journal
 
-val make_state : ?trace:bool -> Config.t -> Analyzer.t -> threshold:int -> state
-(** [trace] (default [false]) records each visited injection site and
-    its injectable classes, in visit order — exact with [threshold:0],
-    which never fires. *)
+val make_state : Config.t -> Analyzer.t -> threshold:int -> state
 
 type saved
-(** The mutable part of a state: point counter, injection, trace,
-    marks, token counter and walker, and a journal of the snapshot
-    tables. *)
+(** The mutable part of a state: point counter, injection, marks,
+    token counter and walker, and a journal of the snapshot tables. *)
 
 val save : state -> saved
 (** A save point, O(1): the snapshot tables are not copied; their
@@ -93,11 +86,6 @@ val restore : state -> saved -> unit
 
 val marks : state -> Marks.mark list
 (** Marks recorded so far, in emission (callee-before-caller) order. *)
-
-val trace_entries : state -> (Method_id.t * string list) list
-(** Wrapped-entry visits recorded by a tracing run, in visit order.
-    The sum of the class-list lengths is the campaign's total point
-    count. *)
 
 val filter : state -> Vm.meth -> Vm.filter
 (** The injection wrapper of one method as a pre/post filter (binary

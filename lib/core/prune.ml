@@ -1,22 +1,14 @@
-(* Injection-campaign pruning plans (paper §4.1 meets exception-flow
+(* Injection-campaign pruning (paper §4.1 meets exception-flow
    analysis).
 
-   A threshold-0 trace run visits every injection point without firing
-   and records, per wrapped entry, the injection site and its
-   injectable classes.  From that census and an {!Exnflow} analysis
-   this module builds a [plan]:
-
-   - the campaign's total point count [P] and therefore its frontier
-     [P + 1] — known up front instead of discovered by overshooting;
-   - the points grouped per dynamic entry into handler-blindness
-     classes: within one entry, injected classes that every
-     possibly-active handler is blind to produce runs that differ only
-     in the class tag of the injected exception object, so one
-     representative run per group is executed and the members'
-     records are synthesized from it;
-   - a yield-seeded execution order: the first dynamic visit of each
-     site goes first (repeat visits of the same site rarely change the
-     verdict), so time-bounded campaigns reach fresh methods sooner.
+   The prefix-sharing walk ({!Detect.walk_with}) reaches every injection
+   point of the uninjected run, entry by entry; under [--prune coalesce]
+   it splits each dynamic entry's points into handler-blindness groups
+   with an {!Exnflow} analysis: within one entry, injected classes that
+   every possibly-active handler is blind to produce runs that differ
+   only in the class tag of the injected exception object, so one
+   representative run per group is executed and the members' records
+   are synthesized from it.
 
    Soundness of the synthesis rests on the blindness bisimulation
    (doc/exnflow.md): the paired runs' states are identical except for
@@ -29,14 +21,7 @@ type group = {
   members : (int * string) list;
       (* (threshold, class) per point of this blindness group, in
          injectable order; the head is the representative *)
-  first_visit : bool; (* first dynamic entry of this site in the trace *)
-}
-
-type plan = {
-  total_points : int; (* P: points the campaign reaches *)
-  frontier : int; (* P + 1, the threshold of the probe run *)
-  groups : group list; (* in dynamic (threshold) order *)
-  order : group list; (* seeded execution order for campaigns *)
+  first_visit : bool; (* first dynamic entry of this site in the run *)
 }
 
 let rep g = List.hd g.members
@@ -58,36 +43,6 @@ let partition_pairs flow site pairs =
       | None -> groups := !groups @ [ ((t, e), ref [ (t, e) ]) ])
     pairs;
   List.map (fun (_, members) -> List.rev !members) !groups
-
-let build flow ~entries : plan =
-  let next = ref 0 in
-  let seen = Hashtbl.create 64 in
-  let groups =
-    List.concat_map
-      (fun (site, classes) ->
-        let first_visit = not (Hashtbl.mem seen site) in
-        Hashtbl.replace seen site ();
-        let pairs =
-          List.map
-            (fun cls ->
-              incr next;
-              (!next, cls))
-            classes
-        in
-        List.map
-          (fun members -> { site; members; first_visit })
-          (partition_pairs flow site pairs))
-      entries
-  in
-  let first, rest = List.partition (fun g -> g.first_visit) groups in
-  { total_points = !next;
-    frontier = !next + 1;
-    groups;
-    order = first @ rest }
-
-let group_count plan = List.length plan.groups
-
-let coalesced_away plan = plan.total_points - group_count plan
 
 (* Member records synthesized from the representative's: identical
    modulo the injected class tag.  [injected_escaped] tells whether

@@ -1,13 +1,10 @@
-(** Injection-campaign pruning plans.
+(** Injection-campaign pruning under [--prune coalesce].
 
-    Built from a threshold-0 {e trace run} (which visits every
-    injection point without firing) and an {!Exnflow} analysis: the
-    campaign's total point count and frontier are known up front, the
-    points of each dynamic entry are partitioned into handler-blindness
-    groups sharing one representative run, and the groups are ordered
-    first-visit-first so time-bounded campaigns reach fresh methods
-    sooner.  {!Detect} and {!Failatom_campaign.Campaign} both consume
-    plans under [--prune coalesce]. *)
+    The prefix-sharing walk ({!Detect.walk_with}) partitions the points
+    of each dynamic entry into handler-blindness groups with an
+    {!Exnflow} analysis as it reaches them; one representative run per
+    group executes and the other members' records are synthesized from
+    it ({!synthesize}).  The walk itself is the point census. *)
 
 type group = {
   site : Method_id.t;
@@ -18,35 +15,16 @@ type group = {
       (** this entry is the first dynamic visit of [site] *)
 }
 
-type plan = {
-  total_points : int;  (** P: injection points the campaign reaches *)
-  frontier : int;  (** P + 1, the threshold of the no-injection probe *)
-  groups : group list;  (** in dynamic (threshold) order *)
-  order : group list;  (** seeded execution order for campaigns *)
-}
-
-val build :
-  Exnflow.t -> entries:(Method_id.t * string list) list -> plan
-(** [build flow ~entries] consumes {!Injection.trace_entries} of a
-    trace run.  Concatenating every group's [members] thresholds
-    yields exactly [1 .. total_points]. *)
-
 val partition_pairs :
   Exnflow.t -> Method_id.t -> (int * string) list -> (int * string) list list
 (** [partition_pairs flow site points] splits the (threshold, injected
     class) points of one dynamic entry of [site] into handler-blindness
     groups, in first-occurrence order, each group in point order.
-    {!build} applies it to every entry of a trace; the prefix-sharing
-    walk applies it to each entry as it is reached. *)
+    The prefix-sharing walk applies it to each entry as it is
+    reached. *)
 
 val rep : group -> int * string
 (** The representative point (lowest threshold) of a group. *)
-
-val group_count : plan -> int
-
-val coalesced_away : plan -> int
-(** Points whose run is synthesized instead of executed:
-    [total_points - group_count]. *)
 
 val synthesize :
   group ->

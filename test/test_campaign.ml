@@ -1,7 +1,8 @@
 (* Tests of the parallel, resumable detection-campaign engine
    (lib/campaign/): determinism against the sequential detector,
-   journal resume, speculative over-run discard on the fresh-VM path,
-   and walking campaigns (workers forking the points they claim). *)
+   journal resume, claiming, and walking campaigns (workers running the
+   points they claim, forked or, under a per-run timeout, on fresh
+   VMs). *)
 
 open Failatom_core
 open Failatom_apps
@@ -41,9 +42,8 @@ let check_matches_sequential (app : Registry.t) flavor () =
     (Classify.reports cs = Classify.reports cp
     && cs.Classify.class_verdicts = cp.Classify.class_verdicts);
   Alcotest.(check int) "nothing reused" 0 summary.Progress.reused;
-  (* A per-run timeout sends the campaign down the fresh-VM path
-     (speculative claims, and coalesced groups under coalescing); it
-     must still give the walking detector's run log. *)
+  (* A per-run timeout runs every injected run on a fresh VM under the
+     budget; it must still give the forking detector's run log. *)
   List.iter
     (fun prune ->
       let config = { matrix_config with Config.prune } in
@@ -123,8 +123,8 @@ let journal_thresholds path =
   | None -> []
   | Some (_, runs) -> List.map (fun (r : Marks.run_record) -> r.Marks.injection_point) runs
 
-(* Resumed on the walking path and, with a per-run timeout, on the
-   fresh-VM path. *)
+(* Resumed with forked runs and, with a per-run timeout, with runs on
+   fresh VMs. *)
 let test_resume () =
   let app = Option.get (Registry.find "LinkedList") in
   let program = parse app.Registry.source in
@@ -224,85 +224,34 @@ let test_journal_output_roundtrip () =
         Alcotest.(check bool) "runs round-trip" true (loaded = runs))
 
 (* ------------------------------------------------------------------ *)
-(* (c) speculation: over-run past the frontier is discarded            *)
+(* (c) claiming: journaled points are not run again                    *)
 (* ------------------------------------------------------------------ *)
 
-let mk_run ?injected ?(timed_out = false) point =
+let mk_run ?injected point =
   { Marks.injection_point = point;
     injected;
     marks = [];
     escaped = None;
     output = "";
     calls = 1;
-    timed_out;
+    timed_out = false;
     sched = None }
 
 let fired = (Method_id.make "C" "m", "NullPointerException")
 
-let claim_exn s =
-  match Scheduler.claim s with
-  | Scheduler.Claimed t -> t
-  | Scheduler.Claimed_group _ -> Alcotest.fail "unexpected Claimed_group"
-  | Scheduler.Wait -> Alcotest.fail "unexpected Wait"
-  | Scheduler.Done -> Alcotest.fail "unexpected Done"
-  | Scheduler.Exhausted -> Alcotest.fail "unexpected Exhausted"
-
-let test_speculative_discard () =
-  let s = Scheduler.create ~max_runs:100 ~jobs:3 () in
-  let claimed = List.init 6 (fun _ -> claim_exn s) in
-  Alcotest.(check (list int)) "thresholds in order" [ 1; 2; 3; 4; 5; 6 ] claimed;
-  (* threshold 3 turns out to be the frontier *)
-  Alcotest.(check bool) "frontier run kept" true (Scheduler.record s (mk_run 3) = `Kept);
-  Alcotest.(check (option int)) "frontier detected" (Some 3) (Scheduler.frontier s);
-  Alcotest.(check bool)
-    "speculative run 4 discarded" true
-    (Scheduler.record s (mk_run ~injected:fired 4) = `Speculative);
-  Alcotest.(check bool)
-    "speculative run 5 discarded" true
-    (Scheduler.record s (mk_run ~injected:fired 5) = `Speculative);
-  Alcotest.(check bool) "needed run kept" true (Scheduler.record s (mk_run ~injected:fired 1) = `Kept);
-  Alcotest.(check bool) "not finished while 2 missing" false (Scheduler.finished s);
-  Alcotest.(check bool) "needed run kept" true (Scheduler.record s (mk_run ~injected:fired 2) = `Kept);
-  Alcotest.(check bool) "finished once 1..frontier recorded" true (Scheduler.finished s);
-  (match Scheduler.claim s with
-   | Scheduler.Done -> ()
-   | _ -> Alcotest.fail "claim past a complete campaign must be Done");
-  let points =
-    List.map (fun (r : Marks.run_record) -> r.Marks.injection_point) (Scheduler.runs s)
-  in
-  Alcotest.(check (list int)) "merged runs stop at the frontier" [ 1; 2; 3 ] points;
-  let stats = Scheduler.stats s in
-  Alcotest.(check int) "discarded speculative runs" 2 stats.Scheduler.discarded;
-  Alcotest.(check int) "executed" 5 stats.Scheduler.executed
-
-let test_speculation_horizon () =
-  let s = Scheduler.create ~max_runs:100 ~jobs:1 () in
-  (* initial horizon: max (2*jobs) 4 = 4 *)
-  let first = List.init 4 (fun _ -> claim_exn s) in
-  Alcotest.(check (list int)) "first batch" [ 1; 2; 3; 4 ] first;
-  (match Scheduler.claim s with
-   | Scheduler.Wait -> ()
-   | _ -> Alcotest.fail "claims beyond the horizon must wait");
-  List.iter (fun t -> ignore (Scheduler.record s (mk_run ~injected:fired t))) [ 1; 2; 3; 4 ];
-  (* the completed batch doubles the horizon *)
-  Alcotest.(check int) "next batch opens at 5" 5 (claim_exn s)
-
 let test_resume_skips_journaled () =
   let journaled = [ mk_run ~injected:fired 1; mk_run ~injected:fired 3 ] in
-  let s = Scheduler.create ~journaled ~max_runs:100 ~jobs:2 () in
-  Alcotest.(check int) "first gap claimed" 2 (claim_exn s);
-  Alcotest.(check int) "journaled threshold 3 skipped" 4 (claim_exn s)
-
-let test_exhaustion () =
-  let s = Scheduler.create ~max_runs:3 ~jobs:2 () in
-  let _ = List.init 3 (fun _ -> claim_exn s) in
-  (match Scheduler.claim s with
-   | Scheduler.Wait -> ()
-   | _ -> Alcotest.fail "must wait while runs are in flight");
-  List.iter (fun t -> ignore (Scheduler.record s (mk_run ~injected:fired t))) [ 1; 2; 3 ];
-  match Scheduler.claim s with
-  | Scheduler.Exhausted -> ()
-  | _ -> Alcotest.fail "max_runs without a frontier must exhaust"
+  let s = Scheduler.create ~journaled () in
+  let visit t =
+    Scheduler.visit s
+      { Prune.site = fst fired; members = [ (t, snd fired) ]; first_visit = false }
+  in
+  Alcotest.(check bool) "journaled point 1 passed" true (visit 1 = Detect.Pass);
+  Alcotest.(check bool) "first gap claimed" true (visit 2 = Detect.Fork);
+  Alcotest.(check bool) "journaled point 3 passed" true (visit 3 = Detect.Pass);
+  Alcotest.(check bool) "point 4 claimed" true (visit 4 = Detect.Fork);
+  Alcotest.(check bool) "a claimed point is passed by other walks" true
+    (visit 2 = Detect.Pass)
 
 (* ------------------------------------------------------------------ *)
 (* (d) per-run timeouts and cooperative cancellation                   *)
@@ -468,14 +417,13 @@ let inside_a_group program journal =
   let config = { Config.default with Config.prune = Config.Prune_coalesce } in
   let analyzer = Analyzer.analyze config program in
   let compiled = Detect.compile ~plain Detect.Source_weaving program in
-  let _, extras =
-    Detect.run_once_ext ~trace:true compiled config analyzer
-      ~prepare:(fun _ -> ())
-      ~threshold:0
+  let group = ref None in
+  let visit g =
+    if Option.is_none !group && List.length g.Prune.members >= 2 then group := Some g;
+    Detect.Pass
   in
-  let plan = Prune.build flow ~entries:extras.Detect.entries in
-  let group = List.find (fun g -> List.length g.Prune.members >= 2) plan.Prune.groups in
-  let rep = fst (Prune.rep group) in
+  ignore (Detect.walk_with ~flow compiled config analyzer ~visit ~forked:(fun _ _ -> ()));
+  let rep = fst (Prune.rep (Option.get !group)) in
   let rec index i = function
     | [] -> Alcotest.fail "representative missing from the journal"
     | t :: rest -> if t = rep then i else index (i + 1) rest
@@ -483,9 +431,9 @@ let inside_a_group program journal =
   index 0 (journal_thresholds journal)
 
 (* Resume from journals cut at several points, one of them inside a
-   coalesced group, on the walking path and, with a per-run timeout, on
-   the fresh-VM path (whose speculative runs past the frontier are
-   discarded rather than never run). *)
+   coalesced group, with forked runs and, with a per-run timeout, with
+   runs on fresh VMs.  Either way no run is speculative: every kept
+   record is reused and nothing is discarded. *)
 let test_walk_resume () =
   let app = Option.get (Registry.find "LinkedList") in
   let program = parse app.Registry.source in
@@ -506,17 +454,10 @@ let test_walk_resume () =
                 else []
               in
               let fresh = read_file journal in
-              (* the frontier run's threshold: the fresh-VM path may
-                 journal speculative runs past it, which resume discards *)
-              let frontier = List.length uninterrupted.Detect.runs in
               List.iter
                 (fun keep ->
                   write_file journal fresh;
                   truncate_journal journal ~keep;
-                  let reusable =
-                    List.length
-                      (List.filter (fun t -> t <= frontier) (journal_thresholds journal))
-                  in
                   let resumed, summary =
                     Campaign.run ~config ?run_timeout_s ~jobs ~journal ~resume:true program
                   in
@@ -527,14 +468,10 @@ let test_walk_resume () =
                   in
                   Alcotest.(check string) (what ^ ": result")
                     (Run_log.save uninterrupted) (Run_log.save resumed);
-                  Alcotest.(check int) (what ^ ": reused the kept records") reusable
+                  Alcotest.(check int) (what ^ ": reused the kept records") keep
                     summary.Progress.reused;
-                  if Option.is_none run_timeout_s then
-                    Alcotest.(check int) (what ^ ": a walk journals no speculative run")
-                      keep reusable;
-                  if Option.is_none run_timeout_s then
-                    Alcotest.(check int) (what ^ ": nothing discarded") 0
-                      summary.Progress.discarded;
+                  Alcotest.(check int) (what ^ ": nothing discarded") 0
+                    summary.Progress.discarded;
                   if prune = Config.Prune_off then
                     Alcotest.(check int) (what ^ ": journaled runs not re-executed")
                       summary.Progress.total_runs
@@ -667,8 +604,56 @@ let test_walk_counters () =
         [ 1; 2 ])
     [ Config.Prune_off; Config.Prune_coalesce ]
 
-(* Only [prepare] hooks and per-run timeouts take the fresh-VM path,
-   and it forks nothing. *)
+(* [Detect.run] and [Campaign.run] at one and two workers publish the
+   same schedule, census and fork counters, under off and coalesce,
+   with forked runs and with a per-run timeout (fresh VMs). *)
+let test_counters_agree () =
+  let program = parse (Option.get (Registry.find "LinkedList")).Registry.source in
+  let names =
+    [ "sched.schedules_explored"; "detect.points_total"; "detect.points_coalesced";
+      "detect.forks"; "detect.fork_fallbacks"; "detect.fork_fallbacks.prepare";
+      "detect.fork_fallbacks.timeout"; "detect.fork_fallbacks.native" ]
+  in
+  let counters f =
+    Obs.with_enabled true (fun () ->
+        Obs.reset ();
+        f ();
+        let values = List.map (fun n -> Obs.counter_value (Obs.counter n)) names in
+        Obs.reset ();
+        values)
+  in
+  List.iter
+    (fun (prune, run_timeout_s) ->
+      let config = { Config.default with Config.prune } in
+      let what =
+        Config.prune_name prune ^ if Option.is_some run_timeout_s then ", timeout" else ""
+      in
+      let expected =
+        counters (fun () -> ignore (Detect.run ~config ?run_timeout_s program))
+      in
+      (* one schedule, and its injected runs all forked or, under the
+         timeout, all run on fresh VMs *)
+      Alcotest.(check int) (what ^ ": one schedule") 1 (List.hd expected);
+      let forks = List.nth expected 3 and fallbacks = List.nth expected 4 in
+      let timeouts = List.nth expected 6 in
+      Alcotest.(check bool) (what ^ ": runs counted") true (forks + fallbacks > 0);
+      Alcotest.(check (pair int int))
+        (what ^ ": forks, fallbacks")
+        (if Option.is_some run_timeout_s then (0, timeouts) else (forks, 0))
+        (forks, fallbacks);
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s, jobs %d" what jobs)
+            expected
+            (counters (fun () ->
+                 ignore (Campaign.run ~config ?run_timeout_s ~jobs program))))
+        [ 1; 2 ])
+    [ (Config.Prune_off, None); (Config.Prune_coalesce, None);
+      (Config.Prune_off, Some 600.); (Config.Prune_coalesce, Some 600.) ]
+
+(* A per-run timeout runs every injected run on a fresh VM: the walks
+   fork nothing. *)
 let test_fresh_vm_fallbacks () =
   let counters f =
     Obs.with_enabled true (fun () ->
@@ -736,16 +721,15 @@ let suite =
     Alcotest.test_case "resume from journal" `Quick test_resume;
     Alcotest.test_case "journal guards" `Quick test_journal_guards;
     Alcotest.test_case "journal output round-trip" `Quick test_journal_output_roundtrip;
-    Alcotest.test_case "speculative over-run discarded" `Quick test_speculative_discard;
-    Alcotest.test_case "speculation horizon doubles" `Quick test_speculation_horizon;
     Alcotest.test_case "resume skips journaled thresholds" `Quick test_resume_skips_journaled;
-    Alcotest.test_case "exhaustion at max_runs" `Quick test_exhaustion;
     Alcotest.test_case "walking campaign resumes truncated journals" `Quick
       test_walk_resume;
     Alcotest.test_case "walking campaign cancels and resumes" `Quick
       test_walk_cancel_resume;
     Alcotest.test_case "walking campaign errors == detect's" `Quick test_walk_errors;
     Alcotest.test_case "walking campaign counters == detect's" `Quick test_walk_counters;
+    Alcotest.test_case "schedule, census and fork counters == detect's" `Quick
+      test_counters_agree;
     Alcotest.test_case "fresh-VM path only for timeouts" `Quick test_fresh_vm_fallbacks;
     Alcotest.test_case "concurrent campaigns walk == detect's" `Quick
       test_concurrent_walk ]

@@ -186,47 +186,40 @@ let test_differential_matrix () =
         [ Detect.Source_weaving; Detect.Load_time_filters ])
     Registry.catalog
 
-(* Coalescing must actually coalesce: the plan built from a trace run
-   keeps every threshold exactly once and removes a meaningful share of
-   runs on a real app. *)
-let test_plan_census () =
+(* Coalescing must actually coalesce: the groups the walk offers keep
+   every threshold exactly once and remove a meaningful share of runs
+   on a real app. *)
+let test_walk_census () =
   let app = Option.get (Registry.find "RBTree") in
   let program = parse app.Registry.source in
   let flow = flow_of program in
   let config = Config.default in
   let analyzer = Analyzer.analyze config program in
   let compiled = Detect.compile Detect.Source_weaving program in
-  let _, extras =
-    Detect.run_once_ext ~trace:true compiled config analyzer
-      ~prepare:(fun _ -> ())
-      ~threshold:0
+  let groups = ref [] in
+  let points, n_groups, frontier =
+    match
+      Detect.walk_with ~flow compiled config analyzer
+        ~visit:(fun g ->
+          groups := g :: !groups;
+          Detect.Pass)
+        ~forked:(fun _ _ -> ())
+    with
+    | Detect.Finished { probe; points; groups } -> (points, groups, probe.Marks.injection_point)
+    | Detect.Stopped -> Alcotest.fail "the walk stopped"
   in
-  let plan = Prune.build flow ~entries:extras.Detect.entries in
-  let thresholds =
-    List.concat_map (fun g -> List.map fst g.Prune.members) plan.Prune.groups
-  in
+  let thresholds = List.concat_map (fun g -> List.map fst g.Prune.members) !groups in
   Alcotest.(check (list int))
     "thresholds are exactly 1..P"
-    (List.init plan.Prune.total_points (fun i -> i + 1))
+    (List.init points (fun i -> i + 1))
     (List.sort compare thresholds);
-  Alcotest.(check int) "frontier" (plan.Prune.total_points + 1) plan.Prune.frontier;
-  let eliminated =
-    float_of_int (Prune.coalesced_away plan)
-    /. float_of_int (plan.Prune.total_points + 1)
-  in
+  Alcotest.(check int) "groups" (List.length !groups) n_groups;
+  Alcotest.(check int) "frontier" (points + 1) frontier;
+  let eliminated = float_of_int (points - n_groups) /. float_of_int (points + 1) in
   Alcotest.(check bool)
     (Printf.sprintf "RBTree eliminates >= 30%% of runs (got %.1f%%)"
        (100. *. eliminated))
-    true (eliminated >= 0.30);
-  (* seeded order: every first-visit group precedes every repeat *)
-  let rec first_block = function
-    | [] -> true
-    | g :: rest ->
-      if g.Prune.first_visit then first_block rest
-      else List.for_all (fun g -> not g.Prune.first_visit) rest
-  in
-  Alcotest.(check bool) "first visits lead the order" true
-    (first_block plan.Prune.order)
+    true (eliminated >= 0.30)
 
 (* Drop is a semantic mode (it renumbers points), but it only removes
    injections: any method non-atomic under drop must already be
@@ -315,7 +308,7 @@ let suite =
     Alcotest.test_case "blindness partition" `Quick test_partition;
     Alcotest.test_case "coalesce == off on every app/flavor/engine" `Slow
       test_differential_matrix;
-    Alcotest.test_case "plan census and seeded order" `Quick test_plan_census;
+    Alcotest.test_case "walk census" `Quick test_walk_census;
     Alcotest.test_case "drop: fewer runs, verdicts a subset" `Quick
       test_drop_subset;
     QCheck_alcotest.to_alcotest prop_drop_soundness ]

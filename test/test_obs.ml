@@ -149,7 +149,7 @@ let test_stats_golden () =
 (* The acceptance check behind campaign --metrics-out: after a campaign,
    detect.injections_fired equals the injected runs recorded in the
    journal, and campaign.runs_executed equals the journal's run count
-   (the journal records every executed run, speculative ones included). *)
+   (the journal records every executed run). *)
 let test_campaign_consistency () =
   let app = Option.get (Failatom_apps.Registry.find "Synthetic") in
   let program = Failatom_minilang.Minilang.parse app.Failatom_apps.Registry.source in

@@ -1,13 +1,15 @@
 (* Prefix-sharing detection against the fresh-VM oracle.
 
    [Detect.run] walks a sequential program once and forks each injected
-   run from its injection point; [Detect.run_once] runs one threshold on
-   a fresh VM.  The walk must produce exactly the records of the loop
+   run from its injection point, or, under a [prepare] hook or a run
+   budget, runs it on a fresh VM; [Detect.run_once] runs one threshold
+   on a fresh VM.  The walk must produce exactly the records of the loop
    Listing 1 describes — threshold 1, 2, … on fresh VMs until a run
    fires nothing — and the same run-log bytes, on every sequential
    catalog app, in both flavors, under every pruning mode and both
-   snapshot modes.  The edge cases below each pin one piece of what a
-   fork must copy or rewind; each fails when that piece is left out. *)
+   snapshot modes, forking or not.  The edge cases below each pin one
+   piece of what a fork must copy or rewind; each fails when that
+   piece is left out. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -87,10 +89,52 @@ let check_app (app : Registry.t) () =
                       baseline }
               in
               Alcotest.(check string) (what ^ ": run log") (Run_log.save fresh)
-                (Run_log.save walked))
+                (Run_log.save walked);
+              (* a run budget or a [prepare] hook: every offered point
+                 runs on a fresh VM, and the log is the same *)
+              if snapshot_mode = Config.Snapshot_cow && prune <> Config.Prune_drop then
+                List.iter
+                  (fun (how, run_timeout_s, prepare) ->
+                    Alcotest.(check string) (what ^ ": run log, " ^ how)
+                      (Run_log.save fresh)
+                      (Run_log.save
+                         (Detect.run ~config ~flavor ~plain ~compiled ?run_timeout_s ?prepare
+                            program)))
+                  [ ("timeout", Some 600., None); ("prepare", None, Some ignore) ])
             [ Config.Prune_off; Config.Prune_drop; Config.Prune_coalesce ])
         [ Config.Snapshot_cow; Config.Snapshot_eager ])
     flavors
+
+(* A masked program re-detected as [mask --verify] does, with its
+   checkpoint hooks, against the loop with the same hooks. *)
+let check_masked (app : Registry.t) () =
+  let program = Minilang.parse app.Registry.source in
+  let config = Config.default in
+  let flavor = Harness.flavor_of_suite app.Registry.suite in
+  let corrected = (Mask.correct ~config ~flavor program).Mask.corrected in
+  let hooks = Mask.register_hooks config in
+  let plain = Compile.image corrected in
+  let compiled = Detect.compile ~plain flavor corrected in
+  let verify () = Detect.run ~config ~flavor ~prepare:hooks ~plain ~compiled corrected in
+  match Profile.of_image ~prepare:hooks plain with
+  | exception Vm.Mini_raise _ -> (
+    (* the masked program fails uninjected, and so does its
+       re-detection, before any run *)
+    match verify () with
+    | _ -> Alcotest.failf "%s: re-detection of a failing program succeeded" app.Registry.name
+    | exception Vm.Mini_raise _ -> ())
+  | profile ->
+    let verified = verify () in
+    let runs = fresh_loop ~setup:hooks compiled config verified.Detect.analyzer in
+    let fresh =
+      { verified with
+        Detect.runs;
+        transparent =
+          String.equal (List.nth runs (List.length runs - 1)).Marks.output
+            profile.Profile.output }
+    in
+    Alcotest.(check string) (app.Registry.name ^ ": run log") (Run_log.save fresh)
+      (Run_log.save verified)
 
 (* ---------------- edge cases -------------------------------------- *)
 
@@ -437,7 +481,23 @@ let check_conc_app (app : Registry.t) () =
            walked.Detect.runs);
       Alcotest.(check string) (what ^ ": run log")
         (Run_log.save { walked with Detect.runs })
-        (Run_log.save walked))
+        (Run_log.save walked);
+      (* under a run budget every injected run runs on a fresh VM *)
+      let budgeted = [ "slice:1"; "pct:2:7" ] in
+      let timed =
+        Detect.run ~config:{ spec_config with Config.schedules = budgeted } ~flavor ~plain
+          ~compiled ~run_timeout_s:600. program
+      in
+      let oracle =
+        List.filter (fun ((spec, _), _) -> List.mem spec budgeted)
+          (List.combine schedules per_schedule)
+      in
+      Alcotest.(check string) (what ^ ": run log, timeout")
+        (Run_log.save
+           { timed with
+             Detect.runs = List.concat_map (fun (_, (runs, _)) -> runs) oracle;
+             transparent = List.for_all (fun (_, (_, t)) -> t) oracle })
+        (Run_log.save timed))
     flavors
 
 (* The walk under each schedule next to the oracle under that schedule,
@@ -790,6 +850,12 @@ let suite =
       let speed = if app.Registry.name = "RegExp" then `Slow else `Quick in
       Alcotest.test_case ("walk == fresh VMs: " ^ app.Registry.name) speed (check_app app))
     sequential_apps
+  @ List.map
+      (fun (app : Registry.t) ->
+        let speed = if app.Registry.name = "RegExp" then `Slow else `Quick in
+        Alcotest.test_case ("masked program, walk == fresh VMs: " ^ app.Registry.name) speed
+          (check_masked app))
+      sequential_apps
   @ [ Alcotest.test_case "suffix overruns the step limit" `Quick test_step_limit;
       Alcotest.test_case "max_runs exceeded" `Quick test_max_runs;
       Alcotest.test_case "suffix writes a global" `Quick test_suffix_writes_global;

@@ -179,8 +179,9 @@ let test_cache_hit () =
             "watch returns the same result" first.Protocol.r_log third.Protocol.r_log))
 
 (* A detect job is a one-worker campaign, which walks: its summary
-   counts (executed, reused, discarded, synthesized) are those of the
-   fresh-VM path, which a per-run timeout forces, and so is its log. *)
+   counts (executed, reused, discarded, synthesized) and its log are the
+   same whether its runs fork or, under a per-run timeout, run on fresh
+   VMs. *)
 let test_walk_summary_matches_fresh () =
   with_server (fun socket_path ->
       with_client socket_path (fun conn ->
