@@ -367,7 +367,7 @@ let run_cmd =
           | `Normal, Some _ ->
             Fmt.epr "failatom: --plan requires --mode production@.";
             exit_usage
-          | `Normal, None -> run_normal program times
+          | `Normal, None -> with_metrics metrics_out (fun () -> run_normal program times)
           | `Production, None ->
             Fmt.epr "failatom: --mode production requires --plan@.";
             exit_usage
@@ -606,26 +606,30 @@ let mask_cmd =
           if verify then begin
             (* re-run detection on P_C: no original-name method may remain
                failure non-atomic *)
-            let d2 =
+            match
               Detect.run ~config ~flavor
                 ~prepare:(Mask.register_hooks config)
                 outcome.Mask.corrected
-            in
-            let residual =
-              List.filter
-                (fun (id : Method_id.t) ->
-                  Source_weaver.demangle id.Method_id.name = None)
-                (Classify.non_atomic_methods (Classify.classify d2))
-            in
-            match residual with
-            | [] ->
-              Fmt.epr "verification: %d re-injections, no residual non-atomic method@."
-                d2.Detect.injections;
-              exit_ok
-            | methods ->
-              Fmt.epr "verification FAILED, residual non-atomic methods:@.";
-              List.iter (fun id -> Fmt.epr "  %s@." (Method_id.to_string id)) methods;
-              exit_non_atomic
+            with
+            | exception Detect.Detection_error msg ->
+              Fmt.epr "failatom: verification: %s@." msg;
+              exit_internal
+            | d2 -> (
+              let residual =
+                List.filter
+                  (fun (id : Method_id.t) ->
+                    Source_weaver.demangle id.Method_id.name = None)
+                  (Classify.non_atomic_methods (Classify.classify d2))
+              in
+              match residual with
+              | [] ->
+                Fmt.epr "verification: %d re-injections, no residual non-atomic method@."
+                  d2.Detect.injections;
+                exit_ok
+              | methods ->
+                Fmt.epr "verification FAILED, residual non-atomic methods:@.";
+                List.iter (fun id -> Fmt.epr "  %s@." (Method_id.to_string id)) methods;
+                exit_non_atomic)
           end
           else exit_ok)
   in

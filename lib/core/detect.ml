@@ -572,7 +572,15 @@ let set_up ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
      in
      Obs.add m_points_dropped dropped
    | Config.Prune_off | Config.Prune_coalesce -> ());
-  let profile = Profile.of_image ?prepare plain in
+  let profile =
+    match Profile.of_image ?prepare plain with
+    | profile -> profile
+    | exception Vm.Mini_raise e ->
+      raise
+        (Detection_error
+           (Fmt.str "the uninjected run let %s escape main: %s" e.Vm.exn_class
+              e.Vm.message))
+  in
   let compiled =
     match compiled with Some c -> c | None -> compile ~plain flavor program
   in

@@ -179,7 +179,10 @@ val set_up :
     the [detect.points_dropped] census under drop), runs the profile
     and compiles the program — reusing [plain] and [compiled] when
     given.  Arguments are those of {!run}.
-    @raise Detection_error on an unknown schedule spec. *)
+    @raise Detection_error on an unknown schedule spec, or when the
+    uninjected profile run lets an exception escape [main] (the message
+    names its class and message): detection needs a baseline that
+    completes. *)
 
 val run :
   ?config:Config.t -> ?flavor:flavor -> ?prepare:(Vm.t -> unit) ->

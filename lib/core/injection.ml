@@ -6,7 +6,11 @@
    matching exception is thrown when the counter reaches the threshold.
    When a wrapped call returns exceptionally, the wrapper compares the
    receiver's object graph against the snapshot taken on entry and marks
-   the method atomic or non-atomic for this injection.
+   the method atomic or non-atomic for this injection.  The snapshot is a
+   copy-on-write shadow, and the comparison one lockstep walk of its
+   entry-time view and the current heap up to their first difference
+   ([Object_graph.first_diff]); the eager canonical-form snapshot of
+   Listing 1 stays as the test oracle.
 
    The logic lives here once and is exposed in the two forms used by the
    paper's two implementations:
@@ -19,9 +23,10 @@
 open Failatom_runtime
 module Obs = Failatom_obs.Obs
 
-(* Observability: snapshot volume, time spent canonicalizing object
-   graphs, and how often the cow dirty-set intersection proves atomicity
-   without any canonicalization at all. *)
+(* Observability: snapshot volume, time spent comparing object graphs
+   (the cow lockstep walk, or the eager oracle's canonicalizations), and
+   how often the cow dirty-set intersection proves atomicity without any
+   comparison at all. *)
 let m_snapshots = Obs.counter "detect.snapshots_taken"
 let m_cow_fast = Obs.counter "detect.cow_fast_path_hits"
 let h_canon = Obs.histogram ~unit_:Obs.Ns "detect.canonicalize"
@@ -36,10 +41,11 @@ let m_memo_misses = Obs.counter "detect.canon_memo_misses"
    - [Cow_snap]: a copy-on-write {!Shadow} plus the snapshot roots.
      Nothing is traversed at entry; on the rare exceptional return the
      shadow's dirty set is intersected with the ids reachable from the
-     roots, and only if they overlap is the entry-time canonical form
-     reconstructed (current heap, saved payloads preferred for dirty
-     ids) and compared — so a call's detection cost is proportional to
-     what it mutated, not to the graph it could reach. *)
+     roots, and only if they overlap are the entry-time graph (current
+     heap, saved payloads preferred for dirty ids) and the current one
+     walked in lockstep up to their first difference — so a call's
+     detection cost is proportional to what it mutated, not to the
+     graph it could reach. *)
 type snapshot =
   | Eager_snap of Object_graph.node
   | Cow_snap of { shadow : Shadow.t; roots : Value.t list }
@@ -57,10 +63,10 @@ type state = {
   config : Config.t;
   analyzer : Analyzer.t;
   memo : Object_graph.Memo.t;
-      (* incremental canonicalization: live-heap forms are served from
-         this cache, revalidated against the heap's write stamps (see
-         [Object_graph.Memo]); before-state reconstructions through a
-         shadow's saved payloads are never memoized *)
+      (* incremental canonicalization for the eager oracle: its entry and
+         exit forms are served from this cache, revalidated against the
+         heap's write stamps (see [Object_graph.Memo]); cow detection
+         builds no canonical form *)
   threshold : int; (* this run's InjectionPoint *)
   mutable point : int; (* the global Point counter *)
   mutable injected : (Method_id.t * string) option;
@@ -289,7 +295,7 @@ let check_and_mark state vm id snapshot roots ~exn_id =
     let read = Shadow.read_before shadow in
     (* Step 1: dirty-set/reachability intersection.  If nothing the
        snapshot covers was touched, the graphs are identical by
-       construction — atomic, with zero canonicalization. *)
+       construction — atomic, with zero comparison. *)
     let untouched =
       Shadow.dirty_count shadow = 0
       || not (Object_graph.reaches_dirty read ~dirty:(Shadow.is_dirty shadow) roots)
@@ -298,18 +304,19 @@ let check_and_mark state vm id snapshot roots ~exn_id =
        Obs.incr m_cow_fast;
        record_mark state id ~atomic:true ~diff_path:None ~exn_id
      end
-     else begin
-       (* Step 2: reconstruct the entry-time canonical form from the
-          current heap, preferring saved payloads for dirty ids, and
-          compare it with the exit-time form.  Neither traversal
-          allocates on the program heap, so the comparison itself never
-          feeds the write barrier of enclosing shadows. *)
-       let before =
-         Obs.timed h_canon (fun () -> Object_graph.canonical_many_via read roots)
+     else
+       (* Step 2: walk the entry-time graph (saved payloads preferred
+          for dirty ids) and the current one in lockstep, up to their
+          first difference.  No canonical form is built and nothing is
+          allocated on the program heap, so the comparison never feeds
+          the write barrier of enclosing shadows. *)
+       let diff =
+         Obs.timed h_canon (fun () ->
+             Object_graph.first_diff ~read_a:read
+               ~read_b:(Heap.get (Shadow.heap shadow)) roots)
        in
-       let after = memo_canon state (Shadow.heap shadow) roots in
-       mark_verdict state id ~before ~after ~exn_id
-     end);
+       record_mark state id ~atomic:(Option.is_none diff)
+         ~diff_path:(Option.map tidy_diff_path diff) ~exn_id);
     Shadow.close shadow
 
 (* ------------------------------------------------------------------ *)

@@ -3,14 +3,15 @@
    Per selected call, in filter order (canary outermost, igniter
    innermost, the armed wrapper between them):
 
-     canary.pre    draw RNG; snapshot the pre-call canonical form
+     canary.pre    draw RNG; open a copy-on-write shadow of the heap
      armed.pre     take the rollback protection
      igniter.pre   At_entry: raise the injected exception now
      (body)        At_exit only
      igniter.post  At_exit: body returned normally -> raise now
      armed.post    exceptional exit -> roll the receiver graph back
-     canary.post   our exception?  validate graph == pre-call form,
-                   then retry the call with draws suppressed
+     canary.post   our exception?  validate graph == its state when
+                   the shadow opened, close the shadow, then retry the
+                   call with draws suppressed
 
    The per-thread cells (pending injection, injected-raise-in-flight,
    retry suppression) make the channel safe under preemptive schedules:
@@ -39,14 +40,17 @@ type method_stats = {
 }
 
 (* A canary frame, pushed at pre and popped at post/unwind.  A selected
-   frame keeps the pre-call canonical form plus the heap's write
-   generation and this thread's own write count at selection time: a
-   post-rollback mismatch is only a mask failure when the generation
-   delta is fully accounted for by this thread's own writes — i.e. no
-   *other* thread wrote during the call. *)
+   frame keeps a shadow opened at selection — its before-state is the
+   pre-call graph, paid for by the payloads the call writes rather than
+   by a traversal at entry — plus the heap's write generation and this
+   thread's own write count at selection time: a post-rollback mismatch
+   is only a mask failure when the generation delta is fully accounted
+   for by this thread's own writes — i.e. no *other* thread wrote during
+   the call.  The shadow is closed at post, before any retry, or at
+   unwind. *)
 type frame =
   | Unselected
-  | Selected of Object_graph.node * int * int
+  | Selected of Shadow.t * int * int
 
 type t = {
   mutable rng : int64;
@@ -212,7 +216,7 @@ let canary_filter t ms =
   in
   { Vm.filt_name = "perturb-canary";
     pre =
-      (fun vm meth recv args ->
+      (fun vm meth _recv _args ->
         let tid = vm.Vm.cur_tid in
         if suppressed t tid || t.fired_total >= t.max_fires then
           push vm Unselected
@@ -226,12 +230,8 @@ let canary_filter t ms =
               let cls = List.nth exns (draw_mod t (List.length exns)) in
               let gen = Heap.write_gen vm.Vm.heap in
               let own = Heap.writes_by_tid vm.Vm.heap tid in
-              let before =
-                Object_graph.canonical_many vm.Vm.heap
-                  (Mask.checkpoint_roots t.config recv args)
-              in
               Hashtbl.replace t.pending tid cls;
-              push vm (Selected (before, gen, own))
+              push vm (Selected (Shadow.open_ vm.Vm.heap, gen, own))
         end;
         Vm.Proceed);
     post =
@@ -239,7 +239,7 @@ let canary_filter t ms =
         let tid = vm.Vm.cur_tid in
         match pop vm with
         | Unselected -> Vm.Pass
-        | Selected (before, gen, own) -> (
+        | Selected (shadow, gen, own) -> (
           let ours = Hashtbl.mem t.in_flight tid in
           Hashtbl.remove t.in_flight tid;
           match result with
@@ -249,13 +249,16 @@ let canary_filter t ms =
                Validate, then hide the whole episode from the caller. *)
             ms.pv_fired <- ms.pv_fired + 1;
             let t0 = Obs.now_ns () in
-            let after =
-              Object_graph.canonical_many vm.Vm.heap
-                (Mask.checkpoint_roots t.config recv args)
+            let diff =
+              Fun.protect
+                ~finally:(fun () -> Shadow.close shadow)
+                (fun () ->
+                  Object_graph.first_diff ~read_a:(Shadow.read_before shadow)
+                    ~read_b:(Heap.get vm.Vm.heap)
+                    (Mask.checkpoint_roots t.config recv args))
             in
-            let ok = Object_graph.equal before after in
             Obs.observe h_validate (Obs.now_ns () - t0);
-            if ok then begin
+            if diff = None then begin
               ms.pv_validated <- ms.pv_validated + 1;
               Obs.incr c_validated
             end
@@ -272,7 +275,7 @@ let canary_filter t ms =
             end
             else begin
               ms.pv_failed <- ms.pv_failed + 1;
-              if ms.pv_diff = None then ms.pv_diff <- Object_graph.diff before after;
+              if ms.pv_diff = None then ms.pv_diff <- diff;
               Obs.incr c_failed
             end;
             t.retries_total <- t.retries_total + 1;
@@ -293,10 +296,13 @@ let canary_filter t ms =
             (* Either the call succeeded before the igniter could fire
                (At_entry never reaches here) or a natural exception beat
                ours: no perturbation happened, pass the outcome on. *)
+            Shadow.close shadow;
             Vm.Pass));
     unwind =
       (fun vm _meth ->
-        ignore (pop vm : frame);
+        (match pop vm with
+         | Selected (shadow, _, _) -> Shadow.close shadow
+         | Unselected -> ());
         Hashtbl.remove t.pending vm.Vm.cur_tid;
         Hashtbl.remove t.in_flight vm.Vm.cur_tid) }
 

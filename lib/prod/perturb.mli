@@ -6,17 +6,18 @@
     promise in production instead of assuming it: on a seeded,
     rate-limited fraction of calls to wrapped methods it injects one of
     the method's declared exceptions, lets the armed wrapper roll the
-    call back, re-canonicalizes the receiver graph against its pre-call
-    form, and then transparently retries the call.  A perturbation
+    call back, compares the receiver graph with its pre-call state, and
+    then transparently retries the call.  A perturbation
     whose rollback does not reproduce the pre-call graph is a
     {e validation failure} — the masking is not protecting that method
     — and is reported per method in the resilience scorecard.
 
     The channel is two filters around the armed wrapper:
 
-    - the {e canary} (outermost; {!arm_canary}) draws the RNG, snapshots
-      the pre-call canonical form when a call is selected, validates and
-      retries afterwards;
+    - the {e canary} (outermost; {!arm_canary}) draws the RNG, opens a
+      copy-on-write {!Shadow} when a call is selected, validates the
+      post-rollback graph against the shadow's before-state with
+      {!Object_graph.first_diff}, closes the shadow and retries;
     - the {e igniter} (innermost; {!arm_igniter}) raises the injected
       exception from inside the armed wrapper's protection — at entry,
       or after the body has run and mutated state ({!At_exit}, the

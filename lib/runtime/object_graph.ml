@@ -14,9 +14,15 @@
    graph comparison reduces to structural equality of trees — including
    for cyclic graphs, whose cycles always close through a [Back].
 
-   Performance of the canonical form matters: the detection phase builds
-   one per wrapped-call comparison, over graphs of thousands of nodes.
-   Three measures keep comparisons cheap:
+   The copy-on-write detection path and the production canary compare
+   a graph's entry-time state (a shadow's [read_before]) with its
+   current one through [first_diff], which walks both views in lockstep
+   in canonical order and stops at the first difference: no canonical
+   form is built, and a path string only once a difference is found.
+   The materialized forms below serve the eager snapshot oracle (one
+   per wrapped call, over graphs of thousands of nodes) and the tests
+   that check [first_diff] against [diff].  Three measures keep them
+   cheap:
    - every interior node carries a structural [hash], computed bottom-up
      at construction; the field sits before the children in the record,
      so the polymorphic [=] underlying {!equal} rejects differing
@@ -32,8 +38,8 @@
    Canonicalization is additionally parameterized by the payload lookup
    ([read]), so a copy-on-write {!Shadow} can rebuild the *entry-time*
    canonical form from the current heap plus its saved payloads
-   ({!canonical_many_via}, {!reaches_dirty}) — the differential
-   snapshot path of the detection engine. *)
+   ({!canonical_many_via}) — the reference [first_diff] is tested
+   against. *)
 
 type node =
   | Int of int
@@ -138,11 +144,11 @@ let canonical_many heap vs = canonical_many_via (Heap.get heap) vs
 (* Incremental canonicalization                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The detection phase canonicalizes the same receiver graph at every
-   wrapped call of a campaign run, and most calls never mutate it.  The
-   memo caches the canonical form per receiver identity together with
-   the set of object ids it covers and the heap generation it was last
-   known valid at; revalidation is then
+(* Eager detection (the snapshot oracle) canonicalizes the same receiver
+   graph at every wrapped call of a campaign run, and most calls never
+   mutate it.  The memo caches the canonical form per receiver identity
+   together with the set of object ids it covers and the heap generation
+   it was last known valid at; revalidation is then
    - one integer compare when nothing on the heap was written since
      ([Heap.write_gen] unchanged), or
    - one [Heap.write_stamp] read per covered id — no payload traversal,
@@ -296,6 +302,105 @@ let diff a b =
     walk "this" a b;
     None
   with Found p -> Some p
+
+(* One step of a difference path, collected as the lockstep walk below
+   unwinds from the difference it found. *)
+type step = Field of string | Index of int | Length
+
+(* [diff] of the canonical forms of the same roots under two payload
+   lookups, without building either form: one depth-first walk of both
+   views in canonical order (fields sorted by name, slots by index).
+   Until the first difference the two canonical traversals expand the
+   same shapes in the same order, so one counter gives both sides' first-
+   visit indices, and a visit table per side turns each later visit
+   into that side's [Back].  Every check [diff] makes on the finished
+   forms happens here on the fly, in the same order, so the walk stops
+   where [diff] would and reports the same path; the path string is
+   built only then.  A difference-free walk means the forms are
+   [equal]: their indices and hashes follow from the shape. *)
+let first_diff ~read_a ~read_b roots =
+  let seen_a = Hashtbl.create 64 and seen_b = Hashtbl.create 64 in
+  let counter = ref 1 (* 0 is the synthetic root *) in
+  let path = ref [] in
+  let rec same (a : Value.t) (b : Value.t) =
+    match a, b with
+    | Value.Ref ia, Value.Ref ib -> (
+      match Hashtbl.find_opt seen_a ia, Hashtbl.find_opt seen_b ib with
+      | Some x, Some y -> x = y
+      | Some _, None | None, Some _ -> false
+      | None, None ->
+        let idx = !counter in
+        incr counter;
+        Hashtbl.replace seen_a ia idx;
+        Hashtbl.replace seen_b ib idx;
+        same_payload (read_a ia) (read_b ib))
+    | Value.Int x, Value.Int y -> x = y
+    | Value.Bool x, Value.Bool y -> x = y
+    | Value.Str x, Value.Str y -> String.equal x y
+    | Value.Null, Value.Null -> true
+    | (Value.Ref _ | Value.Int _ | Value.Bool _ | Value.Str _ | Value.Null), _ -> false
+  and same_payload pa pb =
+    match pa, pb with
+    | Heap.Obj oa, Heap.Obj ob ->
+      String.equal oa.cls ob.cls
+      &&
+      let names fields =
+        List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) fields [])
+      in
+      let na = names oa.fields in
+      (* an object the call left clean reads the same payload on both
+         sides: its names are sorted once *)
+      same_fields oa.fields ob.fields na (if pa == pb then na else names ob.fields)
+    | Heap.Arr a, Heap.Arr b ->
+      if Array.length a <> Array.length b then begin
+        path := [ Length ];
+        false
+      end
+      else same_elems a b 0
+    | (Heap.Obj _ | Heap.Arr _), _ -> false
+  and same_fields fa fb na nb =
+    match na, nb with
+    | [], [] -> true
+    | x :: ra, y :: rb ->
+      String.equal x y
+      && (same (Hashtbl.find fa x) (Hashtbl.find fb y)
+          || begin
+            path := Field x :: !path;
+            false
+          end)
+      && same_fields fa fb ra rb
+    | [], _ :: _ | _ :: _, [] -> false
+  and same_elems a b i =
+    i >= Array.length a
+    || (same a.(i) b.(i)
+        || begin
+          path := Index i :: !path;
+          false
+        end)
+       && same_elems a b (i + 1)
+  in
+  let render steps =
+    let buf = Buffer.create 32 in
+    Buffer.add_string buf "this";
+    List.iter
+      (function
+        | Field f ->
+          Buffer.add_char buf '.';
+          Buffer.add_string buf f
+        | Index i ->
+          Buffer.add_char buf '[';
+          Buffer.add_string buf (string_of_int i);
+          Buffer.add_char buf ']'
+        | Length -> Buffer.add_string buf ".length")
+      steps;
+    Buffer.contents buf
+  in
+  let rec walk_roots i = function
+    | [] -> None
+    | v :: rest ->
+      if same v v then walk_roots (i + 1) rest else Some (render (Index i :: !path))
+  in
+  walk_roots 0 roots
 
 (* Deep copy of the graph rooted at [v], preserving sharing and cycles:
    the result references freshly allocated objects only.  This is the

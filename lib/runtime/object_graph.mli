@@ -13,13 +13,21 @@
     structurally equal — including cyclic graphs, whose cycles close
     through a [Back] node.
 
+    Comparing a graph's state when a shadow was opened with its current
+    state needs no canonical form: {!first_diff} walks both views
+    ({!Shadow.read_before} and [Heap.get]) in lockstep in canonical
+    order and stops at the first difference, answering exactly what
+    {!diff} and {!equal} answer on the two forms.  Copy-on-write
+    detection and the production canary use it; the materialized forms
+    (and the {!Memo}) serve the eager snapshot oracle and the tests.
+
     Interior nodes carry a structural hash computed bottom-up at
     construction time, placed before the children in the record so that
     the polymorphic equality under {!equal} rejects differing subtrees
-    after two int compares.  Canonicalization never touches the heap it
-    reads (no allocation, no write barrier), and can be pointed at an
-    alternative payload lookup — e.g. {!Shadow.read_before} — to rebuild
-    the canonical form a graph {e had} when a shadow was opened. *)
+    after two int compares.  Neither canonicalization nor {!first_diff}
+    touches the heap it reads (no allocation, no write barrier), and both
+    take an alternative payload lookup — e.g. {!Shadow.read_before} — to
+    see the graph a shadow's before-state describes. *)
 
 type node =
   | Int of int
@@ -45,14 +53,15 @@ val canonical_many : Heap.t -> Value.t list -> node
 val canonical_many_via : (Value.obj_id -> Heap.payload) -> Value.t list -> node
 (** [canonical_many] with an explicit payload lookup.  Passing
     {!Shadow.read_before} rebuilds the canonical form the graph had when
-    the shadow was opened — the differential snapshot path of the
-    detection engine. *)
+    the shadow was opened: the reference {!first_diff} is tested
+    against. *)
 
 (** Incremental canonicalization: a per-run cache of canonical forms,
     keyed by the first root's object identity and revalidated against
     the heap's write stamps ({!Heap.write_stamp}) instead of being
-    rebuilt.  The detection phase snapshots the same receiver graph at
-    every wrapped call; when nothing covered by a cached form was
+    rebuilt.  It serves the eager snapshot oracle of the detection
+    engine, which snapshots the same receiver graph at every wrapped
+    call; when nothing covered by a cached form was
     mutated since — the common case — the memo answers with one integer
     compare (heap generation unchanged) or one stamp read per covered
     object, never traversing payloads.  Any mutation of a covered
@@ -108,6 +117,18 @@ val diff : node -> node -> string option
     compared with a single indexed walk; a length mismatch is reported
     as [path ^ ".length"].  Shown in detection reports so users can see
     {e where} a method left the receiver inconsistent. *)
+
+val first_diff :
+  read_a:(Value.obj_id -> Heap.payload) -> read_b:(Value.obj_id -> Heap.payload) ->
+  Value.t list -> string option
+(** [first_diff ~read_a ~read_b roots] is
+    [diff (canonical_many_via read_a roots) (canonical_many_via read_b roots)],
+    and so [None] iff those forms are {!equal}, computed without
+    building either form: one lockstep walk of both views in canonical
+    order that stops at the first difference and only then renders its
+    path.  With {!Shadow.read_before} against [Heap.get] it compares a
+    graph's entry-time and current states — the copy-on-write detection
+    check and the canary's validation. *)
 
 val clone : Heap.t -> Value.t -> Value.t
 (** Deep copy of the graph, preserving sharing and cycles; the result

@@ -12,8 +12,10 @@
      a shadow whose saved payloads are restored on rollback;
    - the detection engine ({!Failatom_core.Injection}) opens one shadow
      per wrapped call instead of canonicalizing the receiver's object
-     graph, and reconstructs the entry-time canonical form on the rare
-     exceptional return only.
+     graph, and on the rare exceptional return walks the entry-time view
+     and the current heap in lockstep ({!Object_graph.first_diff});
+   - the production canary ({!Failatom_prod.Perturb}) opens one per
+     perturbed call and validates the rollback the same way.
 
    Shadows nest: each wrapped call gets its own record, the heap keeps
    the active ones innermost-first, and the barrier feeds them all, so a

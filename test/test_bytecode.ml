@@ -296,17 +296,21 @@ let memo_incremental_prop =
       done;
       !ok)
 
-(* Detection marks with the memo in the loop are exercised end-to-end
-   by the app matrix above (Detect.run routes every eager snapshot and
-   cow after-form through [Injection]'s memo); this suite additionally
-   pins the memo's counters being visible through the injection state. *)
+(* The memo serves the eager snapshot path only (copy-on-write
+   detection compares entry and exit graphs with [Object_graph.first_diff]
+   and builds no canonical form); the eager-vs-cow equivalence suites
+   exercise its marks end-to-end, and this test pins the memo's counters
+   being visible through the injection state of an eager detection. *)
 let test_memo_used_by_detection () =
   let module Obs = Failatom_obs.Obs in
   Obs.with_enabled true (fun () ->
       Obs.reset ();
       let app = Option.get (Registry.find "LinkedList") in
       let prog = Minilang.parse app.Registry.source in
-      ignore (Detect.run ~flavor:Detect.Load_time_filters prog);
+      ignore
+        (Detect.run
+           ~config:{ Config.default with Config.snapshot_mode = Config.Snapshot_eager }
+           ~flavor:Detect.Load_time_filters prog);
       let snap = Obs.snapshot () in
       let counter name =
         List.assoc_opt name snap.Obs.s_counters |> Option.value ~default:0

@@ -118,11 +118,11 @@ let check_masked (app : Registry.t) () =
   let verify () = Detect.run ~config ~flavor ~prepare:hooks ~plain ~compiled corrected in
   match Profile.of_image ~prepare:hooks plain with
   | exception Vm.Mini_raise _ -> (
-    (* the masked program fails uninjected, and so does its
-       re-detection, before any run *)
+    (* the masked program fails uninjected, and its re-detection
+       refuses it with a typed error before any run *)
     match verify () with
     | _ -> Alcotest.failf "%s: re-detection of a failing program succeeded" app.Registry.name
-    | exception Vm.Mini_raise _ -> ())
+    | exception Detect.Detection_error _ -> ())
   | profile ->
     let verified = verify () in
     let runs = fresh_loop ~setup:hooks compiled config verified.Detect.analyzer in

@@ -197,6 +197,70 @@ let test_perturb_max_caps_fires () =
   in
   Alcotest.(check int) "fires capped" 2 (Scorecard.fired scorecard)
 
+(* A rollback that misses a write must fail validation, and name the
+   write.  The armed wrappers protect the receiver only while the canary
+   validates the receiver plus the reference argument, so every
+   perturbed call leaves the argument's nested write in place.  The
+   verdicts and the path are the ones the canary gave when it still
+   compared canonical forms built at entry and after the rollback. *)
+let leaky_rollback_src =
+  {|
+class Cell {
+  field v;
+  method init() { this.v = 0; return this; }
+}
+class Box {
+  field inner;
+  method init() { this.inner = new Cell(); return this; }
+}
+class C {
+  field n;
+  method init() { this.n = 0; return this; }
+  method m(b) throws IllegalStateException {
+    this.n = this.n + 1;
+    b.inner.v = b.inner.v + 1;
+    return this.n;
+  }
+}
+function main() {
+  var c = new C();
+  var b = new Box();
+  c.m(b);
+  c.m(b);
+  c.m(b);
+  println("n=" + c.n + " v=" + b.inner.v);
+  return 0;
+}
+|}
+
+let test_canary_flags_leaky_rollback () =
+  let targets = Method_id.Set.singleton (Method_id.make "C" "m") in
+  let vm = Failatom_minilang.Compile.program (parse leaky_rollback_src) in
+  let perturb =
+    Perturb.create ~rate_per_mille:1000 ~point:Perturb.At_exit ~config:Config.default
+      ~targets ~seed:1 ()
+  in
+  Perturb.arm_igniter perturb vm;
+  Failatom_prod.Armed.arm
+    (Failatom_prod.Armed.create
+       ~config:{ Config.default with Config.snapshot_args = false }
+       ~targets ())
+    vm;
+  Perturb.arm_canary perturb vm;
+  ignore (Failatom_minilang.Compile.run_main vm);
+  Alcotest.(check string) "the receiver is rolled back, the argument is not"
+    "n=3 v=6\n"
+    (Failatom_minilang.Minilang.output vm);
+  (match Perturb.per_method perturb with
+   | [ (_, s) ] ->
+     Alcotest.(check int) "every perturbation fired" 3 s.Perturb.pv_fired;
+     Alcotest.(check int) "every perturbation failed" 3 s.Perturb.pv_failed;
+     Alcotest.(check (option string)) "the missed write is named"
+       (Some "this[1].inner.v") s.Perturb.pv_diff
+   | rows -> Alcotest.failf "%d perturbed methods, expected 1" (List.length rows));
+  Alcotest.(check int) "every canary shadow closed" 0
+    (List.length vm.Failatom_runtime.Vm.heap.Failatom_runtime.Heap.shadows)
+
 (* ------------------------------------------------------------------ *)
 (* Scorecard artifact                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -294,6 +358,37 @@ let test_wrapper_rollback_flag_retired () =
     [ [ "run"; "app:LinkedList"; "--wrapper-rollback"; "cow" ];
       [ "submit"; "app:LinkedList"; "--wrapper-rollback"; "checkpoint" ] ]
 
+(* A masked program whose uninjected run fails (LLMap's [main] asserts
+   the very corruption masking removes) cannot be re-detected: [mask
+   --verify] reports it as a typed internal error naming the escaping
+   exception, not as an uncaught OCaml exception. *)
+let test_verify_failing_baseline () =
+  Option.iter
+    (fun (code, text) ->
+      Alcotest.(check int) "mask --verify exit" 3 code;
+      let contains needle = Test_report.contains ~needle text in
+      Alcotest.(check bool) "no uncaught exception" false (contains "uncaught exception");
+      Alcotest.(check bool) "names the escaping exception" true
+        (contains "IllegalStateException escape main: check failed: count corrupted"))
+    (cli [ "mask"; "app:LLMap"; "--verify" ])
+
+(* [run --metrics-out] writes a parsable snapshot outside production
+   mode too. *)
+let test_run_metrics_out () =
+  let path = Filename.temp_file "failatom_metrics" ".json" in
+  let result = cli [ "run"; "app:LinkedList"; "--metrics-out"; path ] in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Option.iter
+    (fun (code, _) ->
+      Alcotest.(check int) "run exit" 0 code;
+      let snap = Failatom_obs.Obs.parse_json text in
+      let steps =
+        Option.value ~default:0 (List.assoc_opt "vm.steps" snap.Failatom_obs.Obs.s_counters)
+      in
+      Alcotest.(check bool) "vm.steps counted" true (steps > 0))
+    result
+
 (* Copy-on-write snapshots replaced eager ones as the detection path
    without changing any run record, so every fingerprint recorded while
    eager was the default must stay valid.  The hex values and the
@@ -367,6 +462,8 @@ let suite =
     Alcotest.test_case "entry-point canary is transparent" `Quick
       test_canary_at_entry;
     Alcotest.test_case "perturb-max caps fires" `Quick test_perturb_max_caps_fires;
+    Alcotest.test_case "canary flags a leaky rollback" `Quick
+      test_canary_flags_leaky_rollback;
     Alcotest.test_case "scorecard round trip" `Quick test_scorecard_round_trip;
     Alcotest.test_case "rollback table lists every case" `Quick
       test_rollback_table_complete;
@@ -374,6 +471,9 @@ let suite =
       test_checkpoint_scorecard_decodes;
     Alcotest.test_case "--wrapper-rollback is retired" `Quick
       test_wrapper_rollback_flag_retired;
+    Alcotest.test_case "mask --verify of a failing baseline" `Quick
+      test_verify_failing_baseline;
+    Alcotest.test_case "run --metrics-out without production" `Quick test_run_metrics_out;
     Alcotest.test_case "default fingerprints pinned" `Quick test_fingerprints_pinned;
     Alcotest.test_case "golden plan still validates and arms" `Quick
       test_golden_plan_still_arms ]

@@ -160,6 +160,69 @@ let test_rollback_restores_before_equality () =
       check bool_c "before == entry" true (Object_graph.equal entry before);
       check bool_c "before == after (rolled back)" true (Object_graph.equal before after))
 
+(* The lockstep comparator against the canonical forms it replaces:
+   after random mutations under a shadow — aliasing and cycles through
+   the "p" links, fresh objects and arrays linked in, fields added
+   (sorting before and after the others),
+   array slots overwritten, unlinked objects freed, checkpoint
+   rollbacks — [first_diff] between the entry-time and current views of
+   several (possibly duplicate, possibly primitive) roots is exactly
+   [diff] of their canonical forms, in both directions, and [None]
+   exactly when the forms are [equal].  Generators are shared with the
+   checkpoint suite. *)
+let first_diff_prop =
+  QCheck2.Test.make ~name:"first_diff == diff of canonical forms" ~count:400
+    QCheck2.Gen.(quad (int_range 2 16) (int_range 0 6) (int_range 1 3) int)
+    (fun (n, steps, nroots, seed) ->
+      let heap = Heap.create () in
+      let rs = Random.State.make [| seed |] in
+      let ids = Test_checkpoint.build_random_graph heap rs n in
+      let pick a = a.(Random.State.int rs (Array.length a)) in
+      let slot () =
+        match Random.State.int rs 3 with
+        | 0 -> Value.Ref (pick ids)
+        | 1 -> Value.Int (Random.State.int rs 3)
+        | _ -> Value.Null
+      in
+      let arr = Heap.alloc_array heap (Array.init (1 + Random.State.int rs 3) (fun _ -> slot ())) in
+      Heap.set_field heap (pick ids) "a" (Value.Ref arr);
+      let roots =
+        List.init nroots (fun _ ->
+            if Random.State.int rs 8 = 0 then Value.Int 0 else Value.Ref (pick ids))
+      in
+      let sh = Shadow.open_ heap in
+      let storm () =
+        Test_checkpoint.mutate_randomly heap rs ~targets:ids ids steps;
+        for _ = 1 to Random.State.int rs 3 do
+          match Random.State.int rs 8 with
+          | 0 | 1 -> ignore (Heap.set_elem heap arr (Random.State.int rs 3) (slot ()) : bool)
+          | 2 ->
+            let fresh = Heap.alloc_array heap (Array.init (Random.State.int rs 4) (fun _ -> slot ())) in
+            Heap.set_field heap (pick ids) "a" (Value.Ref fresh)
+          | 3 -> Heap.set_field heap (pick ids) (if Random.State.bool rs then "q" else "z") (slot ())
+          | _ -> Heap.set_field heap (pick ids) "p" (Value.Ref (pick ids))
+        done
+      in
+      if Random.State.bool rs then
+        Checkpoint.with_checkpoint heap roots (fun cp ->
+            storm ();
+            if Random.State.bool rs then Checkpoint.rollback cp)
+      else storm ();
+      (* free what the roots no longer reach, as the collector would *)
+      let live = Object_graph.reachable_via (Heap.get heap) roots in
+      Array.iter
+        (fun id ->
+          if (not (Hashtbl.mem live id)) && Random.State.bool rs then Heap.free heap id)
+        ids;
+      let before = before_form sh roots and after = Object_graph.canonical_many heap roots in
+      let read_before = Shadow.read_before sh and read_now = Heap.get heap in
+      let forward = Object_graph.first_diff ~read_a:read_before ~read_b:read_now roots in
+      let backward = Object_graph.first_diff ~read_a:read_now ~read_b:read_before roots in
+      Shadow.close sh;
+      forward = Object_graph.diff before after
+      && backward = Object_graph.diff after before
+      && (forward = None) = Object_graph.equal before after)
+
 (* ------------------------------------------------------------------ *)
 (* (c) End-to-end: cow detection identical to the eager oracle         *)
 (* ------------------------------------------------------------------ *)
@@ -286,6 +349,7 @@ let suite =
     Alcotest.test_case "new object linked in" `Quick test_new_object_linked_in_is_detected;
     Alcotest.test_case "aliased mutation" `Quick test_aliased_mutation_consistent;
     Alcotest.test_case "rollback under shadow" `Quick test_rollback_restores_before_equality;
+    QCheck_alcotest.to_alcotest first_diff_prop;
     Alcotest.test_case "cow on masked program" `Slow test_cow_on_masked_program;
     Alcotest.test_case "2-domain cow campaign == sequential eager (RBTree)" `Quick
       test_campaign_cow_matches_sequential_eager ]
