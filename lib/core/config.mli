@@ -58,8 +58,8 @@ type t = {
       (** how the detection wrapper captures the entry state (default
           [Snapshot_cow]; both modes produce identical run records).
           [Snapshot_eager] is reachable only through this field: it is
-          the reference the equivalence tests and the snapshot bench
-          compare the production path against. *)
+          the reference the equivalence tests compare the production
+          path against. *)
   wrap_policy : wrap_policy;
   exception_free : Method_id.t list;
       (** methods asserted to never throw: injections sited in them are

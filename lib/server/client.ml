@@ -1,7 +1,7 @@
 (* Thin client for the failatom daemon: one connection, synchronous
    request/response, streaming watch.  The CLI subcommands
-   ([failatom submit|status|watch|cancel|shutdown]) and the tests and
-   benches are all built on this. *)
+   ([failatom submit|status|watch|cancel|shutdown]), the tests and the
+   serve-mixed benchmark workload are all built on this. *)
 
 module Json = Failatom_core.Json
 

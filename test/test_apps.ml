@@ -3,9 +3,9 @@
    transparently, and produce the expected set of failure non-atomic
    methods (a regression guard on the detector AND on the workloads).
 
-   The heavier end-to-end sweep over all 16 applications lives in the
-   bench harness; here each app is detected once, in the flavor the
-   paper used for its suite. *)
+   [failatom experiments] runs the sweep over the 16 Table 1
+   applications and prints Table 1 and Figures 2-4 from it; here each
+   app is detected once, in the flavor the paper used for its suite. *)
 
 open Failatom_core
 open Failatom_apps

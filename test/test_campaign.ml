@@ -393,7 +393,7 @@ let check_walk_matches_detect (app : Registry.t) () =
               Alcotest.(check string) (what ^ ": run log") expected (Run_log.save result);
               Alcotest.(check int) (what ^ ": nothing discarded") 0
                 summary.Progress.discarded)
-            [ 1; 2; 4 ])
+            [ 1; 2; 4; 8 ])
         prunes)
     [ Detect.Source_weaving; Detect.Load_time_filters ]
 

@@ -72,7 +72,7 @@ let test_shard_map () =
   Alcotest.(check bool) "uniform enough" true (Array.for_all Fun.id hit);
   (* the real key population: every bundled app's digest.  This is the
      small, correlated key set that the old [leading-hex mod shards]
-     placement skewed (one shard owned nothing in the cluster bench);
+     placement skewed (one shard owned nothing under the app-mix load);
      rendezvous hashing must give every shard at least one home app. *)
   let app_hits = Array.make 4 0 in
   List.iter
@@ -295,14 +295,14 @@ let test_router_affinity () =
       let submit () =
         Client.with_conn ~socket_path:base (fun conn ->
             let id, cached = Client.submit conn (detect_request app) in
-            (match completed (Client.watch conn id) with
-             | _ -> ());
-            (id, cached))
+            let result, _ = completed (Client.watch conn id) in
+            (id, cached, result))
       in
-      let id1, cached1 = submit () in
-      let id2, cached2 = submit () in
+      let id1, cached1, result1 = submit () in
+      let id2, cached2, result2 = submit () in
       Alcotest.(check bool) "first run computes" false cached1;
       Alcotest.(check bool) "resubmission is a cache hit" true cached2;
+      Alcotest.(check bool) "the warm result is the cold one" true (result1 = result2);
       let shard_of id =
         match Shard_map.parse_job_id id with
         | Some (s, _) -> s
@@ -519,30 +519,38 @@ let test_supervisor_kill_respawn_redispatch () =
     in
     let events =
       with_supervisor ~exe (fun base sup ->
-          let result, _ =
+          let (result, _), (shard, killed) =
             Client.with_conn ~retries:10 ~socket_path:base (fun conn ->
                 let id, _cached = Client.submit conn req in
                 (* kill the job's home shard while it runs *)
-                (match Shard_map.parse_job_id id with
-                 | Some (shard, _) ->
-                   Unix.kill (Supervisor.shard_pids sup).(shard) Sys.sigkill
-                 | None -> Alcotest.failf "unqualified cluster job id %S" id);
-                completed (Client.watch conn id))
+                let victim =
+                  match Shard_map.parse_job_id id with
+                  | Some (shard, _) ->
+                    let pid = (Supervisor.shard_pids sup).(shard) in
+                    Unix.kill pid Sys.sigkill;
+                    (shard, pid)
+                  | None -> Alcotest.failf "unqualified cluster job id %S" id
+                in
+                (completed (Client.watch conn id), victim))
           in
           Alcotest.(check bool)
             "job survived its shard" true
             (String.length result.Protocol.r_log > 0);
-          (* the supervisor must notice and respawn within its poll loop *)
+          (* the supervisor must notice and respawn within its poll loop.
+             [kill pid 0] succeeds on the killed shard until it is
+             reaped, so only a new pid in its slot shows the respawn. *)
           let deadline = Unix.gettimeofday () +. 15.0 in
           let rec wait_respawn () =
+            let pids = Supervisor.shard_pids sup in
             let alive =
-              Array.for_all
-                (fun pid ->
-                  pid > 0
-                  && match Unix.kill pid 0 with
-                     | () -> true
-                     | exception Unix.Unix_error _ -> false)
-                (Supervisor.shard_pids sup)
+              pids.(shard) <> killed
+              && Array.for_all
+                   (fun pid ->
+                     pid > 0
+                     && match Unix.kill pid 0 with
+                        | () -> true
+                        | exception Unix.Unix_error _ -> false)
+                   pids
             in
             if alive then ()
             else if Unix.gettimeofday () > deadline then

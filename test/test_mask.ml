@@ -324,8 +324,9 @@ function main() {
 (* Masking the workload applications: for every registry app, masking
    its pure non-atomic methods must close all original-name
    non-atomicity on re-detection.  Exercised on two representative apps
-   here to keep the suite fast; the full sweep runs in the bench
-   harness. *)
+   here to keep the suite fast; CI's re-detection step runs
+   [failatom mask app:NAME --verify] over every app whose driver
+   permits it. *)
 let test_masking_closes_apps () =
   List.iter
     (fun name ->

@@ -141,21 +141,27 @@ let check_rollback_equivalence name flavor () =
 (* Canary channel                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* LinkedList under load-time filters, and stdQ, a C++ app, in its
+   suite's source-weaving flavor. *)
 let test_canary_thousand_calls () =
-  let program = parse (find_app "LinkedList").Registry.source in
-  let plan = plan_of ~flavor:Detect.Load_time_filters program in
-  let { Produce.scorecard; _ } =
-    production ~perturb:(hot_canary 42) ~plan ~times:80 program
-  in
-  Alcotest.(check bool) "a 1000+-call production run" true
-    (Scorecard.calls scorecard >= 1000);
-  Alcotest.(check bool) "the canary fired" true (Scorecard.fired scorecard > 0);
-  Alcotest.(check int) "every perturbation validated"
-    (Scorecard.fired scorecard)
-    (Scorecard.validated scorecard);
-  Alcotest.(check int) "sequential runs never interfere" 0
-    (Scorecard.interfered scorecard);
-  Alcotest.(check int) "zero validation failures" 0 (Scorecard.failed scorecard)
+  List.iter
+    (fun (name, flavor) ->
+      let program = parse (find_app name).Registry.source in
+      let plan = plan_of ~flavor program in
+      let { Produce.scorecard; _ } =
+        production ~perturb:(hot_canary 42) ~plan ~times:80 program
+      in
+      let what = Printf.sprintf "%s: " name in
+      Alcotest.(check bool) (what ^ "a 1000+-call production run") true
+        (Scorecard.calls scorecard >= 1000);
+      Alcotest.(check bool) (what ^ "the canary fired") true (Scorecard.fired scorecard > 0);
+      Alcotest.(check int) (what ^ "every perturbation validated")
+        (Scorecard.fired scorecard)
+        (Scorecard.validated scorecard);
+      Alcotest.(check int) (what ^ "sequential runs never interfere") 0
+        (Scorecard.interfered scorecard);
+      Alcotest.(check int) (what ^ "zero validation failures") 0 (Scorecard.failed scorecard))
+    [ ("LinkedList", Detect.Load_time_filters); ("stdQ", Detect.Source_weaving) ]
 
 (* Same seed, same plan: the draw sequence — and therefore the whole
    scorecard core — is reproducible; a different seed perturbs a

@@ -276,17 +276,21 @@ let equivalence_cases =
     Registry.catalog
 
 (* The paths cow serves by default beyond the slimmed matrix above:
-   the CLI's full configuration with coalesce pruning, concurrent apps
-   under a schedule sweep, and a parallel campaign. *)
-let coalesce_cases =
-  let config = { Config.default with Config.prune = Config.Prune_coalesce } in
-  List.map
-    (fun (app : Registry.t) ->
-      Alcotest.test_case
-        (Printf.sprintf "cow == eager %s (coalesce)" app.Registry.name)
-        `Slow
-        (check_cow_matches_eager config app (Harness.flavor_of_suite app.Registry.suite)))
-    Registry.catalog
+   the CLI's full configuration, unpruned and with coalesce pruning,
+   concurrent apps under a schedule sweep, and a parallel campaign. *)
+let default_cases =
+  List.concat_map
+    (fun prune ->
+      let config = { Config.default with Config.prune } in
+      List.map
+        (fun (app : Registry.t) ->
+          Alcotest.test_case
+            (Printf.sprintf "cow == eager %s (%s)" app.Registry.name
+               (Config.prune_name prune))
+            `Slow
+            (check_cow_matches_eager config app (Harness.flavor_of_suite app.Registry.suite)))
+        Registry.catalog)
+    [ Config.Prune_off; Config.Prune_coalesce ]
 
 let sweep_cases =
   let config = { Config.default with Config.schedules = [ "slice:1"; "slice:2"; "pct:2:5" ] } in
@@ -353,4 +357,4 @@ let suite =
     Alcotest.test_case "cow on masked program" `Slow test_cow_on_masked_program;
     Alcotest.test_case "2-domain cow campaign == sequential eager (RBTree)" `Quick
       test_campaign_cow_matches_sequential_eager ]
-  @ equivalence_cases @ coalesce_cases @ sweep_cases
+  @ equivalence_cases @ default_cases @ sweep_cases
