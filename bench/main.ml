@@ -8,8 +8,8 @@
                     (Bechamel, eager checkpoint as in the paper)
    - ablation     : the copy-on-write checkpoint every wrapper uses
                     (against Figure 5's eager one), static
-                    exception-freedom inference, and wrap-pure vs
-                    wrap-all masking policies
+                    exception-freedom (--prune drop), and wrap-pure
+                    vs wrap-all masking policies
 
    Table 1 and Figures 2-4 are printed by [failatom experiments].
    Absolute times differ from the paper's 2003 hardware; the reproduced
@@ -557,23 +557,22 @@ let section_ablation () =
     ~title:"Copy-on-write checkpointing: overhead factor (one mutated object per call)"
     ~group:"lazy" table;
   Fmt.pr
-    "@.== Ablation: static exception-freedom inference (paper 4.3 future work) ==@.";
-  Fmt.pr "%-14s %12s %12s %10s@." "Application" "injections" "with-infer" "saved";
+    "@.== Ablation: static exception-freedom, --prune drop (paper 4.3 future work) ==@.";
+  Fmt.pr "%-14s %12s %12s %10s@." "Application" "injections" "with-drop" "saved";
   List.iter
     (fun (app : Registry.t) ->
       let program = Failatom_minilang.Minilang.parse app.Registry.source in
-      let base = Detect.run ~flavor:(Harness.flavor_of_suite app.Registry.suite) program in
-      let config = { Config.default with Config.infer_exception_free = true } in
-      let inferred =
-        Detect.run ~config ~flavor:(Harness.flavor_of_suite app.Registry.suite) program
-      in
+      let flavor = Harness.flavor_of_suite app.Registry.suite in
+      let base = Detect.run ~flavor program in
+      let config = { Config.default with Config.prune = Config.Prune_drop } in
+      let dropped = Detect.run ~config ~flavor program in
       let saved =
         Report.pct
-          (base.Detect.injections - inferred.Detect.injections)
+          (base.Detect.injections - dropped.Detect.injections)
           base.Detect.injections
       in
       Fmt.pr "%-14s %12d %12d %9.1f%%@." app.Registry.name base.Detect.injections
-        inferred.Detect.injections saved)
+        dropped.Detect.injections saved)
     Registry.all;
   Fmt.pr "@.== Ablation: wrap-pure vs wrap-all masking policy ======================@.";
   Fmt.pr "%-14s %12s %12s@." "Application" "wrap-pure" "wrap-all";

@@ -120,13 +120,6 @@ let do_not_wrap_arg =
   let doc = "Exclude a method (Class.method) from masking (repeatable)." in
   Arg.(value & opt_all method_list_conv [] & info [ "do-not-wrap" ] ~docv:"M" ~doc)
 
-let infer_arg =
-  let doc =
-    "Statically infer exception-free methods (the paper's future-work \
-     analysis) and skip their injection points."
-  in
-  Arg.(value & flag & info [ "infer" ] ~doc)
-
 let log_arg =
   let doc = "Write the detection run log (wrapper marks + call profile) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE" ~doc)
@@ -162,9 +155,11 @@ let prune_arg =
      every injection point; $(b,coalesce) (the default) runs one \
      representative per group of points every possibly-active handler is \
      blind to and synthesizes the rest — marks are bitwise-identical to \
-     $(b,off); $(b,drop) additionally removes points whose exception the \
-     method provably cannot raise, which renumbers the remaining points \
-     (a semantic mode, like $(b,--infer))."
+     $(b,off); $(b,drop) instead removes the points whose exception the \
+     method provably cannot raise (the paper's future-work inference of \
+     exception-free code), which renumbers the remaining points: a \
+     semantic mode.  Concurrent programs run $(b,coalesce) as $(b,off) \
+     but apply $(b,drop)."
   in
   Arg.(value & opt prune_conv Config.Prune_coalesce & info [ "prune" ] ~docv:"MODE" ~doc)
 
@@ -439,7 +434,7 @@ let emit_plan_arg =
   Arg.(value & opt (some string) None & info [ "emit-plan" ] ~docv:"FILE" ~doc)
 
 let detect_cmd =
-  let action spec flavor prune schedules details exception_free infer log
+  let action spec flavor prune schedules details exception_free log
       coverage csv metrics_out emit_plan =
     match expand_schedules schedules with
     | Error msg ->
@@ -447,9 +442,7 @@ let detect_cmd =
       exit_usage
     | Ok schedules ->
     with_program spec (fun program ->
-        let config =
-          { Config.default with Config.infer_exception_free = infer; prune; schedules }
-        in
+        let config = { Config.default with Config.prune; schedules } in
         match
           with_metrics metrics_out (fun () -> Detect.run ~config ~flavor program)
         with
@@ -492,7 +485,7 @@ let detect_cmd =
     (Cmd.info "detect" ~doc ~exits)
     Term.(
       const action $ program_arg $ flavor_arg $ prune_arg
-      $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg $ log_arg
+      $ schedules_arg $ details_arg $ exception_free_arg $ log_arg
       $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
 
 let campaign_cmd =
@@ -1163,7 +1156,7 @@ let submit_cmd =
     let doc = "Write the corrected program of a mask-mode job to $(docv)." in
     Arg.(value & opt (some string) None & info [ "corrected" ] ~docv:"FILE" ~doc)
   in
-  let action spec socket retries mode flavor prune schedules infer wrap_all
+  let action spec socket retries mode flavor prune schedules wrap_all
       exception_free do_not_wrap jobs run_timeout_s detach log corrected_out
       plan_file perturb_rate perturb_seed perturb_max perturb_point times
       resilience_out =
@@ -1214,7 +1207,6 @@ let submit_cmd =
           Protocol.flavor;
           prune;
           schedules;
-          infer;
           wrap_all;
           exception_free = List.map Method_id.to_string exception_free;
           do_not_wrap = List.map Method_id.to_string do_not_wrap;
@@ -1251,7 +1243,7 @@ let submit_cmd =
     Term.(
       const action $ program_arg $ socket_arg $ connect_retries_arg $ mode_arg
       $ flavor_opt_arg $ prune_arg $ schedules_arg
-      $ infer_arg $ wrap_all_arg $ exception_free_arg $ do_not_wrap_arg
+      $ wrap_all_arg $ exception_free_arg $ do_not_wrap_arg
       $ jobs_arg $ run_timeout_arg $ detach_arg $ log_arg $ corrected_arg
       $ plan_file_arg $ perturb_rate_arg $ perturb_seed_arg
       $ perturb_max_arg $ perturb_point_arg $ produce_times_arg

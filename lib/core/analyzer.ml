@@ -29,18 +29,12 @@ type t = {
 }
 
 let analyze ?flow (config : Config.t) (program : Ast.program) : t =
-  (* With inference on, methods that provably cannot raise get no
-     injection points at all: testing an impossible exception would only
-     produce the conservative false positives of paper §4.3. *)
-  let never =
-    if config.Config.infer_exception_free then Purity.never_throws program
-    else Method_id.Set.empty
-  in
   (* Under [--prune drop] an exception-flow analysis is supplied and
      generic runtime exceptions the method provably cannot raise are
-     filtered from its injectable set — the per-class refinement of the
-     all-or-nothing inference above.  Declared [throws] classes always
-     keep their points: the user asserted those faults are possible. *)
+     filtered from its injectable set: testing an impossible exception
+     would only produce the conservative false positives of paper §4.3.
+     Declared [throws] classes always keep their points: the user
+     asserted those faults are possible. *)
   let filter_injectable id declared classes =
     match flow with
     | None -> classes
@@ -55,10 +49,8 @@ let analyze ?flow (config : Config.t) (program : Ast.program) : t =
       params = m.Ast.m_params;
       declared_throws = m.Ast.m_throws;
       injectable =
-        (if Method_id.Set.mem id never then []
-         else
-           filter_injectable id m.Ast.m_throws
-             (Config.injectable config ~declared:m.Ast.m_throws)) }
+        filter_injectable id m.Ast.m_throws
+          (Config.injectable config ~declared:m.Ast.m_throws) }
   in
   let classes =
     List.filter_map

@@ -28,10 +28,11 @@ type t = {
 }
 
 val analyze : ?flow:Exnflow.t -> Config.t -> Ast.program -> t
-(** [flow] (passed by {!Detect} under [--prune drop]) filters generic
-    runtime exceptions a method provably cannot raise out of its
-    injectable set; declared [throws] classes always keep their
-    points.  Without it the injectable sets are exactly the paper's. *)
+(** [flow] (passed by {!Detect} under [--prune drop], the one static
+    skip mode) filters generic runtime exceptions a method provably
+    cannot raise out of its injectable set; declared [throws] classes
+    always keep their points.  Without it the injectable sets are
+    exactly the paper's. *)
 
 val find : t -> Method_id.t -> method_info option
 

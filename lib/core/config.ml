@@ -32,7 +32,7 @@ type prune =
   | Prune_drop
       (* drop generic injections whose class the static exception-flow
          analysis proves the method cannot raise (changes the point
-         numbering: a semantic mode, like infer_exception_free) *)
+         numbering: a semantic mode) *)
   | Prune_coalesce
       (* keep every point but run one representative per handler-blind
          class group and synthesize the members' records — marks are
@@ -62,11 +62,6 @@ type t = {
   exception_free : Method_id.t list;
       (* methods the user asserts never throw: injections whose site is
          such a method are discarded during re-classification *)
-  infer_exception_free : bool;
-      (* run the static exception-freedom analysis (Purity) and skip
-         injection points in methods that provably cannot raise — the
-         automation of the paper's manual annotation, listed there as
-         future work *)
   do_not_wrap : Method_id.t list;
       (* methods excluded from masking even if failure non-atomic *)
   max_runs : int; (* safety bound on the number of injection runs *)
@@ -87,7 +82,6 @@ let default =
     snapshot_mode = Snapshot_cow;
     wrap_policy = Wrap_pure;
     exception_free = [];
-    infer_exception_free = false;
     do_not_wrap = [];
     max_runs = 200_000;
     prune = Prune_off;
@@ -122,7 +116,7 @@ let fingerprint (c : t) =
         "eager";
         policy;
         methods c.exception_free;
-        string_of_bool c.infer_exception_free;
+        "false";
         methods c.do_not_wrap;
         string_of_int c.max_runs;
         prune_name c.prune;

@@ -34,8 +34,8 @@ type prune =
   | Prune_off  (** run every injection point — the paper's campaign *)
   | Prune_drop
       (** drop generic injections whose class the static exception-flow
-          analysis ({!Exnflow}) proves the method cannot raise.  Like
-          [infer_exception_free], this changes the injection-point
+          analysis ({!Exnflow}) proves the method cannot raise (the
+          paper's §4.3 future work).  This changes the injection-point
           numbering: a semantic mode, not a pure optimization. *)
   | Prune_coalesce
       (** handler-state coalescing: every injection point is kept, but
@@ -64,11 +64,6 @@ type t = {
   exception_free : Method_id.t list;
       (** methods asserted to never throw: injections sited in them are
           discarded during re-classification (paper §4.3) *)
-  infer_exception_free : bool;
-      (** run the static exception-freedom analysis ({!Purity}) and skip
-          injection points in methods that provably cannot raise — the
-          automation of the paper's manual annotation, which its §4.3
-          lists as future work (default [false], the paper's behavior) *)
   do_not_wrap : Method_id.t list;
       (** methods excluded from masking even if failure non-atomic *)
   max_runs : int;  (** safety bound on the number of injection runs *)
@@ -103,4 +98,5 @@ val fingerprint : t -> string
     records, and pinning the token keeps fingerprints recorded before
     copy-on-write became the default (plans, cache keys, store entries)
     valid.  The slot of the retired checkpoint-strategy field is pinned
-    to [eager] the same way. *)
+    to [eager] the same way, and that of the retired exception-freedom
+    inference flag (superseded by {!Prune_drop}) to [false]. *)

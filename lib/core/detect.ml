@@ -514,11 +514,13 @@ type setup = {
 let set_up ?(config = Config.default) ?(flavor = Source_weaving) ?prepare ?plain
     ?compiled (program : Ast.program) : setup =
   let concurrent = Minilang.uses_concurrency program in
-  (* Static exception-flow pruning reasons about sequential control
-     flow; with threads present the interleaving can reorder handler
-     activity, so pruning is forced off and every point runs. *)
+  (* Coalescing reasons about which handlers are active at a point,
+     and with threads present the interleaving can reorder handler
+     activity, so it is forced off and every point runs.  Drop stays:
+     may-raise sets are per method and do not depend on the
+     interleaving. *)
   let config =
-    if concurrent && config.Config.prune <> Config.Prune_off then
+    if concurrent && config.Config.prune = Config.Prune_coalesce then
       { config with Config.prune = Config.Prune_off }
     else config
   in

@@ -157,8 +157,8 @@ val walk :
 
 type setup = {
   s_config : Config.t;
-      (** the requested configuration, pruning forced off for concurrent
-          programs *)
+      (** the requested configuration, coalescing forced off for
+          concurrent programs *)
   s_schedules : (string * Sched.policy) list;
       (** the schedule axis: every spec in [config.schedules] for a
           concurrent program, the single coop schedule otherwise *)
@@ -207,8 +207,9 @@ val run :
     [config.schedules] is crossed with the injection-point axis: one
     full campaign per schedule, each probe checked against that
     schedule's own uninjected baseline, records of non-coop schedules
-    tagged with {!Marks.sched_info} — and pruning is forced off
-    (exception-flow pruning reasons about sequential control flow).
+    tagged with {!Marks.sched_info} — and [Prune_coalesce] is forced
+    off (handler activity depends on the interleaving); [Prune_drop]
+    applies, since may-raise sets are per method.
     Sequential programs always run the single coop schedule, leaving
     their results byte-identical to the pre-scheduler pipeline.
 

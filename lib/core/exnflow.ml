@@ -1,9 +1,11 @@
 (* Static exception-flow analysis over a compiled image.
 
-   This is the precision upgrade of [Purity] that the paper's §4.3
-   leaves as future work, in the style of the pushdown exception-flow
-   analyses of Liang & Might: instead of one bit ("may this method
-   throw?") keyed by method name, we compute
+   This answers the future work of the paper's §4.3 (skip injections a
+   method cannot experience instead of relying on user annotations),
+   in the style of the pushdown exception-flow analyses of Liang &
+   Might: instead of one bit ("may this method throw?") keyed by
+   method name, as the syntactic baseline the tests keep does, we
+   compute
 
    - a per-callable MAY-RAISE set — which exception classes can
      escape an invocation — as a fixpoint over the call graph, with
@@ -20,8 +22,9 @@
      identity and its field contents.
 
    Together these justify the two pruning modes of [Prune]/[Detect]:
-   dropping injection points whose may-raise set is empty (the
-   paper's "exception-free" annotation, now inferred precisely), and
+   dropping generic injections whose class is outside the method's
+   may-raise set (the paper's "exception-free" annotation, now
+   inferred per class), and
    coalescing injected classes that every possibly-active handler is
    blind to, so one representative run stands for the whole class.
 
@@ -31,7 +34,7 @@
    branch on the exception's class — so they are covered axiomatically
    and never appear in H(M).
 
-   Model boundaries (shared with [Purity], documented in
+   Model boundaries (shared with the syntactic baseline, documented in
    doc/exnflow.md): stack exhaustion ([StackOverflowError]) is outside
    the lattice — any call could overflow, so tracking it would make
    every set the universe; {!can_raise} therefore answers [true] for
@@ -72,9 +75,9 @@ type t = {
 let is_this (e : Ast.expr) = match e.Ast.e with Ast.This -> true | _ -> false
 
 (* MiniLang exceptions a builtin call can raise ([None]: not a known
-   builtin).  Kept consistent with {!Purity.safe_builtins}: every safe
-   builtin maps to the empty set and every other builtin to a
-   non-empty one, so the never-throws set here can only grow relative
+   builtin).  Kept consistent with the syntactic baseline's safe
+   builtins (test/purity.ml): every safe builtin maps to the empty set
+   and every other builtin to a non-empty one, so the never-throws set here can only grow relative
    to the syntactic analysis — the subsumption that
    [test_exnflow.ml]'s precision test checks. *)
 let builtin_raises = function

@@ -1,19 +1,22 @@
 (** Static exception-flow analysis over a compiled image.
 
-    The precision upgrade of {!Purity} (the paper's §4.3 future work,
-    in the style of Liang & Might's pushdown exception-flow
-    analyses): per-method {e may-raise} sets closed over the call
-    graph with dispatch resolved through the image's flattened
-    dispatch tables, plus a per-method {e active-handler} summary —
-    which catch clauses of the plain program can be live when an
-    exception is raised at the method's entry, and whether each is
-    {e blind} (unable to observe the caught exception's class).
+    The paper's §4.3 future work — skipping injections a method cannot
+    experience instead of relying on user annotations — in the style
+    of Liang & Might's pushdown exception-flow analyses: per-method
+    {e may-raise} sets closed over the call graph with dispatch
+    resolved through the image's flattened dispatch tables, plus a
+    per-method {e active-handler} summary — which catch clauses of the
+    plain program can be live when an exception is raised at the
+    method's entry, and whether each is {e blind} (unable to observe
+    the caught exception's class).
 
-    These justify the pruning modes of {!Detect}: injection points
-    whose may-raise set is empty are dropped ([--prune drop]), and
-    injected classes that every possibly-active handler is blind to
-    are coalesced into one representative run ([--prune coalesce],
-    whose marks are bitwise-identical to the unpruned campaign).
+    These justify the pruning modes of {!Detect}: generic injections
+    whose class is outside the method's may-raise set are dropped
+    ([--prune drop], also on concurrent programs: may-raise sets do
+    not depend on the interleaving), and injected classes that every
+    possibly-active handler is blind to are coalesced into one
+    representative run ([--prune coalesce], whose marks are
+    bitwise-identical to the unpruned campaign).
 
     The analysis must be run on the {e plain} program, before source
     weaving: woven wrapper handlers ([catch (Throwable) { snapshot;
@@ -22,8 +25,8 @@
 
     Model boundary: [StackOverflowError] is outside the lattice (any
     call could overflow); {!can_raise} answers [true] for it
-    unconditionally, and {!never_throws} ignores it — exactly the
-    convention of {!Purity.never_throws}. *)
+    unconditionally, and {!never_throws} ignores it — the convention
+    of the syntactic baseline the tests compare against. *)
 
 open Failatom_minilang
 
@@ -50,8 +53,9 @@ val can_raise : t -> Method_id.t -> string -> bool
     Always [true] for ["StackOverflowError"] (unmodelled). *)
 
 val never_throws : t -> Method_id.Set.t
-(** Methods whose may-raise set is empty.  A superset of
-    {!Purity.never_throws} — the precision comparison is a test. *)
+(** Methods whose may-raise set is empty.  A superset of the
+    syntactic baseline's set (test/purity.ml) — the precision
+    comparison is a test. *)
 
 val handler_clause_count : t -> Method_id.t -> int
 (** Size of the active-handler summary H(m): how many catch clauses

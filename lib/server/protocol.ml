@@ -59,7 +59,6 @@ type job_request = {
       (* schedule specs crossed with the injection axis for concurrent
          programs; absent on the wire = [] = the config default (coop
          only), so older clients keep their sequential behaviour *)
-  infer : bool;  (* infer_exception_free *)
   wrap_all : bool;  (* Wrap_all_non_atomic instead of Wrap_pure *)
   exception_free : string list;  (* "Class.method" *)
   do_not_wrap : string list;
@@ -86,7 +85,6 @@ let default_request mode program =
     flavor = None;
     prune = Config.Prune_off;
     schedules = [];
-    infer = false;
     wrap_all = false;
     exception_free = [];
     do_not_wrap = [];
@@ -166,7 +164,6 @@ let request_to_json = function
         ("flavor", opt (fun f -> Json.Str (flavor_wire_name f)) r.flavor);
         ("prune", Json.Str (Config.prune_name r.prune));
         ("schedules", Json.List (List.map (fun s -> Json.Str s) r.schedules));
-        ("infer", Json.Bool r.infer);
         ("wrap_all", Json.Bool r.wrap_all);
         ("exception_free", Json.List (List.map (fun m -> Json.Str m) r.exception_free));
         ("do_not_wrap", Json.List (List.map (fun m -> Json.Str m) r.do_not_wrap));
@@ -360,7 +357,6 @@ let submit_of_json j =
          flavor;
          prune;
          schedules;
-         infer = Option.value ~default:false (Json.bool_member "infer" j);
          wrap_all = Option.value ~default:false (Json.bool_member "wrap_all" j);
          exception_free;
          do_not_wrap;

@@ -42,7 +42,6 @@ type job_request = {
           crossed with the injection axis for concurrent programs;
           absent on the wire decodes as [[]], meaning the config default
           (coop only) — older clients keep sequential behaviour *)
-  infer : bool;  (** infer_exception_free *)
   wrap_all : bool;  (** Wrap_all_non_atomic instead of Wrap_pure *)
   exception_free : string list;  (** ["Class.method"] *)
   do_not_wrap : string list;
@@ -144,7 +143,10 @@ val request_of_json : Json.t -> (request, string) result
     error.  The retired ["rollback"] field is handled the same way:
     ["checkpoint"] or ["cow"] is accepted and ignored (every wrapper
     rolls back through the copy-on-write checkpoint), any other value
-    is an ["unknown rollback engine"] error. *)
+    is an ["unknown rollback engine"] error.  The retired ["infer"]
+    member is ignored like any unknown member: a request carrying it
+    decodes, and is keyed, as one without it ([prune = "drop"] is the
+    static skip mode). *)
 
 val result_of_json : Json.t -> (job_result, string) result
 (** An absent ["log"] member decodes as [r_log = ""]. *)

@@ -281,7 +281,6 @@ let prepare_request t (r : Protocol.job_request) : (prepared, string) result =
     { Config.default with
       Config.prune = r.Protocol.prune;
       schedules;
-      infer_exception_free = r.Protocol.infer;
       wrap_policy =
         (if r.Protocol.wrap_all then Config.Wrap_all_non_atomic else Config.Wrap_pure);
       exception_free;

@@ -19,13 +19,14 @@ let parse = Failatom_minilang.Minilang.parse
 
 (* Determinism is independent of the configuration, so the full
    app x flavor matrix runs with a slimmed-down injection set (one
-   runtime exception, provably exception-free methods skipped) to keep
+   runtime exception, injections a method provably cannot raise
+   dropped) to keep
    the suite fast on small machines; the default-config path is still
    exercised by the resume and probe tests below. *)
 let matrix_config =
   { Config.default with
     Config.runtime_exceptions = [ "NullPointerException" ];
-    infer_exception_free = true }
+    prune = Config.Prune_drop }
 
 let check_matches_sequential (app : Registry.t) flavor () =
   let program = parse app.Registry.source in
@@ -43,7 +44,8 @@ let check_matches_sequential (app : Registry.t) flavor () =
     && cs.Classify.class_verdicts = cp.Classify.class_verdicts);
   Alcotest.(check int) "nothing reused" 0 summary.Progress.reused;
   (* A per-run timeout runs every injected run on a fresh VM under the
-     budget; it must still give the forking detector's run log. *)
+     budget; it must still give the forking detector's run log, in
+     every prune mode (drop also on the concurrent apps). *)
   List.iter
     (fun prune ->
       let config = { matrix_config with Config.prune } in
@@ -54,7 +56,7 @@ let check_matches_sequential (app : Registry.t) flavor () =
       in
       Alcotest.(check string) (what ^ ": run log") expected (Run_log.save fresh);
       Alcotest.(check int) (what ^ ": nothing reused") 0 summary.Progress.reused)
-    [ Config.Prune_off; Config.Prune_coalesce ]
+    [ Config.Prune_off; Config.Prune_coalesce; Config.Prune_drop ]
 
 let determinism_cases =
   List.concat_map

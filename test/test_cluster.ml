@@ -41,7 +41,7 @@ let rm_rf dir =
 (* [log = true]: the tests below compare run logs across paths. *)
 let detect_request app =
   { (Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)) with
-    Protocol.infer = true;
+    Protocol.prune = Failatom_core.Config.Prune_drop;
     log = true }
 
 let completed = function
@@ -384,7 +384,7 @@ let test_router_log_op () =
   let expected =
     Run_log.save
       (Detect.run
-         ~config:{ Config.default with Config.infer_exception_free = true }
+         ~config:{ Config.default with Config.prune = Config.Prune_drop }
          ~flavor:(Harness.flavor_of_suite app.Registry.suite)
          (Failatom_minilang.Minilang.parse app.Registry.source))
   in
@@ -514,7 +514,7 @@ let test_supervisor_kill_respawn_redispatch () =
     let req =
       { (Protocol.default_request Protocol.Campaign
            (Protocol.App app.Registry.name)) with
-        Protocol.infer = true;
+        Protocol.prune = Failatom_core.Config.Prune_drop;
         log = true }
     in
     let events =

@@ -10,10 +10,12 @@
 
    Drop mode's premise (a point whose exception the method provably
    cannot raise never fires naturally) is property-tested over random
-   programs: an observer filter watches every exceptional method return
-   of an exhaustive unpruned campaign and asserts the escaping class is
-   in the method's may-raise set (injected exceptions excluded by their
-   marker message).
+   programs, and checked on the concurrent apps under a schedule sweep:
+   an observer filter watches every exceptional method return of an
+   exhaustive unpruned campaign and asserts the escaping class is in
+   the method's may-raise set (injected exceptions excluded by their
+   marker message).  Drop itself must only remove injections, on every
+   app and, for the concurrent ones, under the sweep too.
 
    The may-raise unit tests pin the lattice itself: raise sites,
    try/catch subtraction, catch-var rethrow bounds, call-graph closure
@@ -221,35 +223,87 @@ let test_walk_census () =
        (100. *. eliminated))
     true (eliminated >= 0.30)
 
+(* The schedule sweep of [--schedules 4]: the cooperative baseline
+   plus three preemptive schedules. *)
+let sweep = [ "coop"; "slice:1"; "slice:2"; "slice:3" ]
+
 (* Drop is a semantic mode (it renumbers points), but it only removes
    injections: any method non-atomic under drop must already be
-   non-atomic under off. *)
+   non-atomic under off.  Drop applies to concurrent programs too, so
+   those also run under the schedule sweep. *)
 let test_drop_subset () =
-  let app = Option.get (Registry.find "LinkedList") in
-  let program = parse app.Registry.source in
-  let off = detect ~flavor:Detect.Source_weaving ~prune:Config.Prune_off program in
-  let drop = detect ~flavor:Detect.Source_weaving ~prune:Config.Prune_drop program in
-  Alcotest.(check bool)
-    "drop removes runs" true
-    (drop.Detect.injections < off.Detect.injections);
-  Alcotest.(check bool) "still transparent" true drop.Detect.transparent;
   let non_atomic d =
     List.map Method_id.to_string
       (Classify.non_atomic_methods (Classify.classify d))
   in
-  let off_set = non_atomic off in
   List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s non-atomic under off too" m)
-        true (List.mem m off_set))
-    (non_atomic drop)
+    (fun (app : Registry.t) ->
+      let program = parse app.Registry.source in
+      let schedule_axes =
+        if Minilang.uses_concurrency program then [ [ "coop" ]; sweep ] else [ [ "coop" ] ]
+      in
+      List.iter
+        (fun schedules ->
+          let run prune =
+            Detect.run
+              ~config:{ Config.default with Config.prune; schedules }
+              ~flavor:Detect.Source_weaving program
+          in
+          let off = run Config.Prune_off and drop = run Config.Prune_drop in
+          let label what =
+            Printf.sprintf "%s [%s]: %s" app.Registry.name
+              (String.concat "," schedules) what
+          in
+          Alcotest.(check bool)
+            (label "drop removes runs") true
+            (drop.Detect.injections < off.Detect.injections);
+          Alcotest.(check bool) (label "still transparent") true drop.Detect.transparent;
+          let off_set = non_atomic off in
+          List.iter
+            (fun m ->
+              Alcotest.(check bool)
+                (label (m ^ " non-atomic under off too"))
+                true (List.mem m off_set))
+            (non_atomic drop))
+        schedule_axes)
+    Registry.catalog
 
 (* ------------------------------------------------------------------ *)
 (* Drop-soundness property: dropped points never fire naturally        *)
 (* ------------------------------------------------------------------ *)
 
 let long_factor = 10
+
+(* Every (method, class) escaping a method naturally in an exhaustive
+   unpruned detection of [program] under [schedules]. *)
+let natural_escapes ?(schedules = [ "coop" ]) program =
+  let observed = ref [] in
+  let observer =
+    { Failatom_runtime.Vm.filt_name = "exnflow-observer";
+      pre = (fun _ _ _ _ -> Failatom_runtime.Vm.Proceed);
+      post =
+        (fun _ m _ _ outcome ->
+          (match outcome with
+           | Error e
+             when not (String.equal e.Failatom_runtime.Vm.message "injected")
+             ->
+             observed :=
+               ( Method_id.make m.Failatom_runtime.Vm.meth_class
+                   m.Failatom_runtime.Vm.meth_name,
+                 e.Failatom_runtime.Vm.exn_class )
+               :: !observed
+           | _ -> ());
+          Failatom_runtime.Vm.Pass);
+      unwind = Failatom_runtime.Vm.no_unwind }
+  in
+  let _ =
+    Detect.run
+      ~config:{ Config.default with Config.prune = Config.Prune_off; schedules }
+      ~flavor:Detect.Load_time_filters
+      ~prepare:(fun vm -> Failatom_runtime.Vm.attach_filter_everywhere vm observer)
+      program
+  in
+  !observed
 
 (* Every exceptional method return of an exhaustive unpruned campaign,
    observed through a JWG-style filter: the escaping class must be in
@@ -263,40 +317,35 @@ let prop_drop_soundness =
     Test_random_pipeline.gen_program_spec (fun spec ->
       let program = parse (Test_random_pipeline.render_spec spec) in
       let flow = flow_of program in
-      let observed = ref [] in
-      let observer =
-        { Failatom_runtime.Vm.filt_name = "exnflow-observer";
-          pre = (fun _ _ _ _ -> Failatom_runtime.Vm.Proceed);
-          post =
-            (fun _ m _ _ outcome ->
-              (match outcome with
-               | Error e
-                 when not (String.equal e.Failatom_runtime.Vm.message "injected")
-                 ->
-                 observed :=
-                   ( Method_id.make m.Failatom_runtime.Vm.meth_class
-                       m.Failatom_runtime.Vm.meth_name,
-                     e.Failatom_runtime.Vm.exn_class )
-                   :: !observed
-               | _ -> ());
-              Failatom_runtime.Vm.Pass);
-          unwind = Failatom_runtime.Vm.no_unwind }
-      in
-      let _ =
-        Detect.run
-          ~config:{ Config.default with Config.prune = Config.Prune_off }
-          ~flavor:Detect.Load_time_filters
-          ~prepare:(fun vm ->
-            Failatom_runtime.Vm.attach_filter_everywhere vm observer)
-          program
-      in
       match
-        List.find_opt (fun (m, e) -> not (Exnflow.can_raise flow m e)) !observed
+        List.find_opt
+          (fun (m, e) -> not (Exnflow.can_raise flow m e))
+          (natural_escapes program)
       with
       | None -> true
       | Some (m, e) ->
         QCheck2.Test.fail_reportf "%s escaped %s but may-raise excludes it" e
           (Method_id.to_string m))
+
+(* The same observer over the concurrent apps under the schedule
+   sweep: may-raise sets are per method, so no interleaving may let a
+   class escape that the analysis rules out — the premise of applying
+   drop to concurrent programs. *)
+let test_drop_soundness_swept () =
+  List.iter
+    (fun (app : Registry.t) ->
+      let program = parse app.Registry.source in
+      let flow = flow_of program in
+      let escapes = List.sort_uniq compare (natural_escapes ~schedules:sweep program) in
+      Alcotest.(check bool) (app.Registry.name ^ ": escapes observed") true (escapes <> []);
+      List.iter
+        (fun (m, e) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s escaped %s" app.Registry.name e
+               (Method_id.to_string m))
+            true (Exnflow.can_raise flow m e))
+        escapes)
+    Registry.concurrent_apps
 
 let suite =
   [ Alcotest.test_case "may-raise: raise sites and closure" `Quick
@@ -311,4 +360,6 @@ let suite =
     Alcotest.test_case "walk census" `Quick test_walk_census;
     Alcotest.test_case "drop: fewer runs, verdicts a subset" `Quick
       test_drop_subset;
-    QCheck_alcotest.to_alcotest prop_drop_soundness ]
+    QCheck_alcotest.to_alcotest prop_drop_soundness;
+    Alcotest.test_case "may-raise covers every natural escape: concurrent apps, swept"
+      `Quick test_drop_soundness_swept ]

@@ -200,15 +200,24 @@ let test_schedule_metrics () =
         (Obs.counter_value (Obs.counter "sched.switches") > 0));
   Obs.reset ()
 
-(* Marks must not depend on whether metrics are enabled. *)
+(* Marks must not depend on whether metrics are enabled: on Synthetic
+   and on the apps the bench obs-overhead gate checks (stdQ, LinkedList,
+   RBTree), each in its suite's flavor as the gate runs them. *)
 let test_marks_unchanged_by_metrics () =
-  let app = Option.get (Failatom_apps.Registry.find "Synthetic") in
-  let program = Failatom_minilang.Minilang.parse app.Failatom_apps.Registry.source in
-  let off = Detect.run program in
-  let on = Obs.with_enabled true (fun () -> Detect.run program) in
-  Alcotest.(check bool) "identical run records" true
-    (off.Detect.runs = on.Detect.runs);
-  Obs.reset ()
+  let module Registry = Failatom_apps.Registry in
+  List.iter
+    (fun name ->
+      let app = Option.get (Registry.find name) in
+      let program = Failatom_minilang.Minilang.parse app.Registry.source in
+      let flavor = Failatom_apps.Harness.flavor_of_suite app.Registry.suite in
+      let off = Detect.run ~flavor program in
+      let on = Obs.with_enabled true (fun () -> Detect.run ~flavor program) in
+      Alcotest.(check bool) (name ^ ": identical run records") true
+        (off.Detect.runs = on.Detect.runs);
+      Alcotest.(check bool) (name ^ ": same transparency") off.Detect.transparent
+        on.Detect.transparent;
+      Obs.reset ())
+    [ "Synthetic"; "stdQ"; "LinkedList"; "RBTree" ]
 
 let suite =
   [ Alcotest.test_case "disabled recording is a no-op" `Quick test_disabled_is_noop;

@@ -1,9 +1,17 @@
-(* Tests for the static exception-freedom analysis and its integration
-   with the analyzer and detector. *)
+(* Tests for static exception-freedom: the never-throws set of the
+   exception-flow analysis, its syntactic baseline (purity.ml), and
+   [--prune drop], which skips the injections a method cannot
+   experience. *)
 
 open Failatom_core
 
 let parse = Failatom_minilang.Minilang.parse
+
+let never_throws program =
+  let img = Failatom_minilang.Compile.image program in
+  Exnflow.never_throws (Exnflow.analyze img program)
+
+let drop = { Config.default with Config.prune = Config.Prune_drop }
 
 let src =
   {|
@@ -53,7 +61,7 @@ function main() {
 }
 |}
 
-let never = lazy (Purity.never_throws (parse src))
+let never = lazy (never_throws (parse src))
 
 let check_never name expected () =
   let got = Method_id.Set.mem (Method_id.make "Pure" name) (Lazy.force never) in
@@ -95,7 +103,7 @@ class Impostor {
     (Method_id.Set.mem (Method_id.make "Pure" "relay") syntactic);
   Alcotest.(check bool) "poke still clean (syntactic)" true
     (Method_id.Set.mem (Method_id.make "Pure" "poke") syntactic);
-  let precise = Purity.never_throws program in
+  let precise = never_throws program in
   Alcotest.(check bool) "Pure.peek stays clean under exnflow" true
     (Method_id.Set.mem (Method_id.make "Pure" "peek") precise);
   Alcotest.(check bool) "Impostor.peek dirty under exnflow" false
@@ -105,47 +113,46 @@ class Impostor {
   Alcotest.(check bool) "relay poisoned transitively (exnflow)" false
     (Method_id.Set.mem (Method_id.make "Pure" "relay") precise)
 
-(* Inference removes injection points from provably-safe methods — and
-   with them, the conservative false positives of paper §4.3: [relay]
-   mutates via [poke] and is only ever exposed by injections into the
-   provably exception-free [peek]/[poke], so inference re-classifies it
-   as atomic. *)
-let test_fewer_injections_with_inference () =
+(* Drop removes the generic injection points a method provably cannot
+   experience — and with them, the conservative false positives of
+   paper §4.3: [relay] mutates via [poke] and is only ever exposed by
+   injections into the provably exception-free [peek]/[poke], so drop
+   re-classifies it as atomic. *)
+let test_fewer_injections_with_drop () =
   let program = parse src in
   let base = Detect.run program in
-  let config = { Config.default with Config.infer_exception_free = true } in
-  let inferred = Detect.run ~config program in
+  let dropped = Detect.run ~config:drop program in
   Alcotest.(check bool) "fewer injections" true
-    (inferred.Detect.injections < base.Detect.injections);
-  Alcotest.(check bool) "still transparent" true inferred.Detect.transparent;
+    (dropped.Detect.injections < base.Detect.injections);
+  Alcotest.(check bool) "still transparent" true dropped.Detect.transparent;
   let relay = Method_id.make "Pure" "relay" in
-  Alcotest.(check bool) "relay is a false positive without inference" true
+  Alcotest.(check bool) "relay is a false positive without drop" true
     (Classify.verdict (Classify.classify base) relay = Some Classify.Pure_non_atomic);
-  Alcotest.(check bool) "relay re-classified atomic with inference" true
-    (Classify.verdict (Classify.classify inferred) relay = Some Classify.Atomic)
+  Alcotest.(check bool) "relay re-classified atomic under drop" true
+    (Classify.verdict (Classify.classify dropped) relay = Some Classify.Atomic)
 
-let test_injectable_empty_for_inferred () =
-  let config = { Config.default with Config.infer_exception_free = true } in
-  let analyzer = Analyzer.analyze config (parse src) in
+let test_injectable_empty_under_drop () =
+  let program = parse src in
+  let flow = Exnflow.analyze (Failatom_minilang.Compile.image program) program in
+  let analyzer = Analyzer.analyze ~flow Config.default program in
   Alcotest.(check (list string)) "no injection points for peek" []
     (Analyzer.injectable_for analyzer (Method_id.make "Pure" "peek"));
   Alcotest.(check bool) "explode keeps its points" true
     (Analyzer.injectable_for analyzer (Method_id.make "Pure" "explode") <> [])
 
-(* On the workload apps the inference shrinks the experiment while the
+(* On the workload apps drop shrinks the experiment while the
    non-atomic sets stay identical. *)
-let test_inference_on_app () =
+let test_drop_on_app () =
   let app = Option.get (Failatom_apps.Registry.find "LinkedList") in
   let program = parse app.Failatom_apps.Registry.source in
   let base = Detect.run program in
-  let config = { Config.default with Config.infer_exception_free = true } in
-  let inferred = Detect.run ~config program in
+  let dropped = Detect.run ~config:drop program in
   Alcotest.(check bool) "fewer injections on LinkedList" true
-    (inferred.Detect.injections < base.Detect.injections);
+    (dropped.Detect.injections < base.Detect.injections);
   let non_atomic d = Classify.non_atomic_methods (Classify.classify d) in
   Alcotest.(check (list string)) "same non-atomic set"
     (List.map Method_id.to_string (non_atomic base))
-    (List.map Method_id.to_string (non_atomic inferred))
+    (List.map Method_id.to_string (non_atomic dropped))
 
 let suite =
   [ Alcotest.test_case "reader is exception-free" `Quick (check_never "peek" true);
@@ -160,6 +167,6 @@ let suite =
     Alcotest.test_case "catch does not launder" `Quick (check_never "guarded" false);
     Alcotest.test_case "set contents" `Quick test_set_contents;
     Alcotest.test_case "dispatch conservatism" `Quick test_dynamic_dispatch_conservatism;
-    Alcotest.test_case "fewer injections" `Quick test_fewer_injections_with_inference;
-    Alcotest.test_case "injectable emptied" `Quick test_injectable_empty_for_inferred;
-    Alcotest.test_case "inference on LinkedList" `Slow test_inference_on_app ]
+    Alcotest.test_case "fewer injections" `Quick test_fewer_injections_with_drop;
+    Alcotest.test_case "injectable emptied" `Quick test_injectable_empty_under_drop;
+    Alcotest.test_case "drop on LinkedList" `Slow test_drop_on_app ]

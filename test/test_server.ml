@@ -45,21 +45,21 @@ let completed = function
 (* (a) round trip: server result == in-process Detect.run              *)
 (* ------------------------------------------------------------------ *)
 
-(* The matrix runs every registry app in both flavors with statically
-   inferred exception-free methods (fewer injection points), exactly as
-   a client would request it; the run-log text must be bitwise equal to
+(* The matrix runs every registry app in both flavors under
+   [--prune drop] (injections a method provably cannot raise are
+   skipped), exactly as a client would request it; the run-log text must be bitwise equal to
    the sequential in-process detector's. *)
 let check_round_trip socket_path (app : Registry.t) flavor =
   let request =
     { (Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)) with
       Protocol.flavor = Some flavor;
-      infer = true;
+      prune = Config.Prune_drop;
       log = true }
   in
   let result, _cached =
     with_client socket_path (fun conn -> completed (Client.submit_wait conn request))
   in
-  let config = { Config.default with Config.infer_exception_free = true } in
+  let config = { Config.default with Config.prune = Config.Prune_drop } in
   let expected = Detect.run ~config ~flavor (parse app.Registry.source) in
   Alcotest.(check bool) "the compared log is not empty" true
     (result.Protocol.r_log <> "");
@@ -218,8 +218,8 @@ let test_cache_keyed_by_config () =
           Alcotest.(check bool) "cold" false c1;
           let _, c1' = Client.submit conn base in
           Alcotest.(check bool) "warm" true c1';
-          let infer = { base with Protocol.infer = true } in
-          let id, c2 = Client.submit conn infer in
+          let drop = { base with Protocol.prune = Config.Prune_drop } in
+          let id, c2 = Client.submit conn drop in
           Alcotest.(check bool) "different config misses the cache" false c2;
           ignore (completed (Client.watch conn id))))
 
@@ -372,6 +372,40 @@ let test_snapshot_field_compat () =
       Alcotest.(check (option bool)) "no field: warm" (Some true) (cached (submit []));
       check_error_reply "unknown snapshot mode"
         (Json.to_string (submit (with_snapshot "bogus"))))
+
+(* The retired wire member "infer" (exception-freedom inference,
+   superseded by "prune":"drop") is ignored like any unknown member: a
+   submit line carrying it decodes to the same request as the line
+   without it, and the server keys both under one cache entry. *)
+let test_infer_field_compat () =
+  let base = Protocol.default_request Protocol.Detect (Protocol.App "HashedSet") in
+  let fields =
+    match Protocol.request_to_json (Protocol.Submit base) with
+    | Json.Obj fields -> fields
+    | _ -> Alcotest.fail "a submit renders as an object"
+  in
+  Alcotest.(check bool) "the member is no longer written" false
+    (List.mem_assoc "infer" fields);
+  let with_infer = fields @ [ ("infer", Json.Bool true) ] in
+  let decode fields =
+    match Protocol.request_of_json (Json.Obj fields) with
+    | Ok (Protocol.Submit r) -> r
+    | Ok _ -> Alcotest.fail "a submit line decodes as a submit"
+    | Error msg -> Alcotest.failf "submit line rejected: %s" msg
+  in
+  Alcotest.(check bool) "decodes as the line without it" true
+    (decode with_infer = decode fields);
+  with_server (fun socket_path ->
+      let submit fields =
+        Json.of_string (snd (raw_request socket_path (Json.to_string (Json.Obj fields))))
+      in
+      let cached reply = Json.bool_member "cached" reply in
+      let first = submit with_infer in
+      Alcotest.(check (option bool)) "infer: cold" (Some false) (cached first);
+      with_client socket_path (fun conn ->
+          ignore (completed (Client.watch conn (Option.get (Json.str_member "job" first)))));
+      Alcotest.(check (option bool)) "no member: same cache key" (Some true)
+        (cached (submit fields)))
 
 (* The retired wire field "rollback" is still accepted from older
    clients: a produce job with no field, "checkpoint" or "cow" runs the
@@ -914,4 +948,6 @@ let suite =
       test_logless_frame;
     Alcotest.test_case "log op returns the one-shot log" `Quick test_log_op;
     Alcotest.test_case "durable-tier entry renders both frames" `Quick
-      test_durable_entry_frames ]
+      test_durable_entry_frames;
+    Alcotest.test_case "retired infer member shares one cache key" `Quick
+      test_infer_field_compat ]

@@ -233,7 +233,7 @@ let first_diff_prop =
 let matrix_config =
   { Config.default with
     Config.runtime_exceptions = [ "NullPointerException" ];
-    infer_exception_free = true }
+    prune = Config.Prune_drop }
 
 let with_mode config mode = { config with Config.snapshot_mode = mode }
 
