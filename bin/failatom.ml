@@ -18,8 +18,8 @@ module Prod = Failatom_prod
 module Server = Failatom_server.Server
 module Client = Failatom_server.Client
 module Protocol = Failatom_server.Protocol
-module Store = Failatom_cluster.Store
-module Persist = Failatom_cluster.Persist
+module Cache = Failatom_server.Cache
+module Store = Failatom_server.Store
 module Shard_map = Failatom_cluster.Shard_map
 module Supervisor = Failatom_cluster.Supervisor
 
@@ -801,9 +801,8 @@ let open_store_cache ~dir ~max_bytes =
   (* recording is normally enabled by Server.start; turn it on early so
      the store-open gauge and prewarm counters are not dropped *)
   Failatom_obs.Obs.set_enabled true;
-  let store = Store.open_ ~dir ~max_bytes in
-  let cache = Persist.cache store in
-  let warmed = Persist.prewarm store cache in
+  let cache = Cache.create ~store:(Store.open_ ~dir ~max_bytes) () in
+  let warmed, _ = Cache.stats cache in
   if warmed > 0 then
     Fmt.epr "failatom: prewarmed %d image(s) from %s@." warmed dir;
   cache

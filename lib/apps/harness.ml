@@ -32,29 +32,6 @@ let detect_app ?(config = Config.default) ?flavor (app : Registry.t) : outcome =
   in
   { app; detection; classification; report }
 
-(* Same pipeline, but with the detection runs executed by the parallel
-   campaign engine.  The classification is identical to [detect_app]'s;
-   the campaign summary carries wall-clock and scheduling statistics. *)
-let detect_app_parallel ?(config = Config.default) ?flavor ?jobs ?journal ?resume
-    ?report (app : Registry.t) : outcome * Failatom_campaign.Progress.summary =
-  let flavor =
-    match flavor with Some f -> f | None -> flavor_of_suite app.Registry.suite
-  in
-  let program = Failatom_minilang.Minilang.parse app.Registry.source in
-  let detection, summary =
-    Failatom_campaign.Campaign.run ~config ~flavor ?jobs ?journal ?resume ?report
-      program
-  in
-  let classification =
-    Classify.classify ~exception_free:config.Config.exception_free detection
-  in
-  let report =
-    Report.of_detection ~app_name:app.Registry.name
-      ~language:(Registry.suite_name app.Registry.suite)
-      detection classification
-  in
-  ({ app; detection; classification; report }, summary)
-
 (* Runs an application standalone (no instrumentation); returns its
    output.  Raises if the program is malformed or fails. *)
 let run_app (app : Registry.t) =

@@ -17,20 +17,6 @@ val flavor_of_suite : Registry.suite -> Detect.flavor
 
 val detect_app : ?config:Config.t -> ?flavor:Detect.flavor -> Registry.t -> outcome
 
-val detect_app_parallel :
-  ?config:Config.t ->
-  ?flavor:Detect.flavor ->
-  ?jobs:int ->
-  ?journal:string ->
-  ?resume:bool ->
-  ?report:(Failatom_campaign.Progress.event -> unit) ->
-  Registry.t ->
-  outcome * Failatom_campaign.Progress.summary
-(** [detect_app] with the detection runs executed by the parallel
-    campaign engine ({!Failatom_campaign.Campaign.run}); the
-    classification is identical, the summary adds wall-clock and
-    scheduling statistics. *)
-
 val run_app : Registry.t -> string
 (** Runs an application standalone (no instrumentation) and returns its
     output.  Raises if the program is malformed or fails. *)

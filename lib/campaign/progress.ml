@@ -19,12 +19,6 @@ type summary = {
   busy_s : float;  (* CPU seconds consumed over the campaign *)
 }
 
-(* Effective parallelism: CPU time over wall-clock time.  This is the
-   campaign's speedup over a single worker executing the same runs back
-   to back, and stays honest when the machine has fewer cores than
-   workers. *)
-let est_speedup s = if s.wall_clock_s > 0. then s.busy_s /. s.wall_clock_s else 1.
-
 type event =
   | Started of { workers : int; reused : int }
   | Tick of {
@@ -49,7 +43,11 @@ let pp_summary ppf s =
   if s.synthesized > 0 then
     Fmt.pf ppf "campaign: %d synthesized from blindness-group representatives@."
       s.synthesized;
-  Fmt.pf ppf "campaign: estimated speedup vs 1 worker: %.2fx@." (est_speedup s)
+  (* Effective parallelism: CPU time over wall-clock time, the speedup
+     over one worker executing the same runs back to back.  It stays
+     honest when the machine has fewer cores than workers. *)
+  let speedup = if s.wall_clock_s > 0. then s.busy_s /. s.wall_clock_s else 1. in
+  Fmt.pf ppf "campaign: estimated speedup vs 1 worker: %.2fx@." speedup
 
 let reporter ?(interval_s = 1.0) ppf =
   let last_tick = ref neg_infinity in

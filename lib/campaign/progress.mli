@@ -18,11 +18,6 @@ type summary = {
   busy_s : float;  (** CPU seconds consumed over the campaign *)
 }
 
-val est_speedup : summary -> float
-(** Effective parallelism: CPU time over wall-clock time — the speedup
-    over one worker executing the same runs back to back.  Bounded by
-    the machine's core count regardless of [workers]. *)
-
 type event =
   | Started of { workers : int; reused : int }
   | Tick of {
@@ -40,8 +35,6 @@ type event =
 
 val null : event -> unit
 (** Discards every event (the default consumer). *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 val reporter : ?interval_s:float -> Format.formatter -> event -> unit
 (** A stateful consumer printing one line per event, throttling [Tick]s

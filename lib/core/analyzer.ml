@@ -78,9 +78,6 @@ let find t id = Method_id.Map.find_opt id t.by_method
 let injectable_for t id =
   match find t id with Some mi -> mi.injectable | None -> []
 
-let class_count t = List.length t.classes
-let method_count t = Method_id.Map.cardinal t.by_method
-
 let method_ids t = List.map fst (Method_id.Map.bindings t.by_method)
 
 (* The defining class of each user class's superclass chain, for

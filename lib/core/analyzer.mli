@@ -39,8 +39,6 @@ val find : t -> Method_id.t -> method_info option
 val injectable_for : t -> Method_id.t -> string list
 (** Injectable exception classes of a method; [[]] if unknown. *)
 
-val class_count : t -> int
-val method_count : t -> int
 val method_ids : t -> Method_id.t list
 
 val class_of_method : Method_id.t -> string

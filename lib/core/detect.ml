@@ -79,8 +79,6 @@ let compile ?plain flavor (program : Ast.program) : compiled =
   in
   { cflavor = flavor; cimage }
 
-let compiled_flavor c = c.cflavor
-
 (* Builds the instrumented VM for one run and returns it together with
    the armed injection state.  [prepare] registers any extra hooks the
    program needs (e.g. checkpoint hooks of an already-masked program

@@ -58,8 +58,6 @@ val compile : ?plain:Compile.image -> flavor -> Ast.program -> compiled
     recompiling, {!Source_weaving} ignores it (it compiles the woven
     program). *)
 
-val compiled_flavor : compiled -> flavor
-
 val run_once :
   ?run_timeout_s:float -> ?schedule:string * Sched.policy -> compiled ->
   Config.t -> Analyzer.t ->

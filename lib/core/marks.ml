@@ -52,15 +52,3 @@ let pp_mark ppf { meth; atomic; diff_path; _ } =
     (if atomic then "atomic" else "NON-ATOMIC")
     Fmt.(option (fun ppf p -> pf ppf "@@%s" p))
     diff_path
-
-let pp_run ppf r =
-  let timed ppf r = if r.timed_out then Fmt.pf ppf " (timed out)" in
-  match r.injected with
-  | None -> Fmt.pf ppf "run[%d]: no injection%a" r.injection_point timed r
-  | Some (site, exn_class) ->
-    Fmt.pf ppf "run[%d]: %s @@ %a -> [%a]%a%a" r.injection_point exn_class
-      Method_id.pp site
-      Fmt.(list ~sep:comma pp_mark)
-      r.marks
-      Fmt.(option (fun ppf e -> pf ppf " escaped:%s" e))
-      r.escaped timed r

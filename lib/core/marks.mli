@@ -45,4 +45,3 @@ type run_record = {
 }
 
 val pp_mark : mark Fmt.t
-val pp_run : run_record Fmt.t

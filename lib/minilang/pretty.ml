@@ -187,4 +187,3 @@ let pp_program ppf (p : Ast.program) =
 
 let program_to_string p = Fmt.str "%a" pp_program p
 let expr_to_string e = Fmt.str "%a" (pp_expr 0) e
-let stmt_to_string st = Fmt.str "%a" (pp_stmt 0) st

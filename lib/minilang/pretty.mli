@@ -16,4 +16,3 @@ val pp_stmt : int -> Ast.stmt Fmt.t
 
 val program_to_string : Ast.program -> string
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string

@@ -413,10 +413,8 @@ let invoke vm recv mname args =
 let attach_filter meth filter = meth.filters <- filter :: meth.filters
 let detach_filter meth name =
   meth.filters <- List.filter (fun f -> not (String.equal f.filt_name name)) meth.filters
-let detach_all_filters meth = meth.filters <- []
 
 let attach_filter_everywhere vm filter = iter_methods vm (fun _ m -> attach_filter m filter)
-let detach_filter_everywhere vm name = iter_methods vm (fun _ m -> detach_filter m name)
 
 (* ------------------------------------------------------------------ *)
 (* Hooks, output, globals                                              *)

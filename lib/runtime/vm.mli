@@ -261,9 +261,7 @@ val attach_filter : meth -> filter -> unit
 (** Prepends, so the latest attached filter is outermost. *)
 
 val detach_filter : meth -> string -> unit
-val detach_all_filters : meth -> unit
 val attach_filter_everywhere : t -> filter -> unit
-val detach_filter_everywhere : t -> string -> unit
 
 (** {1 Hooks, output, globals} *)
 

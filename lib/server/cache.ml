@@ -26,24 +26,35 @@
    future config field automatically splits the key space.
 
    Locking discipline: the global mutex guards {e table mutation only}.
-   Compilation, result rendering, and persistent-tier deserialization
-   all happen outside it.  Concurrent compiles of the same program are
+   Compilation, result rendering, and disk-tier deserialization all
+   happen outside it.  Concurrent compiles of the same program are
    still deduplicated — an image miss installs a per-key slot under the
    lock, then compiles while holding only that slot's own mutex, so a
    second submitter of the same digest waits on the slot while
    submitters of other digests sail past.
 
-   An optional {!persist} hook pair spills finished results and
-   compiled-image metadata to a durable tier (the cluster's on-disk
-   store) and consults it on memory misses, so a warm cache survives
-   daemon restarts and is shared between shard processes.  Persisted
-   result payloads are the exact rendered NDJSON text, so a result
-   served from the durable tier is byte-identical to the original.
+   An optional {!Store} is the disk tier ([serve --store]): finished
+   results and compiled-image metadata spill there, memory misses
+   consult it, and a fresh cache prewarms its images from it, so a warm
+   cache survives daemon restarts and is shared by every daemon pointed
+   at the same directory.  Its two namespaces:
 
-   Both maps are bounded by FIFO eviction — insertion order
-   approximates recency well enough for a daemon whose working set is
-   "the programs this user keeps poking at", and it keeps eviction O(1)
-   with no per-hit bookkeeping. *)
+   - [results/<fingerprint>]: the exact rendered NDJSON text of the
+     finished result, so a result served from disk is byte-identical
+     to the original.
+
+   - [images/<digest>.<flavor>]: [failatom.image-meta/1] metadata
+     ({digest, flavor, source}), where [source] is the canonical
+     pretty-printing whose md5 {e is} the digest.  Enough to recompile
+     the image after a restart; the compiled form itself is
+     process-local and cheap relative to detection runs.
+
+   The store swallows its own I/O errors, and junk it returns reads as
+   a miss: the disk tier is an accelerator, never a correctness
+   dependency.
+
+   All three tables (images, results, the program-digest memo) are
+   {!Bounded} FIFOs. *)
 
 open Failatom_core
 open Failatom_minilang
@@ -57,6 +68,14 @@ let m_result_misses = Obs.counter "server.cache_result_misses"
 let m_result_evictions = Obs.counter "server.cache_result_evictions"
 let m_store_hits = Obs.counter "server.cache_store_hits"
 let m_store_spills = Obs.counter "server.cache_store_spills"
+let m_prewarmed = Obs.counter "cluster.images_prewarmed"
+
+let image_capacity = 128
+let result_capacity = 1024
+let digest_capacity = 256
+let prewarm_limit = 64
+let ns_results = "results"
+let ns_images = "images"
 
 type images = {
   plain : Compile.image;
@@ -70,14 +89,6 @@ type entry = {
   e_rendered_nolog : string;  (* the same, without the "log" member *)
   e_warm_frame_nolog : string;  (* done_frame ~cached:true e_rendered_nolog *)
 }
-
-type persist = {
-  find_blob : ns:string -> key:string -> string option;
-  store_blob : ns:string -> key:string -> string -> unit;
-}
-
-let ns_results = "results"
-let ns_images = "images"
 
 (* A per-key compilation promise: installed in the image table under
    the global lock, filled outside it.  Waiters block on the slot, not
@@ -93,61 +104,13 @@ and slot_state =
   | Ready of images
   | Failed of exn
 
-type 'a bounded = {
-  capacity : int;
-  table : (string, 'a) Hashtbl.t;
-  order : string Queue.t;  (* insertion order, oldest first *)
-}
-
-let bounded capacity =
-  { capacity; table = Hashtbl.create 64; order = Queue.create () }
-
-(* Adds under the caller-held lock; reports whether an older entry was
-   evicted so the caller can count it outside. *)
-let bounded_add b key value =
-  if Hashtbl.mem b.table key then false
-  else begin
-    let evicted =
-      if Hashtbl.length b.table >= b.capacity then begin
-        let oldest = Queue.pop b.order in
-        Hashtbl.remove b.table oldest;
-        true
-      end
-      else false
-    in
-    Hashtbl.replace b.table key value;
-    Queue.push key b.order;
-    evicted
-  end
-
-let bounded_remove b key =
-  if Hashtbl.mem b.table key then begin
-    Hashtbl.remove b.table key;
-    (* drop the key from the order queue lazily: rebuild without it *)
-    let keep = Queue.create () in
-    Queue.iter (fun k -> if not (String.equal k key) then Queue.push k keep) b.order;
-    Queue.clear b.order;
-    Queue.transfer keep b.order
-  end
-
 type t = {
   mutex : Mutex.t;  (* guards the three tables below, nothing else *)
-  images : slot bounded;
-  results : entry bounded;
-  digests : (string, string) Hashtbl.t;  (* source key -> program digest *)
-  digest_order : string Queue.t;
-  digest_capacity : int;
-  persist : persist option;
+  images : slot Bounded.t;
+  results : entry Bounded.t;
+  digests : string Bounded.t;  (* source key -> program digest *)
+  store : Store.t option;
 }
-
-let create ?(image_capacity = 128) ?(result_capacity = 1024) ?persist () =
-  { mutex = Mutex.create ();
-    images = bounded image_capacity;
-    results = bounded result_capacity;
-    digests = Hashtbl.create 64;
-    digest_order = Queue.create ();
-    digest_capacity = 256;
-    persist }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -156,9 +119,9 @@ let locked t f =
 let image_key ~program_digest ~flavor =
   program_digest ^ "/" ^ Protocol.flavor_wire_name flavor
 
-(* '/' would nest directories in the durable tier; use a flat spelling
-   there ([flavor] is the wire name). *)
-let image_blob_key ~program_digest ~flavor = program_digest ^ "." ^ flavor
+(* '/' would nest directories in the store; use a flat spelling there. *)
+let image_blob_key ~program_digest ~flavor =
+  program_digest ^ "." ^ Protocol.flavor_wire_name flavor
 
 (* The full job fingerprint.  The protocol revision is part of it so an
    upgraded daemon never serves results serialized under an older
@@ -184,27 +147,15 @@ let result_key ~program_digest ~mode ~flavor ~config ~run_timeout_s =
    source-key -> digest: a resubmission of a known program skips the
    parse entirely.  Only successful computes are stored, so a malformed
    source is re-validated (and re-rejected) every time. *)
-let digest_find t ~source_key =
-  locked t (fun () -> Hashtbl.find_opt t.digests source_key)
+let digest_find t ~source_key = locked t (fun () -> Bounded.find t.digests source_key)
 
 let digest_learn t ~source_key d =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.digests source_key) then begin
-        if Hashtbl.length t.digests >= t.digest_capacity then begin
-          let oldest = Queue.pop t.digest_order in
-          Hashtbl.remove t.digests oldest
-        end;
-        Hashtbl.replace t.digests source_key d;
-        Queue.push source_key t.digest_order
-      end)
+  locked t (fun () -> ignore (Bounded.add t.digests source_key d))
 
 (* ------------------------------------------------------------------ *)
 (* Images                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Persisted image metadata: enough to recompile the image after a
-   restart (the source is the canonical pretty-printing, whose md5 is
-   the digest). *)
 let image_meta_to_json ~program_digest ~flavor (program : Ast.program) =
   Json.Obj
     [ ("schema", Json.Str "failatom.image-meta/1");
@@ -216,7 +167,7 @@ let images t ~program_digest ~flavor (program : Ast.program) =
   let key = image_key ~program_digest ~flavor in
   let slot, fresh =
     locked t (fun () ->
-        match Hashtbl.find_opt t.images.table key with
+        match Bounded.find t.images key with
         | Some slot -> (slot, false)
         | None ->
           let slot =
@@ -224,7 +175,7 @@ let images t ~program_digest ~flavor (program : Ast.program) =
               s_cond = Condition.create ();
               s_state = Pending }
           in
-          if bounded_add t.images key slot then Obs.incr m_image_evictions;
+          if Bounded.add t.images key slot then Obs.incr m_image_evictions;
           (slot, true))
   in
   if fresh then begin
@@ -244,22 +195,17 @@ let images t ~program_digest ~flavor (program : Ast.program) =
     Mutex.unlock slot.s_mutex;
     match outcome with
     | Ready images ->
-      (match t.persist with
-       | Some p ->
-         let meta = image_meta_to_json ~program_digest ~flavor program in
-         (try
-            p.store_blob ~ns:ns_images
-              ~key:
-                (image_blob_key ~program_digest
-                   ~flavor:(Protocol.flavor_wire_name flavor))
-              (Json.to_string meta)
-          with _ -> ())
-       | None -> ());
+      Option.iter
+        (fun store ->
+          Store.store store ~ns:ns_images
+            ~key:(image_blob_key ~program_digest ~flavor)
+            (Json.to_string (image_meta_to_json ~program_digest ~flavor program)))
+        t.store;
       images
     | Failed e ->
       (* Do not leave a poisoned slot behind: the next submitter
          retries the compile. *)
-      locked t (fun () -> bounded_remove t.images key);
+      locked t (fun () -> Bounded.remove t.images key);
       raise e
     | Pending -> assert false
   end
@@ -277,6 +223,46 @@ let images t ~program_digest ~flavor (program : Ast.program) =
     | Failed e -> raise e
     | Pending -> assert false
   end
+
+(* Recompiles one stored image.  False on junk metadata or a program
+   that no longer compiles: prewarm is best-effort by definition. *)
+let prewarm_one t store key =
+  match Store.find store ~ns:ns_images ~key with
+  | None -> false
+  | Some payload -> (
+    try
+      let j = Json.of_string payload in
+      match
+        ( Json.str_member "digest" j,
+          Option.bind (Json.str_member "flavor" j) Protocol.flavor_of_name,
+          Json.str_member "source" j )
+      with
+      | Some program_digest, Some flavor, Some source ->
+        let program = Minilang.parse ~allow_reserved:true source in
+        ignore (images t ~program_digest ~flavor program);
+        Obs.incr m_prewarmed;
+        true
+      | _ -> false
+    with _ -> false)
+
+(* Recompiles up to [prewarm_limit] stored images, most recently used
+   first, so a restarted daemon serves its hot programs warm. *)
+let prewarm t store =
+  ignore
+    (List.fold_left
+       (fun n key -> if n < prewarm_limit && prewarm_one t store key then n + 1 else n)
+       0 (Store.list store ~ns:ns_images))
+
+let create ?store () =
+  let t =
+    { mutex = Mutex.create ();
+      images = Bounded.create image_capacity;
+      results = Bounded.create result_capacity;
+      digests = Bounded.create digest_capacity;
+      store }
+  in
+  Option.iter (prewarm t) store;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -308,63 +294,46 @@ let entry result = entry_of_rendered result (render result)
 let rendered e ~log = if log then e.e_rendered else e.e_rendered_nolog
 let warm_frame e ~log = if log then e.e_warm_frame else e.e_warm_frame_nolog
 
+(* A result from the disk tier.  The stored payload is the exact
+   rendered text (log included), so the revived entry keeps the
+   byte-identity guarantee; its log-less rendering is derived from the
+   decoded result.  A blob that does not decode is a miss. *)
+let revive store key =
+  match Store.find store ~ns:ns_results ~key with
+  | None -> None
+  | Some payload -> (
+    match Protocol.result_of_json (Json.of_string payload) with
+    | Ok result -> Some (entry_of_rendered result payload)
+    | Error _ | (exception Json.Parse_error _) -> None)
+
 let find_result t key =
-  match
-    locked t (fun () -> Hashtbl.find_opt t.results.table key)
-  with
+  match locked t (fun () -> Bounded.find t.results key) with
   | Some e ->
     Obs.incr m_result_hits;
     Some e
   | None -> (
-    (* Memory miss: consult the durable tier, deserializing outside the
-       lock.  The stored payload is the exact rendered text (log
-       included), so the revived entry keeps the byte-identity
-       guarantee; its log-less rendering is derived from the decoded
-       result. *)
-    match t.persist with
+    (* Memory miss: consult the disk tier outside the lock. *)
+    match (match t.store with None -> None | Some store -> revive store key) with
     | None ->
       Obs.incr m_result_misses;
       None
-    | Some p -> (
-      match (try p.find_blob ~ns:ns_results ~key with _ -> None) with
-      | None ->
-        Obs.incr m_result_misses;
-        None
-      | Some payload -> (
-        match
-          try Ok (Json.of_string payload) with Json.Parse_error m -> Error m
-        with
-        | Error _ ->
-          Obs.incr m_result_misses;
-          None
-        | Ok json -> (
-          match Protocol.result_of_json json with
-          | Error _ ->
-            Obs.incr m_result_misses;
-            None
-          | Ok result ->
-            let e = entry_of_rendered result payload in
-            let evicted =
-              locked t (fun () -> bounded_add t.results key e)
-            in
-            if evicted then Obs.incr m_result_evictions;
-            Obs.incr m_result_hits;
-            Obs.incr m_store_hits;
-            Some e))))
+    | Some e ->
+      if locked t (fun () -> Bounded.add t.results key e) then
+        Obs.incr m_result_evictions;
+      Obs.incr m_result_hits;
+      Obs.incr m_store_hits;
+      Some e)
 
 let store_result t key result =
   let e = entry result in
-  let evicted = locked t (fun () -> bounded_add t.results key e) in
-  if evicted then Obs.incr m_result_evictions;
-  (match t.persist with
-   | Some p ->
-     (try
-        p.store_blob ~ns:ns_results ~key e.e_rendered;
-        Obs.incr m_store_spills
-      with _ -> ())
-   | None -> ());
+  if locked t (fun () -> Bounded.add t.results key e) then
+    Obs.incr m_result_evictions;
+  Option.iter
+    (fun store ->
+      Store.store store ~ns:ns_results ~key e.e_rendered;
+      Obs.incr m_store_spills)
+    t.store;
   e
 
 let stats t =
-  locked t (fun () ->
-      (Hashtbl.length t.images.table, Hashtbl.length t.results.table))
+  locked t (fun () -> (Bounded.length t.images, Bounded.length t.results))

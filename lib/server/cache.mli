@@ -6,8 +6,13 @@
     {!Protocol.job_result} plus its pre-rendered NDJSON text, with or
     without the run log.
 
+    An optional {!Store} adds a disk tier: results and image metadata
+    spill to it, memory misses consult it, and a fresh cache prewarms
+    its images from it.  The disk tier is never fatal: the store
+    swallows its I/O errors and a blob that does not decode is a miss.
+
     Thread-safe; bounded by FIFO eviction.  The internal mutex guards
-    table mutation only — compilation, rendering, and durable-tier
+    table mutation only — compilation, rendering, and disk-tier
     deserialization run outside it (concurrent compiles of the same
     digest are still deduplicated via a per-key promise). *)
 
@@ -48,24 +53,13 @@ val rendered : entry -> log:bool -> string
 val warm_frame : entry -> log:bool -> string
 (** [e_warm_frame] or [e_warm_frame_nolog]. *)
 
-type persist = {
-  find_blob : ns:string -> key:string -> string option;
-  store_blob : ns:string -> key:string -> string -> unit;
-}
-(** Hooks into a durable tier (the cluster's on-disk store).  Finished
-    results are spilled as their rendered text under {!ns_results};
-    compiled-image metadata under {!ns_images}.  Memory misses consult
-    [find_blob].  Hook exceptions are swallowed — the durable tier is
-    an accelerator, never a correctness dependency. *)
-
-val ns_results : string
-val ns_images : string
-
 type t
 
-val create :
-  ?image_capacity:int -> ?result_capacity:int -> ?persist:persist -> unit -> t
-(** Defaults: 128 image entries, 1024 result entries, no durable tier. *)
+val create : ?store:Store.t -> unit -> t
+(** Holds 128 images, 1024 results and 256 program digests.  With
+    [store], first recompiles up to 64 of the store's images, most
+    recently used first, skipping junk metadata; the new cache's image
+    count ({!stats}) is then the number prewarmed. *)
 
 val result_key :
   program_digest:string -> mode:Protocol.mode -> flavor:Detect.flavor ->
@@ -74,9 +68,6 @@ val result_key :
     results (detection is deterministic given program + config).  The
     request's [log] flag is not part of it: it selects a rendering of
     the entry, not a different result. *)
-
-val image_blob_key : program_digest:string -> flavor:string -> string
-(** The durable-tier key for an image metadata blob. *)
 
 val images :
   t -> program_digest:string -> flavor:Detect.flavor -> Ast.program -> images

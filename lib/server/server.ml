@@ -46,7 +46,12 @@
      jobs are cancelled, running jobs finish — and every completed run
      they journalled is already fsynced by {!Journal.append}.
 
-   All shared state — the job table, the queue, each job's event
+   - {b Bounded memory}: queued and running jobs stay in the job table
+     until they finish; finished jobs are kept in a {!Bounded} FIFO of
+     the newest [max_finished_jobs], so a long-lived daemon does not
+     grow without bound.  An evicted id answers "unknown job".
+
+   All shared state — the job tables, the queue, each job's event
    buffer — is guarded by one mutex; one condition variable wakes both
    executors (queue non-empty, drain) and watchers (new events).  The
    cache has its own finer-grained locking and is never touched while
@@ -73,6 +78,8 @@ let m_cancelled = Obs.counter "server.jobs_cancelled"
 let m_timed_out = Obs.counter "server.jobs_timed_out"
 let g_queue_depth = Obs.gauge "server.queue_depth"
 let h_job_wall = Obs.histogram "server.job_wall_ns"
+
+let max_finished_jobs = 1024
 
 type config = {
   socket_path : string;
@@ -156,7 +163,8 @@ type t = {
   cond : Condition.t;
       (* one condition for everything: executors wait for queue/drain,
          watchers wait for job events; every state change broadcasts *)
-  jobs : (string, job) Hashtbl.t;
+  jobs : (string, job) Hashtbl.t;  (* queued and running *)
+  finished : job Bounded.t;  (* terminal, the newest [max_finished_jobs] *)
   queue : job Queue.t;
   mutable next_id : int;
   mutable draining : bool;
@@ -181,12 +189,24 @@ let is_terminal_event = function
     true
   | Protocol.Ev_state _ | Protocol.Ev_tick _ | Protocol.Ev_warning _ -> false
 
-(* Mutex held. *)
+(* Mutex held.  A terminal frame moves the job to the finished table,
+   where it may later be evicted; watchers already holding it keep
+   reading its frames. *)
 let append_frame_locked t job ~terminal frame =
   job.frames_rev <- frame :: job.frames_rev;
   job.n_frames <- job.n_frames + 1;
-  if terminal then job.terminal <- true;
+  if terminal then begin
+    job.terminal <- true;
+    Hashtbl.remove t.jobs job.id;
+    ignore (Bounded.add t.finished job.id job)
+  end;
   Condition.broadcast t.cond
+
+(* Mutex held. *)
+let find_job_locked t id =
+  match Hashtbl.find_opt t.jobs id with
+  | Some _ as job -> job
+  | None -> Bounded.find t.finished id
 
 (* Mutex held. *)
 let append_event_locked t job ev =
@@ -680,7 +700,7 @@ let handle_submit t req =
 
 let handle_status t id =
   locked t (fun () ->
-      match Hashtbl.find_opt t.jobs id with
+      match find_job_locked t id with
       | None -> render (Protocol.error ("unknown job " ^ id))
       | Some job -> (
         let base =
@@ -696,7 +716,7 @@ let handle_status t id =
 let handle_log t id =
   let found =
     locked t (fun () ->
-        match Hashtbl.find_opt t.jobs id with
+        match find_job_locked t id with
         | None -> Error ("unknown job " ^ id)
         | Some { state = Done (entry, _); _ } ->
           Ok entry.Cache.e_result.Protocol.r_log
@@ -710,7 +730,7 @@ let handle_log t id =
 
 let handle_cancel t id =
   locked t (fun () ->
-      match Hashtbl.find_opt t.jobs id with
+      match find_job_locked t id with
       | None -> Protocol.error ("unknown job " ^ id)
       | Some job ->
         (match job.state with
@@ -755,7 +775,7 @@ let initiate_drain t =
 (* ------------------------------------------------------------------ *)
 
 let handle_watch t fd id =
-  let job = locked t (fun () -> Hashtbl.find_opt t.jobs id) in
+  let job = locked t (fun () -> find_job_locked t id) in
   match job with
   | None -> Net.write_line fd (render (Protocol.error ("unknown job " ^ id)))
   | Some job ->
@@ -825,6 +845,7 @@ let start ?cache config =
       mutex = Mutex.create ();
       cond = Condition.create ();
       jobs = Hashtbl.create 64;
+      finished = Bounded.create max_finished_jobs;
       queue = Queue.create ();
       next_id = 0;
       draining = false;

@@ -29,6 +29,11 @@ type config = {
 
 val default_config : socket_path:string -> config
 
+val max_finished_jobs : int
+(** Finished jobs kept for [status], [watch], [cancel] and [log]
+    (1024); older ones are evicted first and answer "unknown job".
+    Queued and running jobs are never evicted. *)
+
 type t
 
 val start : ?cache:Cache.t -> config -> t

@@ -1,20 +1,18 @@
 (* Tests of the sharded detection cluster (lib/cluster/): placement and
-   work-stealing decisions, the persistent content-addressed store
-   (round trip, crash hygiene, LRU byte-bound eviction), client connect
-   backoff, the router against in-process shard servers (digest
-   affinity, byte-identical results vs a single server, dead-shard
-   failover), warm-store restarts, and — when the failatom binary is
-   available via FAILATOM_EXE — the supervisor's respawn/redispatch and
-   drain ordering with real shard processes. *)
+   work-stealing decisions, client connect backoff, the router against
+   in-process shard servers (digest affinity, byte-identical results vs
+   a single server, dead-shard failover), and — when the failatom
+   binary is available via FAILATOM_EXE — the supervisor's
+   respawn/redispatch and drain ordering with real shard processes.
+   The store the shards share is tested with the single daemon, in
+   test_server.ml. *)
 
 open Failatom_apps
 module Server = Failatom_server.Server
 module Client = Failatom_server.Client
 module Protocol = Failatom_server.Protocol
-module Store = Failatom_cluster.Store
 module Shard_map = Failatom_cluster.Shard_map
 module Steal = Failatom_cluster.Steal
-module Persist = Failatom_cluster.Persist
 module Router = Failatom_cluster.Router
 module Supervisor = Failatom_cluster.Supervisor
 
@@ -27,16 +25,6 @@ let fresh_name =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "fa_clu_%d_%d%s" (Unix.getpid ()) !counter suffix)
-
-let rm_rf dir =
-  let rec go p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> go (Filename.concat p n)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists dir then go dir
 
 (* [log = true]: the tests below compare run logs across paths. *)
 let detect_request app =
@@ -153,79 +141,6 @@ let test_steal_decisions () =
        ~alive:[| false; true; true |] ~threshold:4);
   check "all dead still yields a target" (0, false)
     (Steal.place ~home:0 ~load:[| 1; 1 |] ~alive:[| false; false |] ~threshold:4)
-
-(* ------------------------------------------------------------------ *)
-(* The persistent store                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_store_round_trip () =
-  let dir = fresh_name ".store" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let store = Store.open_ ~dir ~max_bytes:(1024 * 1024) in
-  Alcotest.(check (option string))
-    "miss before store" None
-    (Store.find store ~ns:"results" ~key:"k1");
-  Store.store store ~ns:"results" ~key:"k1" "payload-one";
-  Store.store store ~ns:"images" ~key:"k1" "payload-two";
-  Alcotest.(check (option string))
-    "hit" (Some "payload-one")
-    (Store.find store ~ns:"results" ~key:"k1");
-  Alcotest.(check (option string))
-    "namespaces are disjoint" (Some "payload-two")
-    (Store.find store ~ns:"images" ~key:"k1");
-  (* a second open (a restart) sees the same data *)
-  let store' = Store.open_ ~dir ~max_bytes:(1024 * 1024) in
-  Alcotest.(check (option string))
-    "survives reopen" (Some "payload-one")
-    (Store.find store' ~ns:"results" ~key:"k1");
-  (* hostile keys neither crash nor escape the directory *)
-  List.iter
-    (fun key ->
-      Store.store store ~ns:"results" ~key "x";
-      Alcotest.(check (option string))
-        "hostile key rejected" None
-        (Store.find store ~ns:"results" ~key))
-    [ "../escape"; "a/b"; ""; "."; ".." ];
-  (* tmp droppings from a crashed writer are swept at open *)
-  let dropping = Filename.concat (Filename.concat dir "results") "k9.tmp.1.0" in
-  let oc = open_out_bin dropping in
-  output_string oc "junk";
-  close_out oc;
-  ignore (Store.open_ ~dir ~max_bytes:(1024 * 1024));
-  Alcotest.(check bool) "tmp swept" false (Sys.file_exists dropping)
-
-let test_store_lru_eviction () =
-  let dir = fresh_name ".store" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let store = Store.open_ ~dir ~max_bytes:(10 * 1024) in
-  let blob = String.make (4 * 1024) 'x' in
-  List.iter
-    (fun key ->
-      Store.store store ~ns:"results" ~key blob;
-      (* distinct mtimes order the LRU deterministically *)
-      Thread.delay 0.05)
-    [ "a"; "b"; "c"; "d" ];
-  Alcotest.(check (option string))
-    "oldest evicted" None
-    (Store.find store ~ns:"results" ~key:"a");
-  Alcotest.(check (option string))
-    "second oldest evicted" None
-    (Store.find store ~ns:"results" ~key:"b");
-  Alcotest.(check bool)
-    "recent entries survive" true
-    (Store.find store ~ns:"results" ~key:"c" <> None
-    && Store.find store ~ns:"results" ~key:"d" <> None);
-  let count, bytes = Store.stats store in
-  Alcotest.(check int) "two entries left" 2 count;
-  Alcotest.(check bool) "under budget" true (bytes <= 10 * 1024);
-  (* a find touches the entry: [c] is now more recent than [d] *)
-  ignore (Store.find store ~ns:"results" ~key:"c");
-  Thread.delay 0.05;
-  Store.store store ~ns:"results" ~key:"e" blob;
-  Alcotest.(check bool)
-    "LRU victim is the untouched entry" true
-    (Store.find store ~ns:"results" ~key:"d" = None
-    && Store.find store ~ns:"results" ~key:"c" <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Client connect backoff                                              *)
@@ -434,46 +349,6 @@ let test_router_log_op () =
                 (Option.get status.Client.result).Protocol.r_log)))
 
 (* ------------------------------------------------------------------ *)
-(* Warm store across restarts                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_warm_store_restart () =
-  let dir = fresh_name ".store" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let app = List.hd Registry.catalog in
-  let req = detect_request app in
-  let run_once () =
-    let socket_path = fresh_name ".sock" in
-    let store = Store.open_ ~dir ~max_bytes:(64 * 1024 * 1024) in
-    let cache = Persist.cache store in
-    ignore (Persist.prewarm store cache);
-    let server =
-      Server.start ~cache (Server.default_config ~socket_path)
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Server.shutdown server;
-        Server.wait server)
-      (fun () ->
-        Client.with_conn ~socket_path (fun conn ->
-            let id, cached = Client.submit conn req in
-            let result, _ = completed (Client.watch conn id) in
-            (result, cached)))
-  in
-  let first, cached1 = run_once () in
-  (* a brand-new server process-equivalent: fresh cache, same store *)
-  let second, cached2 = run_once () in
-  Alcotest.(check bool) "first run computes" false cached1;
-  Alcotest.(check bool)
-    "restarted server answers from the store without re-running" true cached2;
-  Alcotest.(check string)
-    "byte-identical run log across restart" first.Protocol.r_log
-    second.Protocol.r_log;
-  Alcotest.(check (list (pair string string)))
-    "identical verdicts across restart" first.Protocol.r_non_atomic
-    second.Protocol.r_non_atomic
-
-(* ------------------------------------------------------------------ *)
 (* Supervisor with real shard processes (needs the failatom binary)    *)
 (* ------------------------------------------------------------------ *)
 
@@ -616,10 +491,6 @@ let suite =
   [ Alcotest.test_case "shard map: digests, homes, job ids" `Quick test_shard_map;
     Alcotest.test_case "map file round trip" `Quick test_map_file;
     Alcotest.test_case "steal decisions" `Quick test_steal_decisions;
-    Alcotest.test_case "store round trip and crash hygiene" `Quick
-      test_store_round_trip;
-    Alcotest.test_case "store LRU byte-bound eviction" `Quick
-      test_store_lru_eviction;
     Alcotest.test_case "client connect backoff" `Quick test_client_backoff;
     Alcotest.test_case "router: digest affinity and cache hits" `Quick
       test_router_affinity;
@@ -628,8 +499,6 @@ let suite =
     Alcotest.test_case "router: dead home shard fails over" `Quick
       test_router_dead_shard_failover;
     Alcotest.test_case "router: relays the log op" `Quick test_router_log_op;
-    Alcotest.test_case "warm store restart answers without re-running" `Quick
-      test_warm_store_restart;
     Alcotest.test_case "supervisor: kill -9 mid-job, respawn + redispatch"
       `Slow test_supervisor_kill_respawn_redispatch;
     Alcotest.test_case "supervisor: drain ordering" `Slow

@@ -1,7 +1,9 @@
 (* Tests of the failatom daemon (lib/server/): protocol round trips,
    result fidelity against the in-process detector, the
-   content-addressed cache, concurrency, admission failures, and the
-   timeout/cancel paths.  Each test (or test group) starts its own
+   content-addressed cache and its disk tier (store round trip, crash
+   hygiene, LRU eviction, warm restarts, failure paths), the bounded
+   job table, concurrency, admission failures, and the timeout/cancel
+   paths.  Each test (or test group) starts its own
    in-process server on a fresh socket. *)
 
 open Failatom_core
@@ -874,32 +876,210 @@ let test_log_op () =
       check_error_reply "log of an unknown job"
         (snd (raw_request socket_path {|{"cmd":"log","job":"j999"}|})))
 
-(* An entry revived from the durable tier renders the same two frames
-   as the entry that was stored, and the tier keeps the full payload. *)
+(* ------------------------------------------------------------------ *)
+(* Bounded job table                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Only the newest [Server.max_finished_jobs] finished jobs are kept: a
+   warm resubmission is a job born finished, so [max_finished_jobs + 2]
+   of them after one cold job evict the cold job and the first two warm
+   ones, and every op names an evicted id an unknown job. *)
+let test_finished_jobs_bounded () =
+  with_server (fun socket_path ->
+      let request =
+        Protocol.default_request Protocol.Detect (Protocol.App "CircularList")
+      in
+      let cold, warm =
+        with_client socket_path (fun conn ->
+            let cold, _ = Client.submit conn request in
+            ignore (completed (Client.watch conn cold));
+            ( cold,
+              List.init (Server.max_finished_jobs + 2) (fun _ ->
+                  let id, cached = Client.submit conn request in
+                  if not cached then Alcotest.fail "resubmission not cached";
+                  id) ))
+      in
+      List.iter
+        (fun id ->
+          List.iter
+            (fun cmd ->
+              let _, reply =
+                raw_request socket_path
+                  (Printf.sprintf {|{"cmd":"%s","job":"%s"}|} cmd id)
+              in
+              check_error_reply (cmd ^ " of evicted " ^ id) reply;
+              Alcotest.(check (option string))
+                (cmd ^ " of evicted " ^ id)
+                (Some ("unknown job " ^ id))
+                (Json.str_member "error" (Json.of_string reply)))
+            [ "status"; "watch"; "cancel"; "log" ])
+        (cold :: List.filteri (fun i _ -> i < 2) warm);
+      with_client socket_path (fun conn ->
+          Alcotest.(check string) "the oldest kept job answers" "done"
+            (Client.status conn (List.nth warm 2)).Client.state;
+          let last = List.nth warm (Server.max_finished_jobs + 1) in
+          Alcotest.(check string) "the last job answers done" "done"
+            (Client.status conn last).Client.state;
+          let _, cached = completed (Client.watch conn last) in
+          Alcotest.(check bool) "its frame: a cached done" true cached))
+
+(* ------------------------------------------------------------------ *)
+(* The disk tier: the store, and the cache over it                     *)
+(* ------------------------------------------------------------------ *)
+
+module Cache = Failatom_server.Cache
+module Store = Failatom_server.Store
+
+let rm_rf dir =
+  let rec go p =
+    if Sys.is_directory p then begin
+      Array.iter (fun n -> go (Filename.concat p n)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  if Sys.file_exists dir then go dir
+
+let with_store_dir f =
+  let dir = Filename.remove_extension (fresh_socket ()) ^ ".store" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let store_cache dir =
+  Cache.create ~store:(Store.open_ ~dir ~max_bytes:(64 * 1024 * 1024)) ()
+
+let sample_result =
+  { Protocol.r_mode = Protocol.Detect;
+    r_flavor = "source";
+    r_injections = 3;
+    r_transparent = true;
+    r_non_atomic = [ ("A.m", "pure") ];
+    r_counts = { Protocol.atomic = 1; conditional = 0; pure = 1 };
+    r_log = "a run log\n";
+    r_wrapped = [];
+    r_corrected = None;
+    r_summary = None;
+    r_resilience = None }
+
+let test_store_round_trip () =
+  with_store_dir @@ fun dir ->
+  let store = Store.open_ ~dir ~max_bytes:(1024 * 1024) in
+  Alcotest.(check (option string))
+    "miss before store" None
+    (Store.find store ~ns:"results" ~key:"k1");
+  Store.store store ~ns:"results" ~key:"k1" "payload-one";
+  Store.store store ~ns:"images" ~key:"k1" "payload-two";
+  Alcotest.(check (option string))
+    "hit" (Some "payload-one")
+    (Store.find store ~ns:"results" ~key:"k1");
+  Alcotest.(check (option string))
+    "namespaces are disjoint" (Some "payload-two")
+    (Store.find store ~ns:"images" ~key:"k1");
+  (* a second open (a restart) sees the same data *)
+  let store' = Store.open_ ~dir ~max_bytes:(1024 * 1024) in
+  Alcotest.(check (option string))
+    "survives reopen" (Some "payload-one")
+    (Store.find store' ~ns:"results" ~key:"k1");
+  (* hostile keys neither crash nor escape the directory *)
+  List.iter
+    (fun key ->
+      Store.store store ~ns:"results" ~key "x";
+      Alcotest.(check (option string))
+        "hostile key rejected" None
+        (Store.find store ~ns:"results" ~key))
+    [ "../escape"; "a/b"; ""; "."; ".." ];
+  (* tmp droppings from a crashed writer are swept at open *)
+  let dropping = Filename.concat (Filename.concat dir "results") "k9.tmp.1.0" in
+  write_file dropping "junk";
+  ignore (Store.open_ ~dir ~max_bytes:(1024 * 1024));
+  Alcotest.(check bool) "tmp swept" false (Sys.file_exists dropping)
+
+let test_store_lru_eviction () =
+  with_store_dir @@ fun dir ->
+  let store = Store.open_ ~dir ~max_bytes:(10 * 1024) in
+  let blob = String.make (4 * 1024) 'x' in
+  List.iter
+    (fun key ->
+      Store.store store ~ns:"results" ~key blob;
+      (* distinct mtimes order the LRU deterministically *)
+      Thread.delay 0.05)
+    [ "a"; "b"; "c"; "d" ];
+  Alcotest.(check (option string))
+    "oldest evicted" None
+    (Store.find store ~ns:"results" ~key:"a");
+  Alcotest.(check (option string))
+    "second oldest evicted" None
+    (Store.find store ~ns:"results" ~key:"b");
+  Alcotest.(check bool)
+    "recent entries survive" true
+    (Store.find store ~ns:"results" ~key:"c" <> None
+    && Store.find store ~ns:"results" ~key:"d" <> None);
+  let count, bytes = Store.stats store in
+  Alcotest.(check int) "two entries left" 2 count;
+  Alcotest.(check bool) "under budget" true (bytes <= 10 * 1024);
+  (* a find touches the entry: [c] is now more recent than [d] *)
+  ignore (Store.find store ~ns:"results" ~key:"c");
+  Thread.delay 0.05;
+  Store.store store ~ns:"results" ~key:"e" blob;
+  Alcotest.(check bool)
+    "LRU victim is the untouched entry" true
+    (Store.find store ~ns:"results" ~key:"d" = None
+    && Store.find store ~ns:"results" ~key:"c" <> None)
+
+let test_warm_store_restart () =
+  with_store_dir @@ fun dir ->
+  let app = List.hd Registry.catalog in
+  let req =
+    { (Protocol.default_request Protocol.Detect (Protocol.App app.Registry.name)) with
+      Protocol.prune = Config.Prune_drop;
+      log = true }
+  in
+  let run_once () =
+    let socket_path = fresh_socket () in
+    let server =
+      Server.start ~cache:(store_cache dir) (Server.default_config ~socket_path)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Server.shutdown server;
+        Server.wait server)
+      (fun () ->
+        with_client socket_path (fun conn ->
+            let id, cached = Client.submit conn req in
+            let result, _ = completed (Client.watch conn id) in
+            (result, cached)))
+  in
+  let first, cached1 = run_once () in
+  (* a brand-new server process-equivalent: fresh cache, same store *)
+  let second, cached2 = run_once () in
+  Alcotest.(check bool) "first run computes" false cached1;
+  Alcotest.(check bool)
+    "restarted server answers from the store without re-running" true cached2;
+  Alcotest.(check string)
+    "byte-identical run log across restart" first.Protocol.r_log
+    second.Protocol.r_log;
+  Alcotest.(check (list (pair string string)))
+    "identical verdicts across restart" first.Protocol.r_non_atomic
+    second.Protocol.r_non_atomic
+
+(* An entry revived from the disk tier renders the same two frames as
+   the entry that was stored, and the tier keeps the full payload. *)
 let test_durable_entry_frames () =
-  let module Cache = Failatom_server.Cache in
-  let blobs = Hashtbl.create 4 in
-  let persist =
-    { Cache.find_blob = (fun ~ns ~key -> Hashtbl.find_opt blobs (ns, key));
-      store_blob = (fun ~ns ~key v -> Hashtbl.replace blobs (ns, key) v) }
-  in
-  let result =
-    { Protocol.r_mode = Protocol.Detect;
-      r_flavor = "source";
-      r_injections = 3;
-      r_transparent = true;
-      r_non_atomic = [ ("A.m", "pure") ];
-      r_counts = { Protocol.atomic = 1; conditional = 0; pure = 1 };
-      r_log = "a run log\n";
-      r_wrapped = [];
-      r_corrected = None;
-      r_summary = None;
-      r_resilience = None }
-  in
-  let stored = Cache.store_result (Cache.create ~persist ()) "k" result in
-  let revived = Option.get (Cache.find_result (Cache.create ~persist ()) "k") in
+  with_store_dir @@ fun dir ->
+  let stored = Cache.store_result (store_cache dir) "k" sample_result in
+  let revived = Option.get (Cache.find_result (store_cache dir) "k") in
   Alcotest.(check string) "the tier keeps the full payload" stored.Cache.e_rendered
-    (Hashtbl.find blobs (Cache.ns_results, "k"));
+    (read_file (Filename.concat (Filename.concat dir "results") "k"));
   List.iter
     (fun log ->
       Alcotest.(check string)
@@ -907,8 +1087,66 @@ let test_durable_entry_frames () =
         (Cache.warm_frame stored ~log) (Cache.warm_frame revived ~log))
     [ true; false ];
   Alcotest.(check string) "log-less rendering"
-    (Json.to_string (Protocol.result_to_json ~log:false result))
+    (Json.to_string (Protocol.result_to_json ~log:false sample_result))
     revived.Cache.e_rendered_nolog
+
+(* The disk tier is never fatal.  Namespace directories replaced by
+   regular files make every store write and read fail with ENOTDIR
+   (even as root, where a chmod would not); the cache still answers
+   from memory. *)
+let test_store_write_failures () =
+  with_store_dir @@ fun dir ->
+  let cache = store_cache dir in
+  List.iter
+    (fun ns ->
+      let d = Filename.concat dir ns in
+      rm_rf d;
+      write_file d "not a directory")
+    [ "results"; "images" ];
+  let e = Cache.store_result cache "k" sample_result in
+  Alcotest.(check string) "store_result returns its entry"
+    (Cache.entry sample_result).Cache.e_rendered e.Cache.e_rendered;
+  Alcotest.(check (option string)) "a memory hit"
+    (Some e.Cache.e_rendered)
+    (Option.map (fun e -> e.Cache.e_rendered) (Cache.find_result cache "k"));
+  Alcotest.(check bool) "an unreadable tier is a miss" true
+    (Cache.find_result cache "other" = None);
+  let program = parse (Option.get (Registry.find "stdQ")).Registry.source in
+  ignore (Cache.images cache ~program_digest:"d" ~flavor:Detect.Source_weaving program);
+  Alcotest.(check (pair int int)) "an image compiled, a result kept" (1, 1)
+    (Cache.stats cache);
+  Alcotest.(check (pair int int)) "a cache opened on the broken tier is empty"
+    (0, 0) (Cache.stats (store_cache dir))
+
+(* A result blob that does not decode is a miss, not an exception. *)
+let test_store_junk_result () =
+  with_store_dir @@ fun dir ->
+  let cache = store_cache dir in
+  let results = Filename.concat dir "results" in
+  write_file (Filename.concat results "junk") "not json";
+  write_file (Filename.concat results "shape") {|{"schema":"nope"}|};
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) ("junk blob " ^ key ^ " is a miss") true
+        (Cache.find_result cache key = None))
+    [ "junk"; "shape" ]
+
+(* Prewarm recompiles the stored images and skips junk metadata. *)
+let test_store_junk_images () =
+  with_store_dir @@ fun dir ->
+  let program = parse (Option.get (Registry.find "stdQ")).Registry.source in
+  ignore
+    (Cache.images (store_cache dir) ~program_digest:"d"
+       ~flavor:Detect.Source_weaving program);
+  let images = Filename.concat dir "images" in
+  List.iter
+    (fun (key, payload) -> write_file (Filename.concat images key) payload)
+    [ ("junk", "not json");
+      ("empty", "{}");
+      ("flavor", {|{"digest":"e","flavor":"nope","source":""}|});
+      ("source", {|{"digest":"f","flavor":"source","source":"class {"}|}) ];
+  Alcotest.(check (pair int int)) "only the good image prewarms" (1, 0)
+    (Cache.stats (store_cache dir))
 
 (* ------------------------------------------------------------------ *)
 
@@ -947,6 +1185,19 @@ let suite =
     Alcotest.test_case "log:false frame omits only the log" `Quick
       test_logless_frame;
     Alcotest.test_case "log op returns the one-shot log" `Quick test_log_op;
+    Alcotest.test_case "finished jobs are bounded" `Quick
+      test_finished_jobs_bounded;
+    Alcotest.test_case "store round trip and crash hygiene" `Quick
+      test_store_round_trip;
+    Alcotest.test_case "store LRU byte-bound eviction" `Quick
+      test_store_lru_eviction;
+    Alcotest.test_case "warm store restart answers without re-running" `Quick
+      test_warm_store_restart;
+    Alcotest.test_case "store write failures are not fatal" `Quick
+      test_store_write_failures;
+    Alcotest.test_case "junk result blob is a miss" `Quick test_store_junk_result;
+    Alcotest.test_case "prewarm skips junk image metadata" `Quick
+      test_store_junk_images;
     Alcotest.test_case "durable-tier entry renders both frames" `Quick
       test_durable_entry_frames;
     Alcotest.test_case "retired infer member shares one cache key" `Quick
