@@ -20,8 +20,6 @@ module Client = Failatom_server.Client
 module Protocol = Failatom_server.Protocol
 module Cache = Failatom_server.Cache
 module Store = Failatom_server.Store
-module Shard_map = Failatom_cluster.Shard_map
-module Supervisor = Failatom_cluster.Supervisor
 
 (* ---------------- exit codes ---------------- *)
 
@@ -844,79 +842,6 @@ let serve_cmd =
       const action $ socket_arg $ workers_arg $ max_queue_arg $ job_timeout_arg
       $ run_timeout_arg $ store_arg $ store_max_bytes_arg)
 
-let cluster_cmd =
-  let shards_arg =
-    let doc = "Number of shard daemons to spawn." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let steal_arg =
-    let doc =
-      "Steal a job to the idlest live shard once its digest-selected home \
-       shard has $(docv) more jobs in flight than that shard."
-    in
-    Arg.(value & opt int 4 & info [ "steal-threshold" ] ~docv:"N" ~doc)
-  in
-  let action socket shards workers max_queue job_timeout_s run_timeout_s store
-      store_max_bytes steal_threshold =
-    let config =
-      { (Supervisor.default_config ~base_socket:socket ~exe:Sys.executable_name) with
-        Supervisor.shards;
-        workers;
-        max_queue;
-        job_timeout_s;
-        run_timeout_s;
-        store_dir = store;
-        store_max_bytes;
-        steal_threshold;
-        on_event =
-          (fun e -> Fmt.epr "failatom: cluster: %s@." (Supervisor.event_name e)) }
-    in
-    match Supervisor.run config with
-    | () ->
-      Fmt.epr "failatom: cluster drained, exiting@.";
-      exit_ok
-    | exception Unix.Unix_error (e, _, _) ->
-      Fmt.epr "failatom: cannot run cluster on %s: %s@." socket
-        (Unix.error_message e);
-      exit_internal
-  in
-  let doc =
-    "Run a sharded detection cluster: a router on $(i,PATH) in front of \
-     $(b,--shards) supervised $(b,serve) daemons."
-  in
-  let man =
-    [ `S Manpage.s_description;
-      `P
-        "Spawns $(b,--shards) $(b,failatom serve) daemons on private sockets \
-         ($(i,PATH).shard0, $(i,PATH).shard1, ...) plus a router on the \
-         public socket $(i,PATH).  Every client subcommand ($(b,submit), \
-         $(b,watch), $(b,status), $(b,cancel), $(b,stats), $(b,shutdown)) \
-         works against the router unchanged.";
-      `P
-        "Jobs are routed by program digest, so resubmissions of the same \
-         program land on the shard whose caches are already warm.  When the \
-         home shard is overloaded ($(b,--steal-threshold)) or dead, the job \
-         is stolen to the idlest live shard.  A shard that exits is \
-         respawned (with backoff for crash loops) and watched jobs it was \
-         running are re-dispatched transparently.";
-      `P
-        "With $(b,--store) all shards share one persistent content-addressed \
-         cache directory, LRU-bounded by $(b,--store-max-bytes): results and \
-         compiled-image metadata computed by any shard — in any earlier \
-         cluster run — are served without re-running.";
-      `P
-        "The fleet topology (router socket, shard sockets, shard pids) is \
-         maintained in $(i,PATH).map so clients can fall back to direct \
-         shard access while the router is down.  SIGTERM/SIGINT or \
-         $(b,failatom shutdown) drain in order: the router first, then the \
-         shards (SIGTERM, escalating to SIGKILL)." ]
-  in
-  Cmd.v (Cmd.info "cluster" ~doc ~man ~exits)
-    Term.(
-      const action $ socket_arg $ shards_arg $ workers_arg $ max_queue_arg
-      $ job_timeout_arg $ run_timeout_arg $ store_arg $ store_max_bytes_arg
-      $ steal_arg)
-
 let job_pos_arg =
   let doc = "Job id as printed by $(b,submit)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB" ~doc)
@@ -969,11 +894,11 @@ let job_result_code (r : Protocol.job_result) =
   | Protocol.Detect | Protocol.Campaign | Protocol.Mask ->
     if r.Protocol.r_non_atomic = [] then exit_ok else exit_non_atomic
 
-(* Watches [job] to its end and prints the outcome.  Done frames carry
-   no run log ([submit] leaves [log = false]); [--log] fetches it with
-   the [log] op once the job is done. *)
-let watch_outcome ?(resilience_out = None) ~log ~corrected_out conn job =
-  match Client.watch ~on_event:print_event conn job with
+(* Prints the outcome of a watched [job].  Done frames carry no run log
+   ([submit] leaves [log = false]); [--log] fetches it with the [log] op
+   on the same connection. *)
+let report_outcome ?(resilience_out = None) ~log ~corrected_out conn job outcome =
+  match outcome with
   | Client.Completed (result, cached) ->
     if cached then Fmt.epr "(result served from cache)@.";
     print_job_result result;
@@ -1019,7 +944,7 @@ let watch_outcome ?(resilience_out = None) ~log ~corrected_out conn job =
 
 let with_client socket f =
   try f () with
-  | Client.Error msg ->
+  | Client.Error { msg; _ } ->
     Fmt.epr "failatom: %s@." msg;
     exit_internal
   | Unix.Unix_error (e, _, _) ->
@@ -1028,49 +953,15 @@ let with_client socket f =
 
 let connect_retries_arg =
   let doc =
-    "Retry a refused or missing socket up to $(docv) times with capped \
-     exponential backoff before giving up (useful while a daemon or cluster \
-     is still starting)."
+    "Retry a refused or missing socket with capped exponential backoff \
+     (useful while a daemon is starting or restarting).  For $(b,submit) \
+     without $(b,--detach), a connection that drops before the job's \
+     final frame also reconnects and submits the same job again: a \
+     daemon restarted on the same $(b,--store) answers a finished job \
+     from its cache and re-runs an unfinished one.  $(docv) bounds the \
+     reconnect attempts and the resubmissions together; 0 tries once."
   in
   Arg.(value & opt int 0 & info [ "connect-retries" ] ~docv:"N" ~doc)
-
-(* Degraded-mode cluster access: when the public socket is dead but the
-   supervisor's [<socket>.map] survives, [pick] chooses a shard socket
-   from the map (and optionally the shard-local job id to use there),
-   and the command runs against the shard directly. *)
-let with_cluster_fallback ~retries ~socket ~pick f =
-  try Client.with_conn ~retries ~socket_path:socket (fun conn -> f conn None)
-  with (Client.Error _ | Unix.Unix_error _) as exn -> (
-    match Option.bind (Shard_map.read_map ~base:socket) pick with
-    | None -> raise exn
-    | Some (shard_socket, local) ->
-      Fmt.epr "failatom: router unreachable, falling back to shard socket %s@."
-        shard_socket;
-      Client.with_conn ~retries ~socket_path:shard_socket (fun conn ->
-          f conn local))
-
-(* The shard a job id belongs to, per the map file. *)
-let pick_shard_of_job job map =
-  match Shard_map.parse_job_id job with
-  | None -> None
-  | Some (shard, local) ->
-    Option.map
-      (fun e -> (e.Shard_map.e_socket, Some local))
-      (List.nth_opt map.Shard_map.m_shards shard)
-
-(* The home shard of a program spec, for submitting router-less. *)
-let pick_home_of_program program map =
-  let shards = List.length map.Shard_map.m_shards in
-  if shards = 0 then None
-  else
-    let home =
-      match Shard_map.digest_of_spec program with
-      | Some digest -> Shard_map.shard_of_digest ~shards digest
-      | None -> 0
-    in
-    Option.map
-      (fun e -> (e.Shard_map.e_socket, None))
-      (List.nth_opt map.Shard_map.m_shards home)
 
 let submit_cmd =
   let mode_arg =
@@ -1181,9 +1072,8 @@ let submit_cmd =
       Fmt.epr "failatom: %s@." msg;
       exit_usage
     | Ok program ->
-    (* The plan is read client-side and shipped as text: the server may
-       run on another machine (via the cluster) and never sees client
-       paths. *)
+    (* The plan is read client-side and shipped as text: the server
+       never sees client paths. *)
     let plan =
       match (mode, plan_file) with
       | Protocol.Produce, None ->
@@ -1219,18 +1109,16 @@ let submit_cmd =
           times }
       in
       with_client socket (fun () ->
-          with_cluster_fallback ~retries ~socket
-            ~pick:(pick_home_of_program program)
-            (fun conn _ ->
-              let id, cached = Client.submit conn req in
-              if detach then begin
-                Fmt.pr "%s@." id;
-                exit_ok
-              end
-              else begin
-                Fmt.epr "job %s submitted%s@." id (if cached then " (cached)" else "");
-                watch_outcome ~resilience_out ~log ~corrected_out conn id
-              end))
+          if detach then
+            Client.with_conn ~retries ~socket_path:socket (fun conn ->
+                Fmt.pr "%s@." (fst (Client.submit conn req));
+                exit_ok)
+          else
+            Client.with_job ~retries ~socket_path:socket req
+              ~on_submit:(fun id cached ->
+                Fmt.epr "job %s submitted%s@." id (if cached then " (cached)" else ""))
+              ~on_event:print_event
+              (report_outcome ~resilience_out ~log ~corrected_out))
   in
   let doc =
     "Submit a job to a running $(b,failatom serve) daemon and (unless \
@@ -1251,9 +1139,7 @@ let submit_cmd =
 let status_cmd =
   let action job socket retries =
     with_client socket (fun () ->
-        with_cluster_fallback ~retries ~socket ~pick:(pick_shard_of_job job)
-          (fun conn local ->
-            let job = Option.value local ~default:job in
+        Client.with_conn ~retries ~socket_path:socket (fun conn ->
             let s = Client.status conn job in
             Fmt.pr "job:    %s@." job;
             Fmt.pr "state:  %s@." s.Client.state;
@@ -1274,10 +1160,9 @@ let status_cmd =
 let watch_cmd =
   let action job socket retries log =
     with_client socket (fun () ->
-        with_cluster_fallback ~retries ~socket ~pick:(pick_shard_of_job job)
-          (fun conn local ->
-            let job = Option.value local ~default:job in
-            watch_outcome ~log ~corrected_out:None conn job))
+        Client.with_conn ~retries ~socket_path:socket (fun conn ->
+            Client.watch ~on_event:print_event conn job
+            |> report_outcome ~log ~corrected_out:None conn job))
   in
   let doc =
     "Stream a job's progress events until it finishes and print its result \
@@ -1289,9 +1174,7 @@ let watch_cmd =
 let cancel_cmd =
   let action job socket retries =
     with_client socket (fun () ->
-        with_cluster_fallback ~retries ~socket ~pick:(pick_shard_of_job job)
-          (fun conn local ->
-            let job = Option.value local ~default:job in
+        Client.with_conn ~retries ~socket_path:socket (fun conn ->
             Client.cancel conn job;
             Fmt.epr "cancellation requested for %s@." job;
             exit_ok))
@@ -1306,29 +1189,14 @@ let cancel_cmd =
 let shutdown_cmd =
   let action socket retries =
     with_client socket (fun () ->
-        try
-          Client.with_conn ~retries ~socket_path:socket (fun conn ->
-              Client.shutdown conn;
-              Fmt.epr "shutdown requested@.";
-              exit_ok)
-        with (Client.Error _ | Unix.Unix_error _) as exn -> (
-          (* router-less cluster: ask every shard in the map directly *)
-          match Shard_map.read_map ~base:socket with
-          | None -> raise exn
-          | Some map ->
-            List.iter
-              (fun e ->
-                try
-                  Client.with_conn ~socket_path:e.Shard_map.e_socket
-                    Client.shutdown
-                with Client.Error _ | Unix.Unix_error _ | Sys_error _ -> ())
-              map.Shard_map.m_shards;
-            Fmt.epr "shutdown requested (shard by shard; router unreachable)@.";
+        Client.with_conn ~retries ~socket_path:socket (fun conn ->
+            Client.shutdown conn;
+            Fmt.epr "shutdown requested@.";
             exit_ok))
   in
   let doc =
-    "Ask a running daemon (or every shard of a cluster) to drain — queued \
-     jobs cancelled, running jobs finish — and exit."
+    "Ask a running daemon to drain — queued jobs cancelled, running jobs \
+     finish — and exit."
   in
   Cmd.v (Cmd.info "shutdown" ~doc ~exits)
     Term.(const action $ socket_arg $ connect_retries_arg)
@@ -1389,40 +1257,13 @@ let stats_cmd =
       render s ~origin:path
     | None, Some socket, false ->
       with_client socket (fun () ->
-          try
-            Client.with_conn ~retries ~socket_path:socket (fun conn ->
-                render (Client.stats conn) ~origin:socket)
-          with (Client.Error _ | Unix.Unix_error _) as exn -> (
-            (* router-less cluster: merge the shards' own snapshots *)
-            match Shard_map.read_map ~base:socket with
-            | None -> raise exn
-            | Some map ->
-              let snaps =
-                List.filter_map
-                  (fun e ->
-                    try
-                      Some
-                        (Client.with_conn ~socket_path:e.Shard_map.e_socket
-                           (fun conn ->
-                             Failatom_obs.Obs.parse_json (Client.stats conn)))
-                    with
-                    | Client.Error _ | Unix.Unix_error _ | Sys_error _
-                    | Failatom_obs.Obs.Parse_error _ ->
-                      None)
-                  map.Shard_map.m_shards
-              in
-              if snaps = [] then raise exn
-              else begin
-                Failatom_obs.Obs.pp_table Fmt.stdout
-                  (Failatom_obs.Obs.merge snaps);
-                exit_ok
-              end))
+          Client.with_conn ~retries ~socket_path:socket (fun conn ->
+              render (Client.stats conn) ~origin:socket))
   in
   let doc =
     "Render a metrics snapshot as a per-phase table: counters, gauges, and \
      span timings with count/total/mean/p50/p99/max — from a --metrics-out \
-     file or live from a daemon ($(b,--socket); a cluster router answers \
-     with its shards' metrics merged)."
+     file or live from a daemon ($(b,--socket))."
   in
   Cmd.v (Cmd.info "stats" ~doc ~exits)
     Term.(
@@ -1531,7 +1372,7 @@ let main_cmd =
   Cmd.group
     (Cmd.info "failatom" ~version:"1.0.0" ~doc ~exits)
     [ run_cmd; detect_cmd; campaign_cmd; analyze_cmd; classify_cmd; weave_cmd;
-      mask_cmd; trace_cmd; profile_cmd; serve_cmd; cluster_cmd; submit_cmd;
+      mask_cmd; trace_cmd; profile_cmd; serve_cmd; submit_cmd;
       status_cmd; watch_cmd; cancel_cmd; shutdown_cmd; stats_cmd; apps_cmd;
       experiments_cmd ]
 

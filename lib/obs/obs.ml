@@ -262,48 +262,6 @@ let snapshot () =
     s_gauges = sorted_bindings gauges (fun g -> Atomic.get g.g_value);
     s_histograms = sorted_bindings histograms hist_snap_of }
 
-(* Merging snapshots from several processes (the cluster router
-   aggregating its shards): counters and gauges sum; histograms combine
-   exactly for count/sum/min/max, while the quantiles — which cannot be
-   recovered from per-process summaries — are estimated as the
-   count-weighted mean of the per-process quantiles. *)
-let merge snaps =
-  let merged_assoc combine lists =
-    let tbl = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (List.iter (fun (k, v) ->
-           match Hashtbl.find_opt tbl k with
-           | None ->
-             Hashtbl.replace tbl k v;
-             order := k :: !order
-           | Some prev -> Hashtbl.replace tbl k (combine prev v)))
-      lists;
-    List.sort String.compare !order
-    |> List.map (fun k -> (k, Hashtbl.find tbl k))
-  in
-  let combine_hist a b =
-    if a.hs_count = 0 then b
-    else if b.hs_count = 0 then a
-    else
-      let count = a.hs_count + b.hs_count in
-      let weighted qa qb =
-        (qa * a.hs_count + qb * b.hs_count) / count
-      in
-      { hs_unit = a.hs_unit;
-        hs_count = count;
-        hs_sum = a.hs_sum + b.hs_sum;
-        hs_min = Stdlib.min a.hs_min b.hs_min;
-        hs_max = Stdlib.max a.hs_max b.hs_max;
-        hs_p50 = weighted a.hs_p50 b.hs_p50;
-        hs_p99 = weighted a.hs_p99 b.hs_p99;
-        hs_attrs = (if a.hs_attrs = [] then b.hs_attrs else a.hs_attrs) }
-  in
-  { s_counters = merged_assoc ( + ) (List.map (fun s -> s.s_counters) snaps);
-    s_gauges = merged_assoc ( + ) (List.map (fun s -> s.s_gauges) snaps);
-    s_histograms =
-      merged_assoc combine_hist (List.map (fun s -> s.s_histograms) snaps) }
-
 (* ------------------------------------------------------------------ *)
 (* JSON interchange (schema failatom.metrics/1)                        *)
 (* ------------------------------------------------------------------ *)

@@ -94,12 +94,6 @@ val snapshot : unit -> snap
     writers, so a snapshot taken mid-campaign is approximate; taken
     after a campaign completes it is exact. *)
 
-val merge : snap list -> snap
-(** Combines snapshots from several processes (the cluster router
-    aggregating its shards): counters and gauges sum; histogram
-    count/sum/min/max combine exactly, quantiles are estimated as the
-    count-weighted mean of the inputs' quantiles. *)
-
 val schema_id : string
 (** ["failatom.metrics/1"] *)
 

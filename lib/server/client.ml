@@ -5,9 +5,12 @@
 
 module Json = Failatom_core.Json
 
-exception Error of string
-(* Any failure talking to the daemon: connection refused, protocol
-   garbage, or a server-side {"ok":false} reply. *)
+exception Error of { msg : string; dropped : bool }
+(* Any failure talking to the daemon.  [dropped] marks the one kind a
+   resubmission can cure: the connection closed or was reset under a
+   pending reply (EOF, ECONNRESET, EPIPE).  Everything else — a refused
+   connect after its retries, protocol garbage, a server-side
+   {"ok":false} reply — has [dropped = false]. *)
 
 type conn = {
   fd : Unix.file_descr;
@@ -15,20 +18,24 @@ type conn = {
   oc : out_channel;
 }
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
+let fail fmt =
+  Printf.ksprintf (fun msg -> raise (Error { msg; dropped = false })) fmt
+
+let drop msg = raise (Error { msg; dropped = true })
 
 let read_json conn =
   match input_line conn.ic with
-  | exception End_of_file -> fail "server closed the connection"
+  | exception End_of_file -> drop "server closed the connection"
+  | exception Sys_error msg -> drop ("connection lost: " ^ msg)
   | line -> (
     try Json.of_string line
     with Json.Parse_error msg -> fail "bad server reply (%s): %s" msg line)
 
 (* Internal marker for connect failures that a retry can cure: a
-   daemon (or cluster shard) that is restarting briefly leaves no
-   socket file (ENOENT) or a socket nobody accepts on (ECONNREFUSED),
-   and a process dying mid-greeting shows as ECONNRESET or a truncated
-   stream.  Protocol-revision mismatches are never retried. *)
+   daemon that is restarting briefly leaves no socket file (ENOENT) or
+   a socket nobody accepts on (ECONNREFUSED), and a process dying
+   mid-greeting shows as ECONNRESET or a truncated stream.
+   Protocol-revision mismatches are never retried. *)
 exception Transient of string
 
 let close conn =
@@ -47,7 +54,7 @@ let connect_once ~socket_path =
      (match err with
       | Unix.ECONNREFUSED | Unix.ENOENT | Unix.ECONNRESET ->
         raise (Transient msg)
-      | _ -> raise (Error msg)));
+      | _ -> raise (Error { msg; dropped = false })));
   (* Each channel owns its own descriptor (see the matching note in
      Server.handle_connection): closing both channels of a shared fd
      double-closes it, racing with fd-number reuse in other threads. *)
@@ -57,12 +64,12 @@ let connect_once ~socket_path =
       oc = Unix.out_channel_of_descr (Unix.dup fd) }
   in
   match read_json conn with
+  | exception Error { dropped = true; _ } ->
+    close conn;
+    raise (Transient "server closed the connection mid-greeting")
   | exception e ->
     close conn;
-    (match e with
-     | Error _ | Sys_error _ ->
-       raise (Transient "server closed the connection mid-greeting")
-     | e -> raise e)
+    raise e
   | greeting ->
     (match Json.str_member "rpc" greeting with
      | Some v when String.equal v Protocol.version -> conn
@@ -73,28 +80,36 @@ let connect_once ~socket_path =
        close conn;
        fail "not a failatom server (no greeting)")
 
-let connect ?(retries = 0) ~socket_path () =
-  let rec attempt n delay =
+(* Connects, retrying transient failures while [budget] lasts; returns
+   the connection and the budget left. *)
+let connect_within ~socket_path budget =
+  let rec attempt budget delay =
     match connect_once ~socket_path with
-    | conn -> conn
+    | conn -> (conn, budget)
     | exception Transient msg ->
-      if n >= retries then raise (Error msg)
+      if budget <= 0 then raise (Error { msg; dropped = false })
       else begin
         (* capped exponential backoff: 50ms, 100ms, ... capped at 1s *)
         Thread.delay delay;
-        attempt (n + 1) (Float.min 1.0 (delay *. 2.))
+        attempt (budget - 1) (Float.min 1.0 (delay *. 2.))
       end
   in
-  attempt 0 0.05
+  (* a write to a dead daemon must raise EPIPE, not kill the client *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  attempt budget 0.05
+
+let connect ?(retries = 0) ~socket_path () = fst (connect_within ~socket_path retries)
 
 let with_conn ?retries ~socket_path f =
   let conn = connect ?retries ~socket_path () in
   Fun.protect ~finally:(fun () -> close conn) (fun () -> f conn)
 
 let send conn req =
-  output_string conn.oc (Json.to_string (Protocol.request_to_json req));
-  output_char conn.oc '\n';
-  flush conn.oc
+  try
+    output_string conn.oc (Json.to_string (Protocol.request_to_json req));
+    output_char conn.oc '\n';
+    flush conn.oc
+  with Sys_error msg -> drop ("connection lost: " ^ msg)
 
 (* One reply, with the ok/error envelope unwrapped. *)
 let reply conn =
@@ -185,3 +200,28 @@ let submit_wait ?on_event conn job_request =
   match Json.str_member "job" j with
   | None -> fail "malformed submit reply: %s" (Json.to_string j)
   | Some id -> watch ?on_event conn id
+
+(* Resubmitting after a drop loses no job: a detection job either
+   finished (and a daemon restarted on the same store answers it from
+   the cache) or left nothing behind.  One budget bounds the reconnect
+   attempts and the resubmissions together, so a job that kills the
+   daemon every time stops after [retries]. *)
+let with_job ?(retries = 0) ?(on_submit = fun _ _ -> ()) ?on_event ~socket_path
+    job_request k =
+  let rec attempt budget =
+    let conn, budget = connect_within ~socket_path budget in
+    match
+      let id, cached = submit conn job_request in
+      on_submit id cached;
+      (id, watch ?on_event conn id)
+    with
+    | id, outcome ->
+      Fun.protect ~finally:(fun () -> close conn) (fun () -> k conn id outcome)
+    | exception Error { dropped = true; _ } when budget > 0 ->
+      close conn;
+      attempt (budget - 1)
+    | exception e ->
+      close conn;
+      raise e
+  in
+  attempt retries

@@ -3,7 +3,11 @@
     connection failure, protocol garbage, or a server-side error
     reply. *)
 
-exception Error of string
+exception Error of { msg : string; dropped : bool }
+(** [dropped] is true only when the connection closed or was reset
+    under a pending reply (EOF, [ECONNRESET], [EPIPE]) — the one failure
+    {!with_job} resubmits after.  A refused connect, a malformed reply
+    and a server [{"ok":false}] reply all have [dropped = false]. *)
 
 type conn
 
@@ -12,8 +16,10 @@ val connect : ?retries:int -> socket_path:string -> unit -> conn
     [retries] (default 0) retries transient connect failures —
     [ECONNREFUSED], [ENOENT], [ECONNRESET], or a connection cut
     mid-greeting — with capped exponential backoff (50ms doubling,
-    capped at 1s), so clients tolerate a daemon or shard respawning
-    underneath them.  Protocol mismatches are never retried. *)
+    capped at 1s), so clients tolerate a daemon restarting underneath
+    them.  Protocol mismatches are never retried.  Ignores [SIGPIPE]
+    process-wide, so a write to a dead daemon raises instead of
+    killing the client. *)
 
 val close : conn -> unit
 
@@ -64,3 +70,22 @@ val submit_wait :
 (** [submit] followed by [watch].  The submit reply carries only the
     job id, its state and whether it was a cache hit, so even a cache
     hit (born finished) takes the watch round trip for its result. *)
+
+val with_job :
+  ?retries:int ->
+  ?on_submit:(string -> bool -> unit) ->
+  ?on_event:(Protocol.event -> unit) ->
+  socket_path:string ->
+  Protocol.job_request ->
+  (conn -> string -> outcome -> 'a) ->
+  'a
+(** Connects, submits the job ([on_submit] sees its id and cache flag)
+    and watches it to its terminal frame, then runs [k conn id outcome]
+    on that connection and closes it.  When the connection drops before
+    the terminal frame ({!Error} with [dropped]), it reconnects and
+    sends the same request again: a daemon restarted on the same store
+    answers a finished job from the cache and re-runs an unfinished one.
+    [retries] (default 0: never resubmit) is one budget shared by the
+    reconnect attempts and the resubmissions.  An [{"ok":false}] reply,
+    a malformed reply and a failed, cancelled or timed-out job are never
+    resubmitted; nor is anything [k] raises. *)

@@ -1,7 +1,7 @@
-(* Shared Unix-domain-socket plumbing for everything that speaks the
-   NDJSON protocol: the daemon ({!Server}), the cluster router, and the
-   tests.  Extracted from the PR 5 server so the connection loop is
-   written once.
+(* Raw-descriptor Unix-domain-socket plumbing for the NDJSON protocol:
+   the daemon ({!Server}) serves through it, and the serve-mixed
+   benchmark workload (perfbench/serve_mixed.ml) speaks the wire
+   through it so a raw frame can be timed and byte-checked.
 
    Two properties the callers rely on:
 

@@ -1,6 +1,6 @@
-(** Shared Unix-domain-socket plumbing for the daemon and the cluster
-    router: listening, the select-polled accept loop, and raw-fd NDJSON
-    frame I/O.  Every primitive restarts on [EINTR], so a signal during
+(** Unix-domain-socket plumbing for the daemon ({!Server}) and the
+    serve-mixed benchmark workload's raw client: listening, the
+    select-polled accept loop, and raw-fd NDJSON frame I/O.  Every primitive restarts on [EINTR], so a signal during
     accept or read never surfaces as a protocol error; [write_line]
     loops until the whole frame is written, so short writes never tear
     a frame. *)

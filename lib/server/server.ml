@@ -4,7 +4,7 @@
    Layout:
 
    - One {b accept thread} owns the listening socket; the loop itself
-     lives in {!Net} (shared with the cluster router) and polls with a
+     lives in {!Net} and polls with a
      short [select] timeout so a stop request is honoured promptly.
 
    - {b Connection threads} speak the NDJSON protocol ({!Protocol}):

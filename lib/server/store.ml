@@ -7,8 +7,9 @@
    key (a hex digest, possibly suffixed with a flavor name).  The
    store never interprets payloads; byte-identity is the contract.
 
-   Multi-process by construction: daemons (a cluster's shards, or a
-   daemon and its restarted successor) open the same directory, and
+   Multi-process by construction: daemons (a daemon and its restarted
+   successor, which may overlap during a restart) open the same
+   directory, and
    the filesystem is the only shared state — there is no in-memory
    index to go stale.  The invariants that make that safe:
 
@@ -31,6 +32,10 @@
 
 module Obs = Failatom_obs.Obs
 
+(* The [cluster.] prefix (here and on {!Cache}'s
+   [cluster.images_prewarmed]) predates the single daemon owning the
+   store; the names stay because [failatom stats]'s key set and the CI
+   smoke's [awk] checks read them. *)
 let m_hits = Obs.counter "cluster.store_hits"
 let m_misses = Obs.counter "cluster.store_misses"
 let m_spills = Obs.counter "cluster.store_spills"
@@ -138,7 +143,7 @@ let find t ~ns ~key =
       Some payload
 
 (* Oldest-mtime-first until under budget.  Rescans rather than trusting
-   any in-memory count, so eviction stays correct when several shard
+   any in-memory count, so eviction stays correct when several daemon
    processes write the same store. *)
 let evict_if_needed t =
   Mutex.lock t.mutex;

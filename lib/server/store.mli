@@ -1,7 +1,8 @@
 (** The daemon's persistent content-addressed blob store, the disk
     tier of {!Cache}: one file per blob under [<dir>/<ns>/<key>],
     written atomically (tmp + fsync + rename), shared by every daemon
-    pointed at the same directory (a cluster's shards all are),
+    pointed at the same directory (a daemon and its restarted
+    successor may overlap),
     LRU-bounded by total bytes (mtime is the recency clock; a hit
     touches it).
 

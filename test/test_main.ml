@@ -36,5 +36,4 @@ let () =
       ("snapshot", Test_snapshot.suite);
       ("campaign", Test_campaign.suite);
       ("obs", Test_obs.suite);
-      ("server", Test_server.suite);
-      ("cluster", Test_cluster.suite) ]
+      ("server", Test_server.suite) ]

@@ -2,9 +2,12 @@
    result fidelity against the in-process detector, the
    content-addressed cache and its disk tier (store round trip, crash
    hygiene, LRU eviction, warm restarts, failure paths), the bounded
-   job table, concurrency, admission failures, and the timeout/cancel
-   paths.  Each test (or test group) starts its own
-   in-process server on a fresh socket. *)
+   job table, concurrency, admission failures, the timeout/cancel
+   paths, and the client's connect backoff and resubmission after a
+   dropped connection (against a scripted daemon, and — when the
+   failatom binary is available via FAILATOM_EXE — against a real
+   [serve --store] killed with SIGKILL mid-job).  Each test (or test
+   group) starts its own in-process server on a fresh socket. *)
 
 open Failatom_core
 open Failatom_apps
@@ -159,26 +162,30 @@ let test_inline_program () =
 
 let test_cache_hit () =
   with_server (fun socket_path ->
-      let request =
-        { (Protocol.default_request Protocol.Detect (Protocol.App "CircularList")) with
-          Protocol.log = true }
+      let cache_hit request =
+        with_client socket_path (fun conn ->
+            let first, cached1 = completed (Client.submit_wait conn request) in
+            Alcotest.(check bool) "first run not cached" false cached1;
+            let id2, cached2 = Client.submit conn request in
+            Alcotest.(check bool) "resubmission served from cache" true cached2;
+            (* the cached job is already terminal: status shows the result *)
+            let s = Client.status conn id2 in
+            Alcotest.(check string) "cached job is done" "done" s.Client.state;
+            let second = Option.get s.Client.result in
+            Alcotest.(check string)
+              "bitwise identical log" first.Protocol.r_log second.Protocol.r_log;
+            (* watch on a finished job still yields the terminal event *)
+            let third, cached3 = completed (Client.watch conn id2) in
+            Alcotest.(check bool) "watch reports cached" true cached3;
+            Alcotest.(check bool) "the warm result is the cold one" true (first = third))
       in
-      with_client socket_path (fun conn ->
-          let first, cached1 = completed (Client.submit_wait conn request) in
-          Alcotest.(check bool) "first run not cached" false cached1;
-          let id2, cached2 = Client.submit conn request in
-          Alcotest.(check bool) "resubmission served from cache" true cached2;
-          (* the cached job is already terminal: status shows the result *)
-          let s = Client.status conn id2 in
-          Alcotest.(check string) "cached job is done" "done" s.Client.state;
-          let second = Option.get s.Client.result in
-          Alcotest.(check string)
-            "bitwise identical log" first.Protocol.r_log second.Protocol.r_log;
-          (* watch on a finished job still yields the terminal event *)
-          let third, cached3 = completed (Client.watch conn id2) in
-          Alcotest.(check bool) "watch reports cached" true cached3;
-          Alcotest.(check string)
-            "watch returns the same result" first.Protocol.r_log third.Protocol.r_log))
+      List.iter cache_hit
+        [ { (Protocol.default_request Protocol.Detect (Protocol.App "CircularList")) with
+            Protocol.log = true };
+          { (Protocol.default_request Protocol.Detect
+               (Protocol.App (List.hd Registry.catalog).Registry.name)) with
+            Protocol.prune = Config.Prune_drop;
+            log = true } ])
 
 (* A detect job is a one-worker campaign, which walks: its summary
    counts (executed, reused, discarded, synthesized) and its log are the
@@ -1149,6 +1156,281 @@ let test_store_junk_images () =
     (Cache.stats (store_cache dir))
 
 (* ------------------------------------------------------------------ *)
+(* The client: connect backoff and resubmission after a drop          *)
+(* ------------------------------------------------------------------ *)
+
+module Net = Failatom_server.Net
+
+let test_client_backoff () =
+  let socket_path = fresh_socket () in
+  (* no retries: a missing socket fails immediately *)
+  (match Client.with_conn ~socket_path (fun _ -> ()) with
+   | () -> Alcotest.fail "connected to nothing"
+   | exception (Client.Error _ | Unix.Unix_error _) -> ());
+  (* with retries: a server that appears late is waited for *)
+  let starter =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.3;
+        let server = Server.start (Server.default_config ~socket_path) in
+        Server.wait server)
+      ()
+  in
+  Client.with_conn ~retries:10 ~socket_path Client.shutdown;
+  Thread.join starter;
+  if Sys.file_exists socket_path then Sys.remove socket_path
+
+let frame fields = Json.to_string (Protocol.ok fields)
+
+let event_frame ev =
+  match Protocol.event_to_json ev with
+  | Json.Obj fields -> frame fields
+  | _ -> Alcotest.fail "an event renders as an object"
+
+(* A scripted stand-in for the daemon.  Every connection is greeted;
+   each request line is answered by [answer ~submit line] with reply
+   lines, or with [None] to close the connection instead.  [submit]
+   numbers the submit lines seen so far (across connections, from 1).
+   Returns [f socket_path] and the number of submit lines seen. *)
+let with_scripted answer f =
+  let socket_path = fresh_socket () in
+  let listener = Net.listen ~socket_path in
+  let submits = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let serve fd =
+    let rd = Net.reader fd in
+    let rec loop () =
+      match Net.read_line rd with
+      | None -> ()
+      | Some line -> (
+        let submit =
+          if Json.str_member "cmd" (Json.of_string line) = Some "submit" then
+            Atomic.fetch_and_add submits 1 + 1
+          else Atomic.get submits
+        in
+        match answer ~submit line with
+        | None -> ()
+        | Some replies ->
+          List.iter (Net.write_line fd) replies;
+          loop ())
+    in
+    Fun.protect
+      ~finally:(fun () -> Net.close_noerr fd)
+      (fun () ->
+        Net.write_line fd (Json.to_string Protocol.greeting);
+        loop ())
+  in
+  let acceptor =
+    Thread.create
+      (fun () -> Net.accept_loop ~stop:(fun () -> Atomic.get stop) listener serve)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join acceptor;
+      if Sys.file_exists socket_path then Sys.remove socket_path)
+    (fun () ->
+      let r = f socket_path in
+      (r, Atomic.get submits))
+
+(* Submit [n] is answered with job [j<n>]; its watch gets [watch n]. *)
+let scripted_job watch ~submit line =
+  match Json.str_member "cmd" (Json.of_string line) with
+  | Some "submit" ->
+    Some
+      [ frame
+          [ ("job", Json.Str (Printf.sprintf "j%d" submit));
+            ("state", Json.Str "queued");
+            ("cached", Json.Bool false) ] ]
+  | Some "watch" -> watch submit
+  | _ -> Some [ Json.to_string (Protocol.error "unexpected request") ]
+
+let running = event_frame (Protocol.Ev_state "running")
+
+let scripted_submit ?(retries = 5) answer =
+  with_scripted answer (fun socket_path ->
+      match
+        Client.with_job ~retries ~socket_path
+          (Protocol.default_request Protocol.Detect (Protocol.App "stdQ"))
+          (fun _ id outcome -> (id, outcome))
+      with
+      | r -> Ok r
+      | exception Client.Error { dropped; _ } -> Error dropped)
+
+(* The resubmit loop against a scripted daemon: a drop before the
+   terminal frame resubmits, within the retry budget; a refusal, a
+   malformed reply or a terminal failure is final.  One case per
+   claim: each names the outcome and the number of submit lines the
+   daemon saw. *)
+let resubmit_outcome_name = function
+  | Ok (id, Client.Completed _) -> "completed " ^ id
+  | Ok (id, Client.Job_failed _) -> "failed " ^ id
+  | Ok (id, Client.Job_cancelled) -> "cancelled " ^ id
+  | Ok (id, Client.Job_timed_out) -> "timed out " ^ id
+  | Error dropped -> Printf.sprintf "Client.Error (dropped %b)" dropped
+
+let resubmit_case name ?retries answer (want, want_submits) =
+  ( name,
+    fun () ->
+      let r, submits = scripted_submit ?retries answer in
+      Alcotest.(check (pair string int)) name (want, want_submits)
+        (resubmit_outcome_name r, submits) )
+
+let done_frame () =
+  event_frame (Protocol.Ev_done { result = sample_result; cached = false })
+
+let resubmit_cases =
+  [ (* dropped mid-watch twice, then served *)
+    resubmit_case "drops are resubmitted"
+      (scripted_job (fun n -> if n < 3 then None else Some [ running; done_frame () ]))
+      ("completed j3", 3);
+    resubmit_case "a drop before the submit reply is resubmitted"
+      (fun ~submit line ->
+        if submit = 1 then None
+        else scripted_job (fun _ -> Some [ done_frame () ]) ~submit line)
+      ("completed j2", 2);
+    resubmit_case "the budget bounds resubmission" ~retries:2
+      (scripted_job (fun _ -> None))
+      ("Client.Error (dropped true)", 3);
+    resubmit_case "retries 0 never resubmits" ~retries:0
+      (scripted_job (fun _ -> None))
+      ("Client.Error (dropped true)", 1);
+    resubmit_case "a refusal is final"
+      (fun ~submit:_ _ -> Some [ Json.to_string (Protocol.error "unknown app") ])
+      ("Client.Error (dropped false)", 1);
+    resubmit_case "a malformed reply is final"
+      (fun ~submit:_ _ -> Some [ "not json" ])
+      ("Client.Error (dropped false)", 1) ]
+  @ List.map
+      (fun (ev, want) ->
+        resubmit_case
+          ("a terminal " ^ want ^ " frame is final")
+          (scripted_job (fun _ -> Some [ running; event_frame ev ]))
+          (want ^ " j1", 1))
+      [ (Protocol.Ev_error "boom", "failed");
+        (Protocol.Ev_cancelled, "cancelled");
+        (Protocol.Ev_timeout, "timed out") ]
+
+(* The other half of resubmission: a job that finished before the drop
+   is answered by the restarted daemon from the store, without a
+   re-run, and the log op serves that job's one-shot log. *)
+let test_resubmit_finished_from_store () =
+  with_store_dir @@ fun dir ->
+  let socket_path = fresh_socket () in
+  let req =
+    { (Protocol.default_request Protocol.Detect (Protocol.App "stdQ")) with
+      Protocol.prune = Config.Prune_drop }
+  in
+  let with_daemon f =
+    let server =
+      Server.start ~cache:(store_cache dir) (Server.default_config ~socket_path)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Server.shutdown server;
+        Server.wait server;
+        if Sys.file_exists socket_path then Sys.remove socket_path)
+      f
+  in
+  let job () =
+    Client.with_job ~retries:10 ~socket_path req (fun conn id outcome ->
+        (Client.log conn id, snd (completed outcome)))
+  in
+  let first_log, first_cached = with_daemon job in
+  let second_log, second_cached = with_daemon job in
+  Alcotest.(check bool) "the first daemon computes" false first_cached;
+  Alcotest.(check bool) "the restarted daemon answers from the store" true
+    second_cached;
+  let app = Option.get (Registry.find "stdQ") in
+  let one_shot =
+    Run_log.save
+      (Detect.run
+         ~config:{ Config.default with Config.prune = Config.Prune_drop }
+         ~flavor:(Harness.flavor_of_suite app.Registry.suite)
+         (parse app.Registry.source))
+  in
+  Alcotest.(check string) "first log is the one-shot log" one_shot first_log;
+  Alcotest.(check string) "log op from the store is the one-shot log" one_shot
+    second_log
+
+let failatom_exe () =
+  match Sys.getenv_opt "FAILATOM_EXE" with
+  | Some exe when Sys.file_exists exe -> Some exe
+  | _ -> None
+
+(* A real daemon under a restart loop: [failatom serve --store] is
+   killed with SIGKILL the first time the watched job runs and started
+   again on the same socket and store.  With retries the client
+   resubmits and the job completes with the one-shot log; without, the
+   drop surfaces as [Client.Error]. *)
+let test_kill_resubmit () =
+  match failatom_exe () with
+  | None -> ()  (* binary not wired in; covered by the CI server smoke *)
+  | Some exe ->
+    with_store_dir @@ fun store ->
+    let socket_path = fresh_socket () in
+    let spawn () =
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close null)
+        (fun () ->
+          Unix.create_process exe
+            [| exe; "serve"; "--socket"; socket_path; "--store"; store |]
+            Unix.stdin null null)
+    in
+    let daemon = ref (spawn ()) in
+    let kill_when_running () =
+      let killed = ref false in
+      let on_event = function
+        | Protocol.Ev_state "running" when not !killed ->
+          killed := true;
+          Unix.kill !daemon Sys.sigkill;
+          ignore (Unix.waitpid [] !daemon);
+          daemon := spawn ()
+        | _ -> ()
+      in
+      (killed, on_event)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Client.with_conn ~retries:20 ~socket_path Client.shutdown
+         with Client.Error _ -> Unix.kill !daemon Sys.sigkill);
+        ignore (Unix.waitpid [] !daemon);
+        if Sys.file_exists socket_path then Sys.remove socket_path)
+      (fun () ->
+        (* the first daemon is up before a client that will not retry *)
+        Client.with_conn ~retries:40 ~socket_path ignore;
+        let req =
+          { (Protocol.default_request Protocol.Campaign (Protocol.App "xml2Cviasc2")) with
+            Protocol.prune = Config.Prune_off;
+            run_timeout_s = Some 600. }
+        in
+        let killed, on_event = kill_when_running () in
+        (match
+           Client.with_job ~retries:0 ~on_event ~socket_path req (fun _ _ _ -> ())
+         with
+         | () -> Alcotest.fail "the job outlived its daemon"
+         | exception Client.Error { dropped; _ } ->
+           Alcotest.(check bool) "retries 0: the kill was seen" true !killed;
+           Alcotest.(check bool) "retries 0: raised as a drop" true dropped);
+        let killed, on_event = kill_when_running () in
+        let log, cached =
+          Client.with_job ~retries:10 ~on_event ~socket_path req
+            (fun conn id outcome -> (Client.log conn id, snd (completed outcome)))
+        in
+        Alcotest.(check bool) "retries 10: the kill happened" true !killed;
+        Alcotest.(check bool) "the resubmitted job re-ran" false cached;
+        let app = Option.get (Registry.find "xml2Cviasc2") in
+        Alcotest.(check string) "the one-shot log"
+          (Run_log.save
+             (Detect.run
+                ~config:{ Config.default with Config.prune = Config.Prune_off }
+                ~flavor:(Harness.flavor_of_suite app.Registry.suite)
+                (parse app.Registry.source)))
+          log)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "round trip matrix (all apps, both flavors)" `Slow
@@ -1201,4 +1483,12 @@ let suite =
     Alcotest.test_case "durable-tier entry renders both frames" `Quick
       test_durable_entry_frames;
     Alcotest.test_case "retired infer member shares one cache key" `Quick
-      test_infer_field_compat ]
+      test_infer_field_compat;
+    Alcotest.test_case "client connect backoff" `Quick test_client_backoff ]
+  @ List.map
+      (fun (name, f) -> Alcotest.test_case ("client resubmit: " ^ name) `Quick f)
+      resubmit_cases
+  @ [ Alcotest.test_case "restarted daemon answers a finished job from the store"
+        `Quick test_resubmit_finished_from_store;
+      Alcotest.test_case "kill -9 mid-job: resubmitted to the restarted daemon"
+        `Slow test_kill_resubmit ]
