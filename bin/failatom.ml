@@ -79,8 +79,7 @@ let program_arg =
   let doc = "MiniLang source file, or app:NAME for a bundled application." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
-let flavor_conv =
-  Arg.enum [ ("source", Detect.Source_weaving); ("binary", Detect.Load_time_filters) ]
+let flavor_conv = Arg.enum Detect.flavor_wire_names
 
 let flavor_doc =
   "Instrumentation flavor: $(b,source) rewrites the program text (the \
@@ -98,13 +97,7 @@ let details_arg =
   Arg.(value & flag & info [ "details" ] ~doc)
 
 let method_list_conv =
-  let parse s =
-    match String.index_opt s '.' with
-    | Some i ->
-      Ok
-        (Method_id.make (String.sub s 0 i) (String.sub s (i + 1) (String.length s - i - 1)))
-    | None -> Error (`Msg (Printf.sprintf "%S is not of the form Class.method" s))
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Method_id.of_string s) in
   Arg.conv (parse, fun ppf id -> Fmt.string ppf (Method_id.to_string id))
 
 let exception_free_arg =

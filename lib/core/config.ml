@@ -20,12 +20,13 @@ let wrap_policy_of_name = function
 
 type snapshot_mode =
   | Snapshot_eager
-      (* canonicalize the receiver's full object graph at every wrapped
-         call entry (paper Listing 1); the test oracle only *)
+      (* canonicalize the receiver's full object graph afresh at every
+         wrapped call entry and exceptional exit (paper Listing 1); the
+         test oracle only *)
   | Snapshot_cow
       (* differential snapshots, the detection path: open a
-         copy-on-write shadow at entry and reconstruct the entry-time
-         canonical form only on the rare exceptional return *)
+         copy-on-write shadow at entry and walk the entry-time and
+         current graphs in lockstep only on the rare exceptional return *)
 
 type prune =
   | Prune_off (* run every injection point, the paper's campaign *)

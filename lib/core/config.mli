@@ -19,16 +19,17 @@ val wrap_policy_of_name : string -> wrap_policy option
 
 type snapshot_mode =
   | Snapshot_eager
-      (** canonicalize the receiver's full object graph at every wrapped
-          call entry (paper Listing 1).  The test oracle only: no CLI
-          option or wire field selects it. *)
+      (** canonicalize the receiver's full object graph afresh at every
+          wrapped call entry and again at every exceptional exit (paper
+          Listing 1).  The test oracle only: no CLI option or wire field
+          selects it. *)
   | Snapshot_cow
       (** differential snapshots, the detection path: open a
-          copy-on-write {!Shadow} at entry and reconstruct the
-          entry-time canonical form only on the rare exceptional return,
-          after intersecting the dirty set with the snapshot's reachable
-          ids — detection cost proportional to mutations, not graph
-          size *)
+          copy-on-write {!Shadow} at entry and, only on the rare
+          exceptional return whose dirty set intersects the snapshot's
+          reachable ids, walk the entry-time and current graphs in
+          lockstep ({!Object_graph.first_diff}) — detection cost
+          proportional to mutations, not graph size *)
 
 type prune =
   | Prune_off  (** run every injection point — the paper's campaign *)

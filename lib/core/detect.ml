@@ -39,6 +39,10 @@ let flavor_name = function
   | Source_weaving -> "source-weaving"
   | Load_time_filters -> "load-time-filters"
 
+let flavor_wire_names = [ ("source", Source_weaving); ("binary", Load_time_filters) ]
+let flavor_wire_name f = fst (List.find (fun (_, f') -> f' = f) flavor_wire_names)
+let flavor_of_wire_name name = List.assoc_opt name flavor_wire_names
+
 type result = {
   flavor : flavor;
   config : Config.t;

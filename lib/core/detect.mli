@@ -27,6 +27,15 @@ type flavor =
   | Load_time_filters  (** the paper's Java / JWG implementation *)
 
 val flavor_name : flavor -> string
+(** ["source-weaving"] / ["load-time-filters"]: run logs, journals and
+    reports. *)
+
+val flavor_wire_names : (string * flavor) list
+(** ["source"] / ["binary"]: the CLI's [--flavor] values and the name
+    plans, cache keys, store files and [failatom.rpc/1] requests carry. *)
+
+val flavor_wire_name : flavor -> string
+val flavor_of_wire_name : string -> flavor option
 
 type result = {
   flavor : flavor;

@@ -10,7 +10,8 @@
    copy-on-write shadow, and the comparison one lockstep walk of its
    entry-time view and the current heap up to their first difference
    ([Object_graph.first_diff]); the eager canonical-form snapshot of
-   Listing 1 stays as the test oracle.
+   Listing 1 stays as the test oracle, canonicalizing afresh at entry
+   and at exceptional exit.
 
    The logic lives here once and is exposed in the two forms used by the
    paper's two implementations:
@@ -30,8 +31,6 @@ module Obs = Failatom_obs.Obs
 let m_snapshots = Obs.counter "detect.snapshots_taken"
 let m_cow_fast = Obs.counter "detect.cow_fast_path_hits"
 let h_canon = Obs.histogram ~unit_:Obs.Ns "detect.canonicalize"
-let m_memo_hits = Obs.counter "detect.canon_memo_hits"
-let m_memo_misses = Obs.counter "detect.canon_memo_misses"
 
 (* The entry state captured by a wrapped call, per the configured
    snapshot mode:
@@ -62,11 +61,6 @@ type walker = {
 type state = {
   config : Config.t;
   analyzer : Analyzer.t;
-  memo : Object_graph.Memo.t;
-      (* incremental canonicalization for the eager oracle: its entry and
-         exit forms are served from this cache, revalidated against the
-         heap's write stamps (see [Object_graph.Memo]); cow detection
-         builds no canonical form *)
   threshold : int; (* this run's InjectionPoint *)
   mutable point : int; (* the global Point counter *)
   mutable injected : (Method_id.t * string) option;
@@ -102,7 +96,6 @@ and journal = {
 let make_state config analyzer ~threshold =
   { config;
     analyzer;
-    memo = Object_graph.Memo.create ();
     threshold;
     point = 0;
     injected = None;
@@ -124,24 +117,15 @@ let snapshot_roots state recv args =
     recv :: List.filter Value.is_ref args
   else [ recv ]
 
-(* Canonical form of the current heap graph, through the memo; the
-   timing histogram covers hits too, so it keeps measuring what a
-   snapshot costs rather than what canonicalization would cost. *)
-let memo_canon state heap roots =
-  let before_hits = Object_graph.Memo.hits state.memo in
-  let form =
-    Obs.timed h_canon (fun () ->
-        Object_graph.Memo.canonical_many state.memo heap roots)
-  in
-  if Object_graph.Memo.hits state.memo > before_hits then
-    Obs.incr m_memo_hits
-  else Obs.incr m_memo_misses;
-  form
+(* The eager oracle's canonical form of the current heap graph, built
+   afresh at call entry and again at exceptional exit. *)
+let eager_canon heap roots =
+  Obs.timed h_canon (fun () -> Object_graph.canonical_many heap roots)
 
 let take_snapshot_of state vm roots =
   Obs.incr m_snapshots;
   match state.config.Config.snapshot_mode with
-  | Config.Snapshot_eager -> Eager_snap (memo_canon state vm.Vm.heap roots)
+  | Config.Snapshot_eager -> Eager_snap (eager_canon vm.Vm.heap roots)
   | Config.Snapshot_cow -> Cow_snap { shadow = Shadow.open_ vm.Vm.heap; roots }
 
 let take_snapshot state vm recv args =
@@ -289,7 +273,7 @@ let mark_verdict state id ~before ~after ~exn_id =
 let check_and_mark state vm id snapshot roots ~exn_id =
   match snapshot with
   | Eager_snap before ->
-    let after = memo_canon state vm.Vm.heap roots in
+    let after = eager_canon vm.Vm.heap roots in
     mark_verdict state id ~before ~after ~exn_id
   | Cow_snap { shadow; roots } ->
     let read = Shadow.read_before shadow in

@@ -42,10 +42,6 @@ type walker = {
 type state = {
   config : Config.t;
   analyzer : Analyzer.t;
-  memo : Object_graph.Memo.t;
-      (** incremental canonicalization cache for live-heap forms,
-          revalidated against {!Heap.write_stamp}; before-state
-          reconstructions through a shadow are never memoized *)
   threshold : int;  (** this run's InjectionPoint *)
   mutable point : int;  (** the global Point counter *)
   mutable injected : (Method_id.t * string) option;

@@ -15,6 +15,13 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let to_string { cls; name } = cls ^ "." ^ name
+
+let of_string s =
+  match String.index_opt s '.' with
+  | Some i when i > 0 && i < String.length s - 1 ->
+    Ok (make (String.sub s 0 i) (String.sub s (i + 1) (String.length s - i - 1)))
+  | _ -> Error (Printf.sprintf "%S is not of the form Class.method" s)
+
 let pp ppf id = Fmt.string ppf (to_string id)
 
 module Ord = struct

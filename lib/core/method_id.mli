@@ -13,6 +13,10 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** ["Cls.meth"]. *)
 
+val of_string : string -> (t, string) result
+(** Parses ["Cls.meth"], split at the first ['.']; class and name must
+    both be non-empty.  The error names the rejected string. *)
+
 val pp : t Fmt.t
 
 module Map : Map.S with type key = t

@@ -45,11 +45,10 @@ type t = {
 
 exception Bad_log of string * int (* message, line number *)
 
-let method_of_string s =
-  match String.index_opt s '.' with
-  | Some i ->
-    Method_id.make (String.sub s 0 i) (String.sub s (i + 1) (String.length s - i - 1))
-  | None -> invalid_arg ("not a method id: " ^ s)
+let method_of_string lineno s =
+  match Method_id.of_string s with
+  | Ok id -> id
+  | Error _ -> raise (Bad_log ("not a method id: " ^ s, lineno))
 
 (* ------------------------------------------------------------------ *)
 (* Saving                                                              *)
@@ -196,7 +195,7 @@ let parse_runs ?(tolerate_partial_tail = false) ~on_extra (text : string) :
                     sched_digest = digest }
             | None -> bad lineno "bad sched switches")
       | [ "inject"; meth; exn_class ] ->
-        in_run lineno (fun pr -> pr.injected <- Some (method_of_string meth, exn_class))
+        in_run lineno (fun pr -> pr.injected <- Some (method_of_string lineno meth, exn_class))
       | [ "escaped"; exn_class ] -> in_run lineno (fun pr -> pr.escaped <- Some exn_class)
       | [ "ncalls"; n ] ->
         in_run lineno (fun pr ->
@@ -220,7 +219,7 @@ let parse_runs ?(tolerate_partial_tail = false) ~on_extra (text : string) :
               match rest with [] -> None | parts -> Some (String.concat " " parts)
             in
             pr.marks_rev <-
-              { Marks.meth = method_of_string meth; atomic; diff_path; exn_id }
+              { Marks.meth = method_of_string lineno meth; atomic; diff_path; exn_id }
               :: pr.marks_rev)
       | [ "timedout" ] -> in_run lineno (fun pr -> pr.timed <- true)
       | [ "output" ] -> in_run lineno (fun pr -> pr.out <- "")
@@ -253,7 +252,7 @@ let load (text : string) : t =
       | None -> bad lineno "bad boolean")
     | [ "calls"; meth; count ] -> (
       match int_of_string_opt count with
-      | Some n -> calls := Method_id.Map.add (method_of_string meth) n !calls
+      | Some n -> calls := Method_id.Map.add (method_of_string lineno meth) n !calls
       | None -> bad lineno "bad call count")
     | parts -> bad lineno ("unrecognized record: " ^ String.concat " " parts)
   in

@@ -25,10 +25,6 @@ type t = {
   methods : meth list;
 }
 
-let flavor_wire_name = function
-  | Detect.Source_weaving -> "source"
-  | Detect.Load_time_filters -> "binary"
-
 let build ~config ~flavor ~program ~detection:(d : Detect.result)
     ~classification =
   let targets =
@@ -47,7 +43,7 @@ let build ~config ~flavor ~program ~detection:(d : Detect.result)
   in
   { program_digest = ML.Minilang.program_digest program;
     config_fingerprint = Config.fingerprint config;
-    flavor = flavor_wire_name flavor;
+    flavor = Detect.flavor_wire_name flavor;
     wrap_policy = config.Config.wrap_policy;
     injections = d.Detect.injections;
     targets;
@@ -103,13 +99,9 @@ let require name = function
   | None -> Error (Printf.sprintf "plan: missing or ill-typed field %S" name)
 
 let method_id_of_string s =
-  match String.index_opt s '.' with
-  | Some i when i > 0 && i < String.length s - 1 ->
-    Ok
-      (Method_id.make
-         (String.sub s 0 i)
-         (String.sub s (i + 1) (String.length s - i - 1)))
-  | _ -> Error (Printf.sprintf "plan: malformed method id %S" s)
+  Result.map_error
+    (fun _ -> Printf.sprintf "plan: malformed method id %S" s)
+    (Method_id.of_string s)
 
 let method_id_list name j =
   let* items = require name (Json.list_member name j) in

@@ -146,13 +146,9 @@ let require name = function
   | None -> Error (Printf.sprintf "resilience: missing or ill-typed field %S" name)
 
 let method_id_of_string s =
-  match String.index_opt s '.' with
-  | Some i when i > 0 && i < String.length s - 1 ->
-    Ok
-      (Method_id.make
-         (String.sub s 0 i)
-         (String.sub s (i + 1) (String.length s - i - 1)))
-  | _ -> Error (Printf.sprintf "resilience: malformed method id %S" s)
+  Result.map_error
+    (fun _ -> Printf.sprintf "resilience: malformed method id %S" s)
+    (Method_id.of_string s)
 
 let row_of_json j =
   let* s = require "methods.method" (Json.str_member "method" j) in

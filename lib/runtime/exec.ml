@@ -285,29 +285,15 @@ type mbody = {
 type Vm.body += Method_body of mbody
 
 (* ------------------------------------------------------------------ *)
-(* Profiling (the flame/superinstruction-selection harness)            *)
+(* Profiling ([failatom profile] and its flame output)                *)
 (* ------------------------------------------------------------------ *)
 
 (* One branch per dispatched instruction when disabled.  Counts are
    process-global: the profile harness runs single-VM workloads. *)
 let profiling = ref false
 let op_counts = Array.make n_ops 0
-let pair_counts = Array.make (n_ops * n_ops) 0
-let prev_op = ref (-1)
-
-let reset_profile () =
-  Array.fill op_counts 0 n_ops 0;
-  Array.fill pair_counts 0 (n_ops * n_ops) 0;
-  prev_op := -1
-
-let record_op op =
-  Array.unsafe_set op_counts op (Array.unsafe_get op_counts op + 1);
-  let p = !prev_op in
-  if p >= 0 then begin
-    let i = (p * n_ops) + op in
-    Array.unsafe_set pair_counts i (Array.unsafe_get pair_counts i + 1)
-  end;
-  prev_op := op
+let reset_profile () = Array.fill op_counts 0 n_ops 0
+let record_op op = Array.unsafe_set op_counts op (Array.unsafe_get op_counts op + 1)
 
 (* Folded-stack rendering (flamegraph.pl / speedscope "folded" input:
    one "frame;frame value" line per stack).  Opcode lines are dispatch

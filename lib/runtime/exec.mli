@@ -281,18 +281,14 @@ val continue_with :
 
 (** {1 Profiling}
 
-    Per-opcode execution counts and adjacent-pair counts, recorded when
-    {!profiling} is set (one branch per dispatched instruction when
-    off).  This is the data source for [failatom profile --flame] and
-    for superinstruction selection (doc/bytecode.md). *)
+    Per-opcode execution counts, recorded when {!profiling} is set
+    (one branch per dispatched instruction when off).  This is the data
+    source for [failatom profile] and [--flame]. *)
 
 val profiling : bool ref
 
 val op_counts : int array
 (** Executions per opcode, indexed by opcode number. *)
-
-val pair_counts : int array
-(** Adjacent dynamic pairs: index [prev * n_ops + cur]. *)
 
 val reset_profile : unit -> unit
 

@@ -2,14 +2,11 @@
 
    Every object and array of the instrumented program lives here, keyed
    by an integer identity.  The heap exposes a write barrier that fires
-   *before* any mutation (or removal) of an object's payload.  The
-   barrier feeds two consumers:
-
-   - the heap's own stack of active {e shadows} — copy-on-write
-     dirty-set/saved-payload records underlying both the
-     checkpoints of {!Checkpoint} and the differential
-     detection snapshots of the injector (see {!Shadow});
-   - an optional external hook ([on_write]), kept for tests and tools.
+   *before* any mutation (or removal) of an object's payload.  It
+   counts the write and feeds the heap's own stack of active {e shadows}
+   — copy-on-write dirty-set/saved-payload records underlying both the
+   checkpoints of {!Checkpoint} and the differential detection
+   snapshots of the injector (see {!Shadow}).
 
    The shadow stack is per-heap state, so campaigns running one VM per
    domain need no shared table or lock here. *)
@@ -51,13 +48,7 @@ type t = {
   mutable cur_tid : int;
       (* MiniLang thread currently mutating this heap; kept in step with
          the VM by the scheduler (0, the main thread, when sequential) *)
-  mutable on_write : (Value.obj_id -> unit) option;
   mutable write_gen : int; (* bumped once per payload mutation *)
-  mutable wstamp : int array;
-      (* [write_gen] value of each object's latest mutation, indexed by
-         identity like [store]; the incremental-canonicalization memo
-         ([Object_graph.Memo]) compares these stamps against the
-         generation a cached form was validated at *)
   mutable wcount : int array;
       (* payload mutations per MiniLang thread, indexed by thread id.
          [write_gen] minus a thread's own count dates writes by *other*
@@ -84,9 +75,7 @@ let create () =
     barrier_hits = 0;
     shadows = [];
     cur_tid = 0;
-    on_write = None;
     write_gen = 0;
-    wstamp = Array.make 256 0;
     wcount = Array.make 8 0 }
 
 let set_cur_tid h tid = h.cur_tid <- tid
@@ -96,19 +85,13 @@ let allocations h = h.allocations
 let barrier_hits h = h.barrier_hits
 let write_gen h = h.write_gen
 
-let write_stamp h id =
-  if id > 0 && id < Array.length h.wstamp then Array.unsafe_get h.wstamp id
-  else 0
-
-(* Stamps [id] as mutated at a fresh generation.  Not in [barrier]
-   directly so [restore_payload] (which bypasses the barrier) can stamp
-   too: rollback must not re-trigger checkpointing, but it *does*
-   change payloads, and a stale memoized canonical form would be a
-   correctness bug, not a missed optimization. *)
-let stamp h id =
-  let g = h.write_gen + 1 in
-  h.write_gen <- g;
-  if id > 0 && id < Array.length h.wstamp then Array.unsafe_set h.wstamp id g;
+(* Counts one payload mutation by the current thread.  Not in
+   [barrier] directly so [restore_payload] (which bypasses the barrier)
+   counts too: rollback must not re-trigger checkpointing, but it
+   *does* change payloads, and a rollback on one thread is a foreign
+   write to every other thread's window. *)
+let count_write h =
+  h.write_gen <- h.write_gen + 1;
   let tid = h.cur_tid in
   if tid >= Array.length h.wcount then begin
     let wider = Array.make (2 * (tid + 1)) 0 in
@@ -137,10 +120,7 @@ let alloc h payload =
   if id >= Array.length h.store then begin
     let bigger = Array.make (2 * Array.length h.store) None in
     Array.blit h.store 0 bigger 0 (Array.length h.store);
-    h.store <- bigger;
-    let wider = Array.make (Array.length bigger) 0 in
-    Array.blit h.wstamp 0 wider 0 (Array.length h.wstamp);
-    h.wstamp <- wider
+    h.store <- bigger
   end;
   h.next_id <- id + 1;
   h.allocations <- h.allocations + 1;
@@ -228,27 +208,26 @@ let rec save_innermost_first h id copy = function
 
 let barrier h id =
   h.barrier_hits <- h.barrier_hits + 1;
-  stamp h id;
-  (match h.shadows with
-   | [] -> ()
-   | [ sh ] when sh.shadow_active ->
-     (* single active shadow — the common case at shallow call depth *)
-     let saved =
-       match sh.shadow_saved with
-       | Some tbl -> tbl
-       | None ->
-         let tbl = Hashtbl.create 16 in
-         sh.shadow_saved <- Some tbl;
-         tbl
-     in
-     if not (Hashtbl.mem saved id) then (
-       match payload_opt h id with
-       | Some p ->
-         Hashtbl.replace saved id (copy_payload p);
-         note_tid h sh id
-       | None -> ())
-   | shadows -> save_innermost_first h id (ref None) shadows);
-  match h.on_write with None -> () | Some f -> f id
+  count_write h;
+  match h.shadows with
+  | [] -> ()
+  | [ sh ] when sh.shadow_active ->
+    (* single active shadow — the common case at shallow call depth *)
+    let saved =
+      match sh.shadow_saved with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = Hashtbl.create 16 in
+        sh.shadow_saved <- Some tbl;
+        tbl
+    in
+    if not (Hashtbl.mem saved id) then (
+      match payload_opt h id with
+      | Some p ->
+        Hashtbl.replace saved id (copy_payload p);
+        note_tid h sh id
+      | None -> ())
+  | shadows -> save_innermost_first h id (ref None) shadows
 
 (* A free is the terminal mutation: firing the barrier first lets every
    active shadow keep the payload, so a pre-existing object reclaimed
@@ -304,7 +283,7 @@ let set_elem h id i v =
   | Obj _ -> invalid_arg "Heap.set_elem: object"
 
 (* Restores a previously copied payload in place, bypassing the write
-   barrier's hook and hit count (rollback must not re-trigger
+   barrier's hit count (rollback must not re-trigger
    checkpointing).  Active shadows that hold no copy of [id] yet still
    save its pre-restore payload: under interleaved threads one thread's
    rollback can rewrite an object that another thread's shadow never
@@ -314,7 +293,7 @@ let restore_payload h id payload =
   if mem h id then begin
     save_innermost_first h id (ref None) h.shadows;
     h.store.(id) <- Some (copy_payload payload);
-    stamp h id
+    count_write h
   end
 
 (* Direct successors of an object: every reference stored in it. *)
@@ -364,9 +343,7 @@ let fork h =
 (* Back to the fork point: payloads restored, objects allocated since
    truncated (so later allocations get the ids a run without the
    continuation would), the shadows open at the fork reopened with the
-   dirty sets they had then.  [write_gen] only moves forward: restored
-   and truncated ids are stamped afresh, so no memoized canonical form
-   computed during the continuation validates afterwards. *)
+   dirty sets they had then. *)
 let rewind h f =
   (match f.fk_shadow.shadow_saved with
    | None -> ()
@@ -386,17 +363,12 @@ let rewind h f =
              saved)
        f.fk_shadows;
      Hashtbl.iter
-       (fun id p ->
-         if id < f.fk_next_id then begin
-           h.store.(id) <- Some (copy_payload p);
-           stamp h id
-         end)
+       (fun id p -> if id < f.fk_next_id then h.store.(id) <- Some (copy_payload p))
        saved);
   List.iter (fun sh -> sh.shadow_active <- true) f.fk_shadows;
   h.shadows <- f.fk_shadows;
   for id = f.fk_next_id to h.next_id - 1 do
-    h.store.(id) <- None;
-    stamp h id
+    h.store.(id) <- None
   done;
   h.next_id <- f.fk_next_id;
   h.live <- f.fk_live

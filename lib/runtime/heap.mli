@@ -3,11 +3,10 @@
     Every object and array of the instrumented program lives here, keyed
     by an integer identity.  The heap exposes a write barrier that fires
     before any mutation (or {!free}) of an object's payload.  The
-    barrier feeds the heap's own stack of active copy-on-write
-    {!type-shadow}s — the dirty-set/saved-payload layer shared by
-    checkpoints ({!Checkpoint}) and differential detection snapshots
-    ({!Shadow}) — and then an optional external hook
-    ({!field-on_write}). *)
+    barrier counts the write and feeds the heap's own stack of active
+    copy-on-write {!type-shadow}s — the dirty-set/saved-payload layer
+    shared by checkpoints ({!Checkpoint}) and differential detection
+    snapshots ({!Shadow}). *)
 
 type payload =
   | Obj of { cls : string; fields : (string, Value.t) Hashtbl.t }
@@ -46,17 +45,7 @@ type t = {
   mutable cur_tid : int;
       (** MiniLang thread currently mutating this heap; kept in step
           with the VM by the scheduler via {!set_cur_tid} *)
-  mutable on_write : (Value.obj_id -> unit) option;
-      (** external write-barrier hook, called with the object's id
-          before each mutation (or free) of its payload, after the
-          active shadows have recorded it *)
   mutable write_gen : int;  (** bumped once per payload mutation *)
-  mutable wstamp : int array;
-      (** per-identity stamp: the {!field-write_gen} value of the
-          object's latest mutation (or rollback restore).  Read through
-          {!write_stamp} by the incremental-canonicalization memo
-          ({!Object_graph.Memo}) to revalidate cached canonical forms
-          without traversing payloads *)
   mutable wcount : int array;
       (** payload mutations per MiniLang thread, indexed by thread id.
           Read through {!writes_by_tid}: comparing the deltas of
@@ -87,14 +76,7 @@ val barrier_hits : t -> int
 
 val write_gen : t -> int
 (** Monotonic mutation generation: bumped once per payload mutation,
-    free, or rollback restore.  Equal generations imply an unchanged
-    heap, so a memoized canonical form is revalidated with one integer
-    compare when nothing was written since it was built. *)
-
-val write_stamp : t -> Value.obj_id -> int
-(** Generation of [id]'s latest mutation; [0] if never mutated since
-    allocation.  [write_stamp h id <= g] for every object in a graph
-    means the graph is unchanged since generation [g]. *)
+    free, or rollback restore. *)
 
 val writes_by_tid : t -> int -> int
 (** Total payload mutations (including rollback restores) made so far
@@ -125,9 +107,9 @@ val free : t -> Value.obj_id -> unit
     object's last payload. *)
 
 val barrier : t -> Value.obj_id -> unit
-(** Fires the write barrier for [id]: every active shadow saves the
-    object's current payload on its first write, then the external
-    {!field-on_write} hook (if any) runs. *)
+(** Fires the write barrier for [id]: counts the write, and every
+    active shadow saves the object's current payload on its first
+    write. *)
 
 val class_of : t -> Value.obj_id -> string option
 (** Class name of an object; [None] for arrays. *)
@@ -155,11 +137,11 @@ val copy_payload : payload -> payload
 
 val restore_payload : t -> Value.obj_id -> payload -> unit
 (** Restores a previously copied payload in place, bypassing the write
-    barrier's {!field-on_write} hook (rollback must not re-trigger
-    checkpointing).  Active shadows that hold no copy of the object yet
-    save its pre-restore payload, so a rollback on one thread never
-    changes the before-state another thread's shadow reads.  No-op if
-    the object no longer exists. *)
+    barrier (rollback must not re-trigger checkpointing) but counting
+    the write in {!write_gen} and {!writes_by_tid}.  Active shadows
+    that hold no copy of the object yet save its pre-restore payload,
+    so a rollback on one thread never changes the before-state another
+    thread's shadow reads.  No-op if the object no longer exists. *)
 
 val successors : t -> Value.obj_id -> Value.obj_id list
 (** Direct successors: every reference stored in the object. *)
@@ -184,8 +166,6 @@ val rewind : t -> fork -> unit
     back, objects allocated since removed (their ids are handed out
     again), [live] as it was, the shadows active at the fork active
     again with the dirty sets they had then (shadows opened since are
-    dropped).  {!write_gen} moves forward — every restored or removed
-    id gets a fresh {!write_stamp} — so canonical forms memoized during
-    the continuation never validate afterwards.  [allocations] and
-    [barrier_hits] keep counting the work done.  Call at most once per
+    dropped).  [allocations], [barrier_hits], {!write_gen} and
+    {!writes_by_tid} keep counting the work done.  Call at most once per
     fork, with no other fork opened after it still pending. *)

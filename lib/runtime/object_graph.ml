@@ -20,7 +20,8 @@
    in canonical order and stops at the first difference: no canonical
    form is built, and a path string only once a difference is found.
    The materialized forms below serve the eager snapshot oracle (one
-   per wrapped call, over graphs of thousands of nodes) and the tests
+   at every wrapped entry and one more at every exceptional exit, over
+   graphs of thousands of nodes), the [graphEq] builtin and the tests
    that check [first_diff] against [diff].  Three measures keep them
    cheap:
    - every interior node carries a structural [hash], computed bottom-up
@@ -139,80 +140,6 @@ let canonical_many_via read vs =
   Arr { idx = 0; hash = arr_hash ~idx:0 elems; elems }
 
 let canonical_many heap vs = canonical_many_via (Heap.get heap) vs
-
-(* ------------------------------------------------------------------ *)
-(* Incremental canonicalization                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Eager detection (the snapshot oracle) canonicalizes the same receiver
-   graph at every wrapped call of a campaign run, and most calls never
-   mutate it.  The memo caches the canonical form per receiver identity
-   together with the set of object ids it covers and the heap generation
-   it was last known valid at; revalidation is then
-   - one integer compare when nothing on the heap was written since
-     ([Heap.write_gen] unchanged), or
-   - one [Heap.write_stamp] read per covered id — no payload traversal,
-     no sorting, no hashing, no allocation — otherwise.
-   Any mutation of a covered object (including through [Shadow]'s
-   copy-on-write barrier and rollback's [restore_payload]) bumps that
-   object's stamp past the entry's generation and forces a rebuild, so
-   a cached form is never stale.  Objects the graph did not reach at
-   build time cannot join it without a covered object being mutated
-   first, which invalidates the entry; fresh allocations reuse no ids,
-   so an entry's root list can never alias a later object. *)
-module Memo = struct
-  type entry = {
-    e_roots : Value.t list;
-    e_node : node;
-    e_ids : Value.obj_id list; (* every id the form covers *)
-    mutable e_gen : int; (* heap generation the entry is valid at *)
-  }
-
-  type t = {
-    tbl : (Value.obj_id, entry) Hashtbl.t;
-        (* keyed by the first root's identity: detection snapshots are
-           receiver-rooted, so this gives one live entry per wrapped
-           receiver *)
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create () = { tbl = Hashtbl.create 64; hits = 0; misses = 0 }
-  let hits m = m.hits
-  let misses m = m.misses
-
-  let key_of = function Value.Ref id :: _ -> id | _ -> 0
-
-  let still_valid heap e =
-    let gen = Heap.write_gen heap in
-    e.e_gen = gen
-    || (List.for_all (fun id -> Heap.write_stamp heap id <= e.e_gen) e.e_ids
-        &&
-        (e.e_gen <- gen;
-         true))
-
-  let canonical_many m heap vs =
-    let key = key_of vs in
-    match Hashtbl.find_opt m.tbl key with
-    | Some e when e.e_roots = vs && still_valid heap e ->
-      m.hits <- m.hits + 1;
-      e.e_node
-    | _ ->
-      m.misses <- m.misses + 1;
-      let gen = Heap.write_gen heap in
-      let visited = Hashtbl.create 64 in
-      let counter = ref 1 in
-      let read = Heap.get heap in
-      let elems = Array.make (List.length vs) Null in
-      List.iteri
-        (fun i v -> elems.(i) <- canonicalize ~read ~visited ~counter v)
-        vs;
-      let node = Arr { idx = 0; hash = arr_hash ~idx:0 elems; elems } in
-      let ids = Hashtbl.fold (fun id _ acc -> id :: acc) visited [] in
-      Hashtbl.replace m.tbl key
-        { e_roots = vs; e_node = node; e_ids = ids; e_gen = gen };
-      node
-end
 
 (* Does the graph reachable from [roots] — as read through [read] —
    contain an id satisfying [dirty]?  This is the dirty-set/reachability

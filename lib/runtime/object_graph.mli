@@ -19,7 +19,8 @@
     order and stops at the first difference, answering exactly what
     {!diff} and {!equal} answer on the two forms.  Copy-on-write
     detection and the production canary use it; the materialized forms
-    (and the {!Memo}) serve the eager snapshot oracle and the tests.
+    serve the eager snapshot oracle, the [graphEq] builtin and the
+    tests.
 
     Interior nodes carry a structural hash computed bottom-up at
     construction time, placed before the children in the record so that
@@ -55,33 +56,6 @@ val canonical_many_via : (Value.obj_id -> Heap.payload) -> Value.t list -> node
     {!Shadow.read_before} rebuilds the canonical form the graph had when
     the shadow was opened: the reference {!first_diff} is tested
     against. *)
-
-(** Incremental canonicalization: a per-run cache of canonical forms,
-    keyed by the first root's object identity and revalidated against
-    the heap's write stamps ({!Heap.write_stamp}) instead of being
-    rebuilt.  It serves the eager snapshot oracle of the detection
-    engine, which snapshots the same receiver graph at every wrapped
-    call; when nothing covered by a cached form was
-    mutated since — the common case — the memo answers with one integer
-    compare (heap generation unchanged) or one stamp read per covered
-    object, never traversing payloads.  Any mutation of a covered
-    object, including through the copy-on-write barrier or rollback's
-    [restore_payload], forces a rebuild, so a cached form is never
-    stale; memoized results are structurally identical to freshly built
-    ones (canonicalization is deterministic). *)
-module Memo : sig
-  type t
-
-  val create : unit -> t
-
-  val canonical_many : t -> Heap.t -> Value.t list -> node
-  (** Like {!val-canonical_many}, through the cache.  Physically equal
-      results for repeat calls over an unmutated graph, so a subsequent
-      {!equal} is O(1). *)
-
-  val hits : t -> int
-  val misses : t -> int
-end
 
 val reaches_dirty :
   (Value.obj_id -> Heap.payload) -> dirty:(Value.obj_id -> bool) ->

@@ -117,11 +117,11 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let image_key ~program_digest ~flavor =
-  program_digest ^ "/" ^ Protocol.flavor_wire_name flavor
+  program_digest ^ "/" ^ Detect.flavor_wire_name flavor
 
 (* '/' would nest directories in the store; use a flat spelling there. *)
 let image_blob_key ~program_digest ~flavor =
-  program_digest ^ "." ^ Protocol.flavor_wire_name flavor
+  program_digest ^ "." ^ Detect.flavor_wire_name flavor
 
 (* The full job fingerprint.  The protocol revision is part of it so an
    upgraded daemon never serves results serialized under an older
@@ -132,7 +132,7 @@ let result_key ~program_digest ~mode ~flavor ~config ~run_timeout_s =
       [ Protocol.version;
         program_digest;
         Protocol.mode_name mode;
-        Protocol.flavor_wire_name flavor;
+        Detect.flavor_wire_name flavor;
         Config.fingerprint config;
         (match run_timeout_s with None -> "none" | Some s -> Printf.sprintf "%.6f" s) ]
   in
@@ -160,7 +160,7 @@ let image_meta_to_json ~program_digest ~flavor (program : Ast.program) =
   Json.Obj
     [ ("schema", Json.Str "failatom.image-meta/1");
       ("digest", Json.Str program_digest);
-      ("flavor", Json.Str (Protocol.flavor_wire_name flavor));
+      ("flavor", Json.Str (Detect.flavor_wire_name flavor));
       ("source", Json.Str (Pretty.program_to_string program)) ]
 
 let images t ~program_digest ~flavor (program : Ast.program) =
@@ -234,7 +234,7 @@ let prewarm_one t store key =
       let j = Json.of_string payload in
       match
         ( Json.str_member "digest" j,
-          Option.bind (Json.str_member "flavor" j) Protocol.flavor_of_name,
+          Option.bind (Json.str_member "flavor" j) Detect.flavor_of_wire_name,
           Json.str_member "source" j )
       with
       | Some program_digest, Some flavor, Some source ->

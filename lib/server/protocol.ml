@@ -34,17 +34,6 @@ let mode_of_name = function
   | "produce" -> Some Produce
   | _ -> None
 
-(* CLI convention: "source" is the paper's C++ source-weaving flavor,
-   "binary" its Java load-time-filter flavor. *)
-let flavor_of_name = function
-  | "source" -> Some Failatom_core.Detect.Source_weaving
-  | "binary" -> Some Failatom_core.Detect.Load_time_filters
-  | _ -> None
-
-let flavor_wire_name = function
-  | Detect.Source_weaving -> "source"
-  | Detect.Load_time_filters -> "binary"
-
 type program_spec =
   | App of string  (* a bundled registry application *)
   | Inline of string  (* full MiniLang source shipped in the request *)
@@ -161,7 +150,7 @@ let request_to_json = function
         ("rpc", Json.Str version);
         ("mode", Json.Str (mode_name r.mode));
         ("program", program);
-        ("flavor", opt (fun f -> Json.Str (flavor_wire_name f)) r.flavor);
+        ("flavor", opt (fun f -> Json.Str (Detect.flavor_wire_name f)) r.flavor);
         ("prune", Json.Str (Config.prune_name r.prune));
         ("schedules", Json.List (List.map (fun s -> Json.Str s) r.schedules));
         ("wrap_all", Json.Bool r.wrap_all);
@@ -284,7 +273,7 @@ let submit_of_json j =
     match Json.member "flavor" j with
     | None | Some Json.Null -> Ok None
     | Some (Json.Str name) -> (
-      match flavor_of_name name with
+      match Detect.flavor_of_wire_name name with
       | Some f -> Ok (Some f)
       | None -> Error ("unknown flavor " ^ name))
     | Some _ -> Error "flavor must be a string"

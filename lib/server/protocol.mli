@@ -20,11 +20,6 @@ type mode = Detect | Campaign | Mask | Produce
 val mode_name : mode -> string
 val mode_of_name : string -> mode option
 
-val flavor_of_name : string -> Detect.flavor option
-(** ["source"] / ["binary"], the CLI convention. *)
-
-val flavor_wire_name : Detect.flavor -> string
-
 type program_spec =
   | App of string  (** a bundled registry application *)
   | Inline of string  (** full MiniLang source shipped in the request *)

@@ -223,14 +223,9 @@ let method_ids what names =
   let rec all acc = function
     | [] -> Ok (List.rev acc)
     | name :: rest -> (
-      match String.index_opt name '.' with
-      | Some i when i > 0 && i < String.length name - 1 ->
-        all
-          (Method_id.make (String.sub name 0 i)
-             (String.sub name (i + 1) (String.length name - i - 1))
-           :: acc)
-          rest
-      | _ -> Error (Printf.sprintf "%s: %S is not a Class.method id" what name))
+      match Method_id.of_string name with
+      | Ok id -> all (id :: acc) rest
+      | Error _ -> Error (Printf.sprintf "%s: %S is not a Class.method id" what name))
   in
   all [] names
 
@@ -390,7 +385,7 @@ let build_result ~mode ~flavor ~cfg (res : Detect.result)
       (Classify.reports cls)
   in
   { Protocol.r_mode = mode;
-    r_flavor = Protocol.flavor_wire_name flavor;
+    r_flavor = Detect.flavor_wire_name flavor;
     r_injections = res.Detect.injections;
     r_transparent = res.Detect.transparent;
     r_non_atomic = non_atomic;

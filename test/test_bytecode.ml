@@ -6,11 +6,8 @@
    results and — through a full detection phase in both flavors — run
    logs must match the golden engine table ([Engine_golden],
    test/golden/engine_runs.txt).  On top of the table there are unit
-   tests for the peephole superinstruction fusion, the monomorphic
-   inline caches under polymorphic and layout-shifting workloads, and
-   properties for the incremental canonicalization memo
-   ([Object_graph.Memo]) that the detector's snapshot comparisons lean
-   on. *)
+   tests for the peephole superinstruction fusion and the monomorphic
+   inline caches under polymorphic and layout-shifting workloads. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -209,115 +206,6 @@ function main() {
   check Alcotest.string "second run (warm cache)" "50" r2;
   check Alcotest.bool "warm run hits at least as often" true (hits2 >= hits1)
 
-(* ---------------- incremental canonicalization memo ---------------- *)
-
-let test_memo_hit_and_invalidate () =
-  let heap = Heap.create () in
-  let child = Heap.alloc_object heap ~cls:"L" [ ("v", Value.Int 1) ] in
-  let root =
-    Heap.alloc_object heap ~cls:"R" [ ("c", Value.Ref child); ("n", Value.Int 0) ]
-  in
-  let memo = Object_graph.Memo.create () in
-  let roots = [ Value.Ref root ] in
-  let n1 = Object_graph.Memo.canonical_many memo heap roots in
-  check Alcotest.int "first lookup misses" 1 (Object_graph.Memo.misses memo);
-  let n2 = Object_graph.Memo.canonical_many memo heap roots in
-  check Alcotest.int "unchanged lookup hits" 1 (Object_graph.Memo.hits memo);
-  check Alcotest.bool "hit is physically the cached node" true (n1 == n2);
-  (* a write to a covered object invalidates *)
-  Heap.set_field heap child "v" (Value.Int 2);
-  let n3 = Object_graph.Memo.canonical_many memo heap roots in
-  check Alcotest.int "write forces recompute" 2 (Object_graph.Memo.misses memo);
-  check Alcotest.bool "recomputed form differs" false (Object_graph.equal n1 n3);
-  check Alcotest.bool "recomputed form is from-scratch" true
-    (Object_graph.equal n3 (Object_graph.canonical_many heap roots))
-
-let test_memo_unrelated_write_revalidates () =
-  let heap = Heap.create () in
-  let root = Heap.alloc_object heap ~cls:"R" [ ("n", Value.Int 0) ] in
-  let other = Heap.alloc_object heap ~cls:"O" [ ("n", Value.Int 0) ] in
-  let memo = Object_graph.Memo.create () in
-  let roots = [ Value.Ref root ] in
-  let n1 = Object_graph.Memo.canonical_many memo heap roots in
-  (* a write outside the covered graph bumps the heap generation but
-     not the covered stamps: the entry revalidates via the stamp scan *)
-  Heap.set_field heap other "n" (Value.Int 9);
-  let n2 = Object_graph.Memo.canonical_many memo heap roots in
-  check Alcotest.int "unrelated write still hits" 1 (Object_graph.Memo.hits memo);
-  check Alcotest.bool "same node served" true (n1 == n2)
-
-let test_memo_rollback_invalidates () =
-  (* checkpoint rollback restores payloads behind the write barrier's
-     back; the restore must stamp, or the memo would serve the mutated
-     form after the rollback *)
-  let heap = Heap.create () in
-  let root = Heap.alloc_object heap ~cls:"R" [ ("n", Value.Int 0) ] in
-  let memo = Object_graph.Memo.create () in
-  let roots = [ Value.Ref root ] in
-  let before = Object_graph.Memo.canonical_many memo heap roots in
-  Checkpoint.with_checkpoint heap roots (fun cp ->
-      Heap.set_field heap root "n" (Value.Int 1);
-      ignore (Object_graph.Memo.canonical_many memo heap roots);
-      Checkpoint.rollback cp);
-  let after = Object_graph.Memo.canonical_many memo heap roots in
-  check Alcotest.bool "restored form equals the original" true
-    (Object_graph.equal before after);
-  check Alcotest.bool "restored form is from-scratch" true
-    (Object_graph.equal after (Object_graph.canonical_many heap roots))
-
-(* The property: through arbitrary interleavings of mutation storms and
-   checkpoint/rollback cycles, the memoized canonical form always
-   equals a from-scratch canonicalization, and a quiescent repeat
-   lookup serves the identical node.  Generators are shared with the
-   checkpoint suite. *)
-let memo_incremental_prop =
-  QCheck2.Test.make ~name:"memoized canonical == from-scratch under mutation"
-    ~count:200
-    QCheck2.Gen.(triple (int_range 1 10) (int_range 0 25) int)
-    (fun (n, steps, seed) ->
-      let heap = Heap.create () in
-      let rs = Random.State.make [| seed |] in
-      let ids = Test_checkpoint.build_random_graph heap rs n in
-      let roots = [ Value.Ref ids.(0) ] in
-      let memo = Object_graph.Memo.create () in
-      let ok = ref true in
-      for _round = 1 to 6 do
-        (if Random.State.bool rs then
-           Checkpoint.with_checkpoint heap roots
-             (fun cp ->
-               Test_checkpoint.mutate_randomly heap rs ~targets:ids ids steps;
-               if Random.State.bool rs then Checkpoint.rollback cp)
-         else Test_checkpoint.mutate_randomly heap rs ~targets:ids ids steps);
-        let memoized = Object_graph.Memo.canonical_many memo heap roots in
-        let scratch = Object_graph.canonical_many heap roots in
-        if not (Object_graph.equal memoized scratch) then ok := false;
-        let again = Object_graph.Memo.canonical_many memo heap roots in
-        if not (again == memoized) then ok := false
-      done;
-      !ok)
-
-(* The memo serves the eager snapshot path only (copy-on-write
-   detection compares entry and exit graphs with [Object_graph.first_diff]
-   and builds no canonical form); the eager-vs-cow equivalence suites
-   exercise its marks end-to-end, and this test pins the memo's counters
-   being visible through the injection state of an eager detection. *)
-let test_memo_used_by_detection () =
-  let module Obs = Failatom_obs.Obs in
-  Obs.with_enabled true (fun () ->
-      Obs.reset ();
-      let app = Option.get (Registry.find "LinkedList") in
-      let prog = Minilang.parse app.Registry.source in
-      ignore
-        (Detect.run
-           ~config:{ Config.default with Config.snapshot_mode = Config.Snapshot_eager }
-           ~flavor:Detect.Load_time_filters prog);
-      let snap = Obs.snapshot () in
-      let counter name =
-        List.assoc_opt name snap.Obs.s_counters |> Option.value ~default:0
-      in
-      check Alcotest.bool "memo counters move under detection" true
-        (counter "detect.canon_memo_hits" + counter "detect.canon_memo_misses" > 0))
-
 (* ---------------- suite ---------------- *)
 
 let suite =
@@ -331,11 +219,6 @@ let suite =
     Alcotest.test_case "ic: shadowed field layout" `Quick test_ic_shadowed_field_layout;
     Alcotest.test_case "ic: inherited init" `Quick test_ic_inherited_init;
     Alcotest.test_case "ic: shared across VMs" `Quick test_ic_shared_across_instantiations;
-    Alcotest.test_case "memo: hit/invalidate" `Quick test_memo_hit_and_invalidate;
-    Alcotest.test_case "memo: unrelated write" `Quick test_memo_unrelated_write_revalidates;
-    Alcotest.test_case "memo: rollback" `Quick test_memo_rollback_invalidates;
-    Alcotest.test_case "memo: detection counters" `Quick test_memo_used_by_detection;
-    QCheck_alcotest.to_alcotest memo_incremental_prop;
     Alcotest.test_case "golden table covers the catalog" `Quick test_golden_table_complete ]
   @ List.map app_plain_case Registry.catalog
   @ List.map app_detect_case Registry.catalog

@@ -191,6 +191,21 @@ let test_journal_guards () =
     (Campaign.Campaign_error "cannot resume without a journal path")
     (fun () -> ignore (Campaign.run ~jobs:1 ~resume:true program))
 
+(* A journal whose run names a method without a [Class.] part is
+   corrupt: resume reports it with its line, like any other malformed
+   record. *)
+let test_journal_bad_method_id () =
+  let program = parse Synthetic.source in
+  with_temp_journal (fun journal ->
+      let _ = Campaign.run ~jobs:1 ~journal program in
+      let text = read_file journal in
+      let line = List.length (String.split_on_char '\n' text) + 1 in
+      write_file journal (text ^ "run 99999\nmark Foo atomic 0\nncalls 1\nendrun\n");
+      Alcotest.check_raises "corrupt journal"
+        (Campaign.Campaign_error
+           (Printf.sprintf "corrupt journal %s: line %d: not a method id: Foo" journal line))
+        (fun () -> ignore (Campaign.run ~jobs:1 ~journal ~resume:true program)))
+
 (* Outputs with spaces, newlines and escapes survive the journal. *)
 let test_journal_output_roundtrip () =
   let mark =
@@ -722,6 +737,8 @@ let suite =
       test_journal_torn_tail_warning;
     Alcotest.test_case "resume from journal" `Quick test_resume;
     Alcotest.test_case "journal guards" `Quick test_journal_guards;
+    Alcotest.test_case "journal with a malformed method id" `Quick
+      test_journal_bad_method_id;
     Alcotest.test_case "journal output round-trip" `Quick test_journal_output_roundtrip;
     Alcotest.test_case "resume skips journaled thresholds" `Quick test_resume_skips_journaled;
     Alcotest.test_case "walking campaign resumes truncated journals" `Quick

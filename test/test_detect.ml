@@ -119,6 +119,44 @@ function main() { return new A().m(); }
   | exception Detect.Detection_error _ -> ()
   | exception Failatom_minilang.Compile.Runtime_error _ -> ()
 
+(* One table names the flavors on the wire: each name maps back to its
+   flavor, and nothing else parses. *)
+let test_flavor_wire_names () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Detect.flavor_name f) true
+        (Detect.flavor_of_wire_name (Detect.flavor_wire_name f) = Some f))
+    [ Detect.Source_weaving; Detect.Load_time_filters ];
+  Alcotest.(check (list string)) "wire names" [ "source"; "binary" ]
+    (List.map fst Detect.flavor_wire_names);
+  Alcotest.(check bool) "unknown name" true (Detect.flavor_of_wire_name "bytecode" = None)
+
+(* The eager oracle canonicalizes afresh for every snapshot it takes
+   (at call entry) and again at each exceptional exit, all timed under
+   [detect.canonicalize]. *)
+let test_eager_oracle_canonicalizes () =
+  let module Obs = Failatom_obs.Obs in
+  Obs.with_enabled true (fun () ->
+      Obs.reset ();
+      let program = Failatom_minilang.Minilang.parse Synthetic.source in
+      ignore
+        (Detect.run
+           ~config:{ Config.default with Config.snapshot_mode = Config.Snapshot_eager }
+           program);
+      let snap = Obs.snapshot () in
+      let snapshots =
+        List.assoc_opt "detect.snapshots_taken" snap.Obs.s_counters
+        |> Option.value ~default:0
+      in
+      let canons =
+        match List.assoc_opt "detect.canonicalize" snap.Obs.s_histograms with
+        | Some h -> h.Obs.hs_count
+        | None -> 0
+      in
+      Alcotest.(check bool) "snapshots taken" true (snapshots > 0);
+      Alcotest.(check bool) "one form per snapshot, more on exceptional exits" true
+        (canons > snapshots))
+
 let suite =
   [ Alcotest.test_case "ground truth (source weaving)" `Quick
       (check_ground_truth Detect.Source_weaving);
@@ -130,4 +168,6 @@ let suite =
     Alcotest.test_case "injectable sets" `Quick test_analyzer_injectable_sets;
     Alcotest.test_case "runtime exception config" `Quick test_runtime_exception_config;
     Alcotest.test_case "diff paths recorded" `Quick test_marks_have_diff_paths;
+    Alcotest.test_case "flavor wire names" `Quick test_flavor_wire_names;
+    Alcotest.test_case "eager oracle canonicalizes" `Quick test_eager_oracle_canonicalizes;
     Alcotest.test_case "broken workload rejected" `Quick test_detection_error_on_broken_workload ]

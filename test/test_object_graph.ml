@@ -241,6 +241,22 @@ let prop_mutation_detected =
       Heap.set_field heap root "v" (Value.Str "mutated");
       not (Object_graph.equal before (canon heap (Value.Ref root))))
 
+(* Checkpoint rollback restores payloads behind the write barrier's
+   back; the form canonicalized afterwards must equal the one from
+   before the mutation. *)
+let test_rollback_restores_form () =
+  let heap, root, shared = fixture () in
+  let roots = [ Value.Ref root ] in
+  let before = Object_graph.canonical_many heap roots in
+  Checkpoint.with_checkpoint heap roots (fun cp ->
+      Heap.set_field heap shared "v" (Value.Int 8);
+      Heap.set_field heap root "n" (Value.Int 1);
+      check bool_c "mutated form differs" false
+        (Object_graph.equal before (Object_graph.canonical_many heap roots));
+      Checkpoint.rollback cp);
+  check bool_c "restored form equals the original" true
+    (Object_graph.equal before (Object_graph.canonical_many heap roots))
+
 let suite =
   [ Alcotest.test_case "primitive equality" `Quick test_primitive_equality;
     Alcotest.test_case "identity irrelevant" `Quick test_structural_equality_ignores_identity;
@@ -260,6 +276,7 @@ let suite =
     Alcotest.test_case "canonical_many allocation-free" `Quick
       test_canonical_many_does_not_allocate;
     Alcotest.test_case "multi-root sharing" `Quick test_canonical_many_shares_table;
+    Alcotest.test_case "rollback restores the form" `Quick test_rollback_restores_form;
     QCheck_alcotest.to_alcotest prop_clone_equal;
     QCheck_alcotest.to_alcotest prop_canonical_deterministic;
     QCheck_alcotest.to_alcotest prop_mutation_detected ]
