@@ -276,27 +276,22 @@ let check_and_mark state vm id snapshot roots ~exn_id =
     let after = eager_canon vm.Vm.heap roots in
     mark_verdict state id ~before ~after ~exn_id
   | Cow_snap { shadow; roots } ->
-    let read = Shadow.read_before shadow in
-    (* Step 1: dirty-set/reachability intersection.  If nothing the
-       snapshot covers was touched, the graphs are identical by
+    (* If the call wrote nothing, the graphs are identical by
        construction — atomic, with zero comparison. *)
-    let untouched =
-      Shadow.dirty_count shadow = 0
-      || not (Object_graph.reaches_dirty read ~dirty:(Shadow.is_dirty shadow) roots)
-    in
-    (if untouched then begin
+    (if Shadow.dirty_count shadow = 0 then begin
        Obs.incr m_cow_fast;
        record_mark state id ~atomic:true ~diff_path:None ~exn_id
      end
      else
-       (* Step 2: walk the entry-time graph (saved payloads preferred
+       (* Otherwise walk the entry-time graph (saved payloads preferred
           for dirty ids) and the current one in lockstep, up to their
-          first difference.  No canonical form is built and nothing is
+          first difference: one walk, which also settles writes outside
+          the graph.  No canonical form is built and nothing is
           allocated on the program heap, so the comparison never feeds
           the write barrier of enclosing shadows. *)
        let diff =
          Obs.timed h_canon (fun () ->
-             Object_graph.first_diff ~read_a:read
+             Object_graph.first_diff ~read_a:(Shadow.read_before shadow)
                ~read_b:(Heap.get (Shadow.heap shadow)) roots)
        in
        record_mark state id ~atomic:(Option.is_none diff)

@@ -31,7 +31,7 @@ open Failatom_runtime
    Passed as closures by [Compile] to keep the module dependency
    one-way (Compile → Bytecode → Exec). *)
 type cls_info = {
-  ci_template : (string * Value.t) list;
+  ci_layout : string array; (* [Heap.layout] of all fields *)
   ci_init : int; (* image method index of [init], or -1 *)
   ci_is_exc : bool;
 }
@@ -553,10 +553,10 @@ let rec emit_expr cx b (e : Ast.expr) =
     let site =
       match cx.lk.lk_class cls with
       | None ->
-        { Exec.ns_cls = cls; ns_known = false; ns_template = []; ns_init = -1;
+        { Exec.ns_cls = cls; ns_known = false; ns_layout = [||]; ns_init = -1;
           ns_is_exc = false; ns_line = line; ns_col = col }
       | Some ci ->
-        { Exec.ns_cls = cls; ns_known = true; ns_template = ci.ci_template;
+        { Exec.ns_cls = cls; ns_known = true; ns_layout = ci.ci_layout;
           ns_init = ci.ci_init; ns_is_exc = ci.ci_is_exc; ns_line = line;
           ns_col = col }
     in

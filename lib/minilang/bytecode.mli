@@ -15,7 +15,7 @@
 open Failatom_runtime
 
 type cls_info = {
-  ci_template : (string * Value.t) list;
+  ci_layout : string array;  (** {!Heap.layout} of all fields *)
   ci_init : int;  (** image method index of [init], or -1 *)
   ci_is_exc : bool;
 }

@@ -55,9 +55,10 @@ type iclass = {
   ic_name : string;
   ic_super : string option; (* declared superclass name, resolved or not *)
   ic_decl_fields : string list;
-  ic_template : (string * Value.t) list;
-      (* all fields (inherited first) bound to Null; [Heap.alloc_object]
-         copies it, so one immutable template serves every [new] *)
+  ic_fields : string list; (* all fields, inherited first *)
+  ic_layout : string array;
+      (* [Heap.layout] of [ic_fields]: every [new] allocates with it,
+         so all instances share one [names] array *)
   ic_dispatch : (string, int) Hashtbl.t;
       (* method name -> method index, own and inherited flattened *)
   ic_is_exception : bool; (* transitively extends Throwable *)
@@ -130,7 +131,7 @@ let linkage_of_image (img : image) : Bytecode.linkage =
         | None -> None
         | Some ic ->
           Some
-            { Bytecode.ci_template = ic.ic_template;
+            { Bytecode.ci_layout = ic.ic_layout;
               ci_init =
                 (match Hashtbl.find_opt ic.ic_dispatch "init" with
                  | Some i -> i
@@ -260,11 +261,13 @@ let build_image (prog : Ast.program) : image =
   let classes = Hashtbl.create 64 in
   Hashtbl.iter
     (fun name sk ->
+      let fields = all_fields [] name in
       Hashtbl.replace classes name
         { ic_name = name;
           ic_super = sk.sk_super;
           ic_decl_fields = sk.sk_fields;
-          ic_template = List.map (fun f -> (f, Value.Null)) (all_fields [] name);
+          ic_fields = fields;
+          ic_layout = Heap.layout fields;
           ic_dispatch = dispatch [] name;
           ic_is_exception = is_exc [] name;
           ic_user = sk.sk_user })
@@ -364,7 +367,7 @@ type class_summary = {
 let summarize_class ic =
   { cs_name = ic.ic_name;
     cs_super = ic.ic_super;
-    cs_fields = List.map fst ic.ic_template;
+    cs_fields = ic.ic_fields;
     cs_is_exception = ic.ic_is_exception;
     cs_user = ic.ic_user }
 

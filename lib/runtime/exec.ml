@@ -213,7 +213,7 @@ type call_site = {
 type new_site = {
   ns_cls : string;
   ns_known : bool; (* class present in the image *)
-  ns_template : (string * Value.t) list;
+  ns_layout : string array; (* the class's [Heap.layout] *)
   ns_init : int; (* image method index of [init], or -1 *)
   ns_is_exc : bool;
   ns_line : int;
@@ -415,10 +415,10 @@ let get_obj_field vm line col (recv : Value.t) field =
     Vm.throw vm "NullPointerException" ("read of field " ^ field ^ " on null")
   | Value.Ref id -> (
     match Heap.get vm.Vm.heap id with
-    | Heap.Obj { cls; fields } -> (
-      match Hashtbl.find fields field with
-      | v -> v
-      | exception Not_found -> err line col "class %s has no field %s" cls field)
+    | Heap.Obj { cls; names; vals } ->
+      let i = Heap.field_slot names field in
+      if i < 0 then err line col "class %s has no field %s" cls field
+      else Array.unsafe_get vals i
     | Heap.Arr _ -> err line col "arrays have no fields (reading %s)" field)
   | v -> err line col "field read %s on %s" field (Value.type_name v)
 
@@ -428,8 +428,8 @@ let set_obj_field vm line col (recv : Value.t) field v =
     Vm.throw vm "NullPointerException" ("write of field " ^ field ^ " on null")
   | Value.Ref id -> (
     match Heap.get vm.Vm.heap id with
-    | Heap.Obj { cls; fields } ->
-      if Option.is_none (Hashtbl.find_opt fields field) then
+    | Heap.Obj { cls; names; _ } ->
+      if Heap.field_slot names field < 0 then
         err line col "class %s has no field %s" cls field
       else Heap.set_field vm.Vm.heap id field v
     | Heap.Arr _ -> err line col "arrays have no fields (writing %s)" field)
@@ -467,8 +467,7 @@ let set_index vm line col (recv : Value.t) (idx : Value.t) v =
    or inherits one. *)
 let instantiate_dyn vm line col cls args =
   if not (Vm.class_exists vm cls) then err line col "unknown class %s" cls;
-  let fields = List.map (fun f -> (f, Value.Null)) (Vm.all_fields vm cls) in
-  let id = Heap.alloc_object vm.Vm.heap ~cls fields in
+  let id = Heap.alloc_layout vm.Vm.heap ~cls (Heap.layout (Vm.all_fields vm cls)) in
   let recv = Value.Ref id in
   (match Vm.lookup_method vm cls "init" with
    | Some _ -> ignore (Vm.invoke vm recv "init" args)
@@ -809,7 +808,7 @@ let rec exec st c vm fr regs ops pc sp : Value.t =
       exec st c vm fr regs ops (pc + 4) (base + 1)
     end
     else begin
-      let id = Heap.alloc_object vm.Vm.heap ~cls:site.ns_cls site.ns_template in
+      let id = Heap.alloc_layout vm.Vm.heap ~cls:site.ns_cls site.ns_layout in
       let recv = Value.Ref id in
       (* the arguments are in [vargs]: the new object takes the result
          register now, and [init]'s own result is discarded *)

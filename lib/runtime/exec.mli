@@ -132,7 +132,8 @@ type call_site = {
 type new_site = {
   ns_cls : string;
   ns_known : bool;
-  ns_template : (string * Value.t) list;
+  ns_layout : string array;
+      (** the class's {!Heap.layout}, shared by its instances *)
   ns_init : int;  (** image method index of [init], or -1 *)
   ns_is_exc : bool;
   ns_line : int;

@@ -9,10 +9,18 @@
    snapshots of the injector (see {!Shadow}).
 
    The shadow stack is per-heap state, so campaigns running one VM per
-   domain need no shared table or lock here. *)
+   domain need no shared table or lock here.
+
+   An object payload is flat: a [names] array, sorted and duplicate-free
+   (the canonical field order of Definition 1), and a [vals] array with
+   one slot per name.  All objects allocated with one class layout share
+   one physical [names] array, so copying a payload for a barrier save,
+   a checkpoint or a rollback is one [Array.copy] of [vals], and the
+   graph walks of {!Object_graph} read fields in canonical order without
+   sorting or hashing a name. *)
 
 type payload =
-  | Obj of { cls : string; fields : (string, Value.t) Hashtbl.t }
+  | Obj of { cls : string; names : string array; vals : Value.t array }
   | Arr of Value.t array
 
 (* One copy-on-write shadow: the first time an object is mutated (or
@@ -128,19 +136,33 @@ let alloc h payload =
   h.store.(id) <- Some payload;
   id
 
+let layout names = Array.of_list (List.sort_uniq String.compare names)
+
+let field_slot names name =
+  let rec scan i =
+    if i >= Array.length names then -1
+    else if String.equal (Array.unsafe_get names i) name then i
+    else scan (i + 1)
+  in
+  scan 0
+
+let alloc_layout h ~cls names =
+  alloc h (Obj { cls; names; vals = Array.make (Array.length names) Value.Null })
+
 let alloc_object h ~cls fields =
-  let table = Hashtbl.create (max 4 (List.length fields)) in
-  List.iter (fun (name, v) -> Hashtbl.replace table name v) fields;
-  alloc h (Obj { cls; fields = table })
+  let names = layout (List.map fst fields) in
+  let vals = Array.make (Array.length names) Value.Null in
+  List.iter (fun (name, v) -> vals.(field_slot names name) <- v) fields;
+  alloc h (Obj { cls; names; vals })
 
 let alloc_array h values = alloc h (Arr (Array.copy values))
 
-(* A detached copy of a payload: the field table / element array is
-   duplicated but the values (including references) are kept as-is.
-   Used by checkpoints and shadows, which capture one payload per
-   object. *)
+(* A detached copy of a payload: the value slots are duplicated, the
+   values (including references) kept as-is, and the immutable [names]
+   shared.  Used by checkpoints and shadows, which capture one payload
+   per object. *)
 let copy_payload = function
-  | Obj { cls; fields } -> Obj { cls; fields = Hashtbl.copy fields }
+  | Obj { cls; names; vals } -> Obj { cls; names; vals = Array.copy vals }
   | Arr a -> Arr (Array.copy a)
 
 (* Saved payloads are read-only for their whole life — rollback
@@ -244,21 +266,24 @@ let class_of h id =
   match get h id with Obj { cls; _ } -> Some cls | Arr _ -> None
 
 let field_names h id =
-  match get h id with
-  | Obj { fields; _ } ->
-    List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) fields [])
-  | Arr _ -> []
+  match get h id with Obj { names; _ } -> Array.to_list names | Arr _ -> []
 
 let get_field h id name =
   match get h id with
-  | Obj { fields; _ } -> Hashtbl.find_opt fields name
+  | Obj { names; vals; _ } ->
+    let i = field_slot names name in
+    if i < 0 then None else Some (Array.unsafe_get vals i)
   | Arr _ -> None
 
+(* The barrier saves a copy, so [vals] is still the live slot array
+   after it fires. *)
 let set_field h id name v =
   match get h id with
-  | Obj { fields; _ } ->
+  | Obj { cls; names; vals } ->
+    let i = field_slot names name in
+    if i < 0 then invalid_arg (Printf.sprintf "Heap.set_field: class %s has no field %s" cls name);
     barrier h id;
-    Hashtbl.replace fields name v
+    Array.unsafe_set vals i v
   | Arr _ -> invalid_arg "Heap.set_field: array"
 
 let array_length h id =
@@ -299,11 +324,7 @@ let restore_payload h id payload =
 (* Direct successors of an object: every reference stored in it. *)
 let successors h id =
   match get h id with
-  | Obj { fields; _ } ->
-    Hashtbl.fold
-      (fun _ v acc -> match v with Value.Ref r -> r :: acc | _ -> acc)
-      fields []
-  | Arr a ->
+  | Obj { vals = a; _ } | Arr a ->
     Array.fold_left
       (fun acc v -> match v with Value.Ref r -> r :: acc | _ -> acc)
       [] a

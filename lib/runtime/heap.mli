@@ -6,10 +6,17 @@
     barrier counts the write and feeds the heap's own stack of active
     copy-on-write {!type-shadow}s — the dirty-set/saved-payload layer
     shared by checkpoints ({!Checkpoint}) and differential detection
-    snapshots ({!Shadow}). *)
+    snapshots ({!Shadow}).
+
+    An object payload is flat: field names sorted and duplicate-free
+    (the canonical order of Definition 1) beside one value slot per
+    name.  Objects allocated with one class {!layout} share one
+    physical [names] array, so a payload copy duplicates only [vals]. *)
 
 type payload =
-  | Obj of { cls : string; fields : (string, Value.t) Hashtbl.t }
+  | Obj of { cls : string; names : string array; vals : Value.t array }
+      (** [names] is sorted, duplicate-free and never mutated; [vals.(i)]
+          is the value of field [names.(i)] *)
   | Arr of Value.t array
 
 type shadow = {
@@ -95,8 +102,18 @@ val mem : t -> Value.obj_id -> bool
 val alloc : t -> payload -> Value.obj_id
 (** Allocates a payload as-is (no defensive copy). *)
 
+val layout : string list -> string array
+(** A class's field layout: the names sorted, duplicates dropped.  Built
+    once per class and shared by its instances ({!alloc_layout}). *)
+
+val alloc_layout : t -> cls:string -> string array -> Value.obj_id
+(** Allocates an object of class [cls] with every field of the given
+    {!layout} null; the object shares the layout array as its [names]. *)
+
 val alloc_object : t -> cls:string -> (string * Value.t) list -> Value.obj_id
-(** Allocates an object of class [cls] with the given fields. *)
+(** Allocates an object of class [cls] with the given fields, in a
+    [names] array of its own; of several bindings of one name the last
+    wins. *)
 
 val alloc_array : t -> Value.t array -> Value.obj_id
 (** Allocates an array initialized with a copy of the given values. *)
@@ -117,8 +134,15 @@ val class_of : t -> Value.obj_id -> string option
 val field_names : t -> Value.obj_id -> string list
 (** Sorted field names of an object; [[]] for arrays. *)
 
+val field_slot : string array -> string -> int
+(** Index of a name in an object's [names], or [-1]. *)
+
 val get_field : t -> Value.obj_id -> string -> Value.t option
+
 val set_field : t -> Value.obj_id -> string -> Value.t -> unit
+(** Writes an existing field, behind the write barrier.
+    @raise Invalid_argument naming the class and the field if the object
+    has no such field, and on arrays. *)
 
 val array_length : t -> Value.obj_id -> int option
 (** Length of an array; [None] for objects. *)
@@ -131,9 +155,9 @@ val set_elem : t -> Value.obj_id -> int -> Value.t -> bool
     [IndexOutOfBoundsException]). *)
 
 val copy_payload : payload -> payload
-(** A detached copy of a payload: the field table / element array is
-    duplicated, the values (including references) kept as-is.  This is
-    the unit of checkpointing. *)
+(** A detached copy of a payload: the value slots / element array are
+    duplicated, the values (including references) kept as-is, and an
+    object's [names] shared.  This is the unit of checkpointing. *)
 
 val restore_payload : t -> Value.obj_id -> payload -> unit
 (** Restores a previously copied payload in place, bypassing the write

@@ -104,15 +104,9 @@ let canonicalize ~(read : Value.obj_id -> Heap.payload) ~visited ~counter v =
         incr counter;
         Hashtbl.replace visited id idx;
         (match read id with
-         | Heap.Obj { cls; fields } ->
-           let names =
-             List.sort String.compare
-               (Hashtbl.fold (fun k _ acc -> k :: acc) fields [])
-           in
-           let entries = Array.make (List.length names) ("", Null) in
-           List.iteri
-             (fun i name -> entries.(i) <- (name, node (Hashtbl.find fields name)))
-             names;
+         | Heap.Obj { cls; names; vals } ->
+           let entries = Array.make (Array.length names) ("", Null) in
+           Array.iteri (fun i name -> entries.(i) <- (name, node vals.(i))) names;
            Obj { idx; hash = obj_hash ~idx ~cls entries; cls; fields = entries }
          | Heap.Arr a ->
            let elems = Array.make (Array.length a) Null in
@@ -141,31 +135,6 @@ let canonical_many_via read vs =
 
 let canonical_many heap vs = canonical_many_via (Heap.get heap) vs
 
-(* Does the graph reachable from [roots] — as read through [read] —
-   contain an id satisfying [dirty]?  This is the dirty-set/reachability
-   intersection of the differential snapshot check: reading through a
-   shadow's before-state, it answers "was anything the snapshot covers
-   actually touched?" without building a canonical form. *)
-let reaches_dirty read ~dirty roots =
-  let visited = Hashtbl.create 64 in
-  let exception Found in
-  let rec visit v =
-    match (v : Value.t) with
-    | Value.Int _ | Value.Bool _ | Value.Str _ | Value.Null -> ()
-    | Value.Ref id ->
-      if not (Hashtbl.mem visited id) then begin
-        Hashtbl.replace visited id ();
-        if dirty id then raise Found;
-        match read id with
-        | Heap.Obj { fields; _ } -> Hashtbl.iter (fun _ v -> visit v) fields
-        | Heap.Arr a -> Array.iter visit a
-      end
-  in
-  try
-    List.iter visit roots;
-    false
-  with Found -> true
-
 (* The ids reachable from [roots] through [read].  With a shadow's
    [read_before] this is the entry-time reachable set of a wrapped
    call — the objects a checkpoint of the same roots would have covered.
@@ -180,9 +149,7 @@ let reachable_via read roots =
     | Value.Ref id ->
       if not (Hashtbl.mem visited id) then begin
         Hashtbl.replace visited id ();
-        match read id with
-        | Heap.Obj { fields; _ } -> Hashtbl.iter (fun _ v -> visit v) fields
-        | Heap.Arr a -> Array.iter visit a
+        match read id with Heap.Obj { vals = a; _ } | Heap.Arr a -> Array.iter visit a
       end
   in
   List.iter visit roots;
@@ -234,9 +201,12 @@ let diff a b =
    unwinds from the difference it found. *)
 type step = Field of string | Index of int | Length
 
+module Ids = Hashtbl.Make (Int)
+
 (* [diff] of the canonical forms of the same roots under two payload
    lookups, without building either form: one depth-first walk of both
-   views in canonical order (fields sorted by name, slots by index).
+   views in canonical order (the payloads' sorted field slots, array
+   slots by index).
    Until the first difference the two canonical traversals expand the
    same shapes in the same order, so one counter gives both sides' first-
    visit indices, and a visit table per side turns each later visit
@@ -244,22 +214,24 @@ type step = Field of string | Index of int | Length
    forms happens here on the fly, in the same order, so the walk stops
    where [diff] would and reports the same path; the path string is
    built only then.  A difference-free walk means the forms are
-   [equal]: their indices and hashes follow from the shape. *)
+   [equal]: their indices and hashes follow from the shape.  Two
+   payloads of one class layout share their [names], and then no
+   name is compared. *)
 let first_diff ~read_a ~read_b roots =
-  let seen_a = Hashtbl.create 64 and seen_b = Hashtbl.create 64 in
+  let seen_a = Ids.create 64 and seen_b = Ids.create 64 in
   let counter = ref 1 (* 0 is the synthetic root *) in
   let path = ref [] in
   let rec same (a : Value.t) (b : Value.t) =
     match a, b with
     | Value.Ref ia, Value.Ref ib -> (
-      match Hashtbl.find_opt seen_a ia, Hashtbl.find_opt seen_b ib with
+      match Ids.find_opt seen_a ia, Ids.find_opt seen_b ib with
       | Some x, Some y -> x = y
       | Some _, None | None, Some _ -> false
       | None, None ->
         let idx = !counter in
         incr counter;
-        Hashtbl.replace seen_a ia idx;
-        Hashtbl.replace seen_b ib idx;
+        Ids.replace seen_a ia idx;
+        Ids.replace seen_b ib idx;
         same_payload (read_a ia) (read_b ib))
     | Value.Int x, Value.Int y -> x = y
     | Value.Bool x, Value.Bool y -> x = y
@@ -269,15 +241,7 @@ let first_diff ~read_a ~read_b roots =
   and same_payload pa pb =
     match pa, pb with
     | Heap.Obj oa, Heap.Obj ob ->
-      String.equal oa.cls ob.cls
-      &&
-      let names fields =
-        List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) fields [])
-      in
-      let na = names oa.fields in
-      (* an object the call left clean reads the same payload on both
-         sides: its names are sorted once *)
-      same_fields oa.fields ob.fields na (if pa == pb then na else names ob.fields)
+      String.equal oa.cls ob.cls && same_fields oa.names ob.names oa.vals ob.vals 0
     | Heap.Arr a, Heap.Arr b ->
       if Array.length a <> Array.length b then begin
         path := [ Length ];
@@ -285,18 +249,16 @@ let first_diff ~read_a ~read_b roots =
       end
       else same_elems a b 0
     | (Heap.Obj _ | Heap.Arr _), _ -> false
-  and same_fields fa fb na nb =
-    match na, nb with
-    | [], [] -> true
-    | x :: ra, y :: rb ->
-      String.equal x y
-      && (same (Hashtbl.find fa x) (Hashtbl.find fb y)
+  and same_fields na nb va vb i =
+    if i >= Array.length na || i >= Array.length nb then Array.length na = Array.length nb
+    else
+      (na == nb || String.equal na.(i) nb.(i))
+      && (same va.(i) vb.(i)
           || begin
-            path := Field x :: !path;
+            path := Field na.(i) :: !path;
             false
           end)
-      && same_fields fa fb ra rb
-    | [], _ :: _ | _ :: _, [] -> false
+      && same_fields na nb va vb (i + 1)
   and same_elems a b i =
     i >= Array.length a
     || (same a.(i) b.(i)
@@ -342,20 +304,17 @@ let clone heap v =
       | Some fresh -> Value.Ref fresh
       | None ->
         (* Allocate the copy first so cycles map back to it. *)
+        let p = Heap.get heap id in
+        let (Heap.Obj { vals = src; _ } | Heap.Arr src) = p in
+        let dst = Array.make (Array.length src) Value.Null in
         let fresh =
-          match Heap.get heap id with
-          | Heap.Obj { cls; _ } ->
-            Heap.alloc heap (Heap.Obj { cls; fields = Hashtbl.create 8 })
-          | Heap.Arr a ->
-            Heap.alloc heap (Heap.Arr (Array.make (Array.length a) Value.Null))
+          Heap.alloc heap
+            (match p with
+             | Heap.Obj o -> Heap.Obj { o with vals = dst }
+             | Heap.Arr _ -> Heap.Arr dst)
         in
         Hashtbl.replace mapping id fresh;
-        (match Heap.get heap id, Heap.get heap fresh with
-         | Heap.Obj { fields; _ }, Heap.Obj { fields = fresh_fields; _ } ->
-           Hashtbl.iter (fun k v -> Hashtbl.replace fresh_fields k (copy v)) fields
-         | Heap.Arr a, Heap.Arr fresh_a ->
-           Array.iteri (fun i v -> fresh_a.(i) <- copy v) a
-         | (Heap.Obj _ | Heap.Arr _), _ -> assert false);
+        Array.iteri (fun i v -> dst.(i) <- copy v) src;
         Value.Ref fresh)
   in
   copy v

@@ -57,14 +57,6 @@ val canonical_many_via : (Value.obj_id -> Heap.payload) -> Value.t list -> node
     the shadow was opened: the reference {!first_diff} is tested
     against. *)
 
-val reaches_dirty :
-  (Value.obj_id -> Heap.payload) -> dirty:(Value.obj_id -> bool) ->
-  Value.t list -> bool
-(** Whether the graph reachable from the roots — as seen through the
-    given payload lookup — contains an id satisfying [dirty].  Used to
-    intersect a shadow's dirty set with the snapshot's reachable ids
-    without building a canonical form; early-exits on the first hit. *)
-
 val reachable_via :
   (Value.obj_id -> Heap.payload) -> Value.t list ->
   (Value.obj_id, unit) Hashtbl.t

@@ -78,10 +78,10 @@ type t = {
   mutable sched_digest : string;
       (* hex FNV-1a digest of the scheduler's decision stream, written
          by Sched.run at the end of the run; "" for coop runs *)
-  exn_fields_cache : (string, string list) Hashtbl.t;
-      (* memoized [all_fields] per exception class — exceptions are
-         allocated on every throw, including the hot injection paths;
-         invalidated whenever a class is (re)defined *)
+  exn_fields_cache : (string, string array) Hashtbl.t;
+      (* memoized [Heap.layout] of [all_fields] per exception class —
+         exceptions are allocated on every throw, including the hot
+         injection paths; invalidated whenever a class is (re)defined *)
   mutable machine : machine;
       (* the innermost interpreter activation of the running MiniLang
          thread, for capturing its continuation; set and restored by the
@@ -307,20 +307,18 @@ let iter_methods vm f =
 (* Allocates the exception object on the simulated heap (exceptions are
    objects, as in Java) and raises it as a MiniLang exception. *)
 let make_exn vm cls_name message =
-  let field_names =
+  let names =
     match Hashtbl.find_opt vm.exn_fields_cache cls_name with
-    | Some fs -> fs
+    | Some names -> names
     | None ->
-      let fs = all_fields vm cls_name in
-      Hashtbl.replace vm.exn_fields_cache cls_name fs;
-      fs
+      let names = Heap.layout (all_fields vm cls_name) in
+      Hashtbl.replace vm.exn_fields_cache cls_name names;
+      names
   in
-  let fields =
-    List.map
-      (fun f -> (f, if String.equal f "message" then Value.Str message else Value.Null))
-      field_names
+  let vals =
+    Array.map (fun f -> if String.equal f "message" then Value.Str message else Value.Null) names
   in
-  let id = Heap.alloc_object vm.heap ~cls:cls_name fields in
+  let id = Heap.alloc vm.heap (Heap.Obj { cls = cls_name; names; vals }) in
   { exn_class = cls_name; message; exn_obj = Value.Ref id }
 
 let throw vm cls_name message = raise (Mini_raise (make_exn vm cls_name message))

@@ -77,8 +77,8 @@ type t = {
   mutable sched_digest : string;
       (** hex FNV-1a digest of the scheduler decision stream, written by
           [Sched.run] at the end of the run; [""] for coop runs *)
-  exn_fields_cache : (string, string list) Hashtbl.t;
-      (** memoized per-class field lists for exception allocation;
+  exn_fields_cache : (string, string array) Hashtbl.t;
+      (** memoized per-class {!Heap.layout} for exception allocation;
           invalidated by [add_class] *)
   mutable machine : machine;
       (** the innermost interpreter activation of the running MiniLang

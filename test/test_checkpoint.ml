@@ -247,8 +247,9 @@ let mutate_randomly heap rs ~targets ids steps =
 (* A payload as comparable data: class and sorted fields, or elements. *)
 let payload_repr heap id =
   match Heap.get heap id with
-  | Heap.Obj { cls; fields } ->
-    `Obj (cls, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fields []))
+  | Heap.Obj { cls; _ } ->
+    `Obj
+      (cls, List.map (fun k -> (k, Heap.get_field heap id k)) (Heap.field_names heap id))
   | Heap.Arr a -> `Arr (Array.to_list a)
 
 let heap_repr heap =

@@ -290,10 +290,10 @@ let test_no_cross_thread_alias () =
         (Shadow.dirty_by_thread sh = [ (1, [ id ]) ]);
       (* the saved payload is still the pre-write one *)
       match Shadow.saved_payload sh id with
-      | Some (Heap.Obj { fields; _ }) ->
+      | Some p ->
         Alcotest.(check bool) "pre-write payload saved" true
-          (Hashtbl.find_opt fields "v" = Some (Value.Int 0))
-      | _ -> Alcotest.fail "expected a saved object payload")
+          (Test_heap.saved_field p "v" = Some (Value.Int 0))
+      | None -> Alcotest.fail "expected a saved object payload")
 
 (* Heap identities come from an Atomic counter: concurrent heap
    creation across domains (the campaign's workers) must never produce

@@ -4,6 +4,12 @@ open Failatom_runtime
 
 let check = Alcotest.check
 
+(* A field of a payload held outside the heap, such as a shadow's saved
+   copy, read with [Heap.get_field] from a scratch heap. *)
+let saved_field payload name =
+  let scratch = Heap.create () in
+  Heap.get_field scratch (Heap.alloc scratch payload) name
+
 let test_value_basics () =
   check Alcotest.bool "truthy int" true (Value.truthy (Value.Int 2));
   check Alcotest.bool "falsy zero" false (Value.truthy (Value.Int 0));
@@ -75,6 +81,54 @@ let test_write_barrier () =
   check Alcotest.int "no barrier on restore" 0
     (fired (fun () -> Heap.restore_payload heap obj (Heap.copy_payload (Heap.get heap obj))))
 
+(* Writing a field the object does not have is a caller's bug: the
+   layout is fixed at allocation. *)
+let test_set_missing_field () =
+  let heap = Heap.create () in
+  let id = Heap.alloc_object heap ~cls:"C" [ ("x", Value.Int 1) ] in
+  let hits = Heap.barrier_hits heap in
+  (match Heap.set_field heap id "y" (Value.Int 2) with
+   | () -> Alcotest.fail "expected Invalid_argument"
+   | exception Invalid_argument msg ->
+     check Alcotest.string "names the class and the field"
+       "Heap.set_field: class C has no field y" msg);
+  check Alcotest.(list string) "no field added" [ "x" ] (Heap.field_names heap id);
+  check Alcotest.int "no barrier fired" hits (Heap.barrier_hits heap)
+
+let payload_names heap id =
+  match Heap.get heap id with Heap.Obj { names; _ } -> names | Heap.Arr _ -> [||]
+
+let payload_vals = function Heap.Obj { vals; _ } -> vals | Heap.Arr a -> a
+
+(* One sorted, duplicate-free layout per object; the instances of one
+   class layout share its names, a payload copy shares them too but not
+   the value slots. *)
+let test_object_layout () =
+  let heap = Heap.create () in
+  let id =
+    Heap.alloc_object heap ~cls:"C"
+      [ ("z", Value.Int 1); ("a", Value.Int 2); ("m", Value.Int 3); ("a", Value.Int 4) ]
+  in
+  check Alcotest.(list string) "sorted, duplicate-free" [ "a"; "m"; "z" ] (Heap.field_names heap id);
+  check Alcotest.bool "last binding wins" true (Heap.get_field heap id "a" = Some (Value.Int 4));
+  check Alcotest.bool "others kept" true
+    (Heap.get_field heap id "z" = Some (Value.Int 1) && Heap.get_field heap id "m" = Some (Value.Int 3));
+  let layout = Heap.layout [ "y"; "x"; "y" ] in
+  check Alcotest.(array string) "layout sorted, duplicate-free" [| "x"; "y" |] layout;
+  let t1 = Heap.alloc_layout heap ~cls:"T" layout and t2 = Heap.alloc_layout heap ~cls:"T" layout in
+  check Alcotest.bool "one layout, one names array" true
+    (payload_names heap t1 == layout && payload_names heap t2 == layout);
+  Heap.set_field heap t1 "x" (Value.Int 5);
+  check Alcotest.bool "instances do not share values" true
+    (Heap.get_field heap t2 "x" = Some Value.Null);
+  let p = Heap.get heap t1 in
+  let copy = Heap.copy_payload p in
+  check Alcotest.bool "copy shares names" true
+    (match copy with Heap.Obj { names; _ } -> names == payload_names heap t1 | Heap.Arr _ -> false);
+  check Alcotest.bool "copy does not share vals" true (payload_vals copy != payload_vals p);
+  Heap.set_field heap t1 "x" (Value.Int 6);
+  check Alcotest.bool "copy detached" true (saved_field copy "x" = Some (Value.Int 5))
+
 let test_copy_payload_detached () =
   let heap = Heap.create () in
   let id = Heap.alloc_object heap ~cls:"C" [ ("x", Value.Int 1) ] in
@@ -120,8 +174,8 @@ let test_fork_rewind () =
   check Alcotest.int "outer keeps its own save only" 1 (Shadow.dirty_count outer);
   check Alcotest.bool "outer's save of a intact" true
     (match Shadow.saved_payload outer a with
-     | Some (Heap.Obj { fields; _ }) -> Hashtbl.find fields "x" = Value.Int 0
-     | _ -> false);
+     | Some p -> saved_field p "x" = Some (Value.Int 0)
+     | None -> false);
   Heap.set_field heap b "x" (Value.Int 6);
   check Alcotest.bool "outer records again" true (Shadow.is_dirty outer b);
   Shadow.close outer
@@ -133,5 +187,7 @@ let suite =
     Alcotest.test_case "arrays" `Quick test_arrays;
     Alcotest.test_case "write barrier" `Quick test_write_barrier;
     Alcotest.test_case "payload copy detached" `Quick test_copy_payload_detached;
+    Alcotest.test_case "set of a missing field" `Quick test_set_missing_field;
+    Alcotest.test_case "object layout" `Quick test_object_layout;
     Alcotest.test_case "successors" `Quick test_successors;
     Alcotest.test_case "fork and rewind" `Quick test_fork_rewind ]

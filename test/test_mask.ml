@@ -146,8 +146,9 @@ let test_lazy_masking_closes () =
 let payload_repr heap id =
   let module Heap = Failatom_runtime.Heap in
   match Heap.get heap id with
-  | Heap.Obj { cls; fields } ->
-    `Obj (cls, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fields []))
+  | Heap.Obj { cls; _ } ->
+    `Obj
+      (cls, List.map (fun k -> (k, Heap.get_field heap id k)) (Heap.field_names heap id))
   | Heap.Arr a -> `Arr (Array.to_list a)
 
 let heap_repr heap =
@@ -395,12 +396,8 @@ let check_unwind_releases_checkpoint src () =
     (List.length vm.Vm.heap.Heap.shadows);
   (* the aborted call's mutation was rolled back *)
   let x = ref None in
-  Array.iter
-    (fun payload ->
-      match payload with
-      | Some (Heap.Obj { cls = "Spin"; fields }) -> x := Hashtbl.find_opt fields "x"
-      | _ -> ())
-    vm.Vm.heap.Heap.store;
+  Heap.iter_ids vm.Vm.heap (fun id ->
+      if Heap.class_of vm.Vm.heap id = Some "Spin" then x := Heap.get_field vm.Vm.heap id "x");
   match !x with
   | Some (Value.Int 0) -> ()
   | Some v ->

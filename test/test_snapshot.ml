@@ -1,5 +1,5 @@
 (* Tests of the differential (copy-on-write) snapshot engine: the
-   Shadow dirty-set layer, the reachability fast path, and end-to-end
+   Shadow dirty-set layer, the lockstep graph comparison, and end-to-end
    equivalence of cow detection, the production path, with the eager
    oracle. *)
 
@@ -26,9 +26,8 @@ let test_shadow_records_first_write () =
       check int_c "one dirty object" 1 (Shadow.dirty_count sh);
       check bool_c "dirty" true (Shadow.is_dirty sh id);
       (* the saved payload is the pre-FIRST-write one *)
-      match Shadow.read_before sh id with
-      | Heap.Obj { fields; _ } -> check bool_c "entry value" true (Hashtbl.find fields "x" = Value.Int 1)
-      | Heap.Arr _ -> Alcotest.fail "object expected");
+      check bool_c "entry value" true
+        (Test_heap.saved_field (Shadow.read_before sh id) "x" = Some (Value.Int 1)));
   check bool_c "current value survives close" true
     (Heap.get_field heap id "x" = Some (Value.Int 3))
 
@@ -48,9 +47,8 @@ let test_shadow_sees_free () =
       check bool_c "freed object is dirty" true (Shadow.is_dirty sh id);
       check bool_c "gone from the heap" false (Heap.mem heap id);
       (* read_before stays total for objects that existed at open time *)
-      match Shadow.read_before sh id with
-      | Heap.Obj { fields; _ } -> check bool_c "payload preserved" true (Hashtbl.find fields "x" = Value.Int 7)
-      | Heap.Arr _ -> Alcotest.fail "object expected")
+      check bool_c "payload preserved" true
+        (Test_heap.saved_field (Shadow.read_before sh id) "x" = Some (Value.Int 7)))
 
 let test_nested_shadows_independent () =
   let heap = Heap.create () in
@@ -61,17 +59,13 @@ let test_nested_shadows_independent () =
           check int_c "inner opens clean" 0 (Shadow.dirty_count inner);
           Heap.set_field heap id "x" (Value.Int 2);
           (* each shadow keeps its own before-state *)
-          (match Shadow.read_before inner id with
-          | Heap.Obj { fields; _ } ->
-            check bool_c "inner before" true (Hashtbl.find fields "x" = Value.Int 1)
-          | Heap.Arr _ -> Alcotest.fail "object expected");
-          match Shadow.read_before outer id with
-          | Heap.Obj { fields; _ } ->
-            check bool_c "outer before" true (Hashtbl.find fields "x" = Value.Int 0)
-          | Heap.Arr _ -> Alcotest.fail "object expected"))
+          check bool_c "inner before" true
+            (Test_heap.saved_field (Shadow.read_before inner id) "x" = Some (Value.Int 1));
+          check bool_c "outer before" true
+            (Test_heap.saved_field (Shadow.read_before outer id) "x" = Some (Value.Int 0))))
 
 (* ------------------------------------------------------------------ *)
-(* (b) Reachability fast path and before-form reconstruction           *)
+(* (b) Lockstep comparison and before-form reconstruction             *)
 (* ------------------------------------------------------------------ *)
 
 (* root -> child, plus a bystander object not reachable from root. *)
@@ -83,8 +77,12 @@ let fixture heap =
   let bystander = Heap.alloc_object heap ~cls:"L" [ ("v", Value.Int 0) ] in
   (root, child, bystander)
 
-let reaches sh roots =
-  Object_graph.reaches_dirty (Shadow.read_before sh) ~dirty:(Shadow.is_dirty sh) roots
+(* The injection check's one walk: the entry-time view against the
+   current one. *)
+let unchanged sh roots =
+  Object_graph.first_diff ~read_a:(Shadow.read_before sh) ~read_b:(Heap.get (Shadow.heap sh))
+    roots
+  = None
 
 let before_form sh roots = Object_graph.canonical_many_via (Shadow.read_before sh) roots
 
@@ -96,7 +94,7 @@ let test_unreachable_mutation_is_fast_path_atomic () =
   Shadow.with_shadow heap (fun sh ->
       Heap.set_field heap bystander "v" (Value.Int 99);
       check int_c "bystander write recorded" 1 (Shadow.dirty_count sh);
-      check bool_c "dirty set does not reach the snapshot" false (reaches sh roots);
+      check bool_c "a write outside the snapshot leaves it unchanged" true (unchanged sh roots);
       (* the slow path would agree: the reconstructed before-form is the
          entry form, and so is the current one *)
       check bool_c "before == entry" true
@@ -115,7 +113,7 @@ let test_new_object_linked_in_is_detected () =
       let fresh = Heap.alloc_object heap ~cls:"L" [ ("v", Value.Int 5) ] in
       check int_c "allocation alone is not a mutation" 0 (Shadow.dirty_count sh);
       Heap.set_field heap root "n" (Value.Ref fresh);
-      check bool_c "dirty set reaches the snapshot" true (reaches sh roots);
+      check bool_c "the link changes the snapshot" false (unchanged sh roots);
       let before = before_form sh roots in
       let after = Object_graph.canonical_many heap roots in
       check bool_c "before == entry (new object invisible)" true
@@ -123,6 +121,32 @@ let test_new_object_linked_in_is_detected () =
       check bool_c "after differs" false (Object_graph.equal before after);
       check bool_c "diff names the mutated field" true
         (Object_graph.diff before after = Some "this[0].n"))
+
+(* A link moved to an object of the same class whose field set differs:
+   once by a name that sorts first, once by one that sorts last, where
+   the shared names hold equal values and only the field count tells
+   the two apart. *)
+let test_other_field_set_of_one_class () =
+  List.iter
+    (fun extra ->
+      let heap = Heap.create () in
+      let x = Heap.alloc_object heap ~cls:"A" [ ("p", Value.Null); ("v", Value.Int 1) ] in
+      let y =
+        Heap.alloc_object heap ~cls:"A" ((extra, Value.Null) :: [ ("p", Value.Null); ("v", Value.Int 1) ])
+      in
+      let root = Heap.alloc_object heap ~cls:"R" [ ("c", Value.Ref x) ] in
+      let roots = [ Value.Ref root ] in
+      Shadow.with_shadow heap (fun sh ->
+          Heap.set_field heap root "c" (Value.Ref y);
+          let before = before_form sh roots and after = Object_graph.canonical_many heap roots in
+          let read_before = Shadow.read_before sh and read_now = Heap.get heap in
+          check Alcotest.(option string) (extra ^ ": forward") (Object_graph.diff before after)
+            (Object_graph.first_diff ~read_a:read_before ~read_b:read_now roots);
+          check Alcotest.(option string) (extra ^ ": backward") (Object_graph.diff after before)
+            (Object_graph.first_diff ~read_a:read_now ~read_b:read_before roots);
+          check Alcotest.(option string) (extra ^ ": path") (Some "this[0].c")
+            (Object_graph.first_diff ~read_a:read_before ~read_b:read_now roots)))
+    [ "a"; "z" ]
 
 let test_aliased_mutation_consistent () =
   let heap = Heap.create () in
@@ -135,7 +159,7 @@ let test_aliased_mutation_consistent () =
       (* one write, seen through both aliases *)
       Heap.set_field heap shared "v" (Value.Int 2);
       check int_c "one dirty object" 1 (Shadow.dirty_count sh);
-      check bool_c "reaches through either root" true (reaches sh roots);
+      check bool_c "the write is seen through either root" false (unchanged sh roots);
       let before = before_form sh roots in
       check bool_c "reconstruction preserves sharing" true
         (Object_graph.equal entry before))
@@ -154,7 +178,7 @@ let test_rollback_restores_before_equality () =
          payload equals the restored one, and the verdict comes out
          atomic through the comparison, not the fast path *)
       check bool_c "rollback leaves the object dirty" true (Shadow.is_dirty sh child);
-      check bool_c "dirty set reaches the snapshot" true (reaches sh roots);
+      check bool_c "the walk finds the rolled-back graph unchanged" true (unchanged sh roots);
       let before = before_form sh roots in
       let after = Object_graph.canonical_many heap roots in
       check bool_c "before == entry" true (Object_graph.equal entry before);
@@ -162,9 +186,10 @@ let test_rollback_restores_before_equality () =
 
 (* The lockstep comparator against the canonical forms it replaces:
    after random mutations under a shadow — aliasing and cycles through
-   the "p" links, fresh objects and arrays linked in, fields added
-   (sorting before and after the others),
-   array slots overwritten, unlinked objects freed, checkpoint
+   the "p" links, fresh objects and arrays linked in, links moved
+   between objects of one class whose field sets differ (by names
+   sorting before, between and after the others), array slots
+   overwritten, unlinked objects freed, checkpoint
    rollbacks — [first_diff] between the entry-time and current views of
    several (possibly duplicate, possibly primitive) roots is exactly
    [diff] of their canonical forms, in both directions, and [None]
@@ -176,16 +201,37 @@ let first_diff_prop =
     (fun (n, steps, nroots, seed) ->
       let heap = Heap.create () in
       let rs = Random.State.make [| seed |] in
-      let ids = Test_checkpoint.build_random_graph heap rs n in
+      let graph = Test_checkpoint.build_random_graph heap rs n in
       let pick a = a.(Random.State.int rs (Array.length a)) in
+      (* class A objects carrying four field sets; the instances of one
+         set share its layout *)
+      let layouts =
+        Array.map
+          (fun extra -> Heap.layout ([ "v"; "p" ] @ extra))
+          [| [ "a"; "q"; "z" ]; [ "a" ]; [ "q" ]; [ "z" ] |]
+      in
+      let extras =
+        Array.init (1 + Random.State.int rs 4) (fun i ->
+            let id = Heap.alloc_layout heap ~cls:"A" (if i = 0 then layouts.(0) else pick layouts) in
+            (* [v] drawn as [build_random_graph] draws it, so an extra can
+               equal a graph object on every field the two share *)
+            Heap.set_field heap id "v" (Value.Int (Random.State.int rs 5));
+            id)
+      in
+      let ids = Array.append graph extras in
       let slot () =
         match Random.State.int rs 3 with
         | 0 -> Value.Ref (pick ids)
         | 1 -> Value.Int (Random.State.int rs 3)
         | _ -> Value.Null
       in
+      (* writes [name] of an object that has it, as [extras.(0)] does *)
+      let set_some name v =
+        let owners = List.filter (fun id -> Heap.get_field heap id name <> None) (Array.to_list ids) in
+        Heap.set_field heap (List.nth owners (Random.State.int rs (List.length owners))) name v
+      in
       let arr = Heap.alloc_array heap (Array.init (1 + Random.State.int rs 3) (fun _ -> slot ())) in
-      Heap.set_field heap (pick ids) "a" (Value.Ref arr);
+      set_some "a" (Value.Ref arr);
       let roots =
         List.init nroots (fun _ ->
             if Random.State.int rs 8 = 0 then Value.Int 0 else Value.Ref (pick ids))
@@ -198,8 +244,8 @@ let first_diff_prop =
           | 0 | 1 -> ignore (Heap.set_elem heap arr (Random.State.int rs 3) (slot ()) : bool)
           | 2 ->
             let fresh = Heap.alloc_array heap (Array.init (Random.State.int rs 4) (fun _ -> slot ())) in
-            Heap.set_field heap (pick ids) "a" (Value.Ref fresh)
-          | 3 -> Heap.set_field heap (pick ids) (if Random.State.bool rs then "q" else "z") (slot ())
+            set_some "a" (Value.Ref fresh)
+          | 3 -> set_some (if Random.State.bool rs then "q" else "z") (slot ())
           | _ -> Heap.set_field heap (pick ids) "p" (Value.Ref (pick ids))
         done
       in
@@ -351,6 +397,7 @@ let suite =
     Alcotest.test_case "unreachable mutation fast path" `Quick
       test_unreachable_mutation_is_fast_path_atomic;
     Alcotest.test_case "new object linked in" `Quick test_new_object_linked_in_is_detected;
+    Alcotest.test_case "other field set of one class" `Quick test_other_field_set_of_one_class;
     Alcotest.test_case "aliased mutation" `Quick test_aliased_mutation_consistent;
     Alcotest.test_case "rollback under shadow" `Quick test_rollback_restores_before_equality;
     QCheck_alcotest.to_alcotest first_diff_prop;
