@@ -123,11 +123,11 @@ let wrap_all_arg =
 
 let run_timeout_arg =
   let doc =
-    "Abort any single detection run after $(docv) seconds of wall-clock time \
-     and record it as timed out instead of wedging a worker.  Each injected \
-     run then executes on a fresh VM under that budget instead of being \
-     forked off the walk of the uninjected run.  A timed-out run never ends \
-     the detection loop."
+    "Abort any single injected detection run after $(docv) seconds of \
+     wall-clock time and record it as timed out instead of wedging a worker. \
+     The budget covers the injected run from the point it is forked off the \
+     walk of the uninjected run, not the prefix they share; the walk itself \
+     carries none.  A timed-out run never ends the detection loop."
   in
   Arg.(value & opt (some float) None & info [ "run-timeout" ] ~docv:"SECONDS" ~doc)
 

@@ -12,8 +12,9 @@
      head — it asks the {!Scheduler} whether the point is still
      unclaimed and not on file; if so it claims the point and runs the
      injected run there, otherwise it walks on.  The run is forked off
-     the walk, or, with [run_timeout_s], executed on a fresh VM under
-     that budget ({!Detect.run_once}), exactly as in {!Detect.run}.  All
+     the walk, exactly as in {!Detect.run}; with [run_timeout_s] the
+     budget covers the injected suffix from its fork point, not the
+     shared prefix.  All
      walks visit the same points in the same order, so the workers split
      the runs between them with no speculation and no discarded runs.
      The first walk to finish files the probe, which fixes the frontier;

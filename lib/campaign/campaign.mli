@@ -48,8 +48,8 @@ val run :
     Worker domains execute the runs, never the calling thread.  Each
     worker walks the uninjected run once (per schedule phase) and runs
     the injected runs of the points it claims, as {!Detect.run} runs
-    them all: forked off the walk, or with [run_timeout_s] on a fresh VM
-    ({!Detect.run_once}).  No run is speculative, so [discarded] is
+    them all: forked off the walk (with [run_timeout_s], each under that
+    budget from its fork point).  No run is speculative, so [discarded] is
     always 0.  A campaign runs [jobs] workers (default {!default_jobs})
     but never more than [Domain.recommended_domain_count ()], since
     every extra walk repeats the uninjected run; the summary reports the

@@ -11,19 +11,20 @@
 
    One loop produces the records: [walk_with] runs a program once per
    schedule and offers every injection point it reaches; each offered
-   run is forked from its point (see the prefix-sharing section below)
-   or, under a [prepare] hook, a wall-clock budget or native re-entry,
-   executed on a fresh VM ([run_once], also the reference tests compare
-   the walk with).  [walk] runs every offered point, a campaign's
-   workers run the ones they claim.  Concurrent programs walk too: a
-   fork point adds the scheduler's state to the VM's and the injection
-   state's — every thread (tid,
-   state, [joined], PCT priority and its suspended frames, whether it
-   waits at a call's preemption opportunity, in [join], on a monitor or
-   has not started), every monitor (owner, depth, FIFO waiters), the
-   run queue, [next_tid], the splitmix stream and FNV digest, the
-   counters, the quantum and the PCT state, and the VM's
-   [preempt_flag], [cur_tid] and [sched_*] fields ({!Sched.fork}).
+   run is forked from its point (see the prefix-sharing section below),
+   also under a [prepare] hook or a wall-clock budget, which then
+   covers the injected suffix from its fork point.  [run_once] runs one
+   threshold on a fresh VM: Listing 1's run, the reference tests
+   compare the walk with.  [walk] runs every offered point, a
+   campaign's workers run the ones they claim.  Concurrent programs
+   walk too: a fork point adds the scheduler's state to the VM's and
+   the injection state's — every thread (tid, state, [joined], PCT
+   priority and its suspended frames, whether it waits at a call's
+   preemption opportunity, in [join], on a monitor or has not started),
+   every monitor (owner, depth, FIFO waiters), the run queue,
+   [next_tid], the splitmix stream and FNV digest, the counters, the
+   quantum and the PCT state, and the VM's [preempt_flag], [cur_tid]
+   and [sched_*] fields ({!Sched.fork}).
    [set_up] is the one-time work both [run] and campaigns start
    from. *)
 
@@ -109,16 +110,8 @@ let m_points_total = Obs.counter "detect.points_total"
 let m_points_dropped = Obs.counter "detect.points_dropped"
 let m_points_coalesced = Obs.counter "detect.points_coalesced"
 
-(* Prefix sharing: injected runs forked from the walk, and injected runs
-   executed on a fresh VM instead, in total and per reason
-   ("detect.fork_fallbacks.<reason>": prepare, timeout, native
-   re-entry). *)
+(* Prefix sharing: injected runs forked from the walk. *)
 let m_forks = Obs.counter "detect.forks"
-let m_fork_fallbacks = Obs.counter "detect.fork_fallbacks"
-
-let count_fallback reason =
-  Obs.incr m_fork_fallbacks;
-  Obs.incr (Obs.counter ("detect.fork_fallbacks." ^ reason))
 
 (* The default schedule: sequential detection always runs under [Coop],
    whose records carry no sched info — byte-identical to the
@@ -148,9 +141,6 @@ let ending_of_exn ~threshold = function
     Obs.incr m_runs_timed_out;
     Timed_out
   | ex -> ( match run_error threshold ex with Some err -> raise err | None -> raise ex)
-
-let ending_of ~threshold run =
-  match run () with _ -> Returned | exception ex -> ending_of_exn ~threshold ex
 
 (* The record of a finished run, read off its injection state and VM,
    and whether the exception escaping [main] was the injected one. *)
@@ -192,23 +182,15 @@ let sched_info (spec, policy) vm =
         sched_switches = vm.Vm.sched_switches;
         sched_digest = vm.Vm.sched_digest }
 
-let run_once_ext ?run_timeout_s ?(schedule = coop_schedule) compiled config analyzer
-    ~prepare ~threshold =
-  Obs.span "detect.run_once"
-    ~attrs:[ ("flavor", flavor_name compiled.cflavor) ]
-    (fun () ->
-      let vm, state = instrumented_vm compiled config analyzer ~prepare ~threshold in
-      (match run_timeout_s with
-       | Some timeout_s -> Vm.arm_deadline vm ~timeout_s
-       | None -> ());
-      let ending =
-        ending_of ~threshold (fun () -> Compile.run_main ~policy:(snd schedule) vm)
-      in
-      record_of ~threshold ?sched:(sched_info schedule vm) state vm ending)
-
-let run_once ?run_timeout_s ?schedule compiled config analyzer ~prepare ~threshold :
+let run_once ?(schedule = coop_schedule) compiled config analyzer ~prepare ~threshold :
     Marks.run_record =
-  fst (run_once_ext ?run_timeout_s ?schedule compiled config analyzer ~prepare ~threshold)
+  let vm, state = instrumented_vm compiled config analyzer ~prepare ~threshold in
+  let ending =
+    match Compile.run_main ~policy:(snd schedule) vm with
+    | _ -> Returned
+    | exception ex -> ending_of_exn ~threshold ex
+  in
+  fst (record_of ~threshold ?sched:(sched_info schedule vm) state vm ending)
 
 (* [threshold], unless the walk must stop with the max_runs error
    before running it — the numbering rule of Listing 1's loop. *)
@@ -238,11 +220,15 @@ let within_max_runs config threshold =
    members are synthesized.
 
    A fork copies and rewinds only what lives in the VM and the
-   injection state.  A [prepare] hook keeps state outside the VM and a
-   wall-clock budget is per run, so with either the walk forks nothing:
-   it runs each offered point on a fresh VM ([run_once_ext]), as it does
-   for a point reached under native re-entry.  The walk itself carries
-   no budget, like the profile run of the same program. *)
+   injection state, so hooks keep their state there: [Mask]'s
+   checkpoints and the source flavor's snapshots are tokens of the VM's
+   handle table.  A wall-clock budget is armed as a suffix starts and
+   disarmed once it is rewound: it covers the injected run from its
+   fork point, and the walk itself carries none, like the profile run
+   of the same program.  A point reached under native re-entry (a hook
+   calling back into the program, in this thread or another) has a
+   continuation no fork can copy: its run fails with a
+   [Detection_error]. *)
 
 (* A failure the walk leaves with as is: raised through the walk's own
    frames, it must look neither like a MiniLang exception nor like loop
@@ -252,34 +238,46 @@ exception Walk_abort of exn
 (* A [visit] hook asked the walk to stop. *)
 exception Walk_stop
 
-(* The run armed at the point being visited, forked from the walk;
-   [None] when the continuation is not capturable (native re-entry, of
-   this thread or of another).  The VM and the injection state are
-   rewound before returning. *)
-let fork_run ~schedule state vm ~threshold inject =
+(* The failure of a run whose point some thread reaches under native
+   re-entry. *)
+let reentered threshold =
+  Error
+    (Detection_error
+       (Printf.sprintf
+          "run %d cannot fork: its injection point is reached under native re-entry"
+          threshold))
+
+(* The run armed at the point being visited, forked from the walk
+   under [run_timeout_s], if given: its record and whether the injected
+   exception escaped [main], or its failure.  The VM and the injection
+   state are rewound before returning. *)
+let fork_run ?run_timeout_s ~schedule state vm ~threshold inject =
   match Exec.capture vm with
-  | None -> None
+  | None -> reentered threshold
   | Some k ->
     let vf = Vm.fork vm in
     let sv = Injection.save state in
     state.Injection.walker <- None;
+    (match run_timeout_s with
+     | Some timeout_s -> Vm.arm_deadline vm ~timeout_s
+     | None -> ());
     let record ending =
       Ok (record_of ~threshold ?sched:(sched_info schedule vm) state vm ending)
     in
     let result =
       match Compile.fork_raise vm k inject with
-      | None -> None
-      | Some outcome ->
+      | None -> reentered threshold
+      | Some outcome -> (
         Obs.incr m_forks;
-        Some
-          (match outcome with
-           | Ok _ -> record Returned
-           | Error ex -> (
-             match ending_of_exn ~threshold ex with
-             | ending -> record ending
-             | exception ex -> Error ex))
+        match outcome with
+        | Ok _ -> record Returned
+        | Error ex -> (
+          match ending_of_exn ~threshold ex with
+          | ending -> record ending
+          | exception ex -> Error ex))
     in
     Vm.rewind vm vf;
+    vm.Vm.deadline_ns <- 0;
     Injection.restore state sv;
     result
 
@@ -306,52 +304,21 @@ type cursor = {
 (* The walk itself, driven by {!walk_with}'s hooks, except that they get
    the group of the point offered as a function: hooks that do not read
    it never build it. *)
-let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?prepare ?run_timeout_s ?flow ~schedule
-    compiled config analyzer ~(visit : (unit -> Prune.group) -> visit)
+let walk_core ?(prepare = fun (_ : Vm.t) -> ()) ?run_timeout_s ?flow ~schedule compiled
+    config analyzer ~(visit : (unit -> Prune.group) -> visit)
     ~(forked :
        (unit -> Prune.group) ->
        (Marks.run_record * Marks.run_record list, exn) Stdlib.result -> unit) =
-  let fresh_only =
-    match (prepare, run_timeout_s) with
-    | Some _, _ -> Some "prepare"
-    | None, Some _ -> Some "timeout"
-    | None, None -> None
-  in
-  let setup vm =
-    setup vm;
-    Option.iter (fun prepare -> prepare vm) prepare
-  in
-  let vm, state =
-    instrumented_vm compiled config analyzer ~prepare:setup ~threshold:0
-  in
+  let vm, state = instrumented_vm compiled config analyzer ~prepare ~threshold:0 in
   let last = ref 0 (* the last point reached *) in
   let n_groups = ref 0 in
-  let reason = Option.value fresh_only ~default:"native" in
-  let fresh threshold =
-    count_fallback reason;
-    match
-      run_once_ext ?run_timeout_s ~schedule compiled config analyzer ~prepare:setup
-        ~threshold
-    with
-    | r -> Ok r
-    | exception ex -> Error ex
-  in
-  let run_at threshold inject =
-    let r =
-      if Option.is_some fresh_only then None
-      else fork_run ~schedule state vm ~threshold inject
-    in
-    match r with Some r -> r | None -> fresh threshold
-  in
-  (* A timed-out representative's members: a wall-clock abort is not
-     bisimilar across class tags, so they run for real. *)
-  let rec run_members acc = function
-    | [] -> Ok (List.rev acc)
-    | (t, _) :: rest -> (
-      match fresh t with
-      | Ok (r, _) -> run_members (r :: acc) rest
-      | Error ex -> Error ex)
-  in
+  let run_at = fork_run ?run_timeout_s ~schedule state vm in
+  (* A coalesced group whose representative timed out, with the members
+     still to run and the records of those run (reversed): a wall-clock
+     abort is not bisimilar across class tags, so each member forks at
+     its own point.  Those follow the head's in the same entry, with no
+     execution in between. *)
+  let late = ref None in
   (* An entry's grouping depends on its site only (the injectable
      classes are the site's), so each site is partitioned once. *)
   let partitions = Hashtbl.create 16 in
@@ -400,16 +367,30 @@ let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?prepare ?run_timeout_s ?flow ~sch
     match visit group with
     | Pass -> ()
     | Stop -> raise Walk_stop
-    | Fork ->
-      forked group
-        (match run_at p inject with
-         | Error ex -> Error ex
-         | Ok (r, _) when Option.is_none flow -> Ok (r, [])
-         | Ok (r, _) when r.Marks.timed_out ->
-           run_members [] (List.tl (group ()).Prune.members)
-           |> Result.map (fun members -> (r, members))
-         | Ok (r, injected_escaped) ->
-           Ok (r, Prune.synthesize (group ()) ~rep_record:r ~injected_escaped))
+    | Fork -> (
+      match run_at ~threshold:p inject with
+      | Error ex -> forked group (Error ex)
+      | Ok (r, _) when Option.is_none flow -> forked group (Ok (r, []))
+      | Ok (r, _) when r.Marks.timed_out -> (
+        let g = group () in
+        match List.tl g.Prune.members with
+        | [] -> forked group (Ok (r, []))
+        | members -> late := Some (g, r, List.map fst members, []))
+      | Ok (r, injected_escaped) ->
+        forked group (Ok (r, Prune.synthesize (group ()) ~rep_record:r ~injected_escaped)))
+  in
+  let member p inject =
+    match !late with
+    | Some (g, rep, t :: left, ran) when t = p -> (
+      let finish outcome =
+        late := None;
+        forked (fun () -> g) outcome
+      in
+      match run_at ~threshold:p inject with
+      | Error ex -> finish (Error ex)
+      | Ok (r, _) when left = [] -> finish (Ok (rep, List.rev (r :: ran)))
+      | Ok (r, _) -> late := Some (g, rep, left, r :: ran))
+    | Some _ | None -> ()
   in
   let w_point p inject =
     last := p;
@@ -420,7 +401,7 @@ let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?prepare ?run_timeout_s ?flow ~sch
         offer p inject
       | Some _ -> (
         match c.c_heads.(p - c.c_first) with
-        | None -> () (* a member: synthesized with its representative *)
+        | None -> member p inject (* synthesized, unless its representative timed out *)
         | Some _ ->
           incr n_groups;
           (* the coalescing loop fails over max_runs only after its
@@ -453,19 +434,19 @@ let walk_core ?(setup = fun (_ : Vm.t) -> ()) ?prepare ?run_timeout_s ?flow ~sch
     in
     Finished { probe; points = !last; groups = !n_groups }
 
-let walk_with ?setup ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compiled
-    config analyzer ~visit ~forked =
+let walk_with ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compiled config
+    analyzer ~visit ~forked =
   (* the group [visit] saw is the one its fork belongs to *)
   let offered = ref None in
-  walk_core ?setup ?prepare ?run_timeout_s ?flow ~schedule compiled config analyzer
+  walk_core ?prepare ?run_timeout_s ?flow ~schedule compiled config analyzer
     ~visit:(fun group ->
       let g = group () in
       offered := Some g;
       visit g)
     ~forked:(fun _ outcome -> forked (Option.get !offered) outcome)
 
-let walk ?setup ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compiled config
-    analyzer ~baseline_output =
+let walk ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compiled config analyzer
+    ~baseline_output =
   let records = ref [] (* reversed *) in
   let pending = ref None (* the first representative's failure *) in
   (* neither hook reads the group *)
@@ -475,8 +456,8 @@ let walk ?setup ?prepare ?run_timeout_s ?flow ?(schedule = coop_schedule) compil
     | Error ex -> if Option.is_none flow then raise ex else pending := Some ex
   in
   match
-    walk_core ?setup ?prepare ?run_timeout_s ?flow ~schedule compiled config analyzer
-      ~visit ~forked
+    walk_core ?prepare ?run_timeout_s ?flow ~schedule compiled config analyzer ~visit
+      ~forked
   with
   | Stopped -> assert false (* [visit] never stops *)
   | Finished { probe; points; groups } ->

@@ -13,11 +13,12 @@
     (interpreter continuation, heap, globals, output, counters,
     injection state and, for concurrent programs, the scheduler with
     every thread's frames are copied or rewound; see {!Sched.fork}); the
-    records are bitwise-identical to fresh runs.  Under a [prepare]
-    hook or a wall-clock budget, and at points reached under native
-    re-entry, the walk runs the injected run with {!run_once}'s fresh VM
-    and heap instead.  {!run_once} is also the reference the walk is
-    tested against. *)
+    records are bitwise-identical to fresh runs.  That holds under a
+    [prepare] hook too, as long as its hooks keep their state in the VM
+    (heap, globals, the handle table of {!Vm.add_handle}), and under a
+    wall-clock budget, which covers each injected run from its fork
+    point.  {!run_once} runs one threshold on a fresh VM: the reference
+    the walk is tested against. *)
 
 open Failatom_runtime
 open Failatom_minilang
@@ -68,16 +69,14 @@ val compile : ?plain:Compile.image -> flavor -> Ast.program -> compiled
     program). *)
 
 val run_once :
-  ?run_timeout_s:float -> ?schedule:string * Sched.policy -> compiled ->
-  Config.t -> Analyzer.t ->
+  ?schedule:string * Sched.policy -> compiled -> Config.t -> Analyzer.t ->
   prepare:(Vm.t -> unit) -> threshold:int -> Marks.run_record
 (** One detection run with the given threshold armed, on a fresh VM and
     heap instantiated from the compiled image: Listing 1's run, the
-    reference every walk is compared with.  [schedule] (default [("coop", Sched.Coop)]) is the (spec, policy)
+    test oracle every walk is compared with (no library code runs it).
+    [schedule] (default [("coop", Sched.Coop)]) is the (spec, policy)
     pair the run executes under; non-coop records carry
-    {!Marks.sched_info}.  With [run_timeout_s] the run is aborted once
-    it exceeds that wall-clock budget and its record carries
-    [Marks.timed_out = true] (marks observed so far are kept).
+    {!Marks.sched_info}.
     @raise Detection_error on a non-MiniLang failure inside the run. *)
 
 val baseline_under :
@@ -103,7 +102,7 @@ type walk_end =
   | Stopped  (** a [visit] hook returned [Stop] *)
 
 val walk_with :
-  ?setup:(Vm.t -> unit) -> ?prepare:(Vm.t -> unit) -> ?run_timeout_s:float ->
+  ?prepare:(Vm.t -> unit) -> ?run_timeout_s:float ->
   ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
   compiled -> Config.t -> Analyzer.t -> visit:(Prune.group -> visit) ->
   forked:
@@ -124,26 +123,28 @@ val walk_with :
     once from one [compiled] image; every walk of a program under one
     schedule visits the same points in the same order.
 
-    The injected run is forked off the walk, or executed on a fresh VM
-    ({!run_once}) when a fork cannot reproduce it: with [prepare] (its
-    hooks may keep state outside the VM; reason [prepare]), with
-    [run_timeout_s] (the budget is per run; reason [timeout]), and at a
-    point reached under native re-entry (reason [native]).  Each fresh
-    run counts under [detect.fork_fallbacks] and
-    [detect.fork_fallbacks.<reason>].  A coalesced group whose
-    representative timed out gets its members run on fresh VMs too,
-    since a wall-clock abort is not bisimilar across class tags.
-    [prepare] also prepares the walk's own VM, which carries no budget.
+    Every injected run is forked off the walk and counted under
+    [detect.forks].  [prepare] prepares the walk's VM (it registers
+    extra hooks, e.g. {!Mask.register_hooks}); since a fork rewinds
+    only the VM and the injection state, the hooks must keep their
+    state in the VM (heap, globals, the handle table of
+    {!Vm.add_handle}).  [run_timeout_s] bounds each injected run from
+    its fork point; the walk itself carries no budget.  A coalesced
+    group whose representative timed out gets its members forked at
+    their own points, since a wall-clock abort is not bisimilar across
+    class tags; [forked] gets the group once its last member has run.
+    A run whose point is reached under native re-entry (a hook calling
+    back into the program, in this thread or another) cannot be forked
+    and fails with a [Detection_error] naming its point.
 
     The walk itself fails, whatever the hooks do, as Listing 1's loop
     would past the last point: [max_runs] exceeded (without [flow] at
     the first point past it, with [flow] once the census is complete),
     or a failure of the uninjected run itself.  An exception raised by
-    a hook ends the walk and is re-raised as is.  [setup] is as for
-    {!walk}. *)
+    a hook ends the walk and is re-raised as is. *)
 
 val walk :
-  ?setup:(Vm.t -> unit) -> ?prepare:(Vm.t -> unit) -> ?run_timeout_s:float ->
+  ?prepare:(Vm.t -> unit) -> ?run_timeout_s:float ->
   ?flow:Exnflow.t -> ?schedule:string * Sched.policy ->
   compiled -> Config.t -> Analyzer.t -> baseline_output:string ->
   Marks.run_record list * bool
@@ -153,14 +154,8 @@ val walk :
     equals [baseline_output].  With [flow] it coalesces (only each
     blindness group's representative forks, the members are
     synthesized).  Errors are those of Listing 1's loop on fresh VMs, in
-    the same order.  {!run} runs one per schedule.
-
-    [setup] is a test seam (no caller in the library or the CLI passes
-    it): it prepares every VM like [prepare] does (also the fresh VMs of
-    points that cannot fork), so tests can lower the step limit or
-    register hooks, but the walk still forks.  Unlike [prepare] its
-    effects must therefore stay inside the VM, since forks rewind only
-    the VM. *)
+    the same order.  [prepare] and [run_timeout_s] are as for
+    {!walk_with}.  {!run} runs one per schedule. *)
 
 type setup = {
   s_config : Config.t;
@@ -197,11 +192,13 @@ val run :
   Ast.program -> result
 (** Runs the complete detection phase.  [prepare] registers extra hooks
     on every VM created (e.g. {!Mask.register_hooks} when re-validating
-    an already-masked program).  [plain] and [compiled] reuse
+    an already-masked program), which keep their state in the VM (see
+    {!walk_with}).  [plain] and [compiled] reuse
     already-built images of this very [program] (skipping compilation —
-    the server's image cache); [run_timeout_s] bounds each run's
-    wall-clock time, and a timed-out run never ends the detection loop
-    even when no injection fired.
+    the server's image cache); [run_timeout_s] bounds the wall-clock
+    time of each injected run from its fork point (not the shared
+    prefix), and a timed-out run never ends the detection loop even
+    when no injection fired.
 
     [config.prune] selects the campaign-pruning mode.  [Prune_drop]
     filters provably-impossible generic exceptions out of the
@@ -220,8 +217,5 @@ val run :
     Sequential programs always run the single coop schedule, leaving
     their results byte-identical to the pre-scheduler pipeline.
 
-    Each schedule runs as one {!walk}, which runs the injected runs on
-    fresh VMs under [prepare] or [run_timeout_s]; the runs are the same
-    either way.  Counters [detect.forks] and [detect.fork_fallbacks]
-    (plus [detect.fork_fallbacks.<reason>], reason [prepare], [timeout]
-    or [native]) count injected runs forked and run fresh. *)
+    Each schedule runs as one {!walk}, which forks every injected run;
+    counter [detect.forks] counts them. *)

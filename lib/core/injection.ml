@@ -73,25 +73,20 @@ type state = {
       (* binary flavor: snapshot pushed by pre, popped by post; keyed by
          MiniLang thread id, because pre/post pairs of different threads
          interleave under preemption while each thread's own pairs stay
-         LIFO (filters run in the calling fiber) *)
-  snapshots : (int, snapshot) Hashtbl.t;
-      (* source flavor: snapshots held by wrapper-local tokens *)
-  mutable next_token : int;
+         LIFO (filters run in the calling fiber).  The source flavor's
+         snapshots are held by tokens of the VM's handle table. *)
   mutable walker : walker option;
   mutable journal : journal option;
       (* while a fork is open: what restoring its save point undoes *)
 }
 
-(* The writes to the snapshot tables since a save point, undone by
-   {!restore}: a fork pays for the snapshots its suffix touched, not for
-   copies of both tables. *)
-and journal = {
-  mutable j_stacks : (int * (Method_id.t * snapshot) list option) list;
-      (* per thread, its snapshot stack at the save point (first write only) *)
-  mutable j_tokens : (int * snapshot) list;
-      (* tokens of the save point removed since, with their snapshots *)
-  j_next_token : int; (* tokens from here on were handed out since *)
-}
+(* Per thread, its snapshot stack at the save point, recorded on the
+   thread's first write since: a fork pays for the stacks its suffix
+   touched, not for a copy of the table. *)
+and journal = (int * (Method_id.t * snapshot) list option) list
+
+(* A source-flavor snapshot, as held by the running program. *)
+type Vm.handle += Snapshot of snapshot
 
 let make_state config analyzer ~threshold =
   { config;
@@ -102,8 +97,6 @@ let make_state config analyzer ~threshold =
     injected_exn_id = 0;
     marks = [];
     snap_stacks = Hashtbl.create 4;
-    snapshots = Hashtbl.create 32;
-    next_token = 0;
     walker = None;
     journal = None }
 
@@ -172,7 +165,7 @@ let inject_at state vm id injectable =
 let maybe_inject state vm id =
   inject_at state vm id (Analyzer.injectable_for state.analyzer id)
 
-(* The mutable part of a state, for forking a run; the snapshot tables
+(* The mutable part of a state, for forking a run; the snapshot stacks
    are journaled from the save point on (their snapshots are shared —
    cow shadows are rewound with the heap). *)
 type saved = {
@@ -180,7 +173,6 @@ type saved = {
   sv_injected : (Method_id.t * string) option;
   sv_injected_exn_id : int;
   sv_marks : Marks.mark list;
-  sv_next_token : int;
   sv_walker : walker option;
   sv_journal : journal option; (* an enclosing save point's *)
 }
@@ -191,51 +183,34 @@ let save state =
       sv_injected = state.injected;
       sv_injected_exn_id = state.injected_exn_id;
       sv_marks = state.marks;
-      sv_next_token = state.next_token;
       sv_walker = state.walker;
       sv_journal = state.journal }
   in
-  state.journal <- Some { j_stacks = []; j_tokens = []; j_next_token = state.next_token };
+  state.journal <- Some [];
   sv
 
 let restore state sv =
-  (match state.journal with
-   | Some j ->
-     List.iter
-       (fun (tid, before) ->
+  Option.iter
+    (List.iter (fun (tid, before) ->
          match before with
          | Some l -> Hashtbl.replace state.snap_stacks tid l
-         | None -> Hashtbl.remove state.snap_stacks tid)
-       j.j_stacks;
-     for token = j.j_next_token to state.next_token - 1 do
-       Hashtbl.remove state.snapshots token
-     done;
-     List.iter
-       (fun (token, snapshot) -> Hashtbl.replace state.snapshots token snapshot)
-       j.j_tokens
-   | None -> ());
+         | None -> Hashtbl.remove state.snap_stacks tid))
+    state.journal;
   state.point <- sv.sv_point;
   state.injected <- sv.sv_injected;
   state.injected_exn_id <- sv.sv_injected_exn_id;
   state.marks <- sv.sv_marks;
-  state.next_token <- sv.sv_next_token;
   state.walker <- sv.sv_walker;
   state.journal <- sv.sv_journal
 
-(* Every write to the snapshot tables goes through these two, which
-   journal it while a save point is open. *)
+(* Every write to the snapshot stacks goes through here, which journals
+   it while a save point is open. *)
 let set_snap_stack state tid stack =
   (match state.journal with
-   | Some j when not (List.mem_assoc tid j.j_stacks) ->
-     j.j_stacks <- (tid, Hashtbl.find_opt state.snap_stacks tid) :: j.j_stacks
+   | Some j when not (List.mem_assoc tid j) ->
+     state.journal <- Some ((tid, Hashtbl.find_opt state.snap_stacks tid) :: j)
    | Some _ | None -> ());
   Hashtbl.replace state.snap_stacks tid stack
-
-let remove_snapshot state token snapshot =
-  (match state.journal with
-   | Some j when token < j.j_next_token -> j.j_tokens <- (token, snapshot) :: j.j_tokens
-   | Some _ | None -> ());
-  Hashtbl.remove state.snapshots token
 
 let exn_identity (exn_v : Vm.exn_value) =
   match exn_v.Vm.exn_obj with Value.Ref id -> id | _ -> 0
@@ -385,32 +360,26 @@ let register_hooks state vm =
       match args with
       | [ recv; args_array ] ->
         let snapshot = take_snapshot_of state vm (roots_of state vm recv args_array) in
-        let token = state.next_token in
-        state.next_token <- token + 1;
-        Hashtbl.replace state.snapshots token snapshot;
-        Value.Int token
+        Value.Int (Vm.add_handle vm (Snapshot snapshot))
       | _ -> hook_error "__snapshot");
   Vm.register_hook vm "__mark" (fun vm args ->
       match args with
       | [ Value.Str cls; Value.Str meth; Value.Int token; recv; args_array; exn_obj ] ->
         let id = Method_id.make cls meth in
         let exn_id = match exn_obj with Value.Ref i -> i | _ -> 0 in
-        (match Hashtbl.find_opt state.snapshots token with
-         | None -> hook_error "__mark"
-         | Some snapshot ->
-           remove_snapshot state token snapshot;
+        (match Vm.take_handle vm token with
+         | Some (Snapshot snapshot) ->
            check_and_mark state vm id snapshot
              (roots_of state vm recv args_array)
-             ~exn_id);
+             ~exn_id
+         | _ -> hook_error "__mark");
         Value.Null
       | _ -> hook_error "__mark");
-  Vm.register_hook vm "__drop" (fun _vm args ->
+  Vm.register_hook vm "__drop" (fun vm args ->
       match args with
       | [ Value.Int token ] ->
-        (match Hashtbl.find_opt state.snapshots token with
-         | Some snapshot ->
-           release_snapshot snapshot;
-           remove_snapshot state token snapshot
-         | None -> ());
+        (match Vm.take_handle vm token with
+         | Some (Snapshot snapshot) -> release_snapshot snapshot
+         | _ -> ());
         Value.Null
       | _ -> hook_error "__drop")

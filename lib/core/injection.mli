@@ -53,12 +53,12 @@ type state = {
   mutable marks : Marks.mark list;  (** reversed *)
   snap_stacks : (int, (Method_id.t * snapshot) list) Hashtbl.t;
       (** binary flavor: per-MiniLang-thread snapshot stacks (pre/post
-          pairs of different threads interleave under preemption) *)
-  snapshots : (int, snapshot) Hashtbl.t;
-  mutable next_token : int;
+          pairs of different threads interleave under preemption); the
+          source flavor's snapshots are tokens of the VM's handle table
+          ({!Vm.add_handle}), which a fork rewinds with the VM *)
   mutable walker : walker option;  (** [None] outside a walk *)
   mutable journal : journal option;
-      (** while a {!save} point is open: the snapshot-table writes
+      (** while a {!save} point is open: the snapshot-stack writes
           {!restore} undoes *)
 }
 
@@ -67,16 +67,15 @@ and journal
 val make_state : Config.t -> Analyzer.t -> threshold:int -> state
 
 type saved
-(** The mutable part of a state: point counter, injection, marks,
-    token counter and walker, and a journal of the snapshot tables. *)
+(** The mutable part of a state: point counter, injection, marks and
+    walker, and a journal of the snapshot stacks. *)
 
 val save : state -> saved
-(** A save point, O(1): the snapshot tables are not copied; their
-    writes are journaled from here on (first write per thread stack,
-    pre-existing tokens removed). *)
+(** A save point, O(1): the snapshot stacks are not copied; their
+    writes are journaled from here on (first write per thread). *)
 
 val restore : state -> saved -> unit
-(** Back to a {!save}d state, in time proportional to the snapshot-table
+(** Back to a {!save}d state, in time proportional to the snapshot-stack
     writes since.  Snapshots are shared, not copied: a fork rewinds
     their copy-on-write shadows together with the heap. *)
 

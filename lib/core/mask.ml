@@ -116,18 +116,19 @@ let attach_masking config ~targets vm =
    needs {!register_hooks} on its VM before running. *)
 let corrected_program ~targets program = Source_weaver.weave_masking ~targets program
 
-(* Runtime support for the woven atomicity wrappers. *)
+(* A woven wrapper's checkpoint, as held by the running program. *)
+type Vm.handle += Wrapper_checkpoint of Checkpoint.t
+
+(* Runtime support for the woven atomicity wrappers.  The checkpoints
+   live in the VM's handle table, so a fork of the run rewinds them too
+   (their shadows are rewound with the heap). *)
 let register_hooks (config : Config.t) vm =
-  let table : (int, Checkpoint.t) Hashtbl.t = Hashtbl.create 16 in
-  let next = ref 0 in
   let hook_error name = invalid_arg (Printf.sprintf "hook %s: invalid arguments" name) in
-  let find_cp name = function
+  let take_cp name vm = function
     | [ Value.Int token ] -> (
-      match Hashtbl.find_opt table token with
-      | Some cp ->
-        Hashtbl.remove table token;
-        cp
-      | None -> hook_error name)
+      match Vm.take_handle vm token with
+      | Some (Wrapper_checkpoint cp) -> cp
+      | _ -> hook_error name)
     | _ -> hook_error name
   in
   Vm.register_hook vm "__checkpoint" (fun vm args ->
@@ -139,18 +140,15 @@ let register_hooks (config : Config.t) vm =
           | Heap.Obj _ -> hook_error "__checkpoint"
         in
         let cp = take_checkpoint config vm recv extra in
-        let token = !next in
-        incr next;
-        Hashtbl.replace table token cp;
-        Value.Int token
+        Value.Int (Vm.add_handle vm (Wrapper_checkpoint cp))
       | _ -> hook_error "__checkpoint");
-  Vm.register_hook vm "__restore" (fun _vm args ->
-      let cp = find_cp "__restore" args in
+  Vm.register_hook vm "__restore" (fun vm args ->
+      let cp = take_cp "__restore" vm args in
       Checkpoint.rollback cp;
       Checkpoint.dispose cp;
       Value.Null);
-  Vm.register_hook vm "__cpdrop" (fun _vm args ->
-      Checkpoint.dispose (find_cp "__cpdrop" args);
+  Vm.register_hook vm "__cpdrop" (fun vm args ->
+      Checkpoint.dispose (take_cp "__cpdrop" vm args);
       Value.Null)
 
 (* Compiles the corrected program with its hooks registered. *)

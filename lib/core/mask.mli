@@ -52,7 +52,10 @@ val corrected_program : targets:Method_id.Set.t -> Ast.program -> Ast.program
 
 val register_hooks : Config.t -> Vm.t -> unit
 (** Registers [__checkpoint] / [__restore] / [__cpdrop], the runtime
-    support of woven atomicity wrappers. *)
+    support of woven atomicity wrappers.  The hooks keep their
+    checkpoints in the VM's handle table ({!Vm.add_handle}), so a
+    prefix-sharing walk of the corrected program ({!Detect.walk})
+    rewinds them with each fork. *)
 
 val load_corrected : Config.t -> targets:Method_id.Set.t -> Ast.program -> Vm.t
 (** Compiles the corrected program with its hooks registered. *)

@@ -58,7 +58,7 @@ val timed : histogram -> (unit -> 'a) -> 'a
     histogram — even when [f] raises. *)
 
 val span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [span "detect.run_once" ~attrs f]: {!timed} against the
+(** [span "detect.run" ~attrs f]: {!timed} against the
     [Ns]-histogram registered under the span name; [attrs] are
     informational labels stored with the metric (last span wins). *)
 

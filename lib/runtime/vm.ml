@@ -35,6 +35,9 @@ type machine += No_machine
 type sched = ..
 type sched += No_sched
 
+(* A host value a hook hands the program as a token (see {!add_handle}). *)
+type handle = ..
+
 type t = {
   heap : Heap.t;
   classes : (string, cls) Hashtbl.t;
@@ -87,14 +90,18 @@ type t = {
          thread, for capturing its continuation; set and restored by the
          engine, swapped per thread by the scheduler *)
   mutable sched : sched; (* the scheduler of the run in progress *)
-  mutable global_undo : global_undo list option;
-      (* while a fork point is open: how to undo each global write made
-         since, newest first *)
+  handles : (int, handle) Hashtbl.t; (* host values held by the program, by token *)
+  mutable next_handle : int;
+  mutable undo : (int * undo list) option;
+      (* while a fork point is open: the next token at the fork point,
+         and how to undo each write to the globals or the handle table
+         made since, newest first *)
 }
 
-and global_undo =
+and undo =
   | Undo_set of Value.t ref * Value.t (* the ref held this *)
   | Undo_add of string (* the global did not exist *)
+  | Undo_take of int * handle (* the token was bound to this *)
 
 and cls = {
   cls_name : string;
@@ -237,7 +244,9 @@ let create () =
       exn_fields_cache = Hashtbl.create 16;
       machine = No_machine;
       sched = No_sched;
-      global_undo = None }
+      handles = Hashtbl.create 16;
+      next_handle = 0;
+      undo = None }
   in
   List.iter
     (fun (name, super) -> ignore (add_class vm ?super ~fields:[ "message" ] name))
@@ -424,17 +433,16 @@ let find_hook vm name = Hashtbl.find_opt vm.hooks name
 let output vm = Buffer.contents vm.out
 let print_out vm s = Buffer.add_string vm.out s
 
+let journal vm u =
+  match vm.undo with Some (mark, l) -> vm.undo <- Some (mark, u :: l) | None -> ()
+
 let set_global vm name v =
   match Hashtbl.find_opt vm.globals name with
   | Some r ->
-    (match vm.global_undo with
-     | Some l -> vm.global_undo <- Some (Undo_set (r, !r) :: l)
-     | None -> ());
+    journal vm (Undo_set (r, !r));
     r := v
   | None ->
-    (match vm.global_undo with
-     | Some l -> vm.global_undo <- Some (Undo_add name :: l)
-     | None -> ());
+    journal vm (Undo_add name);
     let r = ref v in
     Hashtbl.replace vm.globals name r;
     vm.global_roots <- r :: vm.global_roots
@@ -442,6 +450,23 @@ let set_global vm name v =
 let get_global vm name = Option.map ( ! ) (Hashtbl.find_opt vm.globals name)
 
 let iter_global_roots vm f = List.iter (fun r -> f !r) vm.global_roots
+
+let add_handle vm h =
+  let token = vm.next_handle in
+  vm.next_handle <- token + 1;
+  Hashtbl.replace vm.handles token h;
+  token
+
+let take_handle vm token =
+  match Hashtbl.find_opt vm.handles token with
+  | None -> None
+  | Some h as found ->
+    (* a token handed out since the fork point is unbound by the rewind *)
+    (match vm.undo with
+     | Some (mark, l) when token < mark -> vm.undo <- Some (mark, Undo_take (token, h) :: l)
+     | Some _ | None -> ());
+    Hashtbl.remove vm.handles token;
+    found
 
 (* Keeps the heap's thread tag in step with the VM's, so write-barrier
    shadow saves land in the bucket of the thread that performed them. *)
@@ -455,13 +480,14 @@ let set_cur_tid vm tid =
 
 (* Everything a tentative continuation of this run can change outside
    the interpreter's own frames and the scheduler, restorable by
-   {!rewind}: the heap (see {!Heap.fork}), globals, output, the per-run
-   counters and the scheduler's counters and digest (its fork restores
-   the running thread's [cur_tid] and [machine] itself).  Inline caches
-   are shared with the image and only ever warm up. *)
+   {!rewind}: the heap (see {!Heap.fork}), globals, the handle table,
+   output, the per-run counters and the scheduler's counters and digest
+   (its fork restores the running thread's [cur_tid] and [machine]
+   itself).  Inline caches are shared with the image and only ever warm
+   up. *)
 type fork = {
   fk_heap : Heap.fork;
-  fk_global_undo : global_undo list option; (* an enclosing fork's *)
+  fk_undo : (int * undo list) option; (* an enclosing fork's *)
   fk_global_roots : Value.t ref list;
   fk_out : int;
   fk_steps : int;
@@ -476,10 +502,10 @@ type fork = {
 }
 
 let fork vm =
-  let fk_global_undo = vm.global_undo in
-  vm.global_undo <- Some [];
+  let fk_undo = vm.undo in
+  vm.undo <- Some (vm.next_handle, []);
   { fk_heap = Heap.fork vm.heap;
-    fk_global_undo;
+    fk_undo;
     fk_global_roots = vm.global_roots;
     fk_out = Buffer.length vm.out;
     fk_steps = vm.steps;
@@ -494,13 +520,21 @@ let fork vm =
 
 let rewind vm f =
   Heap.rewind vm.heap f.fk_heap;
-  (match vm.global_undo with
-   | Some l ->
+  (match vm.undo with
+   | Some (mark, l) ->
      List.iter
-       (function Undo_set (r, v) -> r := v | Undo_add name -> Hashtbl.remove vm.globals name)
-       l
+       (function
+         | Undo_set (r, v) -> r := v
+         | Undo_add name -> Hashtbl.remove vm.globals name
+         | Undo_take (token, h) -> Hashtbl.replace vm.handles token h)
+       l;
+     (* tokens handed out since (those still held) *)
+     for token = mark to vm.next_handle - 1 do
+       Hashtbl.remove vm.handles token
+     done;
+     vm.next_handle <- mark
    | None -> ());
-  vm.global_undo <- f.fk_global_undo;
+  vm.undo <- f.fk_undo;
   vm.global_roots <- f.fk_global_roots;
   Buffer.truncate vm.out f.fk_out;
   vm.steps <- f.fk_steps;

@@ -36,6 +36,10 @@ type sched = ..
 
 type sched += No_sched  (** no run in progress *)
 
+type handle = ..
+(** A host value a hook hands the program as a token (a detection
+    snapshot, a masking checkpoint); see {!add_handle}. *)
+
 type t = {
   heap : Heap.t;
   classes : (string, cls) Hashtbl.t;
@@ -85,12 +89,15 @@ type t = {
           thread, for capturing its continuation; maintained by the
           engine, and swapped per thread by the scheduler *)
   mutable sched : sched;  (** the scheduler of the run in progress *)
-  mutable global_undo : global_undo list option;
-      (** while a {!fork} point is open: the global writes {!rewind}
-          undoes, newest first; maintained by {!set_global} *)
+  handles : (int, handle) Hashtbl.t;  (** host values held by the program, by token *)
+  mutable next_handle : int;
+  mutable undo : (int * undo list) option;
+      (** while a {!fork} point is open: the next token at the fork
+          point, and the writes to the globals and the handle table
+          {!rewind} undoes, newest first *)
 }
 
-and global_undo
+and undo
 
 and cls = {
   cls_name : string;
@@ -276,6 +283,14 @@ val iter_global_roots : t -> (Value.t -> unit) -> unit
 (** Applies [f] to every global's current value, in deterministic
     (reverse-creation) order — the GC root set. *)
 
+val add_handle : t -> handle -> int
+(** Binds a fresh token to a host value.  Hooks keep the state they
+    hand the program here rather than in tables of their own, so a
+    {!fork} rewinds it with the run. *)
+
+val take_handle : t -> int -> handle option
+(** Unbinds a token, returning what it was bound to. *)
+
 val set_cur_tid : t -> int -> unit
 (** Sets the running MiniLang thread id on the VM and its heap, so
     write-barrier shadow saves are attributed to the right thread. *)
@@ -287,8 +302,8 @@ type fork
     change outside the interpreter's frames. *)
 
 val fork : t -> fork
-(** Takes a fork point: {!Heap.fork}, a journal of global writes, the
-    output length, the per-run counters
+(** Takes a fork point: {!Heap.fork}, a journal of the writes to the
+    globals and the handle table, the output length, the per-run counters
     ([steps], [calls], [call_depth], inline-cache hits and misses) and
     the scheduler's counters and digest ([sched_*]).  O(1) besides the
     heap's. *)
@@ -296,7 +311,8 @@ val fork : t -> fork
 val rewind : t -> fork -> unit
 (** Puts the run back at the fork point (see {!Heap.rewind}), in time
     proportional to what changed since: globals created since are gone
-    and the others hold their old values, the
-    output is truncated, the counters are restored — so a continuation
-    resumed later counts steps against the step limit exactly as a run
-    that never took the fork would. *)
+    and the others hold their old values, tokens handed out since are
+    unbound and those taken since bound again, the output is truncated,
+    the counters are restored — so a continuation resumed later counts
+    steps against the step limit exactly as a run that never took the
+    fork would. *)

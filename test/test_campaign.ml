@@ -1,8 +1,7 @@
 (* Tests of the parallel, resumable detection-campaign engine
    (lib/campaign/): determinism against the sequential detector,
-   journal resume, claiming, and walking campaigns (workers running the
-   points they claim, forked or, under a per-run timeout, on fresh
-   VMs). *)
+   journal resume, claiming, and walking campaigns (workers forking the
+   points they claim, with or without a per-run timeout). *)
 
 open Failatom_core
 open Failatom_apps
@@ -43,13 +42,13 @@ let check_matches_sequential (app : Registry.t) flavor () =
     (Classify.reports cs = Classify.reports cp
     && cs.Classify.class_verdicts = cp.Classify.class_verdicts);
   Alcotest.(check int) "nothing reused" 0 summary.Progress.reused;
-  (* A per-run timeout runs every injected run on a fresh VM under the
-     budget; it must still give the forking detector's run log, in
-     every prune mode (drop also on the concurrent apps). *)
+  (* A per-run timeout budgets every forked suffix; it must still give
+     the unbudgeted detector's run log, in every prune mode (drop also
+     on the concurrent apps). *)
   List.iter
     (fun prune ->
       let config = { matrix_config with Config.prune } in
-      let what = "fresh VMs, " ^ Config.prune_name prune in
+      let what = "budgeted, " ^ Config.prune_name prune in
       let expected = Run_log.save (Detect.run ~config ~flavor program) in
       let fresh, summary =
         Campaign.run ~config ~flavor ~run_timeout_s:600. ~jobs:4 program
@@ -125,8 +124,7 @@ let journal_thresholds path =
   | None -> []
   | Some (_, runs) -> List.map (fun (r : Marks.run_record) -> r.Marks.injection_point) runs
 
-(* Resumed with forked runs and, with a per-run timeout, with runs on
-   fresh VMs. *)
+(* Resumed with and without a per-run timeout. *)
 let test_resume () =
   let app = Option.get (Registry.find "LinkedList") in
   let program = parse app.Registry.source in
@@ -448,9 +446,9 @@ let inside_a_group program journal =
   index 0 (journal_thresholds journal)
 
 (* Resume from journals cut at several points, one of them inside a
-   coalesced group, with forked runs and, with a per-run timeout, with
-   runs on fresh VMs.  Either way no run is speculative: every kept
-   record is reused and nothing is discarded. *)
+   coalesced group, with and without a per-run timeout.  Either way no
+   run is speculative: every kept record is reused and nothing is
+   discarded. *)
 let test_walk_resume () =
   let app = Option.get (Registry.find "LinkedList") in
   let program = parse app.Registry.source in
@@ -480,7 +478,7 @@ let test_walk_resume () =
                   in
                   let what =
                     Printf.sprintf "%s%s jobs %d keep %d" (Config.prune_name prune)
-                      (if Option.is_some run_timeout_s then " fresh VMs" else "")
+                      (if Option.is_some run_timeout_s then " budgeted" else "")
                       jobs keep
                   in
                   Alcotest.(check string) (what ^ ": result")
@@ -598,7 +596,7 @@ let test_walk_counters () =
   let program = parse (Option.get (Registry.find "RBTree")).Registry.source in
   let names =
     [ "detect.points_total"; "detect.points_coalesced"; "detect.forks";
-      "detect.injections_fired"; "detect.fork_fallbacks" ]
+      "detect.injections_fired" ]
   in
   let counters f =
     Obs.with_enabled true (fun () ->
@@ -622,14 +620,13 @@ let test_walk_counters () =
     [ Config.Prune_off; Config.Prune_coalesce ]
 
 (* [Detect.run] and [Campaign.run] at one and two workers publish the
-   same schedule, census and fork counters, under off and coalesce,
-   with forked runs and with a per-run timeout (fresh VMs). *)
+   same schedule, census, fork and timeout counters, under off and
+   coalesce, with and without a per-run timeout. *)
 let test_counters_agree () =
   let program = parse (Option.get (Registry.find "LinkedList")).Registry.source in
   let names =
     [ "sched.schedules_explored"; "detect.points_total"; "detect.points_coalesced";
-      "detect.forks"; "detect.fork_fallbacks"; "detect.fork_fallbacks.prepare";
-      "detect.fork_fallbacks.timeout"; "detect.fork_fallbacks.native" ]
+      "detect.forks"; "detect.runs_timed_out" ]
   in
   let counters f =
     Obs.with_enabled true (fun () ->
@@ -648,16 +645,16 @@ let test_counters_agree () =
       let expected =
         counters (fun () -> ignore (Detect.run ~config ?run_timeout_s program))
       in
-      (* one schedule, and its injected runs all forked or, under the
-         timeout, all run on fresh VMs *)
+      (* one schedule, and one fork per representative (per point, unless
+         coalescing), none of them timed out, budget or not *)
       Alcotest.(check int) (what ^ ": one schedule") 1 (List.hd expected);
-      let forks = List.nth expected 3 and fallbacks = List.nth expected 4 in
-      let timeouts = List.nth expected 6 in
-      Alcotest.(check bool) (what ^ ": runs counted") true (forks + fallbacks > 0);
+      let points = List.nth expected 1 and coalesced = List.nth expected 2 in
+      let forks = List.nth expected 3 and timed_out = List.nth expected 4 in
+      Alcotest.(check bool) (what ^ ": runs counted") true (forks > 0);
       Alcotest.(check (pair int int))
-        (what ^ ": forks, fallbacks")
-        (if Option.is_some run_timeout_s then (0, timeouts) else (forks, 0))
-        (forks, fallbacks);
+        (what ^ ": forks, runs timed out")
+        (points - coalesced, 0)
+        (forks, timed_out);
       List.iter
         (fun jobs ->
           Alcotest.(check (list int))
@@ -669,26 +666,92 @@ let test_counters_agree () =
     [ (Config.Prune_off, None); (Config.Prune_coalesce, None);
       (Config.Prune_off, Some 600.); (Config.Prune_coalesce, Some 600.) ]
 
-(* A per-run timeout runs every injected run on a fresh VM: the walks
-   fork nothing. *)
-let test_fresh_vm_fallbacks () =
-  let counters f =
+(* Runs [f] with metrics on; also returns how many injected runs forked. *)
+let with_forks f =
+  Obs.with_enabled true (fun () ->
+      Obs.reset ();
+      let r = f () in
+      let forks = Obs.counter_value (Obs.counter "detect.forks") in
+      Obs.reset ();
+      (r, forks))
+
+(* A per-run timeout budgets each forked suffix: a budgeted campaign
+   forks every injected run, as an unbudgeted one does. *)
+let test_budgeted_forks () =
+  let linked_list = parse (Option.get (Registry.find "LinkedList")).Registry.source in
+  let (result, _), forks =
+    with_forks (fun () -> Campaign.run ~run_timeout_s:600. ~jobs:2 linked_list)
+  in
+  Alcotest.(check int) "timeout: every injected run forked" result.Detect.injections forks;
+  let (result, _), forks = with_forks (fun () -> Campaign.run ~jobs:2 linked_list) in
+  Alcotest.(check int) "no timeout: every injected run forked" result.Detect.injections forks
+
+(* One [RuntimeException] handler catches every exception of [init]
+   and [poke] and spins until the budget runs out, so each entry's
+   points form one blindness group.  A timed-out representative does
+   not vouch for its members: each forks at its own point under the
+   budget.  The spin makes no call and prints nothing, so where the
+   deadline strikes changes no record; the budget leaves ample time to
+   reach it. *)
+let slow_group_source =
+  {|
+class Box {
+  field v;
+  method init() { this.v = 0; }
+  method poke() throws IllegalStateException {
+    this.v = this.v + 1;
+    return this.v;
+  }
+}
+function main() {
+  for (var i = 0; i < 3; i = i + 1) {
+    try {
+      var b = new Box();
+      b.poke();
+    } catch (RuntimeException e) {
+      var j = 0;
+      while (j >= 0) { j = j + 1; }
+    }
+  }
+  println("done");
+}
+|}
+
+let test_timed_out_representative () =
+  let program = parse slow_group_source in
+  let config =
+    { Config.default with
+      Config.prune = Config.Prune_coalesce;
+      runtime_exceptions = [ "NullPointerException"; "IllegalArgumentException" ] }
+  in
+  let counted f =
     Obs.with_enabled true (fun () ->
         Obs.reset ();
-        f ();
+        let r = f () in
         let count name = Obs.counter_value (Obs.counter name) in
-        let r = (count "detect.forks", count "detect.fork_fallbacks.timeout") in
+        let c = (count "detect.forks", count "detect.points_coalesced") in
         Obs.reset ();
-        r)
+        (r, c))
   in
-  let linked_list = parse (Option.get (Registry.find "LinkedList")).Registry.source in
-  let forks, timeout =
-    counters (fun () -> ignore (Campaign.run ~run_timeout_s:600. ~jobs:2 linked_list))
+  let run_timeout_s = 0.02 in
+  let seq, (forks, coalesced) = counted (fun () -> Detect.run ~config ~run_timeout_s program) in
+  let injected =
+    List.filter (fun (r : Marks.run_record) -> r.Marks.injected <> None) seq.Detect.runs
   in
-  Alcotest.(check int) "timeout: no forks" 0 forks;
-  Alcotest.(check bool) "timeout: fallbacks counted" true (timeout > 0);
-  let forks, _ = counters (fun () -> ignore (Campaign.run ~jobs:2 linked_list)) in
-  Alcotest.(check bool) "sequential: forks" true (forks > 0)
+  Alcotest.(check bool) "groups have members" true (coalesced > 0);
+  Alcotest.(check bool) "every injected run timed out" true
+    (injected <> [] && List.for_all (fun (r : Marks.run_record) -> r.Marks.timed_out) injected);
+  Alcotest.(check int) "members forked at their own points" seq.Detect.injections forks;
+  let probe = List.nth seq.Detect.runs (List.length seq.Detect.runs - 1) in
+  Alcotest.(check bool) "the probe completed: the suffix deadline was disarmed" false
+    probe.Marks.timed_out;
+  Alcotest.(check bool) "the probe is the no-injection run" true (probe.Marks.injected = None);
+  let (par, _), (par_forks, _) =
+    counted (fun () -> Campaign.run ~config ~run_timeout_s ~jobs:2 program)
+  in
+  Alcotest.(check bool) "campaign == detect, record for record" true
+    (seq.Detect.runs = par.Detect.runs);
+  Alcotest.(check int) "campaign forks the same runs" forks par_forks
 
 (* Concurrent campaigns walk every schedule phase: at one and two
    workers they equal [Detect.run] — records, schedule switches and
@@ -696,15 +759,6 @@ let test_fresh_vm_fallbacks () =
 let test_concurrent_walk () =
   let config =
     { Config.default with Config.schedules = [ "coop"; "slice:1"; "slice:2"; "pct:2:7" ] }
-  in
-  let counted f =
-    Obs.with_enabled true (fun () ->
-        Obs.reset ();
-        let r = f () in
-        let count name = Obs.counter_value (Obs.counter name) in
-        let c = (count "detect.forks", count "detect.fork_fallbacks") in
-        Obs.reset ();
-        (r, c))
   in
   List.iter
     (fun name ->
@@ -715,14 +769,13 @@ let test_concurrent_walk () =
           List.iter
             (fun jobs ->
               let what = Printf.sprintf "%s %s jobs %d" name (Detect.flavor_name flavor) jobs in
-              let (got, _), (forks, fallbacks) =
-                counted (fun () -> Campaign.run ~config ~flavor ~jobs program)
+              let (got, _), forks =
+                with_forks (fun () -> Campaign.run ~config ~flavor ~jobs program)
               in
               Alcotest.(check string) (what ^ ": run log") (Run_log.save expected)
                 (Run_log.save got);
               Alcotest.(check int) (what ^ ": every injected run forked")
-                expected.Detect.injections forks;
-              Alcotest.(check int) (what ^ ": no fallbacks") 0 fallbacks)
+                expected.Detect.injections forks)
             [ 1; 2 ])
         [ Detect.Source_weaving; Detect.Load_time_filters ])
     [ "StripedMap"; "BoundedBuffer"; "WorkQueue" ]
@@ -749,7 +802,9 @@ let suite =
     Alcotest.test_case "walking campaign counters == detect's" `Quick test_walk_counters;
     Alcotest.test_case "schedule, census and fork counters == detect's" `Quick
       test_counters_agree;
-    Alcotest.test_case "fresh-VM path only for timeouts" `Quick test_fresh_vm_fallbacks;
+    Alcotest.test_case "a budgeted campaign forks" `Quick test_budgeted_forks;
+    Alcotest.test_case "a timed-out representative's members fork" `Quick
+      test_timed_out_representative;
     Alcotest.test_case "concurrent campaigns walk == detect's" `Quick
       test_concurrent_walk ]
   @ walk_cases @ determinism_cases

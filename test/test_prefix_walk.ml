@@ -1,13 +1,13 @@
 (* Prefix-sharing detection against the fresh-VM oracle.
 
    [Detect.run] walks a sequential program once and forks each injected
-   run from its injection point, or, under a [prepare] hook or a run
-   budget, runs it on a fresh VM; [Detect.run_once] runs one threshold
-   on a fresh VM.  The walk must produce exactly the records of the loop
-   Listing 1 describes — threshold 1, 2, … on fresh VMs until a run
-   fires nothing — and the same run-log bytes, on every sequential
-   catalog app, in both flavors, under every pruning mode and both
-   snapshot modes, forking or not.  The edge cases below each pin one
+   run from its injection point, also under a [prepare] hook or a run
+   budget; [Detect.run_once] runs one threshold on a fresh VM.  The walk
+   must produce exactly the records of the loop Listing 1 describes —
+   threshold 1, 2, … on fresh VMs until a run fires nothing — and the
+   same run-log bytes, on every sequential catalog app, in both
+   flavors, under every pruning mode and both snapshot modes, with and
+   without a budget or hooks.  The edge cases below each pin one
    piece of what a fork must copy or rewind; each fails when that
    piece is left out. *)
 
@@ -34,6 +34,17 @@ let fresh_loop ?(setup = fun (_ : Vm.t) -> ()) ?schedule compiled config analyze
   go 1 []
 
 let records_t = Alcotest.testable (Fmt.any "<run records>") ( = )
+
+let count name = Failatom_obs.Obs.counter_value (Failatom_obs.Obs.counter name)
+
+(* Runs [f] with metrics on; also returns how many injected runs forked. *)
+let with_forks f =
+  Failatom_obs.Obs.with_enabled true (fun () ->
+      Failatom_obs.Obs.reset ();
+      let r = f () in
+      let forks = count "detect.forks" in
+      Failatom_obs.Obs.reset ();
+      (r, forks))
 
 (* ---------------- differential: every sequential app -------------- *)
 
@@ -90,8 +101,8 @@ let check_app (app : Registry.t) () =
               in
               Alcotest.(check string) (what ^ ": run log") (Run_log.save fresh)
                 (Run_log.save walked);
-              (* a run budget or a [prepare] hook: every offered point
-                 runs on a fresh VM, and the log is the same *)
+              (* under a run budget or a [prepare] hook the walk still
+                 forks every offered point, and the log is the same *)
               if snapshot_mode = Config.Snapshot_cow && prune <> Config.Prune_drop then
                 List.iter
                   (fun (how, run_timeout_s, prepare) ->
@@ -106,7 +117,8 @@ let check_app (app : Registry.t) () =
     flavors
 
 (* A masked program re-detected as [mask --verify] does, with its
-   checkpoint hooks, against the loop with the same hooks. *)
+   checkpoint hooks, against the loop with the same hooks: the walk
+   forks every injected run, the hooks' checkpoints rewound with it. *)
 let check_masked (app : Registry.t) () =
   let program = Minilang.parse app.Registry.source in
   let config = Config.default in
@@ -124,7 +136,9 @@ let check_masked (app : Registry.t) () =
     | _ -> Alcotest.failf "%s: re-detection of a failing program succeeded" app.Registry.name
     | exception Detect.Detection_error _ -> ())
   | profile ->
-    let verified = verify () in
+    let verified, forks = with_forks verify in
+    Alcotest.(check int) (app.Registry.name ^ ": every injected run forked")
+      verified.Detect.injections forks;
     let runs = fresh_loop ~setup:hooks compiled config verified.Detect.analyzer in
     let fresh =
       { verified with
@@ -159,7 +173,9 @@ let walk_vs_fresh ?setup ?(config = Config.default) ?(checked = true) ~what src 
         (fun flow ->
           let got =
             outcome (fun () ->
-                fst (Detect.walk ?setup ?flow compiled config analyzer ~baseline_output:""))
+                fst
+                  (Detect.walk ?prepare:setup ?flow compiled config analyzer
+                     ~baseline_output:""))
           in
           let label =
             Printf.sprintf "%s, %s, %s" what (Detect.flavor_name flavor)
@@ -382,13 +398,19 @@ let test_cross_frame_break () =
   ignore (walk_vs_fresh ~checked:false ~what:"cross-frame break" break_src)
 
 (* Points reached under native re-entry (a hook calling back into the
-   program) cannot fork: they run on fresh VMs, with the same records. *)
+   program) cannot fork: the walk fails with a typed error naming the
+   first of them, having forked the points before it.  The hook calls
+   [twice]: the source flavor's points of [twice] are inside its woven
+   wrapper's body, the load-time filters' at its entry, before the
+   re-entered body runs, so there the first point that fails is the
+   nested [work]'s. *)
 let reentry_src =
   {|
 class W {
   field n;
   method init() { this.n = 0; return this; }
   method work() { this.n = this.n + 1; return this.n; }
+  method twice() { this.work(); return this.work(); }
 }
 function main() {
   var w = new W();
@@ -401,19 +423,44 @@ function main() {
 |}
 
 let reentry_hooks vm =
-  Vm.register_hook vm "__call" (fun vm args -> Vm.invoke vm (List.hd args) "work" [])
+  Vm.register_hook vm "__call" (fun vm args -> Vm.invoke vm (List.hd args) "twice" [])
+
+let reentry_error = " cannot fork: its injection point is reached under native re-entry"
+
+let walk_error ?schedule ?flow compiled analyzer =
+  match
+    Detect.walk ~prepare:reentry_hooks ?schedule ?flow compiled Config.default analyzer
+      ~baseline_output:""
+  with
+  | _ -> None
+  | exception Detect.Detection_error m -> Some m
 
 let test_native_reentry () =
-  Failatom_obs.Obs.with_enabled true (fun () ->
-      Failatom_obs.Obs.reset ();
-      ignore (walk_vs_fresh ~setup:reentry_hooks ~what:"native re-entry" reentry_src);
-      let count name = Failatom_obs.Obs.counter_value (Failatom_obs.Obs.counter name) in
-      Alcotest.(check bool) "points forked" true (count "detect.forks" > 0);
-      Alcotest.(check bool) "re-entered points ran fresh" true
-        (count "detect.fork_fallbacks.native" > 0);
-      Alcotest.(check int) "fallbacks total by reason"
-        (count "detect.fork_fallbacks.native")
-        (count "detect.fork_fallbacks"))
+  let program, plain = compile_src reentry_src in
+  let flow = Exnflow.analyze plain program in
+  let analyzer = Analyzer.analyze Config.default program in
+  let points meth = List.length (Analyzer.injectable_for analyzer (Method_id.make "W" meth)) in
+  (* [new W()] and the first [w.work()] reach theirs in [main] *)
+  let first = function
+    | Detect.Source_weaving -> points "init" + points "work" + 1
+    | Detect.Load_time_filters -> points "init" + points "work" + points "twice" + 1
+  in
+  List.iter
+    (fun flavor ->
+      let compiled = Detect.compile ~plain flavor program in
+      List.iter
+        (fun flow ->
+          let what =
+            Printf.sprintf "%s, %s" (Detect.flavor_name flavor)
+              (if flow = None then "off" else "coalesce")
+          in
+          let error, forks = with_forks (fun () -> walk_error ?flow compiled analyzer) in
+          Alcotest.(check (option string)) (what ^ ": the first re-entered point fails")
+            (Some (Printf.sprintf "run %d%s" (first flavor) reentry_error))
+            error;
+          Alcotest.(check bool) (what ^ ": the points before it forked") true (forks > 0))
+        [ None; Some flow ])
+    flavors
 
 (* ---------------- concurrent programs ----------------------------- *)
 
@@ -428,17 +475,6 @@ let schedules =
 
 let spec_config = { Config.default with Config.schedules = List.map fst schedules }
 
-let count name = Failatom_obs.Obs.counter_value (Failatom_obs.Obs.counter name)
-
-(* Runs [f] with metrics on; also returns the fork and fallback counts. *)
-let with_fork_counts f =
-  Failatom_obs.Obs.with_enabled true (fun () ->
-      Failatom_obs.Obs.reset ();
-      let r = f () in
-      let counts = (count "detect.forks", count "detect.fork_fallbacks") in
-      Failatom_obs.Obs.reset ();
-      (r, counts))
-
 let conc_apps =
   List.filter (fun (a : Registry.t) -> a.Registry.suite = Registry.Conc) Registry.catalog
 
@@ -452,12 +488,10 @@ let check_conc_app (app : Registry.t) () =
     (fun flavor ->
       let what = app.Registry.name ^ " " ^ Detect.flavor_name flavor in
       let compiled = Detect.compile ~plain flavor program in
-      let walked, (forks, fallbacks) =
-        with_fork_counts (fun () ->
-            Detect.run ~config:spec_config ~flavor ~plain ~compiled program)
+      let walked, forks =
+        with_forks (fun () -> Detect.run ~config:spec_config ~flavor ~plain ~compiled program)
       in
       Alcotest.(check int) (what ^ ": every injected run forked") walked.Detect.injections forks;
-      Alcotest.(check int) (what ^ ": no fallbacks") 0 fallbacks;
       let per_schedule =
         List.map
           (fun ((_, policy) as schedule) ->
@@ -482,12 +516,14 @@ let check_conc_app (app : Registry.t) () =
       Alcotest.(check string) (what ^ ": run log")
         (Run_log.save { walked with Detect.runs })
         (Run_log.save walked);
-      (* under a run budget every injected run runs on a fresh VM *)
+      (* under a run budget every injected run still forks *)
       let budgeted = [ "slice:1"; "pct:2:7" ] in
-      let timed =
-        Detect.run ~config:{ spec_config with Config.schedules = budgeted } ~flavor ~plain
-          ~compiled ~run_timeout_s:600. program
+      let timed, forks =
+        with_forks (fun () ->
+            Detect.run ~config:{ spec_config with Config.schedules = budgeted } ~flavor ~plain
+              ~compiled ~run_timeout_s:600. program)
       in
+      Alcotest.(check int) (what ^ ": every budgeted run forked") timed.Detect.injections forks;
       let oracle =
         List.filter (fun ((spec, _), _) -> List.mem spec budgeted)
           (List.combine schedules per_schedule)
@@ -502,10 +538,8 @@ let check_conc_app (app : Registry.t) () =
 
 (* The walk under each schedule next to the oracle under that schedule,
    for one small program: the records, or the detection error. *)
-let conc_walk_vs_fresh ?setup ?(config = Config.default) ?(schedules = schedules)
-    ?(reentry = false) ~what src =
+let conc_walk_vs_fresh ?setup ?(config = Config.default) ?(schedules = schedules) ~what src =
   let program, plain = compile_src src in
-  let fallbacks_seen = ref 0 in
   let analyzer = Analyzer.analyze config program in
   let outcome f = match f () with runs -> Ok runs | exception Detect.Detection_error m -> Error m in
   List.iter
@@ -517,15 +551,13 @@ let conc_walk_vs_fresh ?setup ?(config = Config.default) ?(schedules = schedules
           let expected =
             outcome (fun () -> fresh_loop ?setup ~schedule compiled config analyzer)
           in
-          let got, (forks, fallbacks) =
-            with_fork_counts (fun () ->
+          let got, forks =
+            with_forks (fun () ->
                 outcome (fun () ->
                     fst
-                      (Detect.walk ?setup ~schedule compiled config analyzer
+                      (Detect.walk ?prepare:setup ~schedule compiled config analyzer
                          ~baseline_output:"")))
           in
-          fallbacks_seen := !fallbacks_seen + fallbacks;
-          if not reentry then Alcotest.(check int) (label ^ ": no fallbacks") 0 fallbacks;
           Alcotest.(check bool) (label ^ ": forked") true (forks > 0);
           match expected, got with
           | Ok a, Ok b -> Alcotest.check records_t label a b
@@ -534,8 +566,6 @@ let conc_walk_vs_fresh ?setup ?(config = Config.default) ?(schedules = schedules
           | Error m, Ok _ -> Alcotest.failf "%s: walk succeeded, oracle failed: %s" label m)
         schedules)
     flavors;
-  if reentry then
-    Alcotest.(check bool) (what ^ ": some points ran fresh") true (!fallbacks_seen > 0);
   (program, plain)
 
 (* What the uninstrumented program does under a schedule: its VM after
@@ -809,20 +839,23 @@ let test_conc_step_limit () =
           let expected = failure (fun () -> fresh_loop ~setup ~schedule compiled config analyzer) in
           Alcotest.(check string) label expected
             (failure (fun () ->
-                 Detect.walk ~setup ~schedule compiled config analyzer ~baseline_output:"")))
+                 Detect.walk ~prepare:setup ~schedule compiled config analyzer
+                   ~baseline_output:"")))
         schedules)
     flavors
 
 (* The worker re-enters the program from a hook, so under the slice
    schedules it is preempted with part of its continuation on its
-   fiber's native stack: main's points reached meanwhile cannot copy it
-   and run on fresh VMs, with the same records. *)
+   fiber's native stack: main's points reached meanwhile cannot copy
+   it, nor can the worker's own points inside the hook.  Every schedule
+   fails with the typed error. *)
 let conc_reentry_src =
   {|
 class W {
   field n;
   method init() { this.n = 0; return this; }
   method work() { this.n = this.n + 1; return this.n; }
+  method twice() { this.work(); return this.work(); }
   method run() {
     for (var i = 0; i < 3; i = i + 1) { __call(this); this.work(); }
     return this.n;
@@ -839,9 +872,21 @@ function main() {
 |}
 
 let test_conc_native_reentry () =
-  ignore
-    (conc_walk_vs_fresh ~setup:reentry_hooks ~reentry:true
-       ~what:"another thread under native re-entry" conc_reentry_src)
+  let program, plain = compile_src conc_reentry_src in
+  let analyzer = Analyzer.analyze Config.default program in
+  List.iter
+    (fun flavor ->
+      let compiled = Detect.compile ~plain flavor program in
+      List.iter
+        (fun ((spec, _) as schedule) ->
+          let what = Printf.sprintf "%s, %s" (Detect.flavor_name flavor) spec in
+          match walk_error ~schedule compiled analyzer with
+          | None -> Alcotest.failf "%s: a point under native re-entry forked" what
+          | Some m ->
+            Alcotest.(check bool) (what ^ ": " ^ m) true
+              (String.ends_with ~suffix:reentry_error m))
+        schedules)
+    flavors
 
 let suite =
   List.map
@@ -862,7 +907,7 @@ let suite =
       Alcotest.test_case "suffix allocates" `Quick test_suffix_allocates;
       Alcotest.test_case "open prefix snapshot exits later" `Quick test_open_prefix_snapshot;
       Alcotest.test_case "break across frames, forked mid-loop" `Quick test_cross_frame_break;
-      Alcotest.test_case "native re-entry falls back" `Quick test_native_reentry ]
+      Alcotest.test_case "native re-entry is a typed error" `Quick test_native_reentry ]
   @ List.map
       (fun (app : Registry.t) ->
         Alcotest.test_case ("walk == fresh VMs, swept: " ^ app.Registry.name) `Quick
@@ -876,5 +921,5 @@ let suite =
       Alcotest.test_case "deadlock only in the suffix" `Quick test_suffix_deadlock;
       Alcotest.test_case "PCT change points after the fork" `Quick test_pct_change_points;
       Alcotest.test_case "step limit in a concurrent suffix" `Quick test_conc_step_limit;
-      Alcotest.test_case "another thread under native re-entry falls back" `Quick
+      Alcotest.test_case "another thread under native re-entry is a typed error" `Quick
         test_conc_native_reentry ]

@@ -229,9 +229,9 @@ let prop_image_determinism =
         [ run_image image; run_image image; run_image (C.image program) ])
 
 (* Forking injected runs off one walk is an optimization, never a
-   semantic change: [Detect.run] without a [prepare] hook walks, with a
-   (no-op) one it runs every threshold on a fresh VM.  Both flavors,
-   exact and coalescing loops. *)
+   semantic change: [Detect.run] walks, and Listing 1's loop runs every
+   threshold on a fresh VM ([Detect.run_once]).  Both flavors, exact
+   and coalescing walks. *)
 let prop_walk_equals_fresh =
   QCheck2.Test.make ~name:"prefix-sharing walk equals fresh VMs" ~count:25
     ~long_factor ~print:print_spec gen_program_spec
@@ -240,10 +240,18 @@ let prop_walk_equals_fresh =
       List.for_all
         (fun (flavor, prune) ->
           let config = { Config.default with Config.prune } in
-          let walked = Detect.run ~config ~flavor program in
-          let fresh = Detect.run ~config ~flavor ~prepare:(fun _ -> ()) program in
-          if walked.Detect.runs = fresh.Detect.runs
-             && walked.Detect.transparent = fresh.Detect.transparent
+          let s = Detect.set_up ~config ~flavor program in
+          let walked =
+            Detect.run ~config ~flavor ~plain:s.Detect.s_plain ~compiled:s.Detect.s_compiled
+              program
+          in
+          let fresh =
+            Test_prefix_walk.fresh_loop s.Detect.s_compiled config s.Detect.s_analyzer
+          in
+          let probe = List.nth fresh (List.length fresh - 1) in
+          if walked.Detect.runs = fresh
+             && walked.Detect.transparent
+                = String.equal probe.Marks.output s.Detect.s_profile.Profile.output
           then true
           else
             QCheck2.Test.fail_reportf "%s, %s: walked runs differ from fresh runs"

@@ -189,8 +189,7 @@ let test_cache_hit () =
 
 (* A detect job is a one-worker campaign, which walks: its summary
    counts (executed, reused, discarded, synthesized) and its log are the
-   same whether its runs fork or, under a per-run timeout, run on fresh
-   VMs. *)
+   same with and without a per-run timeout on its forked runs. *)
 let test_walk_summary_matches_fresh () =
   with_server (fun socket_path ->
       with_client socket_path (fun conn ->
@@ -1401,8 +1400,10 @@ let test_kill_resubmit () =
       (fun () ->
         (* the first daemon is up before a client that will not retry *)
         Client.with_conn ~retries:40 ~socket_path ignore;
+        (* RegExp has the most points of the bundled apps: its job runs
+           long enough to be killed while it runs *)
         let req =
-          { (Protocol.default_request Protocol.Campaign (Protocol.App "xml2Cviasc2")) with
+          { (Protocol.default_request Protocol.Campaign (Protocol.App "RegExp")) with
             Protocol.prune = Config.Prune_off;
             run_timeout_s = Some 600. }
         in
@@ -1421,7 +1422,7 @@ let test_kill_resubmit () =
         in
         Alcotest.(check bool) "retries 10: the kill happened" true !killed;
         Alcotest.(check bool) "the resubmitted job re-ran" false cached;
-        let app = Option.get (Registry.find "xml2Cviasc2") in
+        let app = Option.get (Registry.find "RegExp") in
         Alcotest.(check string) "the one-shot log"
           (Run_log.save
              (Detect.run
